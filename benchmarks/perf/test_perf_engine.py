@@ -1,7 +1,8 @@
 """Engine-loop microbenchmarks (the pytest-benchmark side of ``repro bench``).
 
-``python -m repro bench`` is the authoritative harness -- it measures the
-fast/reference speedup in one invocation and writes ``BENCH_6.json``.  These
+``python -m repro bench`` measures the fast/reference speedup in one
+invocation and writes ``BENCH_8.json``; ``perfbench/`` is the repository's
+end-to-end benchmark.  These
 benchmarks track the same hot paths under pytest-benchmark so regressions show
 up in the ordinary benchmark run alongside the per-figure timings:
 

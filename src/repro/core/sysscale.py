@@ -122,6 +122,9 @@ class SysScaleController(Policy):
         """Start a run at the high operating point (the boot default)."""
         del trace  # SysScale does not peek at the workload; it reacts to counters
         self.platform = platform
+        # The algorithm's budgets become the actions' budgets (see decide), so
+        # both must be charged on the platform being simulated.
+        self.algorithm.platform = platform
         self._current_point = self.algorithm.reset()
         self._transition_reports = []
         return self._action_for(self._current_point)
@@ -130,11 +133,14 @@ class SysScaleController(Policy):
         """Run the holistic algorithm on the interval-averaged counters."""
         decision = self.algorithm.decide(observation.counters, observation.static_demand)
         target = decision.operating_point
+        budget = decision.io_memory_budget
         if target is not self._current_point:
             latency = self._execute_transition(self._current_point, target)
             self._current_point = target
-            return self._action_for(target, transition_latency=latency)
-        return self._action_for(target)
+            return self._action_for(
+                target, transition_latency=latency, io_memory_budget=budget
+            )
+        return self._action_for(target, io_memory_budget=budget)
 
     def notify_transition(self, previous: PolicyAction, new: PolicyAction) -> None:
         """The engine applied the transition; nothing further to do."""
@@ -153,11 +159,18 @@ class SysScaleController(Policy):
         return report.total_latency
 
     def _action_for(
-        self, point: OperatingPoint, transition_latency: Optional[float] = None
+        self,
+        point: OperatingPoint,
+        transition_latency: Optional[float] = None,
+        io_memory_budget: Optional[float] = None,
     ) -> PolicyAction:
         if transition_latency is None:
             transition_latency = self.flow.estimate_latency(self._current_point, point)
-        return point.to_action(self.platform, transition_latency=transition_latency)
+        return point.to_action(
+            self.platform,
+            transition_latency=transition_latency,
+            io_memory_budget=io_memory_budget,
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import config
 from repro.memory.timings import DramTimings, timings_for_frequency
@@ -80,6 +80,11 @@ class DramDevice:
     current_frequency: float = field(init=False)
     in_self_refresh: bool = field(init=False, default=False)
     _frequency_switch_count: int = field(init=False, default=0)
+    #: Timing sets by data rate: a pure function of the rate and the device
+    #: configuration, and the model stack asks for the same few rates constantly.
+    _timings_memo: Dict[float, DramTimings] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.frequency_bins:
@@ -180,14 +185,19 @@ class DramDevice:
         The frequency does not need to be one of the device's bins: callers such as
         the Fig. 6 sensitivity sweep evaluate hypothetical frequencies, for which
         the JEDEC reference latencies are simply re-quantized to the new clock.
+        Results are memoized per data rate; an invalid rate raises every time.
         """
         target = self.current_frequency if frequency is None else frequency
-        return timings_for_frequency(
-            target,
-            self.technology.value,
-            channels=self.channels,
-            bus_width_bytes=self.bus_width_bytes,
-        )
+        timings = self._timings_memo.get(target)
+        if timings is None:
+            timings = timings_for_frequency(
+                target,
+                self.technology.value,
+                channels=self.channels,
+                bus_width_bytes=self.bus_width_bytes,
+            )
+            self._timings_memo[target] = timings
+        return timings
 
     def peak_bandwidth(self, frequency: Optional[float] = None) -> float:
         """Peak theoretical bandwidth (bytes/second) at ``frequency``."""

@@ -6,18 +6,16 @@ the burst transfer time.  JEDEC specifies these in nanoseconds for a device grad
 the cycle counts programmed into the memory controller therefore change with the
 interface frequency, which is exactly what the MRC re-training of Sec. 2.5 is about.
 
-This module provides timing sets for the frequency bins the paper uses (LPDDR3 at
-1.6 / 1.06 / 0.8 GHz and DDR4 at 2.13 / 1.86 / 1.33 GHz) and a helper that derives a
-timing set for an arbitrary frequency by holding the analog latencies constant in
-nanoseconds.
+This module derives the timing set for any frequency -- the bins the paper uses
+(LPDDR3 at 1.6 / 1.06 / 0.8 GHz and DDR4 at 2.13 / 1.86 / 1.33 GHz) or a
+hypothetical one -- by holding the analog latencies constant in nanoseconds.
+``DramDevice.timings`` memoizes the sets a device is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict
-
-from repro import config
 
 
 @dataclass(frozen=True)
@@ -148,16 +146,3 @@ def timings_for_frequency(
         channels=channels,
         bus_width_bytes=bus_width_bytes,
     )
-
-
-#: Pre-built timing sets for the LPDDR3 bins the paper uses (Sec. 3, footnote 4).
-LPDDR3_TIMINGS: Dict[float, DramTimings] = {
-    frequency: timings_for_frequency(frequency, "lpddr3")
-    for frequency in config.LPDDR3_FREQUENCY_BINS
-}
-
-#: Pre-built timing sets for the DDR4 bins of the Sec. 7.4 sensitivity study.
-DDR4_TIMINGS: Dict[float, DramTimings] = {
-    frequency: timings_for_frequency(frequency, "ddr4")
-    for frequency in config.DDR4_FREQUENCY_BINS
-}

@@ -19,8 +19,8 @@ typically receive only 10-20 % of the compute budget and run at Pn (Sec. 7.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 from repro import config
 from repro.power.models import ActivityVector, ComputePowerModel
@@ -102,6 +102,10 @@ class PowerBudgetManager:
     platform_fixed_power: float = config.PLATFORM_FIXED_POWER
     worst_case_io_memory_power: float = config.BASELINE_IO_MEMORY_RESERVATION
     graphics_cpu_budget_share: float = 0.15
+    #: Compute plans by :meth:`plan` arguments (see there for the key).
+    _plan_memo: Dict[tuple, ComputePlan] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.tdp <= 0:
@@ -232,12 +236,32 @@ class PowerBudgetManager:
         graphics_centric: bool = False,
         fixed_performance: bool = False,
     ) -> ComputePlan:
-        """Dispatch to the appropriate planning strategy."""
-        if fixed_performance:
-            return self.plan_fixed_performance()
-        if graphics_centric:
-            return self.plan_graphics_centric(compute_budget, activity)
-        return self.plan_cpu_centric(compute_budget, activity)
+        """Dispatch to the appropriate planning strategy.
+
+        Memoized by the arguments, reduced to the activity fields the planners
+        read: a plan depends on nothing else, and the engine asks for the same
+        few budgets and phase activities constantly (phases that differ only in
+        bandwidth or IO activity share a plan).  An invalid budget raises every
+        time.
+        """
+        key = (
+            compute_budget,
+            activity.cpu_activity,
+            activity.gfx_activity,
+            activity.active_cores,
+            graphics_centric,
+            fixed_performance,
+        )
+        plan = self._plan_memo.get(key)
+        if plan is None:
+            if fixed_performance:
+                plan = self.plan_fixed_performance()
+            elif graphics_centric:
+                plan = self.plan_graphics_centric(compute_budget, activity)
+            else:
+                plan = self.plan_cpu_centric(compute_budget, activity)
+            self._plan_memo[key] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Request demotion (Sec. 4.4)

@@ -17,8 +17,8 @@ never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 from repro import config
 from repro.memory.controller import MemoryControllerModel
@@ -50,6 +50,10 @@ class Platform:
     mrc_sram: MrcSram
     mrc_registers: MrcRegisterFile
     pbm: PowerBudgetManager
+    #: Worst-case IO+memory power by operating point (explicit arguments only).
+    _worst_case_memo: Dict[Tuple[float, float, float, float], float] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -129,19 +133,27 @@ class Platform:
         The baseline PBM reserves this amount for the high operating point
         regardless of actual demand (Observation 1); SysScale charges the
         corresponding amount for whichever operating point it has selected.
+        Memoized per point: with optimized MRC values the result reads no live
+        platform state (the ``mrc_optimized=False`` path of
+        :meth:`io_memory_power_at` does, and is never memoized).
         """
         if dram_frequency is None:
             dram_frequency = self.dram.max_frequency
-        ceiling = self.controller.achievable_bandwidth(dram_frequency, None)
-        return self.io_memory_power_at(
-            dram_frequency=dram_frequency,
-            interconnect_frequency=interconnect_frequency,
-            v_sa_scale=v_sa_scale,
-            v_io_scale=v_io_scale,
-            bandwidth=ceiling,
-            io_activity=1.0,
-            mrc_optimized=True,
-        )
+        key = (dram_frequency, interconnect_frequency, v_sa_scale, v_io_scale)
+        power = self._worst_case_memo.get(key)
+        if power is None:
+            ceiling = self.controller.achievable_bandwidth(dram_frequency, None)
+            power = self.io_memory_power_at(
+                dram_frequency=dram_frequency,
+                interconnect_frequency=interconnect_frequency,
+                v_sa_scale=v_sa_scale,
+                v_io_scale=v_io_scale,
+                bandwidth=ceiling,
+                io_activity=1.0,
+                mrc_optimized=True,
+            )
+            self._worst_case_memo[key] = power
+        return power
 
     def compute_budget(self, io_memory_allocation: float) -> float:
         """Compute-domain budget when the IO+memory domains are charged ``allocation``."""
