@@ -1,4 +1,4 @@
-"""The ``repro lint`` command body (shared with ``tools/lint_prints.py``).
+"""The ``repro lint`` command body.
 
 Exit codes follow the rest of the CLI: 0 clean, 1 findings, 2 usage or
 I/O errors.  ``--json`` emits the full :class:`LintReport` payload on

@@ -1,10 +1,10 @@
 """Running the rule set over a file tree and reporting.
 
-:func:`lint_paths` is the single entry point the CLI, the CI gate, the
-``tools/lint_prints.py`` shim, and the tests all share.  Directory walking
-skips caches, hidden directories, and ``tests/fixtures`` (the lint fixtures
-*are* deliberate violations); explicitly named files are always linted,
-which is how the fixtures get exercised on purpose.
+:func:`lint_paths` is the single entry point the CLI, the CI gate, and the
+tests all share.  Directory walking skips caches, hidden directories, and
+``tests/fixtures`` (the lint fixtures *are* deliberate violations);
+explicitly named files are always linted, which is how the fixtures get
+exercised on purpose.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.analysis.lint.source import parse_source
 __all__ = ["DEFAULT_ROOTS", "LintReport", "iter_python_files", "lint_paths"]
 
 #: What a bare ``python -m repro lint`` scans.
-DEFAULT_ROOTS = ("src/repro", "tests", "tools", "examples")
+DEFAULT_ROOTS = ("src/repro", "tests", "examples")
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".venv", "node_modules"}

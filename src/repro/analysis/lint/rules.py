@@ -68,8 +68,8 @@ _NP_RANDOM_ALLOWED = {
 def _deterministic_scope(module: SourceModule) -> bool:
     """Modules whose outputs are hashed, cached, or compared bit-for-bit.
 
-    Timing and environment access belong in ``repro.obs``, the bench
-    harness, and the executors -- never where results come from.
+    Timing and environment access belong in ``repro.obs`` and the
+    executors -- never where results come from.
     """
     name = module.module
     if name is None:
@@ -764,8 +764,8 @@ RULES: Dict[str, LintRule] = {
                 "hashing, scenario, or job-payload module reads from a wall "
                 "clock, a global RNG, or the process environment leaks "
                 "irreproducible state into cached artifacts. Timing belongs in "
-                "repro.obs, the bench harness, and the executors; randomness "
-                "must flow through an explicitly seeded np.random.default_rng."
+                "repro.obs and the executors; randomness must flow through an "
+                "explicitly seeded np.random.default_rng."
             ),
             applies=_deterministic_scope,
             check=_check_determinism,
@@ -809,8 +809,8 @@ RULES: Dict[str, LintRule] = {
             summary="obs code must not mutate the objects it observes",
             rationale=(
                 "Telemetry is bit-inert: enabling metrics, spans, or tracing "
-                "must never change a simulation result (the bench harness "
-                "checks this dynamically; this rule checks it statically). "
+                "must never change a simulation result (the telemetry tests "
+                "check this dynamically; this rule checks it statically). "
                 "Code under repro.obs therefore must not assign through, call "
                 "mutating methods on, or setattr() objects handed to it -- "
                 "observation reads, it never writes back."

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.runtime.jobs import canonical_json, content_hash
+from repro.hashing import canonical_json, content_hash
 
 #: Bump when the report schema changes incompatibly.
 REPORT_SCHEMA_VERSION = 1

@@ -1,6 +1,5 @@
 """Shared experiment plumbing: context construction and the runtime bridge.
-(The result types and renderers live in :mod:`repro.experiments.report`;
-``format_table`` is re-exported here for compatibility.)
+(The result types and renderers live in :mod:`repro.experiments.report`.)
 
 Experiments no longer loop ``SimulationEngine.run`` themselves: they build
 declarative jobs (``repro.runtime.jobs``) and submit them through the context's
@@ -29,7 +28,7 @@ from repro.runtime.executor import (
     ProgressCallback,
     SerialExecutor,
 )
-from repro.experiments.report import RunInfo, format_table
+from repro.experiments.report import RunInfo
 from repro.runtime.jobs import (
     DegradationJob,
     DegradationMeasurement,

@@ -1,8 +1,7 @@
 """``repro.fleet``: the sweep service layer.
 
 A long-lived service over the existing runtime: a durable content-addressed
-job queue (:mod:`repro.fleet.queue`), batched pool dispatch with fleet
-telemetry (:mod:`repro.fleet.batching`), a sharded result store with
+job queue (:mod:`repro.fleet.queue`), a sharded result store with
 ``spec_hash``-level sweep-report warm starts (:mod:`repro.fleet.store`), a
 metrics-driven autoscaler (:mod:`repro.fleet.autoscaler`), explicit failure
 semantics -- deterministic retry backoff, a quarantine for poison jobs and
@@ -19,7 +18,6 @@ as a serial run, which is why fleet results are bit-identical to serial ones.
 """
 
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig, ScalingDecision
-from repro.fleet.batching import BatchingExecutor, BatchPlan, plan_batches
 from repro.fleet.faults import FaultPlan, FaultRule, InjectedFault
 from repro.fleet.queue import JobQueue, QueueEntry
 from repro.fleet.resilience import (
@@ -43,8 +41,6 @@ from repro.fleet.store import ShardedResultStore
 __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
-    "BatchPlan",
-    "BatchingExecutor",
     "DoctorReport",
     "FailureRecord",
     "FaultPlan",
@@ -59,7 +55,6 @@ __all__ = [
     "ShardedResultStore",
     "backoff_seconds",
     "fleet_status",
-    "plan_batches",
     "resolve_campaign",
     "run_doctor",
     "submit_campaign",

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.runtime.cache import atomic_write_json
 from repro.runtime.jobs import Job, job_from_dict
 
 __all__ = [
@@ -213,11 +214,7 @@ class JobQueue:
         return self._entries_dir / f"{job_hash}.json"
 
     def _write(self, entry: QueueEntry) -> None:
-        # Imported here, not at module top, purely to reuse one atomic-write
-        # helper; the layering is fleet->fleet either way.
-        from repro.fleet.store import _atomic_write_json
-
-        _atomic_write_json(
+        atomic_write_json(
             self._entry_path(entry.job_hash),
             entry.to_dict(),
             faults=self.faults,

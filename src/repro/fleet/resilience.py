@@ -39,8 +39,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fleet.queue import STATE_DONE, STATE_LEASED, STATE_QUEUED, JobQueue
-from repro.fleet.store import ShardedResultStore, _atomic_write_json
+from repro.fleet.store import ShardedResultStore
 from repro.hashing import content_hash
+from repro.runtime.cache import atomic_write_json
 
 __all__ = [
     "RESILIENCE_SCHEMA_VERSION",
@@ -178,7 +179,7 @@ class Quarantine:
 
     def add(self, record: FailureRecord) -> Path:
         path = self.jobs_dir / f"{record.job_hash}.json"
-        _atomic_write_json(path, record.to_dict())
+        atomic_write_json(path, record.to_dict())
         return path
 
     def get(self, job_hash: str) -> Optional[FailureRecord]:

@@ -15,8 +15,8 @@ already in the store.  A campaign whose report already exists is a pure warm
 start: nothing is enqueued at all.
 
 ``repro serve`` runs :class:`FleetService`: each poll it recovers expired
-leases, leases a slice of the queue, runs it through a
-:class:`~repro.fleet.batching.BatchingExecutor` writing straight into the
+leases, leases a slice of the queue, runs it through a batched
+:class:`~repro.runtime.executor.ParallelExecutor` writing straight into the
 store's job namespace, marks entries done, finalizes any manifest whose jobs
 have all landed into a ``spec_hash``-keyed sweep report, and lets the
 :class:`~repro.fleet.autoscaler.Autoscaler` resize the pool from observed
@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
-from repro.fleet.batching import BatchingExecutor
 from repro.fleet.faults import directive_hook
 from repro.fleet.queue import (
     COUNT_CORRUPT,
@@ -59,15 +58,12 @@ from repro.fleet.resilience import (
     _pid_alive,
     _restore_from_store,
 )
-from repro.fleet.store import (
-    FLEET_SCHEMA_VERSION,
-    ShardedResultStore,
-    _atomic_write_json,
-)
+from repro.fleet.store import FLEET_SCHEMA_VERSION, ShardedResultStore
 from repro.hashing import content_hash
 from repro.obs import state as obs_state
 from repro.runtime.campaign import CAMPAIGNS, Campaign
-from repro.runtime.executor import JobFailure, SerialExecutor
+from repro.runtime.cache import atomic_write_json
+from repro.runtime.executor import JobFailure, ParallelExecutor, SerialExecutor
 from repro.runtime.jobs import SimSpec
 
 __all__ = [
@@ -194,7 +190,7 @@ def submit_campaign(
         "spec_hash": spec_hash,
         "jobs": job_hashes,
     }
-    _atomic_write_json(paths.campaigns_dir / f"{spec_hash}.json", manifest)
+    atomic_write_json(paths.campaigns_dir / f"{spec_hash}.json", manifest)
 
     summary: Dict[str, Any] = {
         "campaign": campaign.name,
@@ -266,7 +262,7 @@ class FleetService:
             faults=config.faults,
         )
         self.quarantine = Quarantine(self.paths.root / QUARANTINE_SUBDIR)
-        self.executor = BatchingExecutor(
+        self.executor = ParallelExecutor(
             max_workers=config.workers, batch_size=config.batch_size
         )
         self.autoscaler = Autoscaler(
@@ -587,7 +583,7 @@ class FleetService:
         return pending
 
     def _write_heartbeat(self, now: float) -> None:
-        _atomic_write_json(
+        atomic_write_json(
             self.paths.heartbeat,
             {
                 "schema": FLEET_SCHEMA_VERSION,

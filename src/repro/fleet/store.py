@@ -19,24 +19,17 @@ per entry, atomic temp-file-then-``os.replace`` writes):
     granularity: no queueing, no per-job lookups, the finished document comes
     straight back.  This is the ``spec_hash``-level warm start the ROADMAP's
     sweep-service item calls for.
-
-:meth:`ShardedResultStore.migrate_flat` absorbs the pre-sharded flat layout
-(every ``<hash>.json`` directly in one directory) by moving entries into
-their prefix shards, so an old cache directory can be adopted as a store's
-job namespace in place.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional
 
 from repro.obs import state as obs_state
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import ResultCache, atomic_write_json
 from repro.runtime.jobs import SCHEMA_VERSION, Job
 
 __all__ = [
@@ -55,39 +48,6 @@ SHARD_WIDTH = 2
 
 _JOBS_SUBDIR = "jobs"
 _REPORTS_SUBDIR = "reports"
-
-
-def _atomic_write_json(
-    path: Path,
-    document: Dict[str, Any],
-    faults: Optional[Any] = None,
-    fault_op: Optional[str] = None,
-) -> None:
-    """Write ``document`` to ``path`` via a same-directory temp file.
-
-    ``faults``/``fault_op`` are the chaos seam: when a
-    :class:`~repro.fleet.faults.FaultPlan` is attached, it may replace the
-    write with a torn one, drop it (leaving a stray temp file), or raise an
-    injected ``OSError`` -- deterministically from its seed.  Production
-    callers pass neither and get the plain atomic write.
-    """
-    if faults is not None and fault_op is not None:
-        if faults.intercept_write(fault_op, path, document) is not None:
-            return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -110,10 +70,6 @@ class ShardedResultStore:
     # Job namespace (ResultCache-compatible)
     # ------------------------------------------------------------------
     @property
-    def jobs_root(self) -> Path:
-        return self.root / _JOBS_SUBDIR
-
-    @property
     def reports_root(self) -> Path:
         return self.root / _REPORTS_SUBDIR
 
@@ -121,8 +77,8 @@ class ShardedResultStore:
         """The runtime cache view of the job namespace.
 
         Executors take this exactly where they take any other
-        ``ResultCache`` -- the store adds namespacing, reports, and
-        migration *around* the cache format, never a new entry format.
+        ``ResultCache`` -- the store adds namespacing and reports *around*
+        the cache format, never a new entry format.
         """
         return self._job_cache
 
@@ -188,7 +144,7 @@ class ShardedResultStore:
     def put_report(self, spec_hash: str, report: Dict[str, Any]) -> Path:
         """Store a finished sweep report under its spec hash, atomically."""
         path = self.report_path(spec_hash)
-        _atomic_write_json(
+        atomic_write_json(
             path,
             {
                 "schema": FLEET_SCHEMA_VERSION,
@@ -209,41 +165,8 @@ class ShardedResultStore:
                 yield from sorted(shard.glob("*.json"))
 
     # ------------------------------------------------------------------
-    # Migration and accounting
+    # Accounting
     # ------------------------------------------------------------------
-    def migrate_flat(self, source: Optional[Union[str, Path]] = None) -> int:
-        """Move flat ``<hash>.json`` entries into their prefix shards.
-
-        ``source`` defaults to the store's own job namespace (adopting a flat
-        legacy directory in place); pointing it at another cache directory
-        pulls that directory's entries -- flat files *and* already-sharded
-        ones -- into this store.  Moves are ``os.replace`` per entry, so a
-        crash mid-migration loses nothing: every entry is either still at its
-        old path or already at its new one.
-        """
-        source_dir = Path(source) if source is not None else self.jobs_root
-        if not source_dir.is_dir():
-            return 0
-        moved = 0
-        candidates = sorted(source_dir.glob("*.json"))
-        if source_dir != self.jobs_root:
-            for shard in sorted(source_dir.iterdir()):
-                if shard.is_dir() and len(shard.name) == SHARD_WIDTH:
-                    candidates.extend(sorted(shard.glob("*.json")))
-        for path in candidates:
-            job_hash = path.stem
-            if len(job_hash) <= SHARD_WIDTH:
-                continue
-            target = self.job_path(job_hash)
-            if target == path:
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-            moved += 1
-        if moved:
-            obs_state.counter("fleet.store.migrated_entries").inc(moved)
-        return moved
-
     def stats(self) -> Dict[str, Any]:
         """Entry counts and on-disk footprint, for ``repro fleet status``."""
         job_entries = list(self._job_cache.iter_entries())

@@ -18,8 +18,7 @@ accounting):
   tests, text renderers for ``--profile`` and ``trace describe``.
 * **analysis** (:mod:`repro.obs.analysis`) -- the read side: typed trace
   models, ``trace diff`` attribution deltas, Chrome ``trace_event`` export,
-  the :class:`MetricsSampler` time-series poller (``--sample-interval``),
-  and BENCH_*.json regression comparison (``bench compare``).
+  and the :class:`MetricsSampler` time-series poller (``--sample-interval``).
 
 Everything is scoped through :func:`scoped`, which is how worker processes
 isolate per-job metrics and merge them back to the parent.  Telemetry is

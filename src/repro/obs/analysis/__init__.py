@@ -14,23 +14,11 @@ PR 6 made the stack *emit* telemetry; this package *consumes* it:
 * **sampler** -- :class:`MetricsSampler` polls the live registry on a cadence
   and emits ``timeseries.sample`` events (``--sample-interval``), giving the
   ROADMAP autoscaler its sustained-load windows.
-* **benchdiff** -- :func:`compare_documents` gates a fresh BENCH_*.json
-  against a committed baseline with Converge-style percentile-derived
-  budgets and strict identity flags (``repro bench compare``).
 
 Everything here is read-only over recorded events and live instruments:
 analysis can never perturb simulation results.
 """
 
-from repro.obs.analysis.benchdiff import (
-    BenchComparison,
-    MetricVerdict,
-    compare_documents,
-    derive_budget,
-    load_bench_document,
-    relative_spread,
-    render_comparison_text,
-)
 from repro.obs.analysis.chrome import chrome_trace_events, export_chrome_trace
 from repro.obs.analysis.diff import (
     AttributionBucket,
@@ -52,10 +40,8 @@ from repro.obs.analysis.sampler import MetricsSampler, summarize_timeseries
 
 __all__ = [
     "AttributionBucket",
-    "BenchComparison",
     "DiffRow",
     "EngineRun",
-    "MetricVerdict",
     "MetricsSampler",
     "OperatingPoint",
     "TraceDiff",
@@ -64,14 +50,9 @@ __all__ = [
     "TraceTransition",
     "attribution",
     "chrome_trace_events",
-    "compare_documents",
-    "derive_budget",
     "diff_traces",
     "export_chrome_trace",
-    "load_bench_document",
     "load_trace",
-    "relative_spread",
-    "render_comparison_text",
     "render_diff_text",
     "summarize_timeseries",
 ]

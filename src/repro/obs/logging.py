@@ -17,7 +17,7 @@ sinks, which puts CLI messages on the same timeline as spans and engine
 segments in a recorded trace.
 
 This module is the one place in ``src/repro`` allowed to write to stdout --
-``tools/lint_prints.py`` rejects bare ``print()`` anywhere else.
+the ``console`` lint rule rejects bare ``print()`` anywhere else.
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ The runtime turns the reproduction's simulation sweeps into declarative jobs:
 * :mod:`repro.runtime.campaign` -- declarative sweep grids (workload x policy
   x TDP x DRAM device, or x explicit hardware variants), deduplicated before
   submission;
-* :mod:`repro.runtime.bench` -- the ``python -m repro bench`` performance
-  harness (ticks/sec, jobs/sec, fast-vs-reference parity gates);
 * :mod:`repro.runtime.cli` -- the ``python -m repro`` command line.
 """
 

@@ -49,6 +49,41 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
 
 
+def atomic_write_json(
+    path: Path,
+    document: Dict[str, Any],
+    faults: Optional[Any] = None,
+    fault_op: Optional[str] = None,
+) -> None:
+    """Write ``document`` to ``path`` via a same-directory temp file.
+
+    The one atomic JSON writer: cache entries, fleet queue entries, reports,
+    manifests, heartbeats and quarantine records all go through it.
+    ``faults``/``fault_op`` are the chaos seam: a fault plan's
+    ``intercept_write`` may replace the write with a torn one, drop it
+    (leaving a stray temp file), or raise an injected ``OSError`` --
+    deterministically from its seed.  Production callers pass neither and
+    get the plain atomic write.
+    """
+    if faults is not None and fault_op is not None:
+        if faults.intercept_write(fault_op, path, document) is not None:
+            return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, temp_name = tempfile.mkstemp(
+        prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/write counters for one cache instance.
@@ -154,26 +189,15 @@ class ResultCache:
         """Store ``payload`` for ``job`` atomically; returns the entry path."""
         job_hash = job.content_hash
         path = self.path_for(job_hash)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "hash": job_hash,
-            "job": job.to_dict(),
-            "result": payload,
-        }
-        descriptor, temp_name = tempfile.mkstemp(
-            prefix=f".{job_hash[:8]}-", suffix=".tmp", dir=path.parent
+        atomic_write_json(
+            path,
+            {
+                "schema": SCHEMA_VERSION,
+                "hash": job_hash,
+                "job": job.to_dict(),
+                "result": payload,
+            },
         )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
         self.stats.writes += 1
         obs_state.counter("cache.writes").inc()
         self._memoize(job_hash, payload)

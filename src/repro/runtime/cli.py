@@ -20,18 +20,12 @@ Subcommands:
   one spec, or ``sweep`` scenarios x policies through the runtime (also
   accepts ``--platform``/``--set``);
 * ``cache`` -- inspect or clear the result store;
-* ``bench`` -- the performance harness: engine ticks/sec (segment-stepping vs.
-  the seed reference loop, with a bit-identity gate), runtime jobs/sec (cold
-  vs. warm cache, serial vs. parallel), telemetry overhead, written to
-  ``BENCH_8.json``; ``bench compare BASELINE [CURRENT]`` gates a bench
-  document against history with per-metric regression budgets derived from
-  the recorded timing noise (:mod:`repro.obs.analysis.benchdiff`);
 * ``serve`` / ``submit`` / ``fleet`` -- the sweep service
   (:mod:`repro.fleet`): ``submit CAMPAIGN`` enqueues a campaign's jobs into a
   durable fleet directory, ``serve`` runs the batched, autoscaling worker
-  loop over it, and ``fleet status|verify|migrate`` inspect the directory,
-  check fleet results bit-identical against a serial re-run, and absorb flat
-  cache directories into the sharded store;
+  loop over it, and ``fleet status|verify|doctor|gc`` inspect the directory,
+  check fleet results bit-identical against a serial re-run, audit and
+  repair it, and compact finished queue entries;
 * ``trace`` -- inspect recorded telemetry: ``describe`` summarizes a JSONL
   trace file (event counts, span timings, engine segment statistics,
   operating-point and phase residencies), ``diff A B`` attributes simulated
@@ -39,7 +33,7 @@ Subcommands:
   moved between two traces, and ``export PATH --chrome OUT`` converts a trace
   to Chrome/Perfetto ``trace_event`` JSON for a real trace viewer.
 
-``run``, ``scenarios sweep``, and ``bench`` share the telemetry flags:
+``run`` and ``scenarios sweep`` share the telemetry flags:
 ``--log-level`` filters decorative output, ``--trace-out PATH`` records every
 ``repro.obs`` event (spans, logs, engine segments) to a JSON-lines file,
 ``--profile`` prints the metrics-registry summary when the command finishes,
@@ -767,26 +761,6 @@ def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    # Deferred import: the harness pulls in the scenario catalog and platform
-    # builders, which nothing else on the CLI's import path needs.
-    from repro.runtime.bench import main as bench_main
-
-    ui = _console_for(args)
-    session = _obs_setup(args, ui)
-    try:
-        return bench_main(args)
-    finally:
-        _obs_teardown(args, session, ui)
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    # Deferred import, same reason as _cmd_bench.
-    from repro.runtime.bench import compare_main
-
-    return compare_main(args)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Deferred import: the linter is pure stdlib-ast tooling nothing else on
     # the CLI's import path needs.
@@ -1111,17 +1085,6 @@ def _cmd_fleet_verify(args: argparse.Namespace) -> int:
     return 0 if verdict["ok"] else 1
 
 
-def _cmd_fleet_migrate(args: argparse.Namespace) -> int:
-    from repro.fleet import ShardedResultStore
-    from repro.fleet.service import FleetPaths
-
-    ui = _console_for(args)
-    store = ShardedResultStore(FleetPaths(args.fleet_dir).store_dir)
-    moved = store.migrate_flat(source=args.source)
-    ui.out(f"migrate: {moved} entr(ies) moved into {store.jobs_root}")
-    return 0
-
-
 def _cmd_fleet_doctor(args: argparse.Namespace) -> int:
     from repro.fleet import run_doctor
 
@@ -1207,7 +1170,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The telemetry flags shared by ``run``, ``scenarios sweep``, and ``bench``."""
+    """The telemetry flags shared by ``run`` and ``scenarios sweep``."""
     parser.add_argument(
         "--log-level", choices=sorted(obs.LEVELS, key=obs.LEVELS.get),
         default=None, metavar="LEVEL",
@@ -1385,74 +1348,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scen_sweep.set_defaults(handler=_cmd_scenarios_sweep)
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the performance harness and write BENCH_8.json",
-        description=(
-            "Measure engine ticks/sec (segment-stepping vs. the seed "
-            "reference loop) and runtime jobs/sec (cold vs. warm cache, "
-            "serial vs. parallel), gate on bit-identity and telemetry "
-            "overhead, and write one machine-readable JSON document.  "
-            "`bench compare BASELINE [CURRENT]` gates a document against "
-            "history with noise-derived per-metric regression budgets."
-        ),
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced tick counts and job batch (the CI smoke configuration)",
-    )
-    bench_parser.add_argument(
-        "--jobs", "-j", type=int, default=2, metavar="N",
-        help="worker processes for the parallel benchmark (default 2)",
-    )
-    bench_parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help=(
-            "write the bench document to PATH "
-            "(default BENCH_8.json in the working directory; "
-            "'-' skips the file)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true",
-        help="print the bench document as JSON on stdout",
-    )
-    _add_obs_flags(bench_parser)
-    bench_parser.set_defaults(handler=_cmd_bench)
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=False)
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="gate a bench document against a baseline BENCH_*.json",
-        description=(
-            "Compare two bench documents with per-metric regression budgets: "
-            "timing metrics get noise-derived budgets (from the recorded "
-            "per-repetition samples), bit-identity flags get strict equality, "
-            "and the engine speedup keeps its absolute floor.  Exits 1 on "
-            "any regression.  Without CURRENT, a fresh bench runs in-process "
-            "(honouring --quick/--jobs) and is compared against BASELINE."
-        ),
-    )
-    bench_compare.add_argument(
-        "baseline", metavar="BASELINE", help="baseline BENCH_*.json document"
-    )
-    bench_compare.add_argument(
-        "current", nargs="?", default=None, metavar="CURRENT",
-        help="bench document to gate (default: run a fresh bench now)",
-    )
-    bench_compare.add_argument(
-        "--json", action="store_true",
-        help="print the comparison verdicts as JSON on stdout",
-    )
-    bench_compare.add_argument(
-        "--quick", action="store_true",
-        help="when running a fresh bench, use the quick configuration",
-    )
-    bench_compare.add_argument(
-        "--jobs", "-j", type=int, default=2, metavar="N",
-        help="when running a fresh bench, worker processes (default 2)",
-    )
-    bench_compare.set_defaults(handler=_cmd_bench_compare)
-
     trace_parser = subparsers.add_parser(
         "trace", help="inspect recorded telemetry traces (repro.obs)"
     )
@@ -1518,7 +1413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: src/repro tests tools examples)",
+        help="files or directories to lint (default: src/repro tests examples)",
     )
     lint_parser.add_argument(
         "--json", action="store_true", help="emit the full report as JSON on stdout"
@@ -1719,19 +1614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the verdict as JSON"
     )
     fleet_verify_parser.set_defaults(handler=_cmd_fleet_verify)
-    fleet_migrate_parser = fleet_sub.add_parser(
-        "migrate",
-        help="absorb a flat cache directory into the store's sharded layout",
-    )
-    add_fleet_dir(fleet_migrate_parser)
-    fleet_migrate_parser.add_argument(
-        "--source", default=None, metavar="DIR",
-        help=(
-            "cache directory to pull entries from (default: shard the "
-            "store's own job namespace in place)"
-        ),
-    )
-    fleet_migrate_parser.set_defaults(handler=_cmd_fleet_migrate)
     fleet_doctor_parser = fleet_sub.add_parser(
         "doctor",
         help="audit queue/store/heartbeat consistency (exit 1 when unhealthy)",

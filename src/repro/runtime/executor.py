@@ -19,8 +19,8 @@ registry when telemetry is enabled), never inside it.
 Submission is **batched**: a campaign of tiny jobs (the scenario catalog at a
 capped ``max_simulated_time`` runs a job in single-digit milliseconds) loses
 its parallel speedup to per-job pickling round-trips if every job is its own
-pool submission -- BENCH_7 measured cold parallel at 264 jobs/s vs. 258
-serial.  ``batch_size`` packs that many jobs per submission (``None`` derives
+pool submission (unbatched, cold parallel barely beat serial).
+``batch_size`` packs that many jobs per submission (``None`` derives
 a size from the batch and worker count via :func:`auto_batch_size`), so the
 pickle/IPC overhead amortizes across the batch while results still stream
 back batch by batch.  Batching never touches what executes: each worker runs

@@ -39,11 +39,8 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 from repro import config
 from repro.obs import state as obs_state
 from repro.obs.spans import span as _span
-# Re-exported for compatibility: these helpers historically lived here and
-# callers still import them from this module.
-from repro.hashing import canonical_json, content_hash
+from repro.hashing import content_hash
 from repro.params import (
-    ParamValue,
     Params,
     normalize_params as _normalize_params,
     params_to_jsonable as _params_to_jsonable,

@@ -36,7 +36,7 @@ counter instead of a per-interval ``List[CounterSample]``; the sums perform the
 same ordered additions ``CounterSample.average`` would, so the averages match
 bit-for-bit.  ``SimulationConfig(reference_loop=True)`` selects the seed
 per-tick loop, which is kept verbatim as the arbiter for the parity suite
-(``tests/test_engine_parity.py``) and the ``repro bench`` baseline.
+(``tests/test_engine_parity.py``).
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ class SimulationConfig:
 
     ``reference_loop`` selects the seed per-tick loop (model stack evaluated
     every tick) instead of the segment-stepping loop.  Both produce
-    bit-identical results; the reference loop exists as the parity arbiter and
-    the baseline the ``repro bench`` harness measures speedups against.
+    bit-identical results; the reference loop exists as the parity arbiter.
 
     ``trace_segments`` attaches an :class:`~repro.sim.trace.EngineTraceRecorder`
     to each run (exposed as ``engine.last_run_trace``) capturing the
@@ -210,7 +209,7 @@ class SimulationEngine:
         self.platform = platform
         self.config = sim_config or SimulationConfig()
         #: Loop statistics of the most recent :meth:`run` (diagnostics and the
-        #: bench harness; not part of the simulation result).
+        #: runtime's engine counters; not part of the simulation result).
         self.last_run_stats: Optional[EngineRunStats] = None
         #: Segment timeline of the most recent :meth:`run` when tracing was
         #: requested (``trace_segments``); ``None`` otherwise.  Only the

@@ -20,7 +20,7 @@ class EngineRunStats:
     """Loop statistics of one ``SimulationEngine.run`` (diagnostics only).
 
     Exposed as ``SimulationEngine.last_run_stats`` and consumed by the
-    ``repro bench`` harness and the parity/regression tests; deliberately
+    runtime's engine counters and the parity/regression tests; deliberately
     *not* part of :class:`SimulationResult`, so serialized results (and their
     content-addressed cache entries) are identical no matter which loop
     produced them.

@@ -6,7 +6,8 @@ low-point time, every serialized field.  The strategy that makes this possible
 is replay (the tight loop performs the identical sequence of per-tick float
 additions on identical increments), and these tests are the arbiter the
 engine's docstring points at: every scenario-catalog entry under every policy,
-plus registry hardware variants, plus the classic workload families.
+plus registry hardware variants, plus the classic workload families, plus two
+whole traces run uncapped to their end.
 """
 
 import pytest
@@ -27,6 +28,14 @@ POLICIES = ("baseline", "sysscale", "md_dvfs")
 #: boundaries, evaluation intervals, and DVFS transitions, short enough that
 #: the reference loop's per-tick model evaluations stay affordable in CI.
 PARITY_MAX_TIME = 0.35
+
+#: Whole traces run uncapped under SysScale, with the tick count each covers:
+#: the only parity cases that run past PARITY_MAX_TIME, where float drift in
+#: the loops' time bookkeeping has had long enough to build up.
+UNCAPPED_TRACES = {
+    "video_playback": (lambda: battery_life_workload("video_playback", cycles=2), 2000),
+    "markov-mobile-day": (lambda: SCENARIOS["markov-mobile-day"].build(), 1816),
+}
 
 #: Registry variants for the hardware axis (a Broadwell delta and the DDR4
 #: device, which exercises the other operating-point table and MRC sets).
@@ -49,16 +58,14 @@ def _policy(name, platform):
     return _build_sysscale(platform)
 
 
-def _engines(platform, **overrides):
+def _engines(platform, max_time=PARITY_MAX_TIME, **overrides):
     fast = SimulationEngine(
         platform,
-        SimulationConfig(max_simulated_time=PARITY_MAX_TIME, **overrides),
+        SimulationConfig(max_simulated_time=max_time, **overrides),
     )
     reference = SimulationEngine(
         platform,
-        SimulationConfig(
-            max_simulated_time=PARITY_MAX_TIME, reference_loop=True, **overrides
-        ),
+        SimulationConfig(max_simulated_time=max_time, reference_loop=True, **overrides),
     )
     return fast, reference
 
@@ -133,6 +140,18 @@ class TestWorkloadFamilyParity:
         _assert_parity(fast_engine, reference_engine, trace, platform, policy_name)
 
 
+class TestUncappedParity:
+    @pytest.mark.parametrize("trace_name", sorted(UNCAPPED_TRACES))
+    def test_whole_trace_bit_identical(self, platform, trace_name):
+        build, ticks = UNCAPPED_TRACES[trace_name]
+        trace = build()
+        fast_engine, reference_engine = _engines(
+            platform, max_time=trace.total_duration + 1.0
+        )
+        stats = _assert_parity(fast_engine, reference_engine, trace, platform, "sysscale")
+        assert stats.ticks == ticks
+
+
 class TestSegmentStepping:
     """Regression guards on the segment loop itself."""
 
@@ -184,8 +203,8 @@ class TestSegmentStepping:
         assert all(count == 30 for count in observed)
 
     def test_fast_loop_is_materially_faster(self, platform):
-        """A very lenient wall-clock sanity floor (the bench harness measures
-        the real speedup; this only catches a fully broken fast path)."""
+        """A very lenient wall-clock sanity floor (the benchmark measures
+        engine throughput; this only catches a fully broken fast path)."""
         import time
 
         trace = battery_life_workload("video_playback", cycles=1)

@@ -1,4 +1,4 @@
-"""The repro.fleet subsystem: queue, batching, store, autoscaler, service."""
+"""The repro.fleet subsystem: queue, store, autoscaler, service."""
 
 import json
 from pathlib import Path
@@ -8,13 +8,11 @@ import pytest
 from repro.fleet import (
     Autoscaler,
     AutoscalerConfig,
-    BatchingExecutor,
     FleetConfig,
     FleetService,
     JobQueue,
     ShardedResultStore,
     fleet_status,
-    plan_batches,
     submit_campaign,
     sweep_spec_hash,
     verify_campaign,
@@ -30,6 +28,7 @@ from repro.fleet.service import FleetPaths, resolve_campaign
 from repro.hashing import content_hash
 from repro.runtime import (
     Campaign,
+    ParallelExecutor,
     PlatformSpec,
     PolicySpec,
     SerialExecutor,
@@ -37,7 +36,6 @@ from repro.runtime import (
     SimulationJob,
     TraceSpec,
 )
-from repro.runtime.jobs import SCHEMA_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures" / "fleet"
 
@@ -203,38 +201,6 @@ class TestSubmitDedup:
 
 
 # ---------------------------------------------------------------------------
-# Batching plans
-# ---------------------------------------------------------------------------
-
-
-class TestBatchPlan:
-    def test_explicit_batch_size_slices_evenly(self):
-        jobs = [_tiny_job(tdp=3.0 + i / 10) for i in range(16)]
-        plan = plan_batches(jobs, batch_size=8, workers=2)
-        assert plan.batches == (8, 8)
-        assert plan.dispatches == 2
-        assert plan.jobs == 16
-        assert plan.amortization == 8.0
-
-    def test_ragged_tail_batch(self):
-        jobs = [_tiny_job(tdp=3.0 + i / 10) for i in range(10)]
-        plan = plan_batches(jobs, batch_size=4)
-        assert plan.batches == (4, 4, 2)
-
-    def test_auto_sizing_matches_executor(self):
-        from repro.runtime.executor import auto_batch_size
-
-        jobs = [_tiny_job(tdp=3.0 + i / 10) for i in range(24)]
-        plan = plan_batches(jobs, workers=2)
-        assert plan.batch_size == auto_batch_size(24, 2)
-        assert plan.jobs == 24
-
-    def test_rejects_nonpositive_batch_size(self):
-        with pytest.raises(ValueError):
-            plan_batches([_tiny_job()], batch_size=0)
-
-
-# ---------------------------------------------------------------------------
 # Autoscaler: decision table replayed from a recorded time series
 # ---------------------------------------------------------------------------
 
@@ -326,56 +292,6 @@ class TestAutoscaler:
             "in_flight": 2.0,
             "workers": 3.0,
         }
-
-
-# ---------------------------------------------------------------------------
-# Sharded store: migration from a flat cache directory
-# ---------------------------------------------------------------------------
-
-
-class TestStoreMigration:
-    def _flat_entry(self, directory, job, payload):
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "hash": job.content_hash,
-            "job": job.to_dict(),
-            "result": payload,
-        }
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{job.content_hash}.json").write_text(json.dumps(entry))
-
-    def test_flat_directory_migrates_into_shards(self, tmp_path):
-        flat = tmp_path / "old-cache"
-        jobs = [_tiny_job(), _tiny_job(policy="sysscale")]
-        for index, job in enumerate(jobs):
-            self._flat_entry(flat, job, {"answer": index})
-        store = ShardedResultStore(tmp_path / "store")
-        assert store.migrate_flat(source=flat) == 2
-        for index, job in enumerate(jobs):
-            assert store.has_job(job.content_hash)
-            assert store.job_payload(job.content_hash) == {"answer": index}
-            # The entry sits in its two-character prefix shard...
-            path = store.job_path(job.content_hash)
-            assert path.parent.name == job.content_hash[:2]
-            # ...and reads back through the plain runtime cache unchanged.
-            assert store.job_cache().get(job) == {"answer": index}
-        assert not list(flat.glob("*.json"))  # moved, not copied
-
-    def test_in_place_adoption_of_flat_job_namespace(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store")
-        job = _tiny_job()
-        self._flat_entry(store.jobs_root, job, {"answer": 7})
-        assert not store.has_job(job.content_hash)  # flat entry is invisible
-        assert store.migrate_flat() == 1
-        assert store.job_payload(job.content_hash) == {"answer": 7}
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store")
-        job = _tiny_job()
-        self._flat_entry(store.jobs_root, job, {"answer": 7})
-        assert store.migrate_flat() == 1
-        assert store.migrate_flat() == 0
-        assert store.stats()["jobs"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +398,7 @@ class TestFleetBitIdentity:
     def test_batching_executor_matches_serial(self, tmp_path):
         jobs = list(_tiny_campaign().jobs)
         serial = SerialExecutor().run(jobs)
-        with BatchingExecutor(max_workers=2, batch_size=2) as pool:
+        with ParallelExecutor(max_workers=2, batch_size=2) as pool:
             batched = pool.run(jobs)
         for ours, theirs in zip(batched.outcomes, serial.outcomes):
             assert ours.job.content_hash == theirs.job.content_hash

@@ -1,7 +1,7 @@
 """The repro.obs.analysis read side: trace models, attribution diffs, Chrome
-export, the metrics time-series sampler, and the bench-history regression
-gate -- including the guarantee that sampling is inert with respect to
-results (bit-identical payloads with the sampler on or off)."""
+export, and the metrics time-series sampler -- including the guarantee that
+sampling is inert with respect to results (bit-identical payloads with the
+sampler on or off)."""
 
 import json
 
@@ -15,13 +15,8 @@ from repro.obs.analysis import (
     TraceModel,
     attribution,
     chrome_trace_events,
-    compare_documents,
-    derive_budget,
     diff_traces,
     export_chrome_trace,
-    load_bench_document,
-    relative_spread,
-    render_comparison_text,
     render_diff_text,
     summarize_timeseries,
 )
@@ -316,121 +311,6 @@ class TestMetricsSampler:
             MetricsSampler(interval=0.0)
 
 
-def _bench_document(quick=False, **overrides):
-    document = {
-        "schema": 2,
-        "bench": 7,
-        "quick": quick,
-        "results": {
-            "engine": {
-                "speedup": 50.0,
-                "fast_ticks_per_second": 3e5,
-                "fast_samples": [0.010, 0.0101, 0.0102],
-                "bit_identical": True,
-            },
-            "engine_markov": {
-                "speedup": 30.0,
-                "fast_ticks_per_second": 2e5,
-                "fast_samples": [0.020, 0.0201, 0.0202],
-                "bit_identical": True,
-            },
-            "engine_telemetry": {"bit_identical": True},
-            "jobs_serial": {
-                "cold_jobs_per_second": 400.0,
-                "warm_jobs_per_second": 40000.0,
-                "bit_identical": True,
-            },
-            "jobs_parallel": {
-                "cold_jobs_per_second": 250.0,
-                "pool_reuse_jobs_per_second": 500.0,
-                "bit_identical": True,
-            },
-        },
-        "checks": {"engine_speedup_at_least_5x": True},
-        "ok": True,
-    }
-    for path, value in overrides.items():
-        node = document
-        parts = path.split(".")
-        for part in parts[:-1]:
-            node = node[part]
-        node[parts[-1]] = value
-    return document
-
-
-class TestBenchCompare:
-    def test_self_comparison_passes(self):
-        comparison = compare_documents(_bench_document(), _bench_document())
-        assert comparison.ok
-        assert "result: PASS" in render_comparison_text(comparison)
-
-    def test_regression_beyond_budget_fails(self):
-        current = _bench_document(**{"results.engine.speedup": 20.0})  # -60%
-        comparison = compare_documents(_bench_document(), current)
-        assert not comparison.ok
-        regressed = {verdict.metric for verdict in comparison.regressions}
-        assert "results.engine.speedup" in regressed
-        assert "result: FAIL" in render_comparison_text(comparison)
-
-    def test_small_delta_within_budget_passes(self):
-        current = _bench_document(**{"results.engine.speedup": 45.0})  # -10%
-        assert compare_documents(_bench_document(), current).ok
-
-    def test_noisy_samples_widen_the_budget(self):
-        # 100% observed spread x 3 = 300% budget: a 60% drop now passes.
-        noisy = [0.010, 0.015, 0.020]
-        baseline = _bench_document(**{"results.engine.fast_samples": noisy})
-        current = _bench_document(
-            **{"results.engine.speedup": 20.0, "results.engine.fast_samples": noisy}
-        )
-        comparison = compare_documents(baseline, current)
-        verdict = next(
-            v
-            for v in comparison.verdicts
-            if v.metric == "results.engine.speedup" and v.kind == "timing"
-        )
-        assert verdict.ok
-        assert "noise" in verdict.budget_source
-
-    def test_hard_floor_fails_even_against_slow_baseline(self):
-        baseline = _bench_document(**{"results.engine.speedup": 4.5})
-        current = _bench_document(**{"results.engine.speedup": 4.0})
-        comparison = compare_documents(baseline, current)
-        floors = [v for v in comparison.verdicts if v.kind == "floor" and not v.ok]
-        assert any(v.metric == "results.engine.speedup" for v in floors)
-
-    def test_bit_identity_flag_is_strict(self):
-        current = _bench_document(
-            **{"results.engine_telemetry.bit_identical": False}
-        )
-        comparison = compare_documents(_bench_document(), current)
-        assert not comparison.ok
-
-    def test_mode_mismatch_skips_timing_metrics(self):
-        comparison = compare_documents(
-            _bench_document(quick=False),
-            _bench_document(quick=True, **{"results.engine.speedup": 10.0}),
-        )
-        assert comparison.mode_mismatch
-        assert comparison.ok  # -80% timing delta skipped; floors/flags pass
-        kinds = {v.metric: v.kind for v in comparison.verdicts if v.kind != "flag"}
-        assert kinds["results.engine.fast_ticks_per_second"] == "info"
-
-    def test_budget_derivation(self):
-        assert relative_spread([1.0, 1.0, 1.0]) == pytest.approx(0.0)
-        assert relative_spread([1.0, 2.0]) == pytest.approx(1.0)
-        budget, source = derive_budget(None, None, rel_floor=0.35)
-        assert budget == pytest.approx(0.35) and source == "floor"
-        budget, source = derive_budget([1.0, 2.0], None, rel_floor=0.35)
-        assert budget == pytest.approx(3.0) and "noise" in source
-
-    def test_load_rejects_non_bench_documents(self, tmp_path):
-        path = tmp_path / "not_bench.json"
-        path.write_text(json.dumps({"hello": 1}))
-        with pytest.raises(ValueError):
-            load_bench_document(path)
-
-
 class TestAnalysisCli:
     def _write_trace(self, path, events):
         path.write_text(
@@ -468,33 +348,6 @@ class TestAnalysisCli:
         assert main(["trace", "export", str(a), "--chrome", str(out)]) == 0
         assert "trace event(s)" in capsys.readouterr().out
         assert json.loads(out.read_text())["traceEvents"]
-
-    def test_bench_compare_pass_and_fail(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_bench_document()))
-        same = tmp_path / "same.json"
-        same.write_text(json.dumps(_bench_document()))
-        assert main(["bench", "compare", str(baseline), str(same)]) == 0
-        assert "result: PASS" in capsys.readouterr().out
-
-        regressed = tmp_path / "regressed.json"
-        regressed.write_text(
-            json.dumps(_bench_document(**{"results.engine.speedup": 20.0}))
-        )
-        assert main(["bench", "compare", str(baseline), str(regressed)]) == 1
-        assert "result: FAIL" in capsys.readouterr().out
-
-    def test_bench_compare_json_output(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_bench_document()))
-        assert main(["bench", "compare", str(baseline), str(baseline), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["ok"] is True and document["regressions"] == 0
-
-    def test_bench_compare_unreadable_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
-        assert main(["bench", "compare", str(missing)]) == 2
-        assert "cannot read baseline" in capsys.readouterr().err
 
     def test_run_sample_interval_records_timeseries(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"

@@ -225,32 +225,6 @@ class TestScenarioSweepExport:
         assert "runtime:" in captured.err
 
 
-class TestBench:
-    def test_quick_bench_writes_document_and_passes_checks(self, tmp_path, capsys):
-        """`repro bench --quick` is the CI smoke: exit 0 means every
-        bit-identity check (fast vs. reference, cold vs. warm cache, serial
-        vs. parallel, telemetry on vs. off) held, and the document records the
-        speedup."""
-        out = tmp_path / "BENCH_6.json"
-        assert main(["bench", "--quick", "--jobs", "2", "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "all checks passed" in captured.out
-        document = json.loads(out.read_text())
-        assert document["ok"] is True
-        assert document["quick"] is True
-        assert all(document["checks"].values())
-        assert document["results"]["engine"]["speedup"] >= 5.0
-        assert document["results"]["engine"]["bit_identical"] is True
-        assert document["results"]["jobs_serial"]["warm_executed"] == 0
-        telemetry = document["results"]["engine_telemetry"]
-        assert telemetry["bit_identical"] is True
-        assert telemetry["trace_segments"] > 0
-
-    def test_bench_rejects_bad_jobs(self, capsys):
-        assert main(["bench", "--quick", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-
 class TestCache:
     def test_info_and_clear(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
