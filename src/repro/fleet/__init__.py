@@ -2,14 +2,14 @@
 
 A long-lived service over the existing runtime: a durable content-addressed
 job queue (:mod:`repro.fleet.queue`), a sharded result store with
-``spec_hash``-level sweep-report warm starts (:mod:`repro.fleet.store`), a
-metrics-driven autoscaler (:mod:`repro.fleet.autoscaler`), explicit failure
-semantics -- deterministic retry backoff, a quarantine for poison jobs and
-corrupt entries, and the ``fleet doctor`` consistency audit
+``spec_hash``-level sweep-report warm starts (:mod:`repro.fleet.store`),
+explicit failure semantics -- deterministic retry backoff, a quarantine for
+poison jobs and corrupt entries, and the ``fleet doctor`` consistency audit
 (:mod:`repro.fleet.resilience`) -- with a seeded chaos harness to prove them
 (:mod:`repro.fleet.faults`), and the service loop plus submit/status/verify
 entry points (:mod:`repro.fleet.service`) behind ``repro serve`` /
-``repro submit`` / ``repro fleet ...``.
+``repro submit`` / ``repro fleet ...``.  The service runs a fixed pool of
+``--workers`` processes.
 
 Layering: fleet sits above runtime and scenarios and below the CLI; nothing
 in the model or runtime layers knows the fleet exists.  The fleet never adds
@@ -17,7 +17,6 @@ a second execution path -- workers run the same ``execute_job_with_stats``
 as a serial run, which is why fleet results are bit-identical to serial ones.
 """
 
-from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig, ScalingDecision
 from repro.fleet.faults import FaultPlan, FaultRule, InjectedFault
 from repro.fleet.queue import JobQueue, QueueEntry
 from repro.fleet.resilience import (
@@ -39,8 +38,6 @@ from repro.fleet.service import (
 from repro.fleet.store import ShardedResultStore
 
 __all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
     "DoctorReport",
     "FailureRecord",
     "FaultPlan",
@@ -51,7 +48,6 @@ __all__ = [
     "JobQueue",
     "Quarantine",
     "QueueEntry",
-    "ScalingDecision",
     "ShardedResultStore",
     "backoff_seconds",
     "fleet_status",

@@ -66,6 +66,10 @@ SEVERITY_INFO = "info"
 #: Temp files older than this are stray (no atomic write takes seconds).
 STRAY_TMP_AGE = 60.0
 
+#: ``service.json`` ``state``: ``running`` each poll, ``stopped`` on exit.
+SERVICE_RUNNING = "running"
+SERVICE_STOPPED = "stopped"
+
 
 # ---------------------------------------------------------------------------
 # Deterministic retry backoff
@@ -297,6 +301,34 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _read_heartbeat(
+    path: Path, now: float, stale_after: float
+) -> Optional[Dict[str, Any]]:
+    """The service heartbeat at ``path`` plus a ``health`` verdict, or None.
+
+    ``health`` carries the beat's age, ``alive`` (a running beat with a live
+    pid) and ``stale`` (age beyond ``stale_after`` or a dead pid).  A
+    ``stopped`` beat, written when the loop exits, is never stale.
+    """
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            beat = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(beat, dict):
+        return None
+    age = now - float(beat.get("updated_unix", 0.0))
+    pid = int(beat.get("pid", -1))
+    stopped = beat.get("state") == SERVICE_STOPPED
+    alive = not stopped and pid > 0 and _pid_alive(pid)
+    beat["health"] = {
+        "age_seconds": age,
+        "alive": alive,
+        "stale": not stopped and (age > stale_after or not alive),
+    }
+    return beat
+
+
 def _restore_from_store(
     queue: JobQueue, store: ShardedResultStore, job_hash: str
 ) -> bool:
@@ -419,43 +451,35 @@ def run_doctor(
     undrained = any(
         entry.state in (STATE_QUEUED, STATE_LEASED) for entry in entries
     )
-    beat: Optional[Dict[str, Any]] = None
-    try:
-        with paths.heartbeat.open("r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if isinstance(loaded, dict):
-            beat = loaded
-    except (OSError, ValueError):
-        beat = None
-    if beat is None:
+    beat = _read_heartbeat(paths.heartbeat, now, heartbeat_stale_after)
+    if beat is None or beat.get("state") == SERVICE_STOPPED:
         if undrained:
+            why = (
+                "no service heartbeat exists"
+                if beat is None
+                else f"the service stopped ({beat.get('exit')})"
+            )
             findings.append(
                 Finding(
                     SEVERITY_WARNING,
                     "no-service",
                     "service.json",
-                    "work is pending but no service heartbeat exists",
+                    f"work is pending but {why}",
                 )
             )
-    else:
-        age = now - float(beat.get("updated_unix", 0.0))
-        pid = int(beat.get("pid", -1))
-        alive = pid > 0 and _pid_alive(pid)
-        if age > heartbeat_stale_after or not alive:
-            state = "stale" if age > heartbeat_stale_after else "dead-pid"
-            severity = SEVERITY_WARNING if undrained else SEVERITY_INFO
-            findings.append(
-                Finding(
-                    severity,
-                    "stale-heartbeat",
-                    "service.json",
-                    (
-                        f"heartbeat is {state} (age {age:.1f}s, pid {pid} "
-                        f"{'alive' if alive else 'not running'})"
-                        + ("; queued/leased work is waiting" if undrained else "")
-                    ),
-                )
+    elif beat["health"]["stale"]:
+        age, alive = beat["health"]["age_seconds"], beat["health"]["alive"]
+        state = "stale" if age > heartbeat_stale_after else "dead-pid"
+        findings.append(
+            Finding(
+                SEVERITY_WARNING if undrained else SEVERITY_INFO,
+                "stale-heartbeat",
+                "service.json",
+                f"heartbeat is {state} (age {age:.1f}s, pid "
+                f"{beat.get('pid', -1)} {'alive' if alive else 'not running'})"
+                + ("; queued/leased work is waiting" if undrained else ""),
             )
+        )
 
     # -- 6. stray temp files --------------------------------------------
     for base in (queue.entries_dir, store.root, paths.campaigns_dir):

@@ -6,7 +6,7 @@ One fleet directory is the whole coordination surface::
       queue/      durable job queue (repro.fleet.queue)
       store/      sharded result store (repro.fleet.store)
       campaigns/  submitted sweep manifests, one per spec_hash
-      service.json   service heartbeat (pid, workers, queue counts)
+      service.json   service heartbeat (pid, workers, queue counts, state)
 
 ``repro submit`` resolves a named campaign to jobs, writes a **manifest**
 (campaign name + ordered job hashes, keyed by the sweep's ``spec_hash``), and
@@ -16,11 +16,12 @@ start: nothing is enqueued at all.
 
 ``repro serve`` runs :class:`FleetService`: each poll it recovers expired
 leases, leases a slice of the queue, runs it through a batched
-:class:`~repro.runtime.executor.ParallelExecutor` writing straight into the
-store's job namespace, marks entries done, finalizes any manifest whose jobs
-have all landed into a ``spec_hash``-keyed sweep report, and lets the
-:class:`~repro.fleet.autoscaler.Autoscaler` resize the pool from observed
-queue depth.
+:class:`~repro.runtime.executor.ParallelExecutor` of ``--workers`` processes
+writing straight into the store's job namespace, marks entries done,
+finalizes any manifest whose jobs have all landed into a ``spec_hash``-keyed
+sweep report, and writes a ``running`` heartbeat.  When the loop exits it
+rewrites that heartbeat as ``stopped`` with the exit reason, so status and
+doctor can tell a clean exit from a crash.
 
 Determinism contract: the service orchestrates *which* jobs run where and
 when, but every job still executes ``execute_job_with_stats`` and every
@@ -34,13 +35,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.faults import directive_hook
 from repro.fleet.queue import (
     COUNT_CORRUPT,
@@ -53,9 +53,11 @@ from repro.fleet.queue import (
 )
 from repro.fleet.resilience import (
     QUARANTINE_SUBDIR,
+    SERVICE_RUNNING,
+    SERVICE_STOPPED,
     FailureRecord,
     Quarantine,
-    _pid_alive,
+    _read_heartbeat,
     _restore_from_store,
 )
 from repro.fleet.store import FLEET_SCHEMA_VERSION, ShardedResultStore
@@ -218,7 +220,10 @@ def submit_campaign(
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Every knob ``repro serve`` exposes, in one place."""
+    """Every knob ``repro serve`` exposes, in one place.
+
+    The worker pool is pinned at ``workers`` for the service's lifetime.
+    """
 
     root: Path
     workers: int = 2
@@ -228,8 +233,9 @@ class FleetConfig:
     #: Jobs leased (and handed to the executor) per poll.
     lease_limit: int = 64
     max_attempts: int = 3
-    autoscale: bool = True
-    autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
+    #: Accepted only as ``False``, so callers that pass ``autoscale=False``
+    #: keep working; the pool never changes size.
+    autoscale: bool = False
     #: Drain mode: exit once the queue is empty and every manifest is
     #: finalized (after waiting up to ``drain_grace`` seconds for the first
     #: work to appear).  This is what CI and tests run.
@@ -243,6 +249,12 @@ class FleetConfig:
     #: ``None`` in production (``repro serve --faults`` / ``REPRO_FLEET_FAULTS``
     #: set it for chaos runs).
     faults: Optional[Any] = None
+
+    def __post_init__(self) -> None:
+        if self.autoscale:
+            raise ValueError(
+                "autoscale=True is not supported: the pool is pinned at workers"
+            )
 
 
 class FleetService:
@@ -265,9 +277,6 @@ class FleetService:
         self.executor = ParallelExecutor(
             max_workers=config.workers, batch_size=config.batch_size
         )
-        self.autoscaler = Autoscaler(
-            config=config.autoscaler, workers=self.executor.max_workers
-        )
         self.worker_name = f"service-{os.getpid()}"
         self.rounds = 0
         self.jobs_run = 0
@@ -275,6 +284,8 @@ class FleetService:
         self.jobs_quarantined = 0
         self.reports_finalized = 0
         self.poll_errors = 0
+        #: Queue counts from the last poll's heartbeat.
+        self._last_counts: Optional[Dict[str, int]] = None
         #: Last in-memory copy of every entry this service has leased --
         #: the healing source when an entry's on-disk file gets torn.
         self._known: Dict[str, QueueEntry] = {}
@@ -318,8 +329,6 @@ class FleetService:
             # quarantined before a draining loop can observe it and exit.
             self._quarantine_exhausted(now)
         self.reports_finalized += self.finalize_reports()
-        if self.config.autoscale:
-            self._autoscale_tick(now)
         self._write_heartbeat(now)
         return completed
 
@@ -518,19 +527,6 @@ class FleetService:
             self.jobs_quarantined += 1
             obs_state.counter("fleet.failures.quarantined").inc()
 
-    def _autoscale_tick(self, now: float) -> None:
-        counts = self.queue.counts()
-        decision = self.autoscaler.observe(
-            {
-                "t": now,
-                "queue_depth": counts["queued"],
-                "in_flight": counts["leased"],
-                "workers": self.executor.max_workers,
-            }
-        )
-        if decision.scaled:
-            self.executor.resize(decision.workers)
-
     def finalize_reports(self) -> int:
         """Turn fully-landed manifests into stored ``spec_hash`` reports."""
         finalized = 0
@@ -582,20 +578,31 @@ class FleetService:
                 pending += 1
         return pending
 
-    def _write_heartbeat(self, now: float) -> None:
-        atomic_write_json(
-            self.paths.heartbeat,
-            {
-                "schema": FLEET_SCHEMA_VERSION,
-                "pid": os.getpid(),
-                "worker": self.worker_name,
-                "updated_unix": now,
-                "workers": self.executor.max_workers,
-                "rounds": self.rounds,
-                "jobs_run": self.jobs_run,
-                "queue": self.queue.counts(),
-            },
-        )
+    def _write_heartbeat(
+        self, now: float, exit_reason: Optional[str] = None
+    ) -> None:
+        """Write ``service.json``: each poll's ``running`` beat, or, given
+        ``exit_reason``, the terminal ``stopped`` beat.
+
+        The stopped beat reuses the last poll's queue counts, so exiting
+        adds no queue scan.
+        """
+        if exit_reason is None:
+            self._last_counts = self.queue.counts()
+        beat: Dict[str, Any] = {
+            "schema": FLEET_SCHEMA_VERSION,
+            "pid": os.getpid(),
+            "worker": self.worker_name,
+            "updated_unix": now,
+            "workers": self.executor.max_workers,
+            "rounds": self.rounds,
+            "jobs_run": self.jobs_run,
+            "queue": self._last_counts,
+            "state": SERVICE_RUNNING if exit_reason is None else SERVICE_STOPPED,
+        }
+        if exit_reason is not None:
+            beat["exit"] = exit_reason
+        atomic_write_json(self.paths.heartbeat, beat)
 
     def drained(self) -> bool:
         """Nothing queued, nothing leased, every manifest reported."""
@@ -607,12 +614,16 @@ class FleetService:
         Drain mode waits up to ``drain_grace`` for work to first appear, then
         exits as soon as the directory is fully drained -- the shape CI's
         background-service smoke test relies on.  Otherwise the loop runs
-        until ``idle_timeout`` (if set) elapses with nothing to do.
+        until ``idle_timeout`` (if set) elapses with nothing to do.  On the
+        way out the heartbeat is rewritten as ``stopped`` with the exit
+        reason: ``drained``, ``idle-timeout``, ``blocked`` (pending manifests
+        wait on failed or quarantined jobs) or ``interrupted``.
         """
         config = self.config
         started = time.time()
         saw_work = False
         drained_at_exit = False
+        exit_reason = "interrupted"
         idle_since: Optional[float] = None
         try:
             while True:
@@ -643,6 +654,7 @@ class FleetService:
                     # summary, whose own rescan could be degraded.
                     if config.drain and (saw_work or now - started >= config.drain_grace):
                         drained_at_exit = True
+                        exit_reason = "drained"
                         break
                     if idle_since is None:
                         idle_since = now
@@ -651,6 +663,7 @@ class FleetService:
                         and now - idle_since >= config.idle_timeout
                     ):
                         drained_at_exit = True
+                        exit_reason = "idle-timeout"
                         break
                 elif (
                     config.drain
@@ -666,9 +679,14 @@ class FleetService:
                     # terminally failed or quarantined: draining further
                     # cannot make progress.  Exit and let status/doctor/
                     # verify report the damage.
+                    exit_reason = "blocked"
                     break
                 time.sleep(config.poll_interval)
         finally:
+            try:
+                self._write_heartbeat(time.time(), exit_reason=exit_reason)
+            except OSError:  # counted, never raised over the loop's own exit
+                obs_state.counter("fleet.failures.heartbeat").inc()
             self.executor.close()
         return {
             "rounds": self.rounds,
@@ -679,9 +697,6 @@ class FleetService:
             "reports_finalized": self.reports_finalized,
             "drained": drained_at_exit or self.drained(),
             "workers": self.executor.max_workers,
-            "scaling_events": sum(
-                1 for decision in self.autoscaler.decisions if decision.scaled
-            ),
             "faults": (
                 self.config.faults.summary()
                 if self.config.faults is not None
@@ -705,6 +720,8 @@ def fleet_status(
     The ``service`` block carries a ``health`` verdict: heartbeat age, pid
     liveness, and a ``stale`` flag (age beyond ``stale_after`` or a dead
     pid) -- a wedged or killed service reads as exactly that, not healthy.
+    A service that exited its loop left a ``stopped`` beat, which is never
+    stale.
     """
     now = time.time() if now is None else now
     paths = FleetPaths(Path(root))
@@ -731,23 +748,6 @@ def fleet_status(
                     "reported": store.get_report(path.stem) is not None,
                 }
             )
-    service: Optional[Dict[str, Any]] = None
-    try:
-        with paths.heartbeat.open("r", encoding="utf-8") as handle:
-            beat = json.load(handle)
-        if isinstance(beat, dict):
-            service = dict(beat)
-    except (OSError, ValueError):
-        service = None
-    if service is not None:
-        age = now - float(service.get("updated_unix", 0.0))
-        pid = int(service.get("pid", -1))
-        alive = pid > 0 and _pid_alive(pid)
-        service["health"] = {
-            "age_seconds": age,
-            "alive": alive,
-            "stale": age > stale_after or not alive,
-        }
     counts = queue.counts()
     quarantine = Quarantine(paths.root / QUARANTINE_SUBDIR)
     return {
@@ -760,7 +760,7 @@ def fleet_status(
         "store": store.stats(),
         "quarantine": quarantine.counts(),
         "campaigns": campaigns,
-        "service": service,
+        "service": _read_heartbeat(paths.heartbeat, now, stale_after),
     }
 
 

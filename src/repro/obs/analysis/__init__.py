@@ -12,8 +12,8 @@ PR 6 made the stack *emit* telemetry; this package *consumes* it:
   the simulated-time segment timeline as Chrome/Perfetto ``trace_event``
   JSON (``repro trace export --chrome``).
 * **sampler** -- :class:`MetricsSampler` polls the live registry on a cadence
-  and emits ``timeseries.sample`` events (``--sample-interval``), giving the
-  ROADMAP autoscaler its sustained-load windows.
+  and emits ``timeseries.sample`` events (``--sample-interval``), the time
+  series ``repro trace describe`` summarizes.
 
 Everything here is read-only over recorded events and live instruments:
 analysis can never perturb simulation results.

@@ -2,13 +2,13 @@
 
 An end-of-run ``obs.snapshot()`` collapses a whole campaign into one number
 per instrument -- a gauge like ``executor.queue_depth`` reads whatever it
-happened to be at teardown (usually zero).  The ROADMAP's autoscaler needs
-the *time dimension*: sustained-load windows over queue depth, in-flight
-jobs, worker count, and cache behaviour.  :class:`MetricsSampler` provides
-it: a daemon thread polls the active :class:`~repro.obs.metrics.MetricsRegistry`
-on a fixed cadence and emits one ``timeseries.sample`` event per poll to the
-active sinks -- the same JSONL stream ``--trace-out`` records, so samples
-line up with spans and engine segments on one timeline.
+happened to be at teardown (usually zero).  :class:`MetricsSampler` keeps
+the *time dimension* of queue depth, in-flight jobs, worker count, and cache
+behaviour: the series ``repro trace describe`` summarizes.  A daemon thread
+polls the active :class:`~repro.obs.metrics.MetricsRegistry` on a fixed
+cadence and emits one ``timeseries.sample`` event per poll to the active
+sinks -- the same JSONL stream ``--trace-out`` records, so samples line up
+with spans and engine segments on one timeline.
 
 Each sample carries a monotonic sequence number, the elapsed seconds since
 the sampler started, the executor gauges, the headline throughput counters,

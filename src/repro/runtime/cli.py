@@ -22,10 +22,11 @@ Subcommands:
 * ``cache`` -- inspect or clear the result store;
 * ``serve`` / ``submit`` / ``fleet`` -- the sweep service
   (:mod:`repro.fleet`): ``submit CAMPAIGN`` enqueues a campaign's jobs into a
-  durable fleet directory, ``serve`` runs the batched, autoscaling worker
-  loop over it, and ``fleet status|verify|doctor|gc`` inspect the directory,
-  check fleet results bit-identical against a serial re-run, audit and
-  repair it, and compact finished queue entries;
+  durable fleet directory, ``serve`` runs the batched worker loop over it
+  on a fixed pool of ``--workers`` processes, and ``fleet
+  status|verify|doctor|gc`` inspect the directory, check fleet results
+  bit-identical against a serial re-run, audit and repair it, and compact
+  finished queue entries;
 * ``trace`` -- inspect recorded telemetry: ``describe`` summarizes a JSONL
   trace file (event counts, span timings, engine segment statistics,
   operating-point and phase residencies), ``diff A B`` attributes simulated
@@ -919,7 +920,7 @@ def _fleet_campaign(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.fleet import AutoscalerConfig, FaultPlan, FleetConfig, FleetService
+    from repro.fleet import FaultPlan, FleetConfig, FleetService
 
     ui = _console_for(args)
     if args.workers < 1:
@@ -932,18 +933,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             faults = FaultPlan.parse(args.faults)
         except ValueError as error:
             raise _CliError(f"invalid --faults spec: {error}") from error
-    try:
-        autoscaler = AutoscalerConfig(
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            scale_up_depth=args.scale_up_depth,
-            scale_down_depth=args.scale_down_depth,
-            sustained_readings=args.sustained_readings,
-            scale_up_cooldown=args.scale_up_cooldown,
-            scale_down_cooldown=args.scale_down_cooldown,
-        )
-    except ValueError as error:
-        raise _CliError(f"invalid autoscaler configuration: {error}") from error
     session = _obs_setup(args, ui)
     config = FleetConfig(
         root=args.fleet_dir,
@@ -953,8 +942,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lease_timeout=args.lease_timeout,
         lease_limit=args.lease_limit,
         max_attempts=args.max_attempts,
-        autoscale=not args.no_autoscale,
-        autoscaler=autoscaler,
         drain=args.drain,
         drain_grace=args.drain_grace,
         idle_timeout=args.idle_timeout,
@@ -963,8 +950,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = FleetService(config)
     ui.info(
         f"serving fleet at {config.root} "
-        f"({config.workers} worker(s), autoscale "
-        f"{'on' if config.autoscale else 'off'}"
+        f"({config.workers} worker(s)"
         f"{', drain mode' if config.drain else ''})"
     )
     if faults is not None:
@@ -973,8 +959,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with obs.span("cli.serve", root=str(config.root)):
             summary = service.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        ui.info("interrupted; shutting the pool down")
-        service.executor.close()
+        ui.info("interrupted")  # serve_forever already closed the pool
         summary = {"rounds": service.rounds, "jobs_run": service.jobs_run}
     if args.json:
         ui.out(json.dumps(summary, indent=2))
@@ -982,8 +967,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ui.out(
             f"serve: {summary.get('jobs_run', 0)} job(s) in "
             f"{summary.get('rounds', 0)} round(s), "
-            f"{summary.get('reports_finalized', 0)} report(s) finalized, "
-            f"{summary.get('scaling_events', 0)} scaling event(s)"
+            f"{summary.get('reports_finalized', 0)} report(s) finalized"
         )
     _obs_teardown(args, session, ui)
     return 0
@@ -1051,7 +1035,12 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     service = status.get("service")
     if service is not None and "health" in service:
         health = service["health"]
-        if health["stale"]:
+        if service.get("state") == "stopped":
+            ui.out(
+                f"  service: stopped ({service.get('exit')}, "
+                f"pid {service.get('pid')})"
+            )
+        elif health["stale"]:
             reason = (
                 "pid not running" if not health["alive"]
                 else f"heartbeat {health['age_seconds']:.0f}s old"
@@ -1480,14 +1469,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the sweep service over a fleet directory",
         description=(
             "Poll the fleet queue, execute leased jobs through a batched "
-            "process pool into the sharded store, finalize sweep reports, "
-            "and autoscale the pool from observed queue depth."
+            "pool of --workers processes into the sharded store, and "
+            "finalize sweep reports."
         ),
     )
     add_fleet_dir(serve_parser)
     serve_parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="initial worker processes (default 2)",
+        help="worker processes (default 2)",
     )
     serve_parser.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
@@ -1511,38 +1500,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--max-attempts", type=int, default=3, metavar="N",
         help="attempts before a job is marked failed (default 3)",
-    )
-    serve_parser.add_argument(
-        "--no-autoscale", action="store_true",
-        help="pin the pool at --workers instead of autoscaling",
-    )
-    serve_parser.add_argument(
-        "--min-workers", type=int, default=1, metavar="N",
-        help="autoscaler lower bound (default 1)",
-    )
-    serve_parser.add_argument(
-        "--max-workers", type=int, default=4, metavar="N",
-        help="autoscaler upper bound (default 4)",
-    )
-    serve_parser.add_argument(
-        "--scale-up-depth", type=float, default=8.0, metavar="D",
-        help="queue depth that counts toward scaling up (default 8)",
-    )
-    serve_parser.add_argument(
-        "--scale-down-depth", type=float, default=1.0, metavar="D",
-        help="queue depth that counts toward scaling down (default 1)",
-    )
-    serve_parser.add_argument(
-        "--sustained-readings", type=int, default=2, metavar="N",
-        help="consecutive qualifying samples before a move (default 2)",
-    )
-    serve_parser.add_argument(
-        "--scale-up-cooldown", type=float, default=2.0, metavar="S",
-        help="seconds to hold after a scaling event before growing (default 2)",
-    )
-    serve_parser.add_argument(
-        "--scale-down-cooldown", type=float, default=10.0, metavar="S",
-        help="seconds to hold after a scaling event before shrinking (default 10)",
     )
     serve_parser.add_argument(
         "--drain", action="store_true",

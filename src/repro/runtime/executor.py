@@ -111,6 +111,36 @@ def _failure_from(job: Job, error: BaseException) -> JobFailure:
     )
 
 
+def _run_job(job: Job, isolate: bool, pre_hook: Optional[PreExecuteHook]) -> Any:
+    """Run one job: ``(payload, stats)``, or a :class:`JobFailure` under
+    ``isolate``.  Without isolation, job and hook exceptions propagate.
+
+    Module-level so pool workers can run it from a pickled batch.
+    """
+    try:
+        if pre_hook is not None:
+            pre_hook(job)
+        return execute_job_with_stats(job)
+    except Exception as error:  # noqa: BLE001 - isolation contract
+        if not isolate:
+            raise
+        return _failure_from(job, error)
+
+
+def _deliver(
+    job: Job,
+    item: Any,
+    on_executed: Callable[..., None],
+    on_error: Optional[FailureCallback],
+) -> None:
+    """Route one :func:`_run_job` result to ``on_error`` or ``on_executed``."""
+    if isinstance(item, JobFailure):
+        on_error(job, item)
+    else:
+        payload, stats = item
+        on_executed(job, payload, stats)
+
+
 @dataclass(frozen=True)
 class JobOutcome:
     """One submitted job with its payload and provenance.
@@ -357,22 +387,11 @@ def _execute_inline(
     queue_gauge = obs_state.gauge("executor.queue_depth")
     in_flight_gauge = obs_state.gauge("executor.in_flight")
     obs_state.gauge("executor.workers").set(1)
+    isolate = on_error is not None
     for index, job in enumerate(jobs):
         queue_gauge.set(len(jobs) - index - 1)
         in_flight_gauge.set(1)
-        if on_error is not None:
-            try:
-                if pre_hook is not None:
-                    pre_hook(job)
-                payload, stats = execute_job_with_stats(job)
-            except Exception as error:  # noqa: BLE001 - isolation contract
-                on_error(job, _failure_from(job, error))
-                continue
-        else:
-            if pre_hook is not None:
-                pre_hook(job)
-            payload, stats = execute_job_with_stats(job)
-        on_executed(job, payload, stats)
+        _deliver(job, _run_job(job, isolate, pre_hook), on_executed, on_error)
     in_flight_gauge.set(0)
 
 
@@ -388,28 +407,6 @@ class SerialExecutor(Executor):
         pre_hook: Optional[PreExecuteHook] = None,
     ) -> None:
         _execute_inline(jobs, on_executed, on_error=on_error, pre_hook=pre_hook)
-
-
-def _run_batch_jobs(
-    jobs: List[Job],
-    isolate: bool,
-    pre_hook: Optional[PreExecuteHook],
-) -> List[Any]:
-    """Run one batch in order; items are ``(payload, stats)`` or ``JobFailure``."""
-    executed: List[Any] = []
-    for job in jobs:
-        if isolate:
-            try:
-                if pre_hook is not None:
-                    pre_hook(job)
-                executed.append(execute_job_with_stats(job))
-            except Exception as error:  # noqa: BLE001 - isolation contract
-                executed.append(_failure_from(job, error))
-        else:
-            if pre_hook is not None:
-                pre_hook(job)
-            executed.append(execute_job_with_stats(job))
-    return executed
 
 
 def _pool_execute_batch(
@@ -440,9 +437,9 @@ def _pool_execute_batch(
     ``pre_hook`` runs before each job *in this worker process*.
     """
     if not collect_metrics:
-        return _run_batch_jobs(jobs, isolate, pre_hook), None
+        return [_run_job(job, isolate, pre_hook) for job in jobs], None
     with obs_state.scoped() as scope:
-        executed = _run_batch_jobs(jobs, isolate, pre_hook)
+        executed = [_run_job(job, isolate, pre_hook) for job in jobs]
         snapshot = scope.registry.snapshot()
     return executed, snapshot
 
@@ -487,8 +484,8 @@ class ParallelExecutor(Executor):
     ``max_pending`` bounds the number of batch futures in flight so campaigns
     with tens of thousands of jobs do not hold every argument pickled in
     memory at once.  The pool is created on first use and reused by every
-    subsequent ``run()`` until :meth:`close`; :meth:`resize` changes the
-    worker count between batches (the fleet autoscaler's lever).
+    subsequent ``run()`` until :meth:`close`; its worker count is fixed for
+    the executor's lifetime.
     """
 
     max_workers: Optional[int] = None
@@ -534,21 +531,6 @@ class ParallelExecutor(Executor):
                 self._finalizer = None
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def resize(self, workers: int) -> None:
-        """Change the worker count; takes effect on the next batch.
-
-        A ``ProcessPoolExecutor`` cannot grow or shrink in place, so the warm
-        pool is shut down and the next ``run()`` forks a fresh one at the new
-        size.  That costs a pool start (the caller -- the fleet autoscaler --
-        rate-limits itself with cooldowns); a same-size resize is a no-op and
-        keeps the warm pool.
-        """
-        workers = _worker_count(workers)
-        if workers == self.max_workers:
-            return
-        self.max_workers = workers
-        self.close()
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -609,11 +591,7 @@ class ParallelExecutor(Executor):
                         obs_state.merge_snapshot(worker_snapshot)
                     in_flight_jobs -= len(batch)
                     for job, item in zip(batch, executed):
-                        if isinstance(item, JobFailure):
-                            on_error(job, item)
-                        else:
-                            payload, stats = item
-                            on_executed(job, payload, stats)
+                        _deliver(job, item, on_executed, on_error)
                 # Refresh after draining completions too, so a background
                 # sampler never reads a count the pool has already retired.
                 in_flight_gauge.set(in_flight_jobs)

@@ -1,13 +1,8 @@
-"""The repro.fleet subsystem: queue, store, autoscaler, service."""
-
-import json
-from pathlib import Path
+"""The repro.fleet subsystem: queue, store, service."""
 
 import pytest
 
 from repro.fleet import (
-    Autoscaler,
-    AutoscalerConfig,
     FleetConfig,
     FleetService,
     JobQueue,
@@ -17,7 +12,6 @@ from repro.fleet import (
     sweep_spec_hash,
     verify_campaign,
 )
-from repro.fleet.autoscaler import sample_from_snapshot
 from repro.fleet.queue import (
     STATE_DONE,
     STATE_FAILED,
@@ -36,8 +30,6 @@ from repro.runtime import (
     SimulationJob,
     TraceSpec,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures" / "fleet"
 
 #: A fast simulation spec: 50 ticks, one or two evaluation intervals.
 TINY_SIM = SimSpec(max_simulated_time=0.05)
@@ -201,100 +193,6 @@ class TestSubmitDedup:
 
 
 # ---------------------------------------------------------------------------
-# Autoscaler: decision table replayed from a recorded time series
-# ---------------------------------------------------------------------------
-
-
-class TestAutoscaler:
-    #: (action, workers-after) per sample of timeseries_ramp.jsonl, with the
-    #: reason fragment asserted for the interesting transitions.
-    RAMP_EXPECTED = [
-        ("hold", 2, "streak 1/2"),
-        ("hold", 2, "streak 0/2"),
-        ("hold", 2, "streak 1/2"),
-        ("scale_up", 4, "for 2 consecutive samples"),
-        ("hold", 4, "streak 1/2"),
-        ("hold", 4, "cooling down (1.0s < 2.0s)"),
-        ("hold", 4, "cooling down (1.5s < 2.0s)"),
-        ("hold", 4, "already at max_workers=4"),
-        ("hold", 4, "streak 1/2"),
-        ("hold", 4, "cooling down (3.0s < 10.0s)"),
-        ("scale_down", 3, "for 3 consecutive samples"),
-        ("hold", 3, "streak 1/2"),
-        ("hold", 3, "cooling down (1.0s < 10.0s)"),
-        ("scale_down", 2, "for 3 consecutive samples"),
-        ("hold", 2, "streak 1/2"),
-        ("scale_down", 1, "for 2 consecutive samples"),
-        ("hold", 1, "streak 1/2"),
-        ("hold", 1, "already at min_workers=1"),
-    ]
-
-    def _ramp_samples(self):
-        with (FIXTURES / "timeseries_ramp.jsonl").open() as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
-    def test_ramp_fixture_decision_table(self):
-        scaler = Autoscaler()  # workers=0: adopt the first sample's gauge
-        samples = self._ramp_samples()
-        assert len(samples) == len(self.RAMP_EXPECTED)
-        for sample, (action, workers, reason) in zip(
-            samples, self.RAMP_EXPECTED
-        ):
-            decision = scaler.observe(sample)
-            context = f"sample seq={sample['seq']} t={sample['t']}"
-            assert decision.action == action, context
-            assert decision.workers == workers, context
-            assert reason in decision.reason, context
-            assert decision.at == sample["t"]
-        assert scaler.workers == 1
-        assert len(scaler.decisions) == len(samples)
-
-    def test_replay_is_deterministic(self):
-        runs = []
-        for _ in range(2):
-            scaler = Autoscaler()
-            for sample in self._ramp_samples():
-                scaler.observe(sample)
-            runs.append(
-                [(d.action, d.workers, d.reason, d.at) for d in scaler.decisions]
-            )
-        assert runs[0] == runs[1]
-
-    def test_spike_does_not_scale(self):
-        scaler = Autoscaler(workers=2)
-        scaler.observe({"t": 0.0, "queue_depth": 50})
-        decision = scaler.observe({"t": 0.5, "queue_depth": 0})
-        assert decision.action == "hold"
-        assert scaler.workers == 2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_workers=0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_workers=4, max_workers=2)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(scale_down_depth=9.0, scale_up_depth=8.0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(sustained_readings=0)
-
-    def test_sample_from_snapshot_maps_executor_gauges(self):
-        snapshot = {
-            "gauges": {
-                "executor.queue_depth": 7.0,
-                "executor.in_flight": 2.0,
-                "executor.workers": 3.0,
-            }
-        }
-        sample = sample_from_snapshot(snapshot, t=12.5)
-        assert sample == {
-            "t": 12.5,
-            "queue_depth": 7.0,
-            "in_flight": 2.0,
-            "workers": 3.0,
-        }
-
-
-# ---------------------------------------------------------------------------
 # Sweep identity and reports
 # ---------------------------------------------------------------------------
 
@@ -352,6 +250,7 @@ class TestFleetBitIdentity:
         assert outcome["drained"] is True
         assert outcome["jobs_run"] == len(campaign.jobs)
         assert outcome["reports_finalized"] == 1
+        assert outcome["workers"] == 2  # the pool stays pinned at --workers
 
         verdict = verify_campaign(root, campaign)
         assert verdict["missing"] == []
@@ -365,6 +264,17 @@ class TestFleetBitIdentity:
         [manifest] = status["campaigns"]
         assert manifest["reported"] is True
         assert manifest["landed"] == len(campaign.jobs)
+        # The loop has exited, though this process (the beat's pid) lives on.
+        beat = status["service"]
+        assert beat["state"] == "stopped"
+        assert beat["exit"] == "drained"
+        assert beat["workers"] == 2
+        assert beat["health"]["stale"] is False
+        assert beat["health"]["alive"] is False
+
+    def test_autoscale_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="pinned"):
+            FleetConfig(root=tmp_path / "fleet", autoscale=True)
 
     def test_warm_resubmission_runs_nothing(self, tmp_path):
         root = tmp_path / "fleet"

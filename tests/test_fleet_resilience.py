@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -61,6 +63,13 @@ def _tiny_campaign(name="resilience-tiny"):
             _tiny_job(name="433.milc", policy="sysscale"),
         ),
     )
+
+
+def _dead_pid():
+    """The pid of a child process that has already exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 def _drain_config(root, faults=None, **overrides):
@@ -560,6 +569,31 @@ class TestServiceChaos:
         assert restored.state == STATE_DONE
         assert restored.note == "doctor-restored"
 
+    def test_interrupted_loop_leaves_a_stopped_beat(self, tmp_path):
+        root = tmp_path / "fleet"
+        heartbeat = FleetPaths(root).heartbeat
+
+        def interrupted_service():
+            service = FleetService(_drain_config(root))
+
+            def interrupt(now=None):
+                raise KeyboardInterrupt
+
+            service.run_once = interrupt
+            return service
+
+        with pytest.raises(KeyboardInterrupt):
+            interrupted_service().serve_forever()
+        beat = json.loads(heartbeat.read_text(encoding="utf-8"))
+        assert (beat["state"], beat["exit"]) == ("stopped", "interrupted")
+
+        # A final beat that cannot be written never masks the loop's own
+        # exception.
+        heartbeat.unlink()
+        heartbeat.mkdir()
+        with pytest.raises(KeyboardInterrupt):
+            interrupted_service().serve_forever()
+
 
 # ---------------------------------------------------------------------------
 # Doctor
@@ -681,6 +715,34 @@ class TestDoctor:
         ]
         assert finding.severity == "warning"
 
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_stopped_heartbeat_is_never_stale(self, tmp_path, pending):
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        if pending:
+            queue.submit(_tiny_job())
+        FleetPaths(root).heartbeat.write_text(
+            json.dumps(
+                {
+                    "pid": _dead_pid(),
+                    "updated_unix": 0.0,
+                    "state": "stopped",
+                    "exit": "interrupted",
+                }
+            ),
+            encoding="utf-8",
+        )
+        report = run_doctor(root)
+        assert report.ok
+        assert not any(f.code == "stale-heartbeat" for f in report.findings)
+        no_service = [f for f in report.findings if f.code == "no-service"]
+        if pending:
+            [finding] = no_service
+            assert finding.severity == "warning"
+            assert "interrupted" in finding.message
+        else:
+            assert no_service == []
+
 
 # ---------------------------------------------------------------------------
 # CLI: fleet doctor / fleet gc / serve --faults / status surfaces
@@ -773,6 +835,7 @@ class TestResilienceCli:
         output = capsys.readouterr().out
         assert "1 CORRUPT" in output
         assert "quarantine: 1 job(s)" in output
+        assert f"service: stopped (drained, pid {os.getpid()})" in output
 
     def test_serve_rejects_invalid_faults_spec(self, tmp_path, capsys):
         from repro.runtime.cli import main
@@ -799,7 +862,6 @@ class TestResilienceCli:
                 "1",
                 "--poll-interval",
                 "0.01",
-                "--no-autoscale",
                 "--faults",
                 "seed=5;raise@job=0.2",
                 "--json",
