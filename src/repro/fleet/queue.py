@@ -185,10 +185,6 @@ class JobQueue:
     root: Path
     lease_timeout: float = 60.0
     max_attempts: int = 3
-    #: Retry backoff shape (see :func:`repro.fleet.resilience.backoff_seconds`).
-    backoff_base: float = 0.25
-    backoff_cap: float = 30.0
-    backoff_jitter: float = 0.5
     #: Optional chaos plan (:class:`repro.fleet.faults.FaultPlan`); ``None``
     #: in production.  Declared ``Any`` to keep the import graph acyclic.
     faults: Optional[Any] = None
@@ -498,13 +494,7 @@ class JobQueue:
         exhausted = entry.attempts >= self.max_attempts
         not_before = None
         if not exhausted:
-            not_before = now + backoff_seconds(
-                job_hash,
-                entry.attempts,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-                jitter=self.backoff_jitter,
-            )
+            not_before = now + backoff_seconds(job_hash, entry.attempts)
         failed = replace(
             entry,
             state=STATE_FAILED if exhausted else STATE_QUEUED,

@@ -1,24 +1,22 @@
 """``repro.obs``: the unified telemetry layer.
 
-One subsystem replaces the repo's four disconnected stat islands
-(``EngineRunStats``, ``CacheStats``, ``ProgressUpdate``, report runtime
-accounting):
+One subsystem gathers the repo's run statistics (engine loop counts, cache
+hits and misses, executor progress, report runtime accounting):
 
-* **metrics** -- counters/gauges/histograms/timers in a
-  :class:`MetricsRegistry`; ambient accessors (``obs.counter(...)``) are
-  no-ops while telemetry is disabled (the default).
+* **metrics** -- counters/histograms/timers in a :class:`MetricsRegistry`;
+  ambient accessors (``obs.counter(...)``) are no-ops while telemetry is
+  disabled (the default).
 * **spans** -- ``with obs.span("executor.run", jobs=n):`` times and nests
   the hot path from the CLI down to the engine.
 * **engine traces** -- :class:`repro.sim.trace.EngineTraceRecorder` (owned
   by the sim layer so the engine never imports telemetry) captures the
   segment-stepping loop's per-segment timeline (phase, operating point, MRC
-  set, per-domain power, memo hit/miss); the runtime emits its events here
-  and :func:`summarize_trace_events` condenses them back into summaries.
+  set, per-domain power, memo hit/miss); the runtime emits its events here.
 * **sinks** -- :class:`JsonlSink` event files, :class:`MemorySink` for
   tests, text renderers for ``--profile`` and ``trace describe``.
 * **analysis** (:mod:`repro.obs.analysis`) -- the read side: typed trace
-  models, ``trace diff`` attribution deltas, Chrome ``trace_event`` export,
-  and the :class:`MetricsSampler` time-series poller (``--sample-interval``).
+  models and their ``trace describe`` summary, ``trace diff`` attribution
+  deltas, and Chrome ``trace_event`` export.
 
 Everything is scoped through :func:`scoped`, which is how worker processes
 isolate per-job metrics and merge them back to the parent.  Telemetry is
@@ -37,7 +35,6 @@ Typical use::
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Timer,
@@ -56,7 +53,6 @@ from repro.obs.state import (
     emit,
     enable,
     enabled,
-    gauge,
     histogram,
     level,
     level_enabled,
@@ -70,15 +66,11 @@ from repro.obs.state import (
     timer,
     trace_enabled,
 )
-from repro.obs.trace import summarize_trace_events
 from repro.obs.logging import Console
-from repro.obs.analysis.sampler import MetricsSampler
 
 __all__ = [
     "Console",
-    "MetricsSampler",
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonlSink",
     "LEVELS",
@@ -95,7 +87,6 @@ __all__ = [
     "emit",
     "enable",
     "enabled",
-    "gauge",
     "histogram",
     "level",
     "level_enabled",
@@ -109,7 +100,6 @@ __all__ = [
     "set_level",
     "snapshot",
     "span",
-    "summarize_trace_events",
     "timer",
     "trace_enabled",
 ]

@@ -4,19 +4,17 @@ PR 6 made the stack *emit* telemetry; this package *consumes* it:
 
 * **model** -- :class:`TraceModel` parses a ``--trace-out`` JSONL stream back
   into typed engine runs, segments (with their :class:`OperatingPoint`),
-  spans, logs, and time-series samples.
+  spans, and logs, and rolls them up into the summary ``repro trace
+  describe`` prints.
 * **diff** -- :func:`diff_traces` aligns two traces by ``(workload, policy,
   phase, operating point)`` attribution buckets and reports where segment
   time, model evaluations, and memo misses moved (``repro trace diff``).
 * **chrome** -- :func:`export_chrome_trace` renders the span waterfall and
   the simulated-time segment timeline as Chrome/Perfetto ``trace_event``
   JSON (``repro trace export --chrome``).
-* **sampler** -- :class:`MetricsSampler` polls the live registry on a cadence
-  and emits ``timeseries.sample`` events (``--sample-interval``), the time
-  series ``repro trace describe`` summarizes.
 
-Everything here is read-only over recorded events and live instruments:
-analysis can never perturb simulation results.
+Everything here is read-only over recorded events: analysis can never
+perturb simulation results.
 """
 
 from repro.obs.analysis.chrome import chrome_trace_events, export_chrome_trace
@@ -36,13 +34,11 @@ from repro.obs.analysis.model import (
     TraceTransition,
     load_trace,
 )
-from repro.obs.analysis.sampler import MetricsSampler, summarize_timeseries
 
 __all__ = [
     "AttributionBucket",
     "DiffRow",
     "EngineRun",
-    "MetricsSampler",
     "OperatingPoint",
     "TraceDiff",
     "TraceModel",
@@ -54,5 +50,4 @@ __all__ = [
     "export_chrome_trace",
     "load_trace",
     "render_diff_text",
-    "summarize_timeseries",
 ]

@@ -192,7 +192,6 @@ def chrome_trace_events(model: TraceModel) -> Dict[str, Any]:
         "otherData": {
             "source": "repro trace export --chrome",
             "skipped_log_events": len(model.logs),
-            "timeseries_samples": len(model.samples),
         },
     }
 

@@ -1,10 +1,9 @@
 """A typed model over recorded telemetry event streams.
 
 PR 6's sinks write flat JSONL: one dict per event, ``type`` discriminated
-(``span``, ``log``, ``engine.segment``, ``engine.transition``, ``engine.run``,
-``timeseries.sample``).  That format is perfect for appending from forked
-workers and terrible for asking questions.  :class:`TraceModel` parses a
-stream back into structure:
+(``span``, ``log``, ``engine.segment``, ``engine.transition``, ``engine.run``).
+That format is perfect for appending from forked workers and terrible for
+asking questions.  :class:`TraceModel` parses a stream back into structure:
 
 * engine events regroup into :class:`EngineRun`\\ s -- segments and
   transitions attached to the run that produced them.  Events stamped with a
@@ -16,8 +15,8 @@ stream back into structure:
   (frequencies, rail scales, MRC set) tuple the engine's memo keys on --
   which is what lets ``trace diff`` align two runs phase-by-phase even when
   the runs executed jobs in different orders.
-* spans, logs, and time-series samples are collected as-is for the
-  waterfall export and ``describe`` summaries.
+* spans and logs are collected as-is for the waterfall export and the
+  :meth:`TraceModel.summary` that ``repro trace describe`` prints.
 
 Nothing here re-derives simulation results; the model is a read-only view of
 what the recorder observed.
@@ -160,7 +159,6 @@ class EngineRun:
     job_hash: Optional[str] = None
     segments: List[TraceSegment] = field(default_factory=list)
     transitions: List[TraceTransition] = field(default_factory=list)
-    summary: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def simulated_seconds(self) -> float:
@@ -183,7 +181,6 @@ class TraceModel:
         self.runs: List[EngineRun] = []
         self.spans: List[Dict[str, Any]] = []
         self.logs: List[Dict[str, Any]] = []
-        self.samples: List[Dict[str, Any]] = []
         self.other: List[Dict[str, Any]] = []
         self._parse()
 
@@ -231,7 +228,6 @@ class TraceModel:
                 run = self._run_for(open_runs, event)
                 run.workload = str(event.get("workload", ""))
                 run.policy = str(event.get("policy", ""))
-                run.summary = dict(event)
                 # The summary is the recorder's final event: close the run so
                 # a later unstamped run starts fresh.
                 key = event.get("job_hash")
@@ -240,8 +236,6 @@ class TraceModel:
                 self.spans.append(event)
             elif event_type == "log":
                 self.logs.append(event)
-            elif event_type == "timeseries.sample":
-                self.samples.append(event)
             else:
                 self.other.append(event)
 
@@ -265,8 +259,71 @@ class TraceModel:
             "transitions": len(self.transitions),
             "spans": len(self.spans),
             "logs": len(self.logs),
-            "timeseries_samples": len(self.samples),
         }
+
+    def summary(self) -> Dict[str, Any]:
+        """The ``repro trace describe`` document: event counts by type,
+        engine totals, per-domain energy, DRAM-frequency and phase residency,
+        span timings, and log levels.  Empty sections are omitted."""
+        by_type: Dict[str, int] = {}
+        for event in self.events:
+            event_type = str(event.get("type", "unknown"))
+            by_type[event_type] = by_type.get(event_type, 0) + 1
+        segments = self.segments
+        engine: Dict[str, Any] = {
+            "runs": by_type.get("engine.run", 0),
+            "segments": len(segments),
+            "ticks": 0,
+            "memo_hits": 0,
+            "transitions": len(self.transitions),
+            "simulated_s": 0.0,
+        }
+        energy = {"compute": 0.0, "io": 0.0, "memory": 0.0, "platform": 0.0}
+        dram_residency: Dict[str, float] = {}
+        phase_residency: Dict[str, float] = {}
+        for segment in segments:
+            duration = segment.duration
+            engine["ticks"] += segment.ticks
+            engine["memo_hits"] += int(segment.memo_hit)
+            engine["simulated_s"] += duration
+            energy["compute"] += segment.compute_power * duration
+            energy["io"] += segment.io_power * duration
+            energy["memory"] += segment.memory_power * duration
+            energy["platform"] += segment.platform_power * duration
+            dram = f"{segment.point.dram_frequency / 1e9:.3f}GHz"
+            dram_residency[dram] = dram_residency.get(dram, 0.0) + duration
+            phase_residency[segment.phase] = (
+                phase_residency.get(segment.phase, 0.0) + duration
+            )
+
+        summary: Dict[str, Any] = {
+            "events": len(self.events),
+            "by_type": dict(sorted(by_type.items())),
+            "engine": engine,
+        }
+        spans: Dict[str, Dict[str, float]] = {}
+        for event in self.spans:
+            entry = spans.setdefault(
+                str(event.get("name", "?")), {"count": 0, "total_s": 0.0, "max_s": 0.0}
+            )
+            duration = float(event.get("duration_s", 0.0))
+            entry["count"] += 1
+            entry["total_s"] += duration
+            entry["max_s"] = max(entry["max_s"], duration)
+        if spans:
+            summary["spans"] = dict(sorted(spans.items()))
+        logs: Dict[str, int] = {}
+        for event in self.logs:
+            level = str(event.get("level", "info"))
+            logs[level] = logs.get(level, 0) + 1
+        if logs:
+            summary["logs"] = dict(sorted(logs.items()))
+        if segments:
+            engine["memo_hit_rate"] = engine["memo_hits"] / len(segments)
+            summary["energy_j"] = energy
+            summary["dram_residency_s"] = dict(sorted(dram_residency.items()))
+            summary["phase_residency_s"] = dict(sorted(phase_residency.items()))
+        return summary
 
 
 def load_trace(path: Union[str, Path]) -> TraceModel:

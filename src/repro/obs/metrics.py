@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, and timers.
+"""The metrics registry: counters, histograms, and timers.
 
 A :class:`MetricsRegistry` is a plain in-process container of named
 instruments.  Registries are *explicitly scopable*: any component may own one
@@ -14,9 +14,8 @@ sites cost one function call and a no-op method on the fast path.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts, and
 :meth:`MetricsRegistry.merge` folds one snapshot into another registry --
-counters add, gauges last-write-wins, histogram moments combine -- which is
-how worker processes report their per-job metrics back to the parent through
-the pool.
+counters add, histogram moments combine -- which is how worker processes
+report their per-job metrics back to the parent through the pool.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Any, Dict, Optional
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_INSTRUMENT",
@@ -46,25 +44,6 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time level (queue depth, in-flight workers)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -151,12 +130,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         return None
 
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
     def observe(self, value: float) -> None:
         return None
 
@@ -173,12 +146,11 @@ NULL_INSTRUMENT = _NullInstrument()
 class MetricsRegistry:
     """A named collection of instruments, created on first use."""
 
-    __slots__ = ("name", "_counters", "_gauges", "_histograms", "_timers")
+    __slots__ = ("name", "_counters", "_histograms", "_timers")
 
     def __init__(self, name: str = "default") -> None:
         self.name = name
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._timers: Dict[str, Timer] = {}
 
@@ -189,12 +161,6 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str) -> Histogram:
@@ -216,7 +182,6 @@ class MetricsRegistry:
         """A plain JSON-able view of every instrument's current state."""
         return {
             "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {
                 name: h.as_dict() for name, h in sorted(self._histograms.items())
             },
@@ -225,12 +190,10 @@ class MetricsRegistry:
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
         """Fold a :meth:`snapshot` from another registry (e.g. a worker
-        process) into this one: counters add, gauges last-write-wins,
-        histogram/timer moments combine."""
+        process) into this one: counters add, histogram/timer moments
+        combine."""
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
         for name, data in snapshot.get("histograms", {}).items():
             self.histogram(name).merge_raw(data)
         for name, data in snapshot.get("timers", {}).items():
@@ -238,15 +201,13 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
         self._timers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
             f"MetricsRegistry({self.name!r}: {len(self._counters)} counter(s), "
-            f"{len(self._gauges)} gauge(s), {len(self._histograms)} histogram(s), "
-            f"{len(self._timers)} timer(s))"
+            f"{len(self._histograms)} histogram(s), {len(self._timers)} timer(s))"
         )
 
 
@@ -262,14 +223,9 @@ def render_metrics_text(snapshot: Dict[str, Any], title: str = "metrics") -> str
     """An aligned human-readable rendering of a registry snapshot."""
     lines = [f"{title}:"]
     counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
     if counters:
         lines.append("  counters:")
         for name, value in counters.items():
-            lines.append(f"    {name}: {_format_value(value)}")
-    if gauges:
-        lines.append("  gauges:")
-        for name, value in gauges.items():
             lines.append(f"    {name}: {_format_value(value)}")
     for kind in ("histograms", "timers"):
         entries = snapshot.get(kind, {})

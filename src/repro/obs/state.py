@@ -24,7 +24,6 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 from repro.obs.metrics import (
     NULL_INSTRUMENT,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Timer,
@@ -41,7 +40,6 @@ __all__ = [
     "emit",
     "enable",
     "enabled",
-    "gauge",
     "histogram",
     "level",
     "level_enabled",
@@ -187,11 +185,6 @@ def scoped(
 def counter(name: str) -> Counter:
     scope = _SCOPES[-1]
     return scope.registry.counter(name) if scope.enabled else NULL_INSTRUMENT
-
-
-def gauge(name: str) -> Gauge:
-    scope = _SCOPES[-1]
-    return scope.registry.gauge(name) if scope.enabled else NULL_INSTRUMENT
 
 
 def histogram(name: str) -> Histogram:

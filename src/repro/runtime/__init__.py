@@ -14,7 +14,7 @@ The runtime turns the reproduction's simulation sweeps into declarative jobs:
 """
 
 from repro.hw import DramSpec, HardwareSpec
-from repro.runtime.cache import CacheStats, ResultCache, default_cache_dir
+from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.campaign import (
     CAMPAIGNS,
     Campaign,
@@ -49,7 +49,6 @@ from repro.runtime.jobs import (
 
 __all__ = [
     "CAMPAIGNS",
-    "CacheStats",
     "Campaign",
     "DegradationJob",
     "DegradationMeasurement",

@@ -15,7 +15,8 @@ A bounded in-memory memo sits in front of the disk store: warm sweeps that
 resolve the same job hash repeatedly (campaign rebasing, ``hwsweep`` and
 ``robustness`` sharing jobs across experiments in one session) hit the memo
 instead of re-reading and re-parsing the same JSON file.  Memo hits are
-reported separately in :class:`CacheStats` (they still count as hits).
+counted separately in the ``cache.memo_hits`` counter (they still count in
+``cache.hits``).
 """
 
 from __future__ import annotations
@@ -85,28 +86,6 @@ def atomic_write_json(
 
 
 @dataclass
-class CacheStats:
-    """Hit/miss/write counters for one cache instance.
-
-    ``memo_hits`` counts the subset of ``hits`` served from the in-memory memo
-    without touching the on-disk entry.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    memo_hits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "memo_hits": self.memo_hits,
-        }
-
-
-@dataclass
 class ResultCache:
     """Content-addressed job-result store rooted at ``root``.
 
@@ -114,7 +93,6 @@ class ResultCache:
     """
 
     root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
     memo_entries: int = DEFAULT_MEMO_ENTRIES
     _memo: "OrderedDict[str, Dict[str, Any]]" = field(
         default_factory=OrderedDict, repr=False
@@ -149,8 +127,6 @@ class ResultCache:
         memoized = self._memo.get(job_hash)
         if memoized is not None:
             self._memo.move_to_end(job_hash)
-            self.stats.hits += 1
-            self.stats.memo_hits += 1
             obs_state.counter("cache.hits").inc()
             obs_state.counter("cache.memo_hits").inc()
             # Serve a copy: a disk read always returned a fresh dict, so a
@@ -163,14 +139,11 @@ class ResultCache:
         except (OSError, ValueError):
             # OSError covers missing/unreadable files; ValueError covers both
             # json.JSONDecodeError and UnicodeDecodeError from corrupt bytes.
-            self.stats.misses += 1
             obs_state.counter("cache.misses").inc()
             return None
         if not isinstance(entry, dict) or entry.get("schema") != SCHEMA_VERSION or "result" not in entry:
-            self.stats.misses += 1
             obs_state.counter("cache.misses").inc()
             return None
-        self.stats.hits += 1
         obs_state.counter("cache.hits").inc()
         self._memoize(job_hash, entry["result"])
         return entry["result"]
@@ -198,13 +171,12 @@ class ResultCache:
                 "result": payload,
             },
         )
-        self.stats.writes += 1
         obs_state.counter("cache.writes").inc()
         self._memoize(job_hash, payload)
         return path
 
     def contains(self, job: Job) -> bool:
-        """True when an entry for ``job`` exists (does not touch the stats)."""
+        """True when an entry for ``job`` exists (does not touch the counters)."""
         return self.path_for(job.content_hash).is_file()
 
     # ------------------------------------------------------------------

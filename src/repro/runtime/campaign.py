@@ -20,14 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from repro import config
 from repro.hw import HardwareSpec, resolve_hardware
-from repro.runtime.jobs import (
-    Job,
-    PlatformSpec,
-    PolicySpec,
-    SimSpec,
-    SimulationJob,
-    TraceSpec,
-)
+from repro.runtime.jobs import Job, PolicySpec, SimSpec, SimulationJob, TraceSpec
 from repro.workloads.batterylife import BATTERY_LIFE_WORKLOADS
 from repro.workloads.graphics import GRAPHICS_BENCHMARKS
 from repro.workloads.spec2006 import SPEC_CPU2006
@@ -86,8 +79,8 @@ def build_grid_campaign(
     The TDP/DRAM axes are deltas over ``hardware`` (default: the registered
     ``skylake`` description), so the same grid can be rebased onto any
     platform variant.  An omitted axis *inherits* the base description's value
-    rather than resetting it -- ``scenarios sweep --set tdp=7.0`` must sweep
-    at 7 W, not silently at the grid's historical default.
+    rather than resetting it -- ``run scenarios --set tdp=7.0`` must sweep at
+    7 W, not silently at the grid's historical default.
     """
     base = resolve_hardware(hardware)
     tdp_axis: Sequence[float] = tuple(tdps) if tdps is not None else (base.tdp,)
@@ -297,10 +290,7 @@ SCENARIO_POLICIES = (
 
 
 def scenario_campaign(
-    quick: bool = False,
-    policies: Optional[Sequence[PolicySpec]] = None,
-    names: Optional[Sequence[str]] = None,
-    hardware: Optional[Union[str, HardwareSpec]] = None,
+    quick: bool = False, hardware: Optional[Union[str, HardwareSpec]] = None
 ) -> Campaign:
     """The synthesized-scenario catalog crossed with the policy set.
 
@@ -313,10 +303,8 @@ def scenario_campaign(
     # would close that cycle.
     from repro.scenarios.registry import SCENARIOS, catalog_trace_specs
 
-    if names is None:
-        names = QUICK_SCENARIO_SUBSET if quick else tuple(sorted(SCENARIOS))
-    if policies is None:
-        policies = BOTH_POLICIES if quick else SCENARIO_POLICIES
+    names = QUICK_SCENARIO_SUBSET if quick else tuple(sorted(SCENARIOS))
+    policies = BOTH_POLICIES if quick else SCENARIO_POLICIES
     return build_grid_campaign(
         name="scenarios",
         traces=catalog_trace_specs(names),

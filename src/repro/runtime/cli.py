@@ -16,9 +16,8 @@ Subcommands:
   (structured report export);
 * ``hw`` -- the hardware catalog: ``list`` it, ``describe`` one platform, or
   print content ``hash``es;
-* ``scenarios`` -- the synthesized-workload catalog: ``list`` it, ``describe``
-  one spec, or ``sweep`` scenarios x policies through the runtime (also
-  accepts ``--platform``/``--set``);
+* ``scenarios`` -- the synthesized-workload catalog: ``list`` it or
+  ``describe`` one spec (``run scenarios`` sweeps it through the runtime);
 * ``cache`` -- inspect or clear the result store;
 * ``serve`` / ``submit`` / ``fleet`` -- the sweep service
   (:mod:`repro.fleet`): ``submit CAMPAIGN`` enqueues a campaign's jobs into a
@@ -27,22 +26,20 @@ Subcommands:
   status|verify|doctor|gc`` inspect the directory, check fleet results
   bit-identical against a serial re-run, audit and repair it, and compact
   finished queue entries;
-* ``trace`` -- inspect recorded telemetry: ``describe`` summarizes a JSONL
+* ``trace`` -- inspect recorded telemetry, each parsed through one
+  :class:`~repro.obs.analysis.TraceModel`: ``describe`` summarizes a JSONL
   trace file (event counts, span timings, engine segment statistics,
   operating-point and phase residencies), ``diff A B`` attributes simulated
   time per (workload, policy, phase, operating point) bucket and reports what
   moved between two traces, and ``export PATH --chrome OUT`` converts a trace
   to Chrome/Perfetto ``trace_event`` JSON for a real trace viewer.
 
-``run`` and ``scenarios sweep`` share the telemetry flags:
-``--log-level`` filters decorative output, ``--trace-out PATH`` records every
-``repro.obs`` event (spans, logs, engine segments) to a JSON-lines file,
-``--profile`` prints the metrics-registry summary when the command finishes,
-and ``--sample-interval S`` polls the live metrics registry on a background
-cadence, emitting ``timeseries.sample`` events (queue depth, in-flight jobs,
-cache-hit ratio over time) into the trace stream.  Telemetry never changes
-results: job hashes, cache entries, and simulation outputs are bit-identical
-with or without it.
+``run`` and ``serve`` share the telemetry flags: ``--log-level`` filters
+decorative output, ``--trace-out PATH`` records every ``repro.obs`` event
+(spans, logs, engine segments) to a JSON-lines file, and ``--profile`` prints
+the metrics-registry summary when the command finishes.  Telemetry never
+changes results: job hashes, cache entries, and simulation outputs are
+bit-identical with or without it.
 
 All user-facing text goes through :class:`repro.obs.logging.Console`, which
 enforces the output discipline: the experiment dispatch, per-target help text,
@@ -72,7 +69,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import config, obs
 from repro.experiments import build_context
-from repro.experiments.api import CONTEXT_FLAGS, ExperimentSpec, registry
+from repro.experiments.api import ExperimentSpec, registry
 from repro.experiments.report import (
     ExperimentReport,
     Metric,
@@ -83,17 +80,11 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import ExperimentContext, ExperimentRuntime
 from repro.hw import DRAM_SPECS, HARDWARE, HardwareSpec, get_hardware
-from repro.obs import Console, JsonlSink, read_jsonl, render_metrics_text, summarize_trace_events
+from repro.obs import Console, JsonlSink, render_metrics_text
 from repro.runtime.cache import ResultCache, default_cache_dir
-from repro.runtime.campaign import CAMPAIGNS, scenario_campaign
+from repro.runtime.campaign import CAMPAIGNS
 from repro.runtime.executor import ProgressUpdate, make_executor
-from repro.runtime.jobs import (
-    POLICY_BUILDERS,
-    TRACE_BUILDERS,
-    PolicySpec,
-    SimSpec,
-    SimulationJob,
-)
+from repro.runtime.jobs import POLICY_BUILDERS, TRACE_BUILDERS, SimSpec, SimulationJob
 from repro.sim.engine import SimulationConfig
 
 
@@ -173,67 +164,32 @@ def _console_for(args: argparse.Namespace) -> Console:
     return Console(info_stream=sys.stderr if _exporting(args) else None)
 
 
-class _ObsSession:
-    """What ``_obs_setup`` opened and ``_obs_teardown`` must close."""
-
-    def __init__(self) -> None:
-        self.sink: Optional[JsonlSink] = None
-        self.sampler: Optional[obs.MetricsSampler] = None
-
-
-def _obs_setup(args: argparse.Namespace, ui: Console) -> _ObsSession:
+def _obs_setup(args: argparse.Namespace) -> Optional[JsonlSink]:
     """Apply the telemetry flags to the ambient scope.
 
-    ``--log-level``/``--trace-out``/``--profile`` behave as before;
-    ``--sample-interval S`` additionally starts a :class:`MetricsSampler`
-    polling the live registry into the event stream.  Returns the opened
-    session so the caller can close it in ``_obs_teardown``.  Telemetry
-    stays disabled unless tracing, profiling, or sampling was requested,
-    keeping the default invocation on the no-op fast path.
+    Returns the ``--trace-out`` sink (``None`` without one) for
+    ``_obs_teardown`` to close.  Telemetry stays disabled unless tracing or
+    profiling was requested, keeping the default invocation on the no-op
+    fast path.
     """
     obs.reset()
-    session = _ObsSession()
-    level = getattr(args, "log_level", None)
-    if level:
-        obs.set_level(level)
-    trace_out = getattr(args, "trace_out", None)
-    interval = getattr(args, "sample_interval", None)
-    if interval is not None and interval <= 0:
-        raise _CliError(f"--sample-interval must be positive, got {interval}")
-    if trace_out or getattr(args, "profile", False) or interval is not None:
-        obs.enable(trace_segments=bool(trace_out))
-    if trace_out:
-        session.sink = obs.add_sink(JsonlSink(trace_out))
-    if interval is not None:
-        if session.sink is None:
-            ui.warning(
-                "note: --sample-interval without --trace-out keeps the "
-                "samples in memory only (pass --trace-out PATH to record "
-                "the time series)"
-            )
-        session.sampler = obs.MetricsSampler(interval)
-        session.sampler.start()
-    return session
+    if args.log_level:
+        obs.set_level(args.log_level)
+    if args.trace_out or args.profile:
+        obs.enable(trace_segments=bool(args.trace_out))
+    return obs.add_sink(JsonlSink(args.trace_out)) if args.trace_out else None
 
 
 def _obs_teardown(
-    args: argparse.Namespace, session: _ObsSession, ui: Console
+    args: argparse.Namespace, sink: Optional[JsonlSink], ui: Console
 ) -> None:
-    """Stop the sampler, render ``--profile``, close the sink, reset state."""
-    # The sampler stops (emitting its final sample) before the sink closes,
-    # so every sample lands in the recorded file.
-    if session.sampler is not None:
-        samples = session.sampler.stop()
-        ui.info(
-            f"timeseries: {samples} sample(s) at "
-            f"{session.sampler.interval:g}s cadence"
-        )
-    if getattr(args, "profile", False):
+    """Render ``--profile``, close the sink, reset state."""
+    if args.profile:
         ui.info(render_metrics_text(obs.snapshot(), title="profile"))
-    if session.sink is not None:
-        obs.remove_sink(session.sink)
-        session.sink.close()
-        ui.info(f"trace: wrote {session.sink.path}")
+    if sink is not None:
+        obs.remove_sink(sink)
+        sink.close()
+        ui.info(f"trace: wrote {sink.path}")
     obs.reset()
 
 
@@ -479,7 +435,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     exporting = _exporting(args)
-    session = _obs_setup(args, ui)
+    sink = _obs_setup(args)
     runtime = _build_runtime(args, ui)
     sim_config = (
         SimulationConfig(max_simulated_time=args.max_time) if args.max_time else None
@@ -522,7 +478,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ui.info(f"runtime: {runtime.summary()}")
     if runtime.cache is not None:
         ui.info(f"cache: {runtime.cache.root} ({len(runtime.cache)} entries)")
-    _obs_teardown(args, session, ui)
+    _obs_teardown(args, sink, ui)
     return 0
 
 
@@ -663,105 +619,6 @@ def _cmd_scenarios_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenarios_sweep(args: argparse.Namespace) -> int:
-    ui = _console_for(args)
-    unknown = [p for p in (args.policies or []) if p not in POLICY_BUILDERS]
-    if unknown:
-        ui.error(
-            f"unknown polic(ies): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(POLICY_BUILDERS))}"
-        )
-        return 2
-    if args.jobs < 1:
-        ui.error(f"--jobs must be at least 1, got {args.jobs}")
-        return 2
-    if args.max_time is not None and args.max_time <= 0:
-        ui.error(f"--max-time must be positive, got {args.max_time}")
-        return 2
-
-    session = _obs_setup(args, ui)
-    runtime = _build_runtime(args, ui)
-    policies = (
-        tuple(PolicySpec.make(name) for name in args.policies)
-        if args.policies
-        else None
-    )
-    campaign = scenario_campaign(
-        quick=args.quick, policies=policies, hardware=_hardware_from_args(args)
-    )
-    if args.max_time is not None:
-        campaign = campaign.with_sim(SimSpec(max_simulated_time=args.max_time))
-
-    started = time.perf_counter()
-    try:
-        with obs.span("cli.scenarios_sweep", jobs=len(campaign.jobs)):
-            report = runtime.run_jobs(campaign.jobs)
-    finally:
-        runtime.close()
-    elapsed = time.perf_counter() - started
-
-    # Regroup the flat outcome list scenario by scenario; the grid builder
-    # emits trace-outer, policy-inner, but group by label to stay robust.
-    per_scenario: Dict[str, Dict[str, Any]] = {}
-    for outcome in report.outcomes:
-        job = outcome.job
-        assert isinstance(job, SimulationJob)
-        per_scenario.setdefault(job.trace.label, {})[
-            job.policy.builder
-        ] = outcome.result
-
-    rows: List[Dict[str, Any]] = []
-    for scenario in sorted(per_scenario):
-        for policy, result in sorted(per_scenario[scenario].items()):
-            row = {
-                "scenario": scenario,
-                "policy": policy,
-                "energy_j": result.energy.total,
-                "time_s": result.execution_time,
-            }
-            baseline = per_scenario[scenario].get("baseline")
-            if baseline is not None and policy != "baseline":
-                row["energy_reduction"] = result.energy_reduction_vs(baseline)
-                row["perf_impact"] = result.performance_improvement_over(baseline)
-            rows.append(row)
-
-    # Like `run --json`: keep stdout a single parseable document.
-    if args.json:
-        ui.out(json.dumps({"sweep": campaign.description, "rows": rows}, indent=2))
-    else:
-        ui.out(
-            f"sweep: {len(per_scenario)} scenario(s) x "
-            f"{len({row['policy'] for row in rows})} polic(ies), "
-            f"{len(campaign.jobs)} job(s)"
-        )
-        for row in rows:
-            line = (
-                f"  {row['scenario']:26s} {row['policy']:10s} "
-                f"energy={row['energy_j']:.9g} J  time={row['time_s']:.9g} s"
-            )
-            if "energy_reduction" in row:
-                line += (
-                    f"  d_energy={row['energy_reduction'] * 100:.6g}%"
-                    f"  d_perf={row['perf_impact'] * 100:.6g}%"
-                )
-            ui.out(line)
-        reductions = [
-            row["energy_reduction"] for row in rows
-            if row["policy"] == "sysscale" and "energy_reduction" in row
-        ]
-        if reductions:
-            ui.out(
-                f"  sysscale average energy reduction: "
-                f"{sum(reductions) / len(reductions) * 100:.6g}%"
-            )
-    ui.info(f"  elapsed: {elapsed:.2f}s")
-    ui.info(f"runtime: {runtime.summary()}")
-    if runtime.cache is not None:
-        ui.info(f"cache: {runtime.cache.root} ({len(runtime.cache)} entries)")
-    _obs_teardown(args, session, ui)
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     # Deferred import: the linter is pure stdlib-ast tooling nothing else on
     # the CLI's import path needs.
@@ -780,15 +637,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_trace_describe(args: argparse.Namespace) -> int:
     ui = Console()
-    try:
-        events = read_jsonl(args.path)
-    except OSError as error:
-        ui.error(f"cannot read trace {args.path!r}: {error}")
-        return 2
-    except ValueError as error:
-        ui.error(f"trace {args.path!r} is not valid JSONL: {error}")
-        return 2
-    summary = summarize_trace_events(events)
+    summary = _load_trace_model(args.path, ui).summary()
     if args.json:
         ui.out(json.dumps(summary, indent=2))
         return 0
@@ -830,17 +679,6 @@ def _cmd_trace_describe(args: argparse.Namespace) -> int:
             f"{level}={count}" for level, count in summary["logs"].items()
         )
         ui.out(f"logs: {rendered}")
-    if "timeseries" in summary:
-        series = summary["timeseries"]
-        ui.out(
-            f"timeseries: {series['samples']} sample(s) over "
-            f"{series['span_s']:.4g}s"
-        )
-        for name, stats in series["metrics"].items():
-            ui.out(
-                f"  {name:24s} min={stats['min']:.4g} mean={stats['mean']:.4g} "
-                f"max={stats['max']:.4g} last={stats['last']:.4g}"
-            )
     return 0
 
 
@@ -933,7 +771,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             faults = FaultPlan.parse(args.faults)
         except ValueError as error:
             raise _CliError(f"invalid --faults spec: {error}") from error
-    session = _obs_setup(args, ui)
+    sink = _obs_setup(args)
     config = FleetConfig(
         root=args.fleet_dir,
         workers=args.workers,
@@ -969,7 +807,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{summary.get('rounds', 0)} round(s), "
             f"{summary.get('reports_finalized', 0)} report(s) finalized"
         )
-    _obs_teardown(args, session, ui)
+    _obs_teardown(args, sink, ui)
     return 0
 
 
@@ -1122,7 +960,7 @@ def _cmd_fleet_gc(args: argparse.Namespace) -> int:
 
 
 def _add_hardware_flags(parser: argparse.ArgumentParser) -> None:
-    """The hardware-description flags shared by ``run`` and ``scenarios sweep``."""
+    """The hardware-description flags of ``run``."""
     parser.add_argument(
         "--platform", default=None, metavar="NAME",
         help=(
@@ -1141,7 +979,7 @@ def _add_hardware_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
-    """The executor/cache flags shared by ``run`` and ``scenarios sweep``."""
+    """The executor/cache flags of ``run``."""
     parser.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
         help="worker processes (default 1: serial in-process execution)",
@@ -1159,7 +997,7 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The telemetry flags shared by ``run`` and ``scenarios sweep``."""
+    """The telemetry flags shared by ``run`` and ``serve``."""
     parser.add_argument(
         "--log-level", choices=sorted(obs.LEVELS, key=obs.LEVELS.get),
         default=None, metavar="LEVEL",
@@ -1175,15 +1013,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
         help="enable metrics collection and print the registry summary at exit",
-    )
-    parser.add_argument(
-        "--sample-interval", type=float, default=None, metavar="S",
-        help=(
-            "poll the metrics registry every S seconds, emitting "
-            "timeseries.sample events (queue depth, in-flight jobs, "
-            "cache-hit ratio) into the trace stream; combine with "
-            "--trace-out to record them"
-        ),
     )
 
 
@@ -1314,28 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the details as JSON"
     )
     scen_describe.set_defaults(handler=_cmd_scenarios_describe)
-    scen_sweep = scenarios_sub.add_parser(
-        "sweep", help="sweep scenarios x policies through the runtime"
-    )
-    _add_runtime_flags(scen_sweep)
-    _add_obs_flags(scen_sweep)
-    _add_hardware_flags(scen_sweep)
-    scen_sweep.add_argument(
-        "--policies", nargs="+", metavar="POLICY",
-        help="policy builders to sweep (default: baseline sysscale md_dvfs)",
-    )
-    scen_sweep.add_argument(
-        "--quick", action="store_true",
-        help="one scenario per generator family, headline policies only",
-    )
-    scen_sweep.add_argument(
-        "--max-time", type=float, default=None, metavar="S",
-        help="cap simulated time per run (engine max_simulated_time)",
-    )
-    scen_sweep.add_argument(
-        "--json", action="store_true", help="print sweep rows as JSON"
-    )
-    scen_sweep.set_defaults(handler=_cmd_scenarios_sweep)
 
     trace_parser = subparsers.add_parser(
         "trace", help="inspect recorded telemetry traces (repro.obs)"

@@ -378,21 +378,10 @@ def _execute_inline(
     on_error: Optional[FailureCallback] = None,
     pre_hook: Optional[PreExecuteHook] = None,
 ) -> None:
-    """Run jobs in the calling process, with gauges and optional isolation.
-
-    The same gauges the pool path maintains, so a --sample-interval time
-    series reads consistently whichever executor ran (all gauge writes are
-    no-ops while telemetry is disabled).
-    """
-    queue_gauge = obs_state.gauge("executor.queue_depth")
-    in_flight_gauge = obs_state.gauge("executor.in_flight")
-    obs_state.gauge("executor.workers").set(1)
+    """Run jobs in the calling process, with optional isolation."""
     isolate = on_error is not None
-    for index, job in enumerate(jobs):
-        queue_gauge.set(len(jobs) - index - 1)
-        in_flight_gauge.set(1)
+    for job in jobs:
         _deliver(job, _run_job(job, isolate, pre_hook), on_executed, on_error)
-    in_flight_gauge.set(0)
 
 
 @dataclass
@@ -466,6 +455,11 @@ def auto_batch_size(jobs: int, workers: int) -> int:
     return max(1, min(MAX_AUTO_BATCH_SIZE, math.ceil(per_worker / AUTO_BATCH_ROUNDS)))
 
 
+#: Bound on batch futures in flight, so campaigns with tens of thousands of
+#: jobs do not hold every argument pickled in memory at once.
+MAX_IN_FLIGHT_BATCHES = 1024
+
+
 def _worker_count(requested: Optional[int]) -> int:
     if requested is not None:
         if requested < 1:
@@ -481,15 +475,12 @@ class ParallelExecutor(Executor):
     ``max_workers=None`` uses every available core.  ``batch_size`` packs that
     many jobs per pool submission (``None`` auto-sizes per batch via
     :func:`auto_batch_size`) so tiny jobs amortize their pickling round trips.
-    ``max_pending`` bounds the number of batch futures in flight so campaigns
-    with tens of thousands of jobs do not hold every argument pickled in
-    memory at once.  The pool is created on first use and reused by every
-    subsequent ``run()`` until :meth:`close`; its worker count is fixed for
-    the executor's lifetime.
+    The pool is created on first use and reused by every subsequent ``run()``
+    until :meth:`close`; its worker count is fixed for the executor's
+    lifetime.
     """
 
     max_workers: Optional[int] = None
-    max_pending: int = 1024
     batch_size: Optional[int] = None
     _mp_context: Any = field(init=False, repr=False, default=None)
     _pool: Any = field(init=False, repr=False, default=None)
@@ -497,8 +488,6 @@ class ParallelExecutor(Executor):
 
     def __post_init__(self) -> None:
         self.max_workers = _worker_count(self.max_workers)
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be at least 1 (or None for auto)")
         # Fork keeps worker start cheap and inherits the warm platform memo;
@@ -554,22 +543,15 @@ class ParallelExecutor(Executor):
         if self._pool is not None and collect_metrics:
             obs_state.counter("executor.pool_reuse").inc()
         pool = self._ensure_pool()
-        queue_gauge = obs_state.gauge("executor.queue_depth")
-        in_flight_gauge = obs_state.gauge("executor.in_flight")
-        obs_state.gauge("executor.workers").set(self.max_workers)
         size = self.batch_size or auto_batch_size(len(jobs), self.max_workers)
         queue = deque(
             jobs[start : start + size] for start in range(0, len(jobs), size)
         )
-        queued_jobs = len(jobs)
         in_flight: Dict[Any, List[Job]] = {}
-        in_flight_jobs = 0
         try:
             while queue or in_flight:
-                while queue and len(in_flight) < self.max_pending:
+                while queue and len(in_flight) < MAX_IN_FLIGHT_BATCHES:
                     batch = queue.popleft()
-                    queued_jobs -= len(batch)
-                    in_flight_jobs += len(batch)
                     in_flight[
                         pool.submit(
                             _pool_execute_batch,
@@ -579,24 +561,14 @@ class ParallelExecutor(Executor):
                             pre_hook,
                         )
                     ] = batch
-                # The gauges count *jobs*, not batch futures, so a sampled
-                # time series reads the same whatever the batch size.
-                queue_gauge.set(queued_jobs)
-                in_flight_gauge.set(in_flight_jobs)
                 done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
                 for future in done:
                     batch = in_flight.pop(future)
                     executed, worker_snapshot = future.result()
                     if worker_snapshot is not None:
                         obs_state.merge_snapshot(worker_snapshot)
-                    in_flight_jobs -= len(batch)
                     for job, item in zip(batch, executed):
                         _deliver(job, item, on_executed, on_error)
-                # Refresh after draining completions too, so a background
-                # sampler never reads a count the pool has already retired.
-                in_flight_gauge.set(in_flight_jobs)
-            queue_gauge.set(0)
-            in_flight_gauge.set(0)
         except BrokenProcessPool:
             # A dead worker poisons the whole pool; drop it so the next
             # run() starts fresh instead of failing instantly forever.

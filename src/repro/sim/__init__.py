@@ -17,7 +17,6 @@ from repro.sim.policy import (
 from repro.sim.platform import Platform, build_platform
 from repro.sim.engine import SimulationEngine, SimulationConfig
 from repro.sim.result import SimulationResult, DomainEnergyBreakdown
-from repro.sim.comparison import PolicyComparison, compare_policies
 
 __all__ = [
     "Policy",
@@ -30,6 +29,4 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "DomainEnergyBreakdown",
-    "PolicyComparison",
-    "compare_policies",
 ]

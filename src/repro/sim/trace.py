@@ -206,33 +206,16 @@ class EngineTraceRecorder:
     # Derived views
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:
-        """Aggregate timeline statistics (residencies, energy, memo rate)."""
-        ticks = sum(s.ticks for s in self.segments)
-        memo_hits = sum(1 for s in self.segments if s.memo_hit)
-        simulated = sum(s.duration for s in self.segments)
-        energy = {"compute": 0.0, "io": 0.0, "memory": 0.0, "platform": 0.0}
-        dram_residency: Dict[str, float] = {}
-        phase_residency: Dict[str, float] = {}
-        for s in self.segments:
-            energy["compute"] += s.compute_power * s.duration
-            energy["io"] += s.io_power * s.duration
-            energy["memory"] += s.memory_power * s.duration
-            energy["platform"] += s.platform_power * s.duration
-            dram_key = f"{s.dram_frequency / 1e9:.3f}GHz"
-            dram_residency[dram_key] = dram_residency.get(dram_key, 0.0) + s.duration
-            phase_residency[s.phase] = phase_residency.get(s.phase, 0.0) + s.duration
+        """The run's identity and counts.  Energy and residencies are rolled
+        up from the segment events by ``TraceModel.summary`` on the read
+        side."""
         return {
             "workload": self.workload,
             "policy": self.policy,
             "segments": len(self.segments),
-            "ticks": ticks,
-            "memo_hits": memo_hits,
-            "memo_hit_rate": memo_hits / len(self.segments) if self.segments else 0.0,
+            "ticks": sum(s.ticks for s in self.segments),
+            "memo_hits": sum(1 for s in self.segments if s.memo_hit),
             "transitions": len(self.transitions),
-            "simulated_s": simulated,
-            "energy_j": energy,
-            "dram_residency_s": dict(sorted(dram_residency.items())),
-            "phase_residency_s": dict(sorted(phase_residency.items())),
         }
 
     def events(self, **extra: Any) -> Iterator[Dict[str, Any]]:

@@ -1,35 +1,20 @@
-"""The repro.obs.analysis read side: trace models, attribution diffs, Chrome
-export, and the metrics time-series sampler -- including the guarantee that
-sampling is inert with respect to results (bit-identical payloads with the
-sampler on or off)."""
+"""The repro.obs.analysis read side: trace models and their summary,
+attribution diffs, and Chrome export."""
 
 import json
 
 import pytest
 
 from repro import obs
-from repro.obs import MemorySink
-from repro.obs import state as obs_state
 from repro.obs.analysis import (
-    MetricsSampler,
     TraceModel,
     attribution,
     chrome_trace_events,
     diff_traces,
     export_chrome_trace,
     render_diff_text,
-    summarize_timeseries,
 )
-from repro.runtime.cache import ResultCache
 from repro.runtime.cli import main
-from repro.runtime.executor import ParallelExecutor, SerialExecutor
-from repro.runtime.jobs import (
-    PlatformSpec,
-    PolicySpec,
-    SimSpec,
-    SimulationJob,
-    TraceSpec,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -38,15 +23,6 @@ def _clean_obs_state():
     obs.reset()
     yield
     obs.reset()
-
-
-def _tiny_job(name="470.lbm", policy="baseline", max_time=0.05):
-    return SimulationJob(
-        trace=TraceSpec.make("spec", name=name, duration=0.05),
-        policy=PolicySpec.make(policy),
-        platform=PlatformSpec(tdp=4.5),
-        sim=SimSpec(max_simulated_time=max_time),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -141,6 +117,64 @@ class TestTraceModel:
         model = TraceModel(events)
         assert [run.workload for run in model.runs] == ["first", "second"]
 
+    def test_summary_rolls_up_segments_spans_and_logs(self):
+        logs = [
+            {"type": "log", "level": "info", "message": "a"},
+            {"type": "log", "level": "warning", "message": "b"},
+            {"type": "log", "level": "info", "message": "c"},
+        ]
+        assert TraceModel(_fixture_events() + logs).summary() == {
+            "events": 9,
+            "by_type": {
+                "engine.run": 1,
+                "engine.segment": 2,
+                "engine.transition": 1,
+                "log": 3,
+                "span": 2,
+            },
+            "engine": {
+                "runs": 1,
+                "segments": 2,
+                "ticks": 20,
+                "memo_hits": 1,
+                "transitions": 1,
+                "simulated_s": 0.75,
+                "memo_hit_rate": 0.5,
+            },
+            "spans": {
+                "cli.run": {"count": 1, "total_s": 0.3, "max_s": 0.3},
+                "engine.run": {"count": 1, "total_s": 0.2, "max_s": 0.2},
+            },
+            "logs": {"info": 2, "warning": 1},
+            # Power x duration per domain: 1.0/0.5/0.25/0.25 W over 0.75 s.
+            "energy_j": {
+                "compute": 0.75, "io": 0.375, "memory": 0.1875, "platform": 0.1875,
+            },
+            "dram_residency_s": {"1.067GHz": 0.25, "1.600GHz": 0.5},
+            "phase_residency_s": {"compute": 0.5, "memory": 0.25},
+        }
+
+    def test_summary_omits_empty_sections(self):
+        assert TraceModel([]).summary() == {
+            "events": 0,
+            "by_type": {},
+            "engine": {
+                "runs": 0,
+                "segments": 0,
+                "ticks": 0,
+                "memo_hits": 0,
+                "transitions": 0,
+                "simulated_s": 0.0,
+            },
+        }
+
+    def test_summary_counts_only_finished_runs(self):
+        """A run cut off before its ``engine.run`` event (a killed process)
+        contributes segments but is not counted as a run."""
+        engine = TraceModel([_segment(0.0, 0.5, "compute")]).summary()["engine"]
+        assert engine["runs"] == 0
+        assert engine["segments"] == 1
+
 
 class TestTraceDiff:
     def test_identical_traces_have_zero_drift(self):
@@ -227,90 +261,6 @@ class TestChromeExport:
         assert len(document["traceEvents"]) > 0
 
 
-class TestMetricsSampler:
-    def test_samples_poll_the_registry(self):
-        sink = MemorySink()
-        with obs_state.scoped(enabled=True, sinks=[sink]):
-            obs.gauge("executor.queue_depth").set(3)
-            obs.counter("cache.hits").inc(3)
-            obs.counter("cache.misses").inc(1)
-            sampler = MetricsSampler(interval=60.0)  # no timer ticks in-test
-            sampler.start()
-            obs.gauge("executor.queue_depth").set(7)
-            sampler.stop()
-        samples = [e for e in sink.events if e["type"] == "timeseries.sample"]
-        assert len(samples) == 2  # immediate start sample + final stop sample
-        assert [s["seq"] for s in samples] == [0, 1]
-        assert samples[0]["queue_depth"] == 3
-        assert samples[1]["queue_depth"] == 7
-        assert samples[1]["cache_hit_ratio"] == pytest.approx(0.75)
-        assert samples[1]["t"] >= samples[0]["t"] >= 0.0
-
-    def test_background_thread_emits_monotonic_sequence(self):
-        sink = MemorySink()
-        with obs_state.scoped(enabled=True, sinks=[sink]):
-            with MetricsSampler(interval=0.01):
-                SerialExecutor().run([_tiny_job()])
-        samples = [e for e in sink.events if e["type"] == "timeseries.sample"]
-        assert len(samples) >= 2
-        sequences = [s["seq"] for s in samples]
-        assert sequences == sorted(sequences)
-        times = [s["t"] for s in samples]
-        assert times == sorted(times)
-
-    def test_sampler_sees_warm_pool_executor_gauges(self, tmp_path):
-        jobs = [
-            _tiny_job(),
-            _tiny_job(policy="sysscale"),
-            _tiny_job(name="416.gamess"),
-            _tiny_job(name="416.gamess", policy="sysscale"),
-        ]
-        sink = MemorySink()
-        with ParallelExecutor(max_workers=2) as pool:
-            pool.run([_tiny_job()], cache=ResultCache(tmp_path / "warm"))  # warm pool
-            with obs_state.scoped(enabled=True, sinks=[sink]):
-                with MetricsSampler(interval=0.005):
-                    pool.run(jobs, cache=ResultCache(tmp_path / "cache"))
-        samples = [e for e in sink.events if e["type"] == "timeseries.sample"]
-        assert len(samples) >= 2
-        final = samples[-1]
-        assert final["jobs_executed"] == len(jobs)
-        assert final["in_flight"] == 0  # gauges drained by the end of the run
-        assert max(s["workers"] for s in samples) == 2
-
-    def test_sampler_is_bit_inert(self, tmp_path):
-        """Payloads are identical with the sampler on or off."""
-        jobs = [_tiny_job(), _tiny_job(policy="sysscale")]
-        plain = SerialExecutor().run(jobs, cache=ResultCache(tmp_path / "a"))
-        sink = MemorySink()
-        with obs_state.scoped(enabled=True, sinks=[sink]):
-            with MetricsSampler(interval=0.005):
-                sampled = SerialExecutor().run(jobs, cache=ResultCache(tmp_path / "b"))
-        assert sampled.payloads() == plain.payloads()
-        assert any(e["type"] == "timeseries.sample" for e in sink.events)
-
-    def test_summarize_timeseries(self):
-        samples = [
-            {"type": "timeseries.sample", "seq": 0, "t": 0.0, "interval_s": 1.0,
-             "queue_depth": 4, "cache_hit_ratio": None},
-            {"type": "timeseries.sample", "seq": 1, "t": 1.0, "interval_s": 1.0,
-             "queue_depth": 2, "cache_hit_ratio": 0.5},
-            {"type": "timeseries.sample", "seq": 2, "t": 2.0, "interval_s": 1.0,
-             "queue_depth": 0, "cache_hit_ratio": 1.0},
-        ]
-        summary = summarize_timeseries(samples)
-        assert summary["samples"] == 3
-        assert summary["span_s"] == pytest.approx(2.0)
-        depth = summary["metrics"]["queue_depth"]
-        assert depth == {"min": 0, "mean": 2.0, "max": 4, "last": 0}
-        # None values (ratio before any lookup) are skipped, not zero-counted.
-        assert summary["metrics"]["cache_hit_ratio"]["mean"] == pytest.approx(0.75)
-
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            MetricsSampler(interval=0.0)
-
-
 class TestAnalysisCli:
     def _write_trace(self, path, events):
         path.write_text(
@@ -348,28 +298,3 @@ class TestAnalysisCli:
         assert main(["trace", "export", str(a), "--chrome", str(out)]) == 0
         assert "trace event(s)" in capsys.readouterr().out
         assert json.loads(out.read_text())["traceEvents"]
-
-    def test_run_sample_interval_records_timeseries(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.jsonl"
-        assert main([
-            "run", "fig7", "--quick", "--duration", "0.05", "--max-time", "0.05",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--trace-out", str(trace_path), "--sample-interval", "0.01",
-        ]) == 0
-        capsys.readouterr()
-        events = [
-            json.loads(line)
-            for line in trace_path.read_text().splitlines()
-            if line
-        ]
-        samples = [e for e in events if e["type"] == "timeseries.sample"]
-        assert len(samples) >= 2
-        # And trace describe surfaces the time-series summary.
-        assert main(["trace", "describe", str(trace_path)]) == 0
-        assert "timeseries:" in capsys.readouterr().out
-
-    def test_run_sample_interval_must_be_positive(self, capsys):
-        assert main([
-            "run", "fig5", "--quick", "--no-cache", "--sample-interval", "0",
-        ]) == 2
-        assert "--sample-interval" in capsys.readouterr().err

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro import config
+from repro import config, obs
+from repro.obs import state as obs_state
 from repro.runtime import (
     Campaign,
     DegradationJob,
@@ -36,6 +37,11 @@ def _tiny_job(name="470.lbm", policy="baseline", tdp=4.5):
         platform=PlatformSpec(tdp=tdp),
         sim=TINY_SIM,
     )
+
+
+def _counter(name):
+    """A counter of the current telemetry scope (0 until first incremented)."""
+    return obs.snapshot()["counters"].get(name, 0)
 
 
 class TestContentHash:
@@ -113,13 +119,14 @@ class TestResultCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         job = _tiny_job()
-        assert cache.get(job) is None
         payload = execute_job(job)
-        cache.put(job, payload)
-        assert cache.get(job) == payload
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.writes == 1
+        with obs_state.scoped(enabled=True):
+            assert cache.get(job) is None
+            cache.put(job, payload)
+            assert cache.get(job) == payload
+            assert _counter("cache.hits") == 1
+            assert _counter("cache.misses") == 1
+            assert _counter("cache.writes") == 1
         assert len(cache) == 1
 
     def test_corrupt_entries_count_as_misses(self, tmp_path):
@@ -143,27 +150,28 @@ class TestResultCache:
         and re-parsing the same JSON file."""
         cache = ResultCache(tmp_path / "cache")
         job = _tiny_job()
-        cache.put(job, {"x": 1})
-        first = cache.get(job)
-        path = cache.path_for(job.content_hash)
-        # Corrupt the on-disk entry: subsequent gets must still succeed,
-        # proving they are served from memory.
-        path.write_text("not json")
-        assert cache.get(job) == first
-        assert cache.stats.hits == 2
-        assert cache.stats.memo_hits == 2  # the put() pre-populates the memo
-        assert cache.stats.misses == 0
-        assert "memo_hits" in cache.stats.as_dict()
+        with obs_state.scoped(enabled=True):
+            cache.put(job, {"x": 1})
+            first = cache.get(job)
+            path = cache.path_for(job.content_hash)
+            # Corrupt the on-disk entry: subsequent gets must still succeed,
+            # proving they are served from memory.
+            path.write_text("not json")
+            assert cache.get(job) == first
+            assert _counter("cache.hits") == 2
+            assert _counter("cache.memo_hits") == 2  # put() pre-populates the memo
+            assert _counter("cache.misses") == 0
 
     def test_disk_hits_populate_the_memo(self, tmp_path):
         job = _tiny_job()
         writer = ResultCache(tmp_path / "cache")
         writer.put(job, {"x": 1})
         reader = ResultCache(tmp_path / "cache")
-        assert reader.get(job) == {"x": 1}
-        assert reader.stats.memo_hits == 0
-        assert reader.get(job) == {"x": 1}
-        assert reader.stats.memo_hits == 1
+        with obs_state.scoped(enabled=True):
+            assert reader.get(job) == {"x": 1}
+            assert _counter("cache.memo_hits") == 0
+            assert reader.get(job) == {"x": 1}
+            assert _counter("cache.memo_hits") == 1
 
     def test_memo_is_bounded_and_clearable(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", memo_entries=1)
@@ -171,8 +179,9 @@ class TestResultCache:
         cache.put(first, {"x": 1})
         cache.put(second, {"x": 2})  # evicts the first entry
         assert len(cache._memo) == 1
-        assert cache.get(first) == {"x": 1}  # served from disk, re-memoized
-        assert cache.stats.memo_hits == 0
+        with obs_state.scoped(enabled=True):
+            assert cache.get(first) == {"x": 1}  # served from disk, re-memoized
+            assert _counter("cache.memo_hits") == 0
         cache.clear()
         assert len(cache._memo) == 0
 
@@ -193,8 +202,9 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache", memo_entries=0)
         job = _tiny_job()
         cache.put(job, {"x": 1})
-        assert cache.get(job) == {"x": 1}
-        assert cache.stats.memo_hits == 0
+        with obs_state.scoped(enabled=True):
+            assert cache.get(job) == {"x": 1}
+            assert _counter("cache.memo_hits") == 0
         with pytest.raises(ValueError):
             ResultCache(tmp_path / "cache", memo_entries=-1)
 

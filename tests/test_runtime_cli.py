@@ -132,16 +132,21 @@ class TestExports:
         warm.pop("run")
         assert warm == cold  # ...and nothing else does
 
-    def test_csv_export_is_stable_across_cache_states(self, tmp_path, capsys):
-        args = [
-            "run", "fig5", "--csv", "--cache-dir", str(tmp_path / "cache"),
-        ]
+    @pytest.mark.parametrize(
+        "target",
+        [["fig5"], ["scenarios", "--quick", "--max-time", "0.05"]],
+        ids=["fig5", "scenarios"],
+    )
+    def test_csv_export_is_stable_across_cache_states(self, target, tmp_path, capsys):
+        """A warm rerun simulates nothing and exports byte-identical numbers."""
+        args = ["run", *target, "--csv", "--cache-dir", str(tmp_path / "cache")]
         assert main(args) == 0
         cold = capsys.readouterr().out
         assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert warm == cold
-        assert cold.startswith("experiment,fig5")
+        warm = capsys.readouterr()
+        assert warm.out == cold
+        assert ", 0 simulated" in warm.err
+        assert cold.startswith(f"experiment,{target[0]}")
         assert "metrics" in cold
 
     def test_multiple_targets_emit_a_json_array(self, tmp_path, capsys):
@@ -211,18 +216,6 @@ class TestExports:
         # table1's file is announced before fig7 even starts running.
         assert captured.index("wrote") < captured.index("== fig7 ==")
         assert (out_dir / "table1.json").exists()
-
-
-class TestScenarioSweepExport:
-    def test_sweep_json_stdout_is_pure(self, capsys):
-        assert main([
-            "scenarios", "sweep", "--quick", "--json", "--no-cache",
-            "--max-time", "0.05",
-        ]) == 0
-        captured = capsys.readouterr()
-        document = json.loads(captured.out)  # no trailing decorations
-        assert document["rows"]
-        assert "runtime:" in captured.err
 
 
 class TestCache:

@@ -1,7 +1,5 @@
 """Scenarios through the runtime: determinism, caching, campaign, CLI."""
 
-import pytest
-
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import QUICK_SCENARIO_SUBSET, scenario_campaign
 from repro.runtime.cli import main
@@ -93,17 +91,6 @@ class TestScenarioCampaign:
         campaign = scenario_campaign(quick=True)
         assert {job.trace.label for job in campaign.jobs} == set(QUICK_SCENARIO_SUBSET)
 
-    def test_custom_policies_and_names(self):
-        campaign = scenario_campaign(
-            names=("ramp-up", "ramp-down"),
-            policies=(PolicySpec.make("baseline"),),
-        )
-        assert len(campaign.jobs) == 2
-
-    def test_unknown_scenario_name_rejected(self):
-        with pytest.raises(KeyError):
-            scenario_campaign(names=("nope",))
-
 
 class TestScenariosCli:
     def test_list(self, capsys):
@@ -128,31 +115,3 @@ class TestScenariosCli:
     def test_describe_unknown(self, capsys):
         assert main(["scenarios", "describe", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-    def test_sweep_unknown_policy(self, capsys):
-        assert main(["scenarios", "sweep", "--policies", "nope", "--no-cache"]) == 2
-        assert "unknown polic" in capsys.readouterr().err
-
-    def test_sweep_warm_cache_reproduces_numbers(self, tmp_path, capsys):
-        """Acceptance: a second warm-cache sweep simulates nothing and
-        reproduces bit-identical numbers."""
-        args = [
-            "scenarios", "sweep", "--quick", "--max-time", "0.05",
-            "--cache-dir", str(tmp_path / "cache"),
-        ]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
-        assert "cache hit(s)" in cold
-
-        assert main(args) == 0
-        warm = capsys.readouterr().out
-        assert ", 0 simulated" in warm
-
-        def numbers(output):
-            return [
-                line for line in output.splitlines()
-                if line.lstrip().startswith(tuple(SCENARIOS))
-            ]
-
-        assert numbers(cold) == numbers(warm)
-        assert numbers(cold), "sweep printed no per-scenario rows"
