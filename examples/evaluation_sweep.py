@@ -67,27 +67,28 @@ def main() -> None:
     # ---- Fig. 7: SPEC CPU2006 ------------------------------------------------
     ui.out("\nRunning the SPEC CPU2006 evaluation (Fig. 7) ...")
     fig7 = session.run("fig7", quick=args.quick)
-    ui.out(format_table(fig7["rows"], ["workload", "memscale_redist", "coscale_redist", "sysscale"]))
+    rows = fig7.block("rows").records()
+    ui.out(format_table(rows, ["workload", "memscale_redist", "coscale_redist", "sysscale"]))
     ui.out("averages (measured vs. paper):")
     for technique, paper_value in PAPER_NUMBERS["fig7"].items():
-        ui.out(f"  {technique:16s} {fig7['average'][technique]:6.1%}   (paper {paper_value:.1%})")
+        average = fig7.block(f"average/{technique}").value
+        ui.out(f"  {technique:16s} {average:6.1%}   (paper {paper_value:.1%})")
 
     # ---- Fig. 8: 3DMark --------------------------------------------------------
     ui.out("\nRunning the 3DMark evaluation (Fig. 8) ...")
-    fig8 = session.run("fig8")
-    ui.out(format_table(fig8["rows"], ["workload", "memscale_redist", "coscale_redist", "sysscale"]))
-    for row in fig8["rows"]:
+    fig8 = session.run("fig8").block("rows").records()
+    ui.out(format_table(fig8, ["workload", "memscale_redist", "coscale_redist", "sysscale"]))
+    for row in fig8:
         paper_value = PAPER_NUMBERS["fig8"][row["workload"]]
         ui.out(f"  {row['workload']:16s} {row['sysscale']:6.1%}   (paper {paper_value:.1%})")
 
     # ---- Fig. 9: battery life --------------------------------------------------
     ui.out("\nRunning the battery-life evaluation (Fig. 9) ...")
-    fig9 = session.run("fig9")
+    fig9 = session.run("fig9").block("rows").records()
     ui.out(format_table(
-        fig9["rows"],
-        ["workload", "baseline_power_w", "memscale_redist", "coscale_redist", "sysscale"],
+        fig9, ["workload", "baseline_power_w", "memscale_redist", "coscale_redist", "sysscale"]
     ))
-    for row in fig9["rows"]:
+    for row in fig9:
         paper_value = PAPER_NUMBERS["fig9"][row["workload"]]
         ui.out(f"  {row['workload']:20s} {row['sysscale']:6.1%}   (paper {paper_value:.1%})")
 

@@ -38,7 +38,7 @@ def main() -> None:
     result = session.run("fig10", subset=SUBSET)
 
     ui.out(f"\n{'TDP':>6s} {'average':>9s} {'median':>9s} {'max':>9s}   paper")
-    for row in result["rows"]:
+    for row in result.block("rows").records():
         paper = PAPER_AVERAGES.get(row["tdp_w"])
         paper_text = f"avg {paper:.1%}" if paper is not None else "-"
         ui.out(

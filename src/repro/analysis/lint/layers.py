@@ -15,7 +15,7 @@ they cannot create import-time coupling.
 
 Layers, bottom to top::
 
-    base        config, hashing, params          (imports: base)
+    base        config, hashing, numeric, params (imports: base)
     model       core, memory, soc, power, hw,    (imports: base, model)
                 workloads, perf, baselines, sim
     obs         obs/**                           (imports: base, obs)
@@ -41,6 +41,7 @@ __all__ = ["ALLOWED", "LAYERS", "layer_of", "layering_violation"]
 LAYERS: Dict[str, str] = {
     "repro.config": "base",
     "repro.hashing": "base",
+    "repro.numeric": "base",
     "repro.params": "base",
     "repro.core": "model",
     "repro.memory": "model",

@@ -29,6 +29,7 @@ from typing import Optional
 from repro import config
 from repro.baselines.projection import ProjectionResult, RedistProjection
 from repro.core.operating_points import OperatingPoint
+from repro.numeric import ordered_sum
 from repro.sim.platform import Platform
 from repro.sim.policy import Policy, PolicyAction, PolicyObservation
 from repro.workloads.trace import WorkloadClass, WorkloadTrace
@@ -201,7 +202,7 @@ class MemScaleRedistProjection:
 
     def _dram_active_fraction(self, trace: WorkloadTrace) -> float:
         total = trace.total_duration
-        return sum(
+        return ordered_sum(
             phase.residency.dram_active_fraction * phase.duration for phase in trace.phases
         ) / total
 

@@ -31,6 +31,7 @@ from repro import config
 from repro.core.operating_points import OperatingPoint
 from repro.memory.dram import DramDevice
 from repro.memory.mrc import MrcRegisterFile, MrcSram
+from repro.numeric import ordered_sum
 from repro.soc.interconnect import BlockDrainInterconnect
 from repro.soc.vr import RailName, RailSet
 
@@ -65,7 +66,7 @@ class TransitionReport:
     @property
     def total_latency(self) -> float:
         """Total transition latency in seconds."""
-        return sum(self.step_latencies.values())
+        return ordered_sum(self.step_latencies.values())
 
     @property
     def within_budget(self) -> bool:

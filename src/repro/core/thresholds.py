@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import config
 from repro.core.operating_points import OperatingPoint, OperatingPointTable
+from repro.numeric import ordered_sum
 from repro.perf.counters import CounterName, CounterSample
 from repro.sim.platform import Platform
 from repro.soc.domains import SoCState
@@ -84,8 +85,8 @@ class CalibrationRun:
 def _mean_and_std(values: Sequence[float]) -> Tuple[float, float]:
     if not values:
         raise ValueError("cannot compute statistics of an empty sequence")
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
+    mean = ordered_sum(values) / len(values)
+    variance = ordered_sum((v - mean) ** 2 for v in values) / len(values)
     return mean, math.sqrt(variance)
 
 
@@ -165,9 +166,9 @@ class ThresholdCalibrator:
             state = self._state_for_point(high, trace)
             samples.append(self.platform.counter_unit.sample(phase, state))
             weights.append(phase.duration)
-        total = sum(weights)
+        total = ordered_sum(weights)
         averaged = {
-            name: sum(s[name] * w for s, w in zip(samples, weights)) / total
+            name: ordered_sum(s[name] * w for s, w in zip(samples, weights)) / total
             for name in CounterName
         }
         return CounterSample(values=averaged)

@@ -2,12 +2,12 @@
 
 Each experiment module exposes a ``run_*`` function returning a structured
 :class:`~repro.experiments.report.ExperimentReport` (typed ``Table`` /
-``Series`` / ``Metric`` blocks plus run metadata; the report also supports
-read-only dict access over the pre-report legacy shape), and registers itself
-in the :mod:`repro.experiments.api` registry with an :func:`@experiment
-<repro.experiments.api.experiment>` decorator.  The ``python -m repro`` CLI,
-the :class:`repro.api.Session` facade, and the benchmark suite
-(``benchmarks/``) are all generated from / driven by that registry.
+``Series`` / ``Metric`` blocks plus run metadata, read by block key), and
+registers itself in the :mod:`repro.experiments.api` registry with an
+:func:`@experiment <repro.experiments.api.experiment>` decorator.  The
+``python -m repro`` CLI, the :class:`repro.api.Session` facade, and the
+paper-claims ledger (``tests/test_paper_claims.py``) are all generated from /
+driven by that registry.
 """
 
 from repro.experiments.api import (

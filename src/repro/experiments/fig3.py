@@ -13,6 +13,7 @@ from repro import config
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Series, Table
 from repro.experiments.runner import ExperimentContext, build_context
+from repro.numeric import ordered_sum
 from repro.workloads.graphics import graphics_workload
 from repro.workloads.io_devices import STANDARD_CONFIGURATIONS
 from repro.workloads.spec2006 import spec_workload
@@ -63,7 +64,7 @@ def run_fig3_bandwidth_demand(
         )
     for gfx_name in ("3DMark06", "3DMark11", "3DMark Vantage"):
         trace = graphics_workload(gfx_name)
-        gfx_demand = sum(
+        gfx_demand = ordered_sum(
             phase.gfx_bandwidth_demand * phase.duration for phase in trace.phases
         ) / trace.total_duration
         component_rows.append(

@@ -28,6 +28,7 @@ from repro.core.thresholds import ThresholdCalibrator
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
 from repro.experiments.runner import ExperimentContext, build_context
+from repro.numeric import ordered_sum
 from repro.runtime.jobs import DegradationMeasurement, PointSpec, TraceSpec
 from repro.workloads.trace import WorkloadClass
 
@@ -214,7 +215,7 @@ def run_fig6_prediction(
             ),
             Metric("total_evaluation_points", total_workloads),
             Metric("minimum_accuracy", min(accuracies), "fraction"),
-            Metric("mean_accuracy", sum(accuracies) / len(accuracies), "fraction"),
+            Metric("mean_accuracy", ordered_sum(accuracies) / len(accuracies), "fraction"),
             Metric(
                 "total_false_positives",
                 sum(panel["false_positives"] for panel in panels),

@@ -7,11 +7,10 @@ collection of typed blocks instead of an ad-hoc dict:
 * :class:`Table` -- labelled columns x rows of scalar cells (per-column units);
 * :class:`Series` -- one (x, y) sequence, e.g. a bandwidth timeline.
 
-A block's ``key`` may contain ``/`` separators (``"average/sysscale"``); the
-*legacy view* (:meth:`ExperimentReport.to_legacy`) folds those paths back into
-the nested plain-dict shape the experiments returned before the report type
-existed, and the report itself exposes read-only mapping access
-(``report["rows"]``) over that view, so existing callers keep working.
+A block's ``key`` may contain ``/`` separators (``"average/sysscale"``).
+Callers read results by key: ``report.block("average/sysscale").value`` for a
+metric, ``Table.records()`` for a table's rows and ``Series.points()`` for a
+series.
 
 Serialization is exact: ``ExperimentReport.from_dict(report.to_dict())``
 reconstructs an equal report, including after a JSON round trip (all values are
@@ -32,7 +31,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.hashing import canonical_json, content_hash
 
@@ -91,9 +90,6 @@ class Metric:
             Metric(key=f"{prefix}/{name}", value=value, unit=unit)
             for name, value in values.items()
         )
-
-    def legacy_value(self) -> Scalar:
-        return self.value
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": "metric", "key": self.key, "value": self.value, "unit": self.unit}
@@ -164,9 +160,6 @@ class Table:
     def unit_of(self, column: str) -> str:
         return dict(self.units).get(column, "")
 
-    def legacy_value(self) -> List[Dict[str, Any]]:
-        return self.records()
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": "table",
@@ -225,9 +218,6 @@ class Series:
         return [
             {self.x_label: x, self.y_label: y} for x, y in zip(self.x, self.y)
         ]
-
-    def legacy_value(self) -> List[Dict[str, float]]:
-        return self.points()
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -321,22 +311,9 @@ def _canonical_params(value: Any) -> Any:
     return _canonical_scalar(value)
 
 
-def _assign_path(root: Dict[str, Any], key: str, value: Any) -> None:
-    parts = key.split("/")
-    node = root
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
-    """A typed experiment result: labelled blocks plus run metadata.
-
-    Supports read-only mapping access over the legacy dict view
-    (``report["rows"]``, ``"average" in report``), so code written against the
-    pre-report plain-dict results keeps working unchanged.
-    """
+    """A typed experiment result: labelled blocks plus run metadata."""
 
     experiment: str
     title: str = ""
@@ -380,41 +357,6 @@ class ExperimentReport:
                 "params": self.params,
             }
         )
-
-    # -- legacy mapping view ------------------------------------------------
-    def to_legacy(self) -> Dict[str, Any]:
-        """The nested plain-dict shape experiments returned before reports."""
-        cached = self.__dict__.get("_legacy")
-        if cached is None:
-            cached = {"experiment": self.experiment}
-            for block in self.blocks:
-                _assign_path(cached, block.key, block.legacy_value())
-            object.__setattr__(self, "_legacy", cached)
-        return cached
-
-    def __getitem__(self, key: str) -> Any:
-        return self.to_legacy()[key]
-
-    def __contains__(self, key: object) -> bool:
-        return key in self.to_legacy()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.to_legacy())
-
-    def __len__(self) -> int:
-        return len(self.to_legacy())
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.to_legacy().get(key, default)
-
-    def keys(self):
-        return self.to_legacy().keys()
-
-    def values(self):
-        return self.to_legacy().values()
-
-    def items(self):
-        return self.to_legacy().items()
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

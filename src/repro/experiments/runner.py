@@ -21,6 +21,7 @@ from repro.core.operating_points import OperatingPointTable, build_default_opera
 from repro.core.sysscale import SysScaleController, default_thresholds
 from repro.core.thresholds import CounterThresholds
 from repro.hw import HardwareSpec, resolve_hardware
+from repro.numeric import ordered_sum
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import (
     ExecutionReport,
@@ -306,4 +307,4 @@ def mean(values: Iterable[float]) -> float:
     values = list(values)
     if not values:
         raise ValueError("cannot average an empty sequence")
-    return sum(values) / len(values)
+    return ordered_sum(values) / len(values)

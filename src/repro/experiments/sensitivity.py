@@ -18,7 +18,7 @@ from repro.core.operating_points import (
 )
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext, build_context, mean
 from repro.runtime.jobs import PointSpec, TraceSpec, platform_for
 from repro.workloads.trace import WorkloadClass
 
@@ -85,8 +85,8 @@ def run_dram_frequency_sensitivity(
     measurements = context.runtime.measure(jobs)
     degradation_106 = [m.degradation for m in measurements[0::2]]
     degradation_08 = [m.degradation for m in measurements[1::2]]
-    mean_106 = sum(degradation_106) / len(degradation_106)
-    mean_08 = sum(degradation_08) / len(degradation_08)
+    mean_106 = mean(degradation_106)
+    mean_08 = mean(degradation_08)
 
     return ExperimentReport(
         experiment="sensitivity",

@@ -24,6 +24,7 @@ from repro import config
 from repro.memory.ddrio import DdrioModel
 from repro.memory.dram import DramDevice
 from repro.memory.mrc import MrcRegisterFile
+from repro.numeric import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class MemoryPowerBreakdown:
     @property
     def total(self) -> float:
         """Total memory + IO domain power in watts."""
-        return sum(getattr(self, f.name) for f in fields(self))
+        return ordered_sum(getattr(self, f.name) for f in fields(self))
 
     @property
     def memory_domain(self) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.numeric import ordered_sum
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -64,8 +65,8 @@ class BottleneckBreakdown:
 def analyze_bottlenecks(trace: WorkloadTrace) -> BottleneckBreakdown:
     """Compute the Fig. 2(b)-style bottleneck decomposition of ``trace``."""
     total = trace.total_duration
-    latency = sum(p.memory_latency_fraction * p.duration for p in trace.phases) / total
-    bandwidth = sum(p.memory_bandwidth_fraction * p.duration for p in trace.phases) / total
+    latency = ordered_sum(p.memory_latency_fraction * p.duration for p in trace.phases) / total
+    bandwidth = ordered_sum(p.memory_bandwidth_fraction * p.duration for p in trace.phases) / total
     non_memory = max(0.0, 1.0 - latency - bandwidth)
     return BottleneckBreakdown(
         workload=trace.name,

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro import config
 from repro.memory.mrc import MrcRegisterFile
+from repro.numeric import ordered_sum
 from repro.perf.latency import MemoryLatencyModel
 from repro.soc.domains import SoCState
 from repro.workloads.trace import Phase
@@ -78,7 +79,7 @@ class CounterSample:
         if not samples:
             raise ValueError("cannot average zero samples")
         averaged = {
-            name: sum(sample[name] for sample in samples) / len(samples)
+            name: ordered_sum(sample[name] for sample in samples) / len(samples)
             for name in CounterName
         }
         return CounterSample(values=averaged, interval=samples[0].interval)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from repro import config
+from repro.numeric import ordered_sum
 
 
 class CState(str, enum.Enum):
@@ -59,7 +60,7 @@ class CStateResidency:
     )
 
     def __post_init__(self) -> None:
-        total = sum(self.residencies.values())
+        total = ordered_sum(self.residencies.values())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"residencies must sum to 1, got {total}")
         for state, value in self.residencies.items():
@@ -94,7 +95,7 @@ class CStateResidency:
         This bounds how much of the time SysScale's IO/memory DVFS can matter for a
         battery-life workload (Sec. 7.3, third observation).
         """
-        return sum(self.fraction(state) for state in DRAM_ACTIVE_STATES)
+        return ordered_sum(self.fraction(state) for state in DRAM_ACTIVE_STATES)
 
     @property
     def idle_fraction(self) -> float:
@@ -103,7 +104,7 @@ class CStateResidency:
 
     def idle_package_power(self) -> float:
         """Average residual package power contributed by the idle states (watts)."""
-        return sum(
+        return ordered_sum(
             self.fraction(state) * IDLE_PACKAGE_POWER.get(state, 0.0)
             for state in self.residencies
             if state is not CState.C0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.numeric import ordered_sum
 from repro.workloads.trace import Phase
 
 #: Overlay segments shorter than this (seconds) are dropped by :func:`mix`;
@@ -111,7 +112,7 @@ def mix(
     b = _as_phases(b, "mix")
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"mix weight must be in [0, 1], got {weight}")
-    total = min(sum(p.duration for p in a), sum(p.duration for p in b))
+    total = min(ordered_sum(p.duration for p in a), ordered_sum(p.duration for p in b))
 
     boundaries = {0.0, total}
     for phases in (a, b):
@@ -136,7 +137,7 @@ def mix(
         fractions = [
             blend(x, y) for x, y in zip(pa.fraction_vector(), pb.fraction_vector())
         ]
-        norm = sum(fractions)
+        norm = ordered_sum(fractions)
         fractions = [f / norm for f in fractions]
         result.append(
             Phase(

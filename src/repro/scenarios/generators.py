@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import config
+from repro.numeric import ordered_sum
 from repro.power.cstates import CState, CStateResidency
 from repro.scenarios import compose
 from repro.workloads.trace import PerformanceMetric, Phase, WorkloadClass
@@ -116,11 +117,11 @@ def make_phase(
     weights = [compute, gfx, memory_latency, memory_bandwidth, io]
     if any(w < 0 for w in weights):
         raise ValueError(f"phase {name!r}: bottleneck weights must be non-negative")
-    total = sum(weights)
+    total = ordered_sum(weights)
     budget = 1.0 - _MIN_OTHER
     if total > budget:
         weights = [w * budget / total for w in weights]
-        total = sum(weights)
+        total = ordered_sum(weights)
     extra = {} if residency is None else {"residency": residency}
     return Phase(
         name=name,

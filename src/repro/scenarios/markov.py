@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.numeric import ordered_sum
 from repro.power.cstates import CStateResidency
 from repro.scenarios.generators import (
     DEEP_IDLE_RESIDENCY,
@@ -113,13 +114,13 @@ class PhaseMarkovModel:
                     f"model {self.name!r}: negative transition probability "
                     f"from state {state.name!r}"
                 )
-            if abs(sum(row) - 1.0) > 1e-9:
+            if abs(ordered_sum(row) - 1.0) > 1e-9:
                 raise ValueError(
                     f"model {self.name!r}: transitions from state "
-                    f"{state.name!r} must sum to 1, got {sum(row):.9f}"
+                    f"{state.name!r} must sum to 1, got {ordered_sum(row):.9f}"
                 )
         if self.initial is not None:
-            if len(self.initial) != n or abs(sum(self.initial) - 1.0) > 1e-9:
+            if len(self.initial) != n or abs(ordered_sum(self.initial) - 1.0) > 1e-9:
                 raise ValueError(
                     f"model {self.name!r}: initial distribution must be a "
                     f"length-{n} probability vector"

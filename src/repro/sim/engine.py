@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import config
+from repro.numeric import ordered_sum
 from repro.perf.counters import CounterName, CounterSample
 from repro.power.budget import ComputePlan
 from repro.power.cstates import CState, IDLE_PACKAGE_POWER
@@ -689,7 +690,7 @@ class SimulationEngine:
             for cstate in (CState.C6, CState.C7, CState.C8)
             if residency.fraction(cstate) > 0
         ]
-        deep_fraction = sum(fraction for _, fraction in deep_states)
+        deep_fraction = ordered_sum(fraction for _, fraction in deep_states)
         deep_memory_power = self.platform.memory_power.self_refresh_power + 0.01
         deep_io_power = 0.01
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import config
+from repro.numeric import ordered_sum
 from repro.power.energy import EnergyMetrics
 
 
@@ -178,7 +179,7 @@ class SimulationResult:
         """Average achieved memory bandwidth (bytes/s) over the run."""
         if not self.achieved_bandwidth_samples:
             return 0.0
-        return sum(self.achieved_bandwidth_samples) / len(self.achieved_bandwidth_samples)
+        return ordered_sum(self.achieved_bandwidth_samples) / len(self.achieved_bandwidth_samples)
 
     # ------------------------------------------------------------------
     # Comparisons

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import config
+from repro.numeric import ordered_sum
 from repro.power.cstates import CStateResidency
 
 
@@ -101,7 +102,7 @@ class Phase:
                     f"phase {self.name!r}: {field_name} must be non-negative, "
                     f"got {getattr(self, field_name)}"
                 )
-        total = sum(self.fraction_vector())
+        total = ordered_sum(self.fraction_vector())
         if abs(total - 1.0) > 1e-6:
             detail = ", ".join(
                 f"{field_name}={getattr(self, field_name):.6f}"
@@ -213,11 +214,11 @@ class WorkloadTrace:
     @property
     def total_duration(self) -> float:
         """Total duration (seconds) at the reference configuration."""
-        return sum(phase.duration for phase in self.phases)
+        return ordered_sum(phase.duration for phase in self.phases)
 
     def _weighted(self, selector) -> float:
         total = self.total_duration
-        return sum(selector(phase) * phase.duration for phase in self.phases) / total
+        return ordered_sum(selector(phase) * phase.duration for phase in self.phases) / total
 
     @property
     def average_bandwidth_demand(self) -> float:

@@ -22,7 +22,7 @@ import pytest
 
 import repro.experiments
 from repro.api import Session
-from repro.experiments import build_context
+from repro.experiments import build_context, format_table, run_table1
 from repro.experiments.api import CONTEXT_FLAGS, REGISTRY, get_spec, registry
 from repro.experiments.report import (
     ExperimentReport,
@@ -97,15 +97,6 @@ class TestReportRoundTrip:
             )
             assert recovered == report
             assert recovered.to_dict() == report.to_dict()
-
-    def test_legacy_mapping_view(self):
-        report = _demo_report()
-        assert report["rows"][0] == {"name": "a", "value": 1.5}
-        assert report["average"]["value"] == 1.75
-        assert report["timeline"][1] == {"t": 1.0, "bw": 4.0}
-        assert "rows" in report
-        assert set(report.keys()) == {"experiment", "rows", "timeline", "average"}
-        assert report["experiment"] == "demo"
 
     def test_table_units_order_is_canonical(self):
         """Unit order never breaks the exact round trip: the constructor
@@ -204,6 +195,10 @@ class TestExportGoldens:
         different_ask = ExperimentReport(experiment="demo", params={"n": 3})
         assert base.spec_hash == same_ask.spec_hash
         assert base.spec_hash != different_ask.spec_hash
+
+    def test_format_table_renders(self, tiny_context):
+        text = format_table(run_table1(tiny_context).block("rows").records())
+        assert "DRAM frequency" in text
 
 
 class TestRegistryCompleteness:
@@ -311,7 +306,8 @@ class TestSession:
             cache_dir=str(tmp_path / "cache"), duration=0.05, max_time=0.05
         )
         report = session.run("fig7", subset=("470.lbm",))
-        assert [row["workload"] for row in report["rows"]] == ["470.lbm"]
+        rows = report.block("rows").records()
+        assert [row["workload"] for row in rows] == ["470.lbm"]
         with pytest.raises(TypeError, match="does not accept"):
             session.run("fig7", bogus=1)
 

@@ -374,7 +374,7 @@ class TestHwSweep:
             variants=("skylake", "skylake-lowleak"),
             subset=("470.lbm", "416.gamess"),
         )
-        variants = {row["variant"] for row in report["variants"]}
+        variants = {row["variant"] for row in report.block("variants").records()}
         assert variants == {"skylake", "skylake-lowleak"}
 
     def test_hw_variants_campaign_registered(self):
@@ -397,7 +397,7 @@ class TestHwSweep:
             duration=0.05,
         )
         report = session.run("hwsweep", quick=True, subset=("470.lbm",))
-        variants = [row["variant"] for row in report["variants"]]
+        variants = [row["variant"] for row in report.block("variants").records()]
         # The derived context hardware leads the axis (1 + the 3 quick
         # defaults); both specs named "skylake" disambiguate by hash prefix.
         assert len(variants) == 4
