@@ -9,7 +9,9 @@ audited, replayed, or garbage-collected without any external index.
 Writes are atomic (write to a temp file in the same directory, then
 ``os.replace``) so a killed run never leaves a truncated entry behind, and
 concurrent runs sharing a cache directory at worst do redundant work -- they
-can never corrupt each other's entries.
+can never corrupt each other's entries.  Each write encodes its document once
+with the C JSON encoder and writes the text in one call; a shard directory is
+made on first use only, not checked on every write.
 
 A bounded in-memory memo sits in front of the disk store: warm sweeps that
 resolve the same job hash repeatedly (campaign rebasing, ``hwsweep`` and
@@ -65,17 +67,27 @@ def atomic_write_json(
     (leaving a stray temp file), or raise an injected ``OSError`` --
     deterministically from its seed.  Production callers pass neither and
     get the plain atomic write.
+
+    The document is encoded once by the C encoder (``json.dumps``) before the
+    filesystem is touched, so a non-serializable document raises
+    ``TypeError`` without creating anything, and the text goes out in one
+    write.  The bytes are the ones ``json.dump`` writes.  The parent
+    directory is created only when the temp-file create finds it missing, so
+    a write into an existing shard makes no ``mkdir`` call.
     """
     if faults is not None and fault_op is not None:
         if faults.intercept_write(fault_op, path, document) is not None:
             return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
-    )
+    text = json.dumps(document)
+    prefix = f".{path.stem[:8]}-"
+    try:
+        descriptor, temp_name = tempfile.mkstemp(prefix=prefix, suffix=".tmp", dir=path.parent)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        descriptor, temp_name = tempfile.mkstemp(prefix=prefix, suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
+            handle.write(text)
         os.replace(temp_name, path)
     except BaseException:
         try:

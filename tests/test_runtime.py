@@ -1,10 +1,15 @@
 """The repro.runtime subsystem: job hashing, caching, executors, campaigns."""
 
+import errno
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro import config, obs
+from repro.fleet import FailureRecord, QueueEntry
 from repro.obs import state as obs_state
 from repro.runtime import (
     Campaign,
@@ -23,7 +28,9 @@ from repro.runtime import (
     execute_job,
     job_from_dict,
 )
+from repro.runtime.cache import atomic_write_json
 from repro.runtime.campaign import CAMPAIGNS
+from repro.runtime.jobs import SCHEMA_VERSION
 from repro.workloads.trace import WorkloadClass
 
 #: A fast simulation spec: 50 ticks, one or two evaluation intervals.
@@ -209,6 +216,172 @@ class TestResultCache:
             ResultCache(tmp_path / "cache", memo_entries=-1)
 
 
+def _json_dump_text(document):
+    """The text ``json.dump(document, handle)`` writes: the stdlib's
+    pure-Python ``iterencode``.  Every file the cache, queue and store ever
+    wrote has these bytes, so the writer must keep them exactly."""
+    return "".join(json.JSONEncoder().iterencode(document))
+
+
+def _degradation_job():
+    return DegradationJob(
+        trace=TraceSpec.make("spec", name="470.lbm", duration=0.05),
+        high=PointSpec(config.ghz(1.6), config.IO_INTERCONNECT_HIGH_FREQUENCY),
+        low=PointSpec(
+            config.ghz(1.06), config.IO_INTERCONNECT_LOW_FREQUENCY, 0.8, 0.85
+        ),
+    )
+
+
+def _cache_entry(job):
+    """A cache entry document, built the way ``ResultCache.put`` builds it."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "hash": job.content_hash,
+        "job": job.to_dict(),
+        "result": execute_job(job),
+    }
+
+
+def _writer_documents():
+    """Real documents of every kind the atomic writer persists, plus edge cases."""
+    job = _tiny_job(policy="sysscale")
+    return {
+        "simulation-cache-entry": _cache_entry(job),
+        "degradation-cache-entry": _cache_entry(_degradation_job()),
+        "queue-entry": QueueEntry(
+            job_hash=job.content_hash,
+            job=job.to_dict(),
+            priority=2,
+            seq=17,
+            state="leased",
+            attempts=1,
+            lease_deadline=1760684400.125,
+            worker="host-a:4242",
+            note="requeued after lease expiry",
+        ).to_dict(),
+        "failure-record": FailureRecord(
+            job_hash=job.content_hash,
+            reason="exhausted",
+            error_class="RuntimeError",
+            message="injected failure ✗",
+            attempts=3,
+            job=job.to_dict(),
+            history=(
+                {"attempt": 1, "error": "RuntimeError: boom", "traceback": "Traceback\n  ..."},
+                {"attempt": 2, "error": "RuntimeError: boom"},
+            ),
+            recorded_unix=1760684401.5,
+        ).to_dict(),
+        "edge-cases": {
+            "floats": [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 0.1],
+            "text": "Grüße 東京 \u2028 \"quoted\"\t\\ \x00 \U0001f50b",
+            2: "int key",
+            -7: "negative int key",
+            2.5: "float key",
+            True: "bool key",
+            None: "none key",
+            "tuple": (1, 2.5, "x", (None, False)),
+            "empty": {"dict": {}, "list": [], "tuple": (), "str": ""},
+            "big_int": 10**30,
+        },
+    }
+
+
+class _FullDisk:
+    """Wraps a real file handle; every write fails the way a full disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWriteJson:
+    """The one durable writer: exact bytes, shard directories, clean failure."""
+
+    def test_bytes_match_json_dump(self, tmp_path):
+        for name, document in _writer_documents().items():
+            path = tmp_path / name / "abcdef.json"
+            atomic_write_json(path, document)
+            assert path.read_bytes() == _json_dump_text(document).encode("utf-8"), name
+
+    def test_first_write_creates_a_missing_root_and_shard(self, tmp_path):
+        cache = ResultCache(tmp_path / "missing" / "cache")
+        job = _tiny_job()
+        path = cache.put(job, {"x": 1})
+        assert path.parent == tmp_path / "missing" / "cache" / job.content_hash[:2]
+        assert ResultCache(cache.root).get(job) == {"x": 1}
+
+    def test_a_write_into_an_existing_shard_makes_no_mkdir_call(self, tmp_path, monkeypatch):
+        atomic_write_json(tmp_path / "ab" / "ab01.json", {"x": 1})
+        calls = []
+
+        def spy(real):
+            def record(*args, **kwargs):
+                calls.append(args[0])
+                return real(*args, **kwargs)
+            return record
+
+        # Path.mkdir reaches os.mkdir only from Python 3.11 on; os.makedirs
+        # goes through os.mkdir.
+        monkeypatch.setattr(Path, "mkdir", spy(Path.mkdir))
+        monkeypatch.setattr(os, "mkdir", spy(os.mkdir))
+        atomic_write_json(tmp_path / "ab" / "ab02.json", {"x": 2})
+        assert calls == []
+        atomic_write_json(tmp_path / "cd" / "cd01.json", {"x": 3})
+        assert calls  # the spies do see the first write into a new shard
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_a_failed_write_reraises_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch, failing
+    ):
+        path = tmp_path / "ab" / "abcdef.json"
+        atomic_write_json(path, {"x": 1})
+        if failing == "write":
+            real_fdopen = os.fdopen
+            monkeypatch.setattr(
+                os, "fdopen", lambda *args, **kwargs: _FullDisk(real_fdopen(*args, **kwargs))
+            )
+        else:
+            def refuse(*args, **kwargs):
+                raise PermissionError(errno.EACCES, "replace refused")
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            atomic_write_json(path, {"x": 2})
+        assert json.loads(path.read_text(encoding="utf-8")) == {"x": 1}
+        assert sorted(entry.name for entry in path.parent.iterdir()) == ["abcdef.json"]
+
+    def test_an_unserializable_document_raises_before_any_file_is_created(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "ab" / "abcdef.json"
+        atomic_write_json(path, {"x": 1})
+        before = path.read_bytes()
+        created = []
+        real_mkstemp = tempfile.mkstemp
+
+        def spy(*args, **kwargs):
+            created.append(kwargs.get("dir"))
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", spy)
+        with pytest.raises(TypeError):
+            atomic_write_json(path, {"x": 2, "late": object()})
+        with pytest.raises(TypeError):
+            atomic_write_json(tmp_path / "cd" / "abcdef.json", {"x": {1, 2}})
+        assert created == []
+        assert path.read_bytes() == before
+        assert sorted(entry.name for entry in tmp_path.rglob("*")) == ["ab", "abcdef.json"]
+
+
 class TestExecutors:
     def test_serial_deduplicates(self):
         jobs = [_tiny_job(), _tiny_job(), _tiny_job(name="416.gamess")]
@@ -287,14 +460,7 @@ class TestExecutors:
         assert all(u.total == 2 for u in updates)
 
     def test_degradation_job_executes(self):
-        job = DegradationJob(
-            trace=TraceSpec.make("spec", name="470.lbm", duration=0.05),
-            high=PointSpec(config.ghz(1.6), config.IO_INTERCONNECT_HIGH_FREQUENCY),
-            low=PointSpec(
-                config.ghz(1.06), config.IO_INTERCONNECT_LOW_FREQUENCY, 0.8, 0.85
-            ),
-        )
-        outcome = SerialExecutor().run([job]).outcomes[0]
+        outcome = SerialExecutor().run([_degradation_job()]).outcomes[0]
         measurement = outcome.result
         assert measurement.degradation > 0.0
         assert all(value >= 0 for value in measurement.counters.values.values())
