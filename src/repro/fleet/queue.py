@@ -8,6 +8,16 @@ Submitters (``repro submit``) and the service (``repro serve``) are separate
 processes sharing nothing but the queue directory; the service discovers new
 entries by rescanning it each poll.
 
+A rescan reads and decodes every entry file, done ones included, so callers
+that act on the whole queue take one :meth:`JobQueue.scan` and hand the
+snapshot on: :meth:`JobQueue.lease` and :meth:`JobQueue.expire_leases` accept
+it, and :func:`tally` turns it into the :meth:`JobQueue.counts` shape.  The
+service reads the queue exactly once per poll this way, and its heartbeat's
+``queue`` block is that scan's tally.  The no-snapshot forms (``lease()``,
+``requeue_expired()``, ``counts()``) rescan, for one-shot callers like the
+doctor and the CLI.  :func:`is_drained` is the one rule for reading
+"drained" off a tally.
+
 An entry moves through four states::
 
     queued --lease()--> leased --complete()--> done
@@ -37,7 +47,9 @@ already live in the queue is returned as-is, and a job whose result already
 sits in the shared :class:`~repro.fleet.store.ShardedResultStore` is recorded
 straight to ``done`` (``note="store-hit"``) without ever touching a worker.
 Jobs are content-addressed, so two racing submitters at worst both write the
-same entry -- never conflicting ones.
+same entry -- never conflicting ones.  :meth:`JobQueue.submit_many` reserves
+its batch's sequence numbers under one lock; a race can at worst leave a
+gap in the sequence, which changes no dispatch order.
 
 Chaos seams: an optional :class:`~repro.fleet.faults.FaultPlan` attached to
 the queue intercepts entry writes (torn/lost/OSError), entry reads
@@ -52,7 +64,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.runtime.cache import atomic_write_json
 from repro.runtime.jobs import Job, job_from_dict
@@ -65,6 +77,8 @@ __all__ = [
     "STATE_FAILED",
     "STATE_LEASED",
     "STATE_QUEUED",
+    "is_drained",
+    "tally",
 ]
 
 #: Version stamp on every entry file; mismatched entries read as corrupt.
@@ -85,6 +99,38 @@ COUNT_CORRUPT = "corrupt"
 #: scan.  A non-zero value marks the scan as degraded: state conclusions
 #: (like "drained") drawn from it would be guesses, not observations.
 COUNT_TRANSIENT = "transient"
+
+
+def tally(
+    entries: List["QueueEntry"], corrupt: List[Path], transient: List[Path]
+) -> Dict[str, int]:
+    """Entry counts per state of one :meth:`JobQueue.scan` result, plus
+    ``"corrupt"`` and ``"transient"`` (every key present, zero included)."""
+    totals = {state: 0 for state in STATES}
+    for entry in entries:
+        totals[entry.state] = totals.get(entry.state, 0) + 1
+    totals[COUNT_CORRUPT] = len(corrupt)
+    totals[COUNT_TRANSIENT] = len(transient)
+    return totals
+
+
+def is_drained(totals: Dict[str, int]) -> bool:
+    """True when a tally shows no entry waiting or running.
+
+    Conservative under degraded scans: an entry hidden by a transient read
+    error *might* be queued or leased, so it counts as not drained -- a
+    draining service must never exit on a scan it could not trust.
+    """
+    return (
+        totals[STATE_QUEUED] == 0
+        and totals[STATE_LEASED] == 0
+        and totals[COUNT_TRANSIENT] == 0
+    )
+
+
+def _dispatch_order(entry: "QueueEntry") -> Tuple[int, int]:
+    """Priority first (higher sooner), then submission sequence."""
+    return -entry.priority, entry.seq
 
 
 @dataclass(frozen=True)
@@ -250,14 +296,16 @@ class JobQueue:
         entry, _ = self._read_classified(path)
         return entry
 
-    def _next_seq(self) -> int:
+    def _next_seq(self, count: int = 1) -> int:
+        """Reserve ``count`` consecutive sequence numbers under one lock and
+        return the first."""
         counter = self.root / "seq"
         with _SeqLock(self.root / "seq.lock"):
             try:
                 value = int(counter.read_text(encoding="utf-8"))
             except (OSError, ValueError):
                 value = 0
-            counter.write_text(str(value + 1), encoding="utf-8")
+            counter.write_text(str(value + count), encoding="utf-8")
         return value
 
     # ------------------------------------------------------------------
@@ -284,7 +332,7 @@ class JobQueue:
                 corrupt.append(path)
             elif problem == "transient":
                 transient.append(path)
-        found.sort(key=lambda entry: (-entry.priority, entry.seq))
+        found.sort(key=_dispatch_order)
         return found, corrupt, transient
 
     def entries(self) -> List[QueueEntry]:
@@ -306,30 +354,15 @@ class JobQueue:
         return found, corrupt + transient
 
     def counts(self) -> Dict[str, int]:
-        """Entry counts per state, plus ``"corrupt"`` for unreadable files
-        and ``"transient"`` for entries this scan could not read (every key
-        present, zero included)."""
-        totals = {state: 0 for state in STATES}
-        entries, corrupt, transient = self.scan()
-        for entry in entries:
-            totals[entry.state] = totals.get(entry.state, 0) + 1
-        totals[COUNT_CORRUPT] = len(corrupt)
-        totals[COUNT_TRANSIENT] = len(transient)
-        return totals
+        """One rescan's :func:`tally`: entry counts per state, plus
+        ``"corrupt"`` for unreadable files and ``"transient"`` for entries
+        this scan could not read."""
+        return tally(*self.scan())
 
     def drained(self) -> bool:
-        """True when no entry is waiting or running.
-
-        Conservative under degraded scans: an entry hidden by a transient
-        read error *might* be queued or leased, so it counts as not drained
-        -- a draining service must never exit on a scan it could not trust.
-        """
-        totals = self.counts()
-        return (
-            totals[STATE_QUEUED] == 0
-            and totals[STATE_LEASED] == 0
-            and totals[COUNT_TRANSIENT] == 0
-        )
+        """True when a fresh rescan shows no entry waiting or running (see
+        :func:`is_drained`)."""
+        return is_drained(self.counts())
 
     # ------------------------------------------------------------------
     # Producer side
@@ -346,30 +379,9 @@ class JobQueue:
         result is already on disk is recorded straight to ``done``.  Returns
         the (possibly pre-existing) entry either way.
         """
-        job_hash = job.content_hash
-        existing = self.get(job_hash)
-        if existing is not None and existing.state != STATE_FAILED:
-            return existing
-        if store is not None and store.has_job(job_hash):
-            entry = QueueEntry(
-                job_hash=job_hash,
-                job=job.to_dict(),
-                priority=priority,
-                seq=self._next_seq(),
-                state=STATE_DONE,
-                note="store-hit",
-            )
-            self._write(entry)
-            return entry
-        entry = QueueEntry(
-            job_hash=job_hash,
-            job=job.to_dict(),
-            priority=priority,
-            seq=self._next_seq(),
-            state=STATE_QUEUED,
+        return self._live(job.content_hash) or self._enqueue(
+            job, priority, store, self._next_seq()
         )
-        self._write(entry)
-        return entry
 
     def submit_many(
         self,
@@ -377,23 +389,59 @@ class JobQueue:
         priority: int = 0,
         store: Optional[Any] = None,
     ) -> Dict[str, int]:
-        """Submit a batch; returns ``{enqueued, deduped_store, deduped_queue}``."""
+        """Submit a batch; returns ``{enqueued, deduped_store, deduped_queue}``.
+
+        Every job not already live takes one sequence number, in job order,
+        all reserved under one lock: the same numbers as one ``submit()``
+        per job.  A job a racing submitter enqueued meanwhile is returned
+        as-is, and its reserved number is left unused.
+        """
         accounting = {"enqueued": 0, "deduped_store": 0, "deduped_queue": 0}
         seen_before = {
             entry.job_hash for entry in self.entries() if entry.state != STATE_FAILED
         }
+        fresh: List[Job] = []
         for job in jobs:
             job_hash = job.content_hash
             if job_hash in seen_before:
                 accounting["deduped_queue"] += 1
                 continue
             seen_before.add(job_hash)
-            entry = self.submit(job, priority=priority, store=store)
+            fresh.append(job)
+        first_seq = self._next_seq(len(fresh)) if fresh else 0
+        for seq, job in enumerate(fresh, start=first_seq):
+            entry = self._live(job.content_hash) or self._enqueue(
+                job, priority, store, seq
+            )
             if entry.note == "store-hit":
                 accounting["deduped_store"] += 1
             else:
                 accounting["enqueued"] += 1
         return accounting
+
+    def _live(self, job_hash: str) -> Optional[QueueEntry]:
+        """The on-disk entry for ``job_hash`` unless it is absent or failed."""
+        existing = self.get(job_hash)
+        if existing is not None and existing.state != STATE_FAILED:
+            return existing
+        return None
+
+    def _enqueue(
+        self, job: Job, priority: int, store: Optional[Any], seq: int
+    ) -> QueueEntry:
+        """Write ``job`` at ``seq``: straight to ``done`` when ``store``
+        already holds its result, else ``queued``."""
+        stored = store is not None and store.has_job(job.content_hash)
+        entry = QueueEntry(
+            job_hash=job.content_hash,
+            job=job.to_dict(),
+            priority=priority,
+            seq=seq,
+            state=STATE_DONE if stored else STATE_QUEUED,
+            note="store-hit" if stored else None,
+        )
+        self._write(entry)
+        return entry
 
     # ------------------------------------------------------------------
     # Consumer side
@@ -403,19 +451,25 @@ class JobQueue:
         limit: int = 1,
         worker: str = "worker",
         now: Optional[float] = None,
+        entries: Optional[Iterable[QueueEntry]] = None,
     ) -> List[QueueEntry]:
         """Claim up to ``limit`` queued entries for ``worker``.
 
         Each lease carries ``now + lease_timeout`` as its deadline and counts
         one attempt.  Entries still inside their retry backoff window
         (``not_before > now``) are skipped.  ``now`` is injectable so tests
-        drive lease expiry and backoff without sleeping.
+        drive lease expiry and backoff without sleeping.  ``entries`` is the
+        caller's snapshot of the queue (a :meth:`scan` the caller has kept
+        up to date); without it, the queue is rescanned.
         """
         if limit < 1:
             raise ValueError("lease limit must be at least 1")
         now = time.time() if now is None else now
+        candidates = (
+            self.entries() if entries is None else sorted(entries, key=_dispatch_order)
+        )
         leased: List[QueueEntry] = []
-        for entry in self.entries():
+        for entry in candidates:
             if len(leased) >= limit:
                 break
             if entry.state != STATE_QUEUED:
@@ -577,26 +631,37 @@ class JobQueue:
     def requeue_expired(self, now: Optional[float] = None) -> int:
         """Return timed-out leases to the queue; exhausted ones fail.
 
-        The service calls this once per poll, so a worker crash costs at most
-        one lease timeout before the job runs elsewhere.
+        Rescans the queue; returns how many leases were recovered.
         """
         now = time.time() if now is None else now
-        recovered = 0
-        for entry in self.entries():
+        return len(self.expire_leases(self.entries(), now))
+
+    def expire_leases(
+        self, entries: Iterable[QueueEntry], now: float
+    ) -> List[QueueEntry]:
+        """:meth:`requeue_expired` over the caller's snapshot ``entries``.
+
+        The service calls this once per poll, so a worker crash costs at most
+        one lease timeout before the job runs elsewhere.  Returns the entries
+        :meth:`fail` wrote, so the caller sees which ones were exhausted.
+        """
+        expired: List[QueueEntry] = []
+        for entry in entries:
             if entry.state != STATE_LEASED:
                 continue
             if entry.lease_deadline is not None and entry.lease_deadline > now:
                 continue
-            self.fail(
-                entry.job_hash,
-                error=(
-                    f"lease expired after attempt {entry.attempts} "
-                    f"(worker {entry.worker or 'unknown'})"
-                ),
-                now=now,
+            expired.append(
+                self.fail(
+                    entry.job_hash,
+                    error=(
+                        f"lease expired after attempt {entry.attempts} "
+                        f"(worker {entry.worker or 'unknown'})"
+                    ),
+                    now=now,
+                )
             )
-            recovered += 1
-        return recovered
+        return expired
 
     # ------------------------------------------------------------------
     # Compaction

@@ -23,6 +23,14 @@ sweep report, and writes a ``running`` heartbeat.  When the loop exits it
 rewrites that heartbeat as ``stopped`` with the exit reason, so status and
 doctor can tell a clean exit from a crash.
 
+A poll reads the queue once: one :meth:`~repro.fleet.queue.JobQueue.scan` at
+its top feeds corrupt-entry healing, lease expiry, quarantine and the lease,
+and is dropped before dispatch.  The heartbeat's ``queue`` block is always
+the tally of a real scan, never in-memory bookkeeping: a ``running`` beat
+carries the tally of that poll's scan, taken at its ``updated_unix``; the
+``stopped`` beat carries the loop's latest scan, which for a ``drained`` or
+``blocked`` exit is the drain check's fresh scan after the last poll.
+
 Determinism contract: the service orchestrates *which* jobs run where and
 when, but every job still executes ``execute_job_with_stats`` and every
 result payload is the job's pure function of its spec -- so fleet-run
@@ -37,19 +45,19 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.fleet.faults import directive_hook
 from repro.fleet.queue import (
     COUNT_CORRUPT,
-    COUNT_TRANSIENT,
     STATE_FAILED,
-    STATE_LEASED,
     STATE_QUEUED,
     JobQueue,
     QueueEntry,
+    is_drained,
+    tally,
 )
 from repro.fleet.resilience import (
     QUARANTINE_SUBDIR,
@@ -284,7 +292,8 @@ class FleetService:
         self.jobs_quarantined = 0
         self.reports_finalized = 0
         self.poll_errors = 0
-        #: Queue counts from the last poll's heartbeat.
+        #: Tally of the loop's latest queue scan: the poll's own, or the
+        #: serve loop's drain check.  The heartbeat writes it.
         self._last_counts: Optional[Dict[str, int]] = None
         #: Last in-memory copy of every entry this service has leased --
         #: the healing source when an entry's on-disk file gets torn.
@@ -307,12 +316,7 @@ class FleetService:
         """
         now = time.time() if now is None else now
         self.rounds += 1
-        self._heal_corrupt(now)
-        self.queue.requeue_expired(now=now)
-        self._quarantine_exhausted(now)
-        leased = self.queue.lease(
-            limit=self.config.lease_limit, worker=self.worker_name, now=now
-        )
+        leased = self._scan_and_lease(now)
         completed = 0
         if leased:
             # Suspected pool-breakers run solo so a repeat collapse names its
@@ -325,12 +329,32 @@ class FleetService:
                 [grouped] if grouped else []
             ):
                 completed += self._dispatch(dispatch, now)
-            # Sweep again so a job exhausted by *this* poll's dispatch is
-            # quarantined before a draining loop can observe it and exit.
-            self._quarantine_exhausted(now)
         self.reports_finalized += self.finalize_reports()
         self._write_heartbeat(now)
         return completed
+
+    def _scan_and_lease(self, now: float) -> List[QueueEntry]:
+        """The poll's one queue scan: heal, expire, quarantine, lease.
+
+        Each step updates the snapshot with the entries it rewrote, so the
+        lease sees what a rescan would.  The scan's tally becomes the
+        heartbeat's counts.  Only the leased entries outlive this call:
+        dispatch does not hold the snapshot.
+        """
+        entries, corrupt, transient = self.queue.scan()
+        self._last_counts = tally(entries, corrupt, transient)
+        snapshot = {entry.job_hash: entry for entry in entries}
+        for entry in self._heal_corrupt(corrupt, now):
+            snapshot[entry.job_hash] = entry
+        for entry in self.queue.expire_leases(snapshot.values(), now):
+            snapshot[entry.job_hash] = entry
+        self._quarantine_exhausted(snapshot.values(), now)
+        return self.queue.lease(
+            limit=self.config.lease_limit,
+            worker=self.worker_name,
+            now=now,
+            entries=snapshot.values(),
+        )
 
     # -- dispatch and failure isolation ---------------------------------
     def _dispatch(self, entries: List[QueueEntry], now: float) -> int:
@@ -407,7 +431,7 @@ class FleetService:
                     "BrokenProcessPool",
                     "worker process died during solo dispatch",
                 )
-                self.queue.fail(
+                updated = self.queue.fail(
                     entry.job_hash,
                     error="BrokenProcessPool: worker died during solo dispatch",
                     now=now,
@@ -415,6 +439,7 @@ class FleetService:
                 )
                 self.jobs_failed += 1
                 obs_state.counter("fleet.failures.jobs").inc()
+                self._quarantine_exhausted([updated], now)
             else:
                 self.queue.release(
                     entry.job_hash, note=self.POOL_SUSPECT, fallback=entry
@@ -434,6 +459,7 @@ class FleetService:
         obs_state.counter("fleet.failures.jobs").inc()
         if updated.state == STATE_QUEUED:
             obs_state.counter("fleet.retries.scheduled").inc()
+        self._quarantine_exhausted([updated], now)
 
     def _record_history(
         self,
@@ -452,17 +478,18 @@ class FleetService:
         self._failure_history.setdefault(entry.job_hash, []).append(record)
 
     # -- healing and quarantine -----------------------------------------
-    def _heal_corrupt(self, now: float) -> None:
-        """Restore or quarantine unreadable queue-entry files.
+    def _heal_corrupt(self, corrupt: List[Path], now: float) -> List[QueueEntry]:
+        """Restore or quarantine the poll scan's unreadable entry files.
 
         Restoration sources, in order: the store (result already landed ->
         rewrite as ``done``), this service's in-memory copy (we leased it ->
         requeue it).  A corrupt file with neither source is left alone until
         it is older than the lease timeout -- an in-flight torn write gets
         healed by ``complete(fallback=...)`` within one poll -- then moved,
-        bytes intact, into quarantine with a ``FailureRecord``.
+        bytes intact, into quarantine with a ``FailureRecord``.  Returns the
+        requeued entries, which this poll may lease.
         """
-        _, corrupt, _ = self.queue.scan()
+        requeued: List[QueueEntry] = []
         for path in corrupt:
             job_hash = path.stem
             if self.store.has_job(job_hash) and _restore_from_store(
@@ -472,7 +499,7 @@ class FleetService:
                 continue
             known = self._known.get(job_hash)
             if known is not None:
-                self.queue.record_queued(known, note="healed")
+                requeued.append(self.queue.record_queued(known, note="healed"))
                 obs_state.counter("fleet.failures.corrupt_healed").inc()
                 continue
             try:
@@ -494,10 +521,20 @@ class FleetService:
             self.quarantine.absorb_corrupt(path)
             self.jobs_quarantined += 1
             obs_state.counter("fleet.failures.quarantined").inc()
+        return requeued
 
-    def _quarantine_exhausted(self, now: float) -> None:
-        """Move terminally-failed entries out of the queue, with forensics."""
-        for entry in self.queue.entries():
+    def _quarantine_exhausted(
+        self, entries: Iterable[QueueEntry], now: float
+    ) -> None:
+        """Move the terminally-failed ``entries`` out of the queue, with
+        forensics.
+
+        Callers pass what they just read or wrote -- the poll's scan, or the
+        entry :meth:`JobQueue.fail` returned -- so an entry is quarantined in
+        the poll that exhausts it, before a draining loop can observe it and
+        exit.
+        """
+        for entry in entries:
             if entry.state != STATE_FAILED:
                 continue
             history = tuple(self._failure_history.pop(entry.job_hash, ()))
@@ -584,11 +621,9 @@ class FleetService:
         """Write ``service.json``: each poll's ``running`` beat, or, given
         ``exit_reason``, the terminal ``stopped`` beat.
 
-        The stopped beat reuses the last poll's queue counts, so exiting
-        adds no queue scan.
+        Either beat carries the tally of the loop's latest scan, so writing
+        it adds no queue scan.
         """
-        if exit_reason is None:
-            self._last_counts = self.queue.counts()
         beat: Dict[str, Any] = {
             "schema": FLEET_SCHEMA_VERSION,
             "pid": os.getpid(),
@@ -627,6 +662,7 @@ class FleetService:
         idle_since: Optional[float] = None
         try:
             while True:
+                finalized = self.reports_finalized
                 try:
                     executed = self.run_once()
                 except Exception:  # noqa: BLE001 - degrade, keep polling
@@ -639,16 +675,17 @@ class FleetService:
                     time.sleep(config.poll_interval)
                     continue
                 now = time.time()
-                if executed:
+                if executed or self.reports_finalized > finalized:
+                    # A finalized report is work too: a store-warm directory
+                    # finalizes in its first poll and must not then wait
+                    # out the drain grace.
                     saw_work = True
                     idle_since = None
                     continue
-                counts = self.queue.counts()
-                queue_empty = (
-                    counts[STATE_QUEUED] == 0 and counts[STATE_LEASED] == 0
-                )
-                if self.drained():
-                    # drained() is only ever True on a complete (nothing
+                counts = self._last_counts = self.queue.counts()
+                queue_drained = is_drained(counts)
+                if queue_drained and self._pending_manifests() == 0:
+                    # is_drained() is only ever True on a complete (nothing
                     # transient-hidden) scan, so the observation is
                     # trustworthy at this instant -- record it for the
                     # summary, whose own rescan could be degraded.
@@ -667,9 +704,8 @@ class FleetService:
                         break
                 elif (
                     config.drain
-                    and queue_empty
+                    and queue_drained
                     and counts[COUNT_CORRUPT] == 0
-                    and counts[COUNT_TRANSIENT] == 0
                     and (
                         counts[STATE_FAILED] > 0
                         or self.quarantine.counts()["jobs"] > 0
@@ -753,9 +789,7 @@ def fleet_status(
     return {
         "root": str(paths.root),
         "queue": counts,
-        "drained": counts["queued"] == 0
-        and counts["leased"] == 0
-        and counts[COUNT_TRANSIENT] == 0
+        "drained": is_drained(counts)
         and all(entry["reported"] for entry in campaigns),
         "store": store.stats(),
         "quarantine": quarantine.counts(),

@@ -1,5 +1,7 @@
 """The repro.fleet subsystem: queue, store, service."""
 
+import json
+
 import pytest
 
 from repro.fleet import (
@@ -17,6 +19,7 @@ from repro.fleet.queue import (
     STATE_FAILED,
     STATE_LEASED,
     STATE_QUEUED,
+    _SeqLock,
 )
 from repro.fleet.service import FleetPaths, resolve_campaign
 from repro.hashing import content_hash
@@ -42,6 +45,16 @@ def _tiny_job(name="470.lbm", policy="baseline", tdp=4.5):
         platform=PlatformSpec(tdp=tdp),
         sim=TINY_SIM,
     )
+
+
+def _tally(scan):
+    """Per-state counts of one ``JobQueue.scan()`` result."""
+    entries, corrupt, transient = scan
+    totals = dict.fromkeys((STATE_QUEUED, STATE_LEASED, STATE_DONE, STATE_FAILED), 0)
+    for entry in entries:
+        totals[entry.state] += 1
+    totals.update(corrupt=len(corrupt), transient=len(transient))
+    return totals
 
 
 def _tiny_campaign(name="fleet-tiny"):
@@ -175,6 +188,53 @@ class TestSubmitDedup:
             "deduped_queue": 1,
         }
 
+    def test_submit_many_reserves_its_sequence_block_under_one_lock(
+        self, tmp_path, monkeypatch
+    ):
+        live = _tiny_job(name="433.milc", policy="sysscale")
+        answered = _tiny_job(policy="sysscale")
+        fresh = _tiny_job()
+        jobs = [
+            fresh,
+            answered,
+            fresh,
+            live,
+            _tiny_job(name="433.milc"),
+            _tiny_job(tdp=3.5),
+        ]
+
+        def queue_with_history(name):
+            store = ShardedResultStore(tmp_path / name / "store")
+            store.put_job(answered, {"answer": 42})
+            queue = JobQueue(tmp_path / name / "q")
+            queue.submit(live)
+            return queue, store
+
+        one_by_one, store = queue_with_history("single")
+        for job in jobs:
+            one_by_one.submit(job, store=store)
+        batched, store = queue_with_history("batch")
+        entered = []
+        enter = _SeqLock.__enter__
+
+        def counted_enter(lock):
+            entered.append(lock)
+            return enter(lock)
+
+        monkeypatch.setattr(_SeqLock, "__enter__", counted_enter)
+        accounting = batched.submit_many(jobs, store=store)
+        assert len(entered) == 1
+        assert accounting == {"enqueued": 3, "deduped_store": 1, "deduped_queue": 2}
+        # Same entries, store hit included, with contiguous seqs in job order.
+        hashes = [job.content_hash for job in jobs]
+        assert [batched.get(h).to_dict() for h in hashes] == [
+            one_by_one.get(h).to_dict() for h in hashes
+        ]
+        assert [batched.get(h).seq for h in hashes] == [1, 2, 1, 0, 3, 4]
+        assert batched.get(answered.content_hash).note == "store-hit"
+        # A later submit continues from the counter.
+        assert batched.submit(_tiny_job(tdp=5.5)).seq == 5
+
     def test_resubmit_returns_existing_entry_unchanged(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
         first = queue.submit(_tiny_job())
@@ -303,7 +363,44 @@ class TestFleetBitIdentity:
         outcome = service.serve_forever()
         assert outcome["jobs_run"] == 0
         assert outcome["reports_finalized"] == 1
+        # Finalizing counts as work: one poll rebuilds the report, the next
+        # finds the directory drained -- no waiting out the drain grace.
+        assert outcome["rounds"] == 2
         assert verify_campaign(root, campaign)["ok"] is True
+
+    def test_each_poll_scans_the_queue_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "fleet"
+        campaign = _tiny_campaign()
+        submit_campaign(root, campaign)
+        heartbeat = FleetPaths(root).heartbeat
+        scans, polls = [], []
+        scan, run_once = JobQueue.scan, FleetService.run_once
+
+        def counted_scan(queue):
+            result = scan(queue)
+            scans.append(result)
+            return result
+
+        def recorded_poll(service, now=None):
+            first = len(scans)
+            completed = run_once(service, now)
+            beat = json.loads(heartbeat.read_text(encoding="utf-8"))
+            polls.append((completed, scans[first:], beat))
+            return completed
+
+        monkeypatch.setattr(JobQueue, "scan", counted_scan)
+        monkeypatch.setattr(FleetService, "run_once", recorded_poll)
+        service = FleetService(self._drain_config(root, workers=1, lease_limit=1))
+        assert service.serve_forever()["drained"] is True
+        assert [completed for completed, _, _ in polls if completed] == [1, 1, 1]
+        for _, poll_scans, beat in polls:
+            assert len(poll_scans) == 1
+            # The running beat carries that very scan's tally.
+            assert beat["state"] == "running"
+            assert beat["queue"] == _tally(poll_scans[0])
+        stopped = json.loads(heartbeat.read_text(encoding="utf-8"))
+        assert stopped["state"] == "stopped"
+        assert stopped["queue"] == JobQueue(FleetPaths(root).queue_dir).counts()
 
     def test_batching_executor_matches_serial(self, tmp_path):
         jobs = list(_tiny_campaign().jobs)

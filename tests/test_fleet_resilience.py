@@ -548,6 +548,27 @@ class TestServiceChaos:
         codes = {finding.code for finding in report.findings}
         assert "quarantined-job" in codes
 
+    def test_expired_last_attempt_is_quarantined_in_the_same_poll(self, tmp_path):
+        # The poll's one scan sees the entry still leased; expiring it spends
+        # the last attempt, and the same poll must quarantine it, or a
+        # draining loop could exit "blocked" with it still in the queue.
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir, lease_timeout=5.0, max_attempts=1)
+        entry = queue.submit(_tiny_job())
+        [leased] = queue.lease(limit=1, worker="gone", now=100.0)
+        assert leased.attempts == 1
+        service = FleetService(
+            _drain_config(root, max_attempts=1, lease_timeout=5.0)
+        )
+        assert service.run_once(now=200.0) == 0
+        service.executor.close()
+        record = Quarantine(root / "quarantine").get(entry.job_hash)
+        assert record is not None
+        assert record.reason == "exhausted"
+        assert "lease expired" in record.message
+        assert queue.get(entry.job_hash) is None
+        assert service.jobs_quarantined == 1
+
     def test_corrupt_entry_restored_from_store(self, tmp_path):
         root = tmp_path / "fleet"
         campaign = _tiny_campaign()
