@@ -84,13 +84,6 @@ class HolisticPowerAlgorithm:
         return self._current
 
     @property
-    def current_point(self) -> OperatingPoint:
-        """The operating point currently in force."""
-        if self._current is None:
-            return self.operating_points.high
-        return self._current
-
-    @property
     def decisions(self) -> List[AlgorithmDecision]:
         """All decisions taken so far in this run."""
         return list(self._decisions)

@@ -160,16 +160,6 @@ class PredictionQuality:
         """Fraction of predictions that match the ground truth."""
         return self.correct / self.total
 
-    @property
-    def false_positive_rate(self) -> float:
-        """Fraction of predictions that were unsafe 'go low' decisions.
-
-        The paper reports zero false positives (Sec. 4.2): a false positive would
-        move the SoC to the low point while the actual degradation exceeds the
-        bound.
-        """
-        return self.false_positives / self.total
-
 
 def evaluate_prediction_quality(
     predictions: List[bool],

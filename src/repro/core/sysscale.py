@@ -13,12 +13,12 @@ compute domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro import config
 from repro.core.algorithm import HolisticPowerAlgorithm
 from repro.core.demand import DemandPredictor
-from repro.core.flow import TransitionFlow, TransitionReport
+from repro.core.flow import TransitionFlow
 from repro.core.operating_points import (
     OperatingPoint,
     OperatingPointTable,
@@ -93,7 +93,6 @@ class SysScaleController(Policy):
     algorithm: HolisticPowerAlgorithm = field(init=False)
     flow: TransitionFlow = field(init=False)
     _current_point: OperatingPoint = field(init=False)
-    _transition_reports: List[TransitionReport] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.operating_points is None:
@@ -126,7 +125,6 @@ class SysScaleController(Policy):
         # both must be charged on the platform being simulated.
         self.algorithm.platform = platform
         self._current_point = self.algorithm.reset()
-        self._transition_reports = []
         return self._action_for(self._current_point)
 
     def decide(self, observation: PolicyObservation) -> PolicyAction:
@@ -154,9 +152,7 @@ class SysScaleController(Policy):
         """Run the Fig. 5 flow (or charge the nominal budget) and return the latency."""
         if not self.use_flow_latency:
             return config.TRANSITION_TOTAL_LATENCY_BUDGET
-        report = self.flow.execute(source, target)
-        self._transition_reports.append(report)
-        return report.total_latency
+        return self.flow.execute(source, target).total_latency
 
     def _action_for(
         self,
@@ -175,16 +171,6 @@ class SysScaleController(Policy):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def transition_reports(self) -> List[TransitionReport]:
-        """Reports of every executed Fig. 5 flow transition in the current run."""
-        return list(self._transition_reports)
-
-    @property
-    def current_operating_point(self) -> OperatingPoint:
-        """The operating point currently in force."""
-        return self._current_point
-
     @property
     def low_point_fraction(self) -> float:
         """Fraction of decisions that chose a reduced operating point."""

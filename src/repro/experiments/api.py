@@ -1,24 +1,26 @@
-"""The experiment registry: typed specs behind every table/figure entry point.
+"""The experiment registry: one typed spec per table/figure.
 
-Each experiment module registers itself with the :func:`experiment` decorator::
+Each experiment module defines exactly one runner and registers it with the
+:func:`experiment` decorator::
 
     @experiment(
         "fig7",
         title="Fig. 7: SPEC CPU2006 performance improvement",
-        flags=("--duration", "--tdp"),
         quick="12-benchmark representative SPEC subset",
-        params=("subset",),
     )
-    def _fig7(context, quick, **overrides):
-        ...
+    def _fig7(context, quick, *, subset=None):
+        ...  # docstring line 1 is the help text; ``subset`` is a param
         return ExperimentReport(...)
 
-The registered :class:`ExperimentSpec` is the single source of truth the CLI is
-generated from: target names, per-target help text, which context flags an
+The registered :class:`ExperimentSpec` is the only way into an experiment and
+the single source of truth the CLI is generated from: target names, per-target
+help text (the runner docstring's first line), which context flags an
 experiment honors (the ignored-flags warnings are *derived* -- see
 :attr:`ExperimentSpec.ignored_flags` -- instead of hand-synced), what
-``--quick`` does, and which extra keyword parameters the programmatic API
-(:class:`repro.api.Session`) accepts for it.
+``--quick`` does, and which extra parameters the programmatic API
+(:class:`repro.api.Session`) and ``--param`` accept for it: the runner's
+keyword-only parameters.  :meth:`ExperimentSpec.run` attaches the run
+accounting, so runners only build jobs and read results.
 
 Specs live in their experiment modules, so the registry is complete exactly
 when ``repro.experiments`` is imported; :func:`registry` forces that import.
@@ -26,7 +28,8 @@ when ``repro.experiments`` is imported; :func:`registry` forces that import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments.report import ExperimentReport
@@ -36,7 +39,7 @@ from repro.obs.spans import span as obs_span
 #: Context flags the ``run`` CLI exposes that not every experiment honors.
 CONTEXT_FLAGS: Tuple[str, ...] = ("--duration", "--tdp")
 
-#: A registered entry point: ``fn(context, quick, **overrides) -> ExperimentReport``.
+#: A registered runner: ``fn(context, quick, *, <params>) -> ExperimentReport``.
 ExperimentRunner = Callable[..., ExperimentReport]
 
 
@@ -52,7 +55,7 @@ class ExperimentSpec:
     flags: Tuple[str, ...] = CONTEXT_FLAGS
     #: What ``--quick`` changes, or ``None`` if quick mode has no effect.
     quick: Optional[str] = None
-    #: Extra keyword overrides the runner accepts (Session API parameters).
+    #: The runner's keyword-only parameters (Session API and ``--param`` names).
     params: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -74,7 +77,8 @@ class ExperimentSpec:
         quick: bool = False,
         **overrides: object,
     ) -> ExperimentReport:
-        """Execute the experiment and validate the report it returns."""
+        """Execute the experiment, validate its report, and attach the run
+        accounting (the jobs it submitted through ``context.runtime``)."""
         unknown = sorted(set(overrides) - set(self.params))
         if unknown:
             accepted = ", ".join(self.params) if self.params else "none"
@@ -82,6 +86,7 @@ class ExperimentSpec:
                 f"experiment {self.name!r} does not accept parameter(s) "
                 f"{', '.join(unknown)}; accepted: {accepted}"
             )
+        before = context.runtime.accounting()
         with obs_span("experiment.run", experiment=self.name, quick=quick):
             report = self.runner(context, quick, **overrides)
         if not isinstance(report, ExperimentReport):
@@ -94,7 +99,7 @@ class ExperimentSpec:
                 f"experiment {self.name!r} returned a report named "
                 f"{report.experiment!r}"
             )
-        return report
+        return replace(report, run=context.runtime.accounting().since(before))
 
     @property
     def help_text(self) -> str:
@@ -121,14 +126,21 @@ def experiment(
     description: str = "",
     flags: Tuple[str, ...] = CONTEXT_FLAGS,
     quick: Optional[str] = None,
-    params: Tuple[str, ...] = (),
 ) -> Callable[[ExperimentRunner], ExperimentRunner]:
-    """Register ``fn(context, quick, **overrides)`` as an experiment spec."""
+    """Register ``fn(context, quick, *, <params>)`` as an experiment spec.
+
+    The spec's ``params`` are ``fn``'s keyword-only parameters, in order.
+    """
 
     def decorate(fn: ExperimentRunner) -> ExperimentRunner:
         if name in REGISTRY:
             raise ValueError(f"experiment {name!r} is already registered")
         doc = (fn.__doc__ or "").strip()
+        params = tuple(
+            parameter.name
+            for parameter in inspect.signature(fn).parameters.values()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        )
         REGISTRY[name] = ExperimentSpec(
             name=name,
             title=title,
@@ -136,7 +148,7 @@ def experiment(
             description=description or (doc.splitlines()[0] if doc else ""),
             flags=tuple(flags),
             quick=quick,
-            params=tuple(params),
+            params=params,
         )
         return fn
 

@@ -6,9 +6,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext, ExperimentRuntime, mean
-from repro.runtime.jobs import PlatformSpec, PolicySpec, SimSpec, SimulationJob, TraceSpec
-from repro.sim.engine import SimulationConfig
+from repro.experiments.runner import ExperimentContext, mean
+from repro.runtime.campaign import QUICK_SPEC_SUBSET
+from repro.runtime.jobs import PolicySpec, SimulationJob, TraceSpec
 from repro.workloads.spec2006 import spec_cpu2006_suite
 
 #: TDP points of Fig. 10 (watts).
@@ -17,44 +17,45 @@ DEFAULT_TDP_POINTS: Tuple[float, ...] = (3.5, 4.5, 7.0, 15.0)
 TITLE = "Fig. 10: SysScale benefit vs. SoC TDP"
 
 
-def run_fig10_tdp_sensitivity(
-    tdp_points: Sequence[float] = DEFAULT_TDP_POINTS,
+@experiment(
+    "fig10",
+    title=TITLE,
+    flags=("--duration",),
+    quick="12-benchmark representative SPEC subset",
+)
+def _fig10(
+    context: ExperimentContext,
+    quick: bool,
+    *,
     subset: Optional[Tuple[str, ...]] = None,
-    workload_duration: float = 1.0,
-    runtime: Optional[ExperimentRuntime] = None,
-    sim_config: Optional[SimulationConfig] = None,
+    tdp_points: Sequence[float] = DEFAULT_TDP_POINTS,
 ) -> ExperimentReport:
-    """Reproduce Fig. 10: distribution of SPEC improvements at each TDP.
+    """Distribution of SPEC improvements at each TDP point (sweeps its own TDPs).
 
-    Every (TDP, benchmark, policy) combination is one job: workers rebuild the
-    platform (and hence the PBM and threshold calibration) per TDP, because
-    every quantity derived from the power budget changes with it.  Submitting
-    the whole grid at once lets a parallel runtime spread the heaviest figure
-    of the evaluation across all cores.
+    Each TDP point is the context's hardware re-derived at that TDP, so
+    ``--platform``/``--set`` reach every point.  Every (TDP, benchmark,
+    policy) combination is one job: workers rebuild the platform (and hence
+    the PBM and threshold calibration) per TDP, because every quantity derived
+    from the power budget changes with it.  Submitting the whole grid at once
+    lets a parallel runtime spread the heaviest figure of the evaluation
+    across all cores.
     """
-    if runtime is None:
-        runtime = ExperimentRuntime()
-    before = runtime.accounting()
-    sim = SimSpec.from_config(sim_config) if sim_config is not None else SimSpec()
-
-    traces = spec_cpu2006_suite(duration=workload_duration, subset=subset)
-    jobs: List[SimulationJob] = []
-    for tdp in tdp_points:
-        platform_spec = PlatformSpec(tdp=tdp)
-        for trace in traces:
-            trace_spec = TraceSpec.make(
-                "spec", name=trace.name, duration=workload_duration
-            )
-            for policy in ("baseline", "sysscale"):
-                jobs.append(
-                    SimulationJob(
-                        trace=trace_spec,
-                        policy=PolicySpec.make(policy),
-                        platform=platform_spec,
-                        sim=sim,
-                    )
-                )
-    results = runtime.simulate(jobs)
+    if quick and subset is None:
+        subset = QUICK_SPEC_SUBSET
+    traces = spec_cpu2006_suite(duration=context.workload_duration, subset=subset)
+    trace_specs = [
+        TraceSpec.make("spec", name=trace.name, duration=context.workload_duration)
+        for trace in traces
+    ]
+    platforms = [context.hardware.derive(tdp=tdp) for tdp in tdp_points]
+    policies = (PolicySpec.make("baseline"), PolicySpec.make("sysscale"))
+    jobs = [
+        SimulationJob(trace=trace_spec, policy=policy, platform=platform, sim=context.sim)
+        for platform in platforms
+        for trace_spec in trace_specs
+        for policy in policies
+    ]
+    results = context.runtime.simulate(jobs)
 
     rows: List[Dict[str, object]] = []
     cursor = 0
@@ -83,7 +84,7 @@ def run_fig10_tdp_sensitivity(
         params={
             "tdp_points": tdp_points,
             "subset": subset,
-            "duration": workload_duration,
+            "duration": context.workload_duration,
         },
         blocks=(
             Table.from_records(
@@ -99,26 +100,4 @@ def run_fig10_tdp_sensitivity(
                 },
             ),
         ),
-        run=runtime.accounting().since(before),
-    )
-
-
-@experiment(
-    "fig10",
-    title=TITLE,
-    flags=("--duration",),
-    quick="12-benchmark representative SPEC subset",
-    params=("subset", "tdp_points"),
-)
-def _fig10(context: ExperimentContext, quick: bool, **overrides: object) -> ExperimentReport:
-    """Distribution of SPEC improvements at each TDP point (sweeps its own TDPs)."""
-    if quick:
-        from repro.runtime.campaign import QUICK_SPEC_SUBSET
-
-        overrides.setdefault("subset", QUICK_SPEC_SUBSET)
-    return run_fig10_tdp_sensitivity(
-        workload_duration=context.workload_duration,
-        runtime=context.runtime,
-        sim_config=context.engine.config,
-        **overrides,
     )

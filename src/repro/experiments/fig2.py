@@ -12,35 +12,42 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro import config
-from repro.baselines.fixed import FixedBaselinePolicy
-from repro.baselines.md_dvfs import StaticMdDvfsPolicy
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext
 from repro.perf.bottleneck import analyze_bottlenecks
+from repro.runtime.jobs import PolicySpec, TraceSpec
 from repro.workloads.spec2006 import MOTIVATION_BENCHMARKS, spec_workload
 
 TITLE = "Fig. 2: MD-DVFS motivation (power vs. performance impact)"
 
 
-def run_fig2_motivation(context: ExperimentContext | None = None) -> ExperimentReport:
-    """Reproduce Fig. 2(a)-(c) on the simulated Broadwell-class platform."""
-    if context is None:
-        context = build_context()
-    engine = context.engine
+@experiment("fig2", title=TITLE)
+def _fig2(context: ExperimentContext, quick: bool) -> ExperimentReport:
+    """Static MD-DVFS impact, bottlenecks, and bandwidth of the motivation trio.
+
+    Each workload runs under the fixed baseline, static MD-DVFS, and MD-DVFS
+    with the saved power handed back to the CPU (the 1.2 -> 1.3 GHz
+    experiment), as jobs through the context's runtime.
+    """
+    results = context.simulate_policy_matrix(
+        [
+            TraceSpec.make("spec", name=name, duration=context.workload_duration)
+            for name in MOTIVATION_BENCHMARKS
+        ],
+        (
+            PolicySpec.make("baseline"),
+            PolicySpec.make("md_dvfs"),
+            PolicySpec.make("md_dvfs", redistribute_to_compute=True),
+        ),
+    )
 
     impact_rows: List[Dict[str, object]] = []
     bottleneck_rows: List[Dict[str, object]] = []
     bandwidth_rows: List[Dict[str, object]] = []
 
-    for name in MOTIVATION_BENCHMARKS:
+    for name, (baseline, md_dvfs, boosted) in zip(MOTIVATION_BENCHMARKS, results):
         trace = spec_workload(name, duration=context.workload_duration)
-        baseline = engine.run(trace, FixedBaselinePolicy())
-        md_dvfs = engine.run(trace, StaticMdDvfsPolicy())
-        boosted = engine.run(
-            trace, StaticMdDvfsPolicy(redistribute_to_compute=True)
-        )
-
         impact_rows.append(
             {
                 "workload": name,
@@ -101,9 +108,3 @@ def run_fig2_motivation(context: ExperimentContext | None = None) -> ExperimentR
             ),
         ),
     )
-
-
-@experiment("fig2", title=TITLE)
-def _fig2(context: ExperimentContext, quick: bool) -> ExperimentReport:
-    """Static MD-DVFS impact, bottlenecks, and bandwidth of the motivation trio."""
-    return run_fig2_motivation(context)

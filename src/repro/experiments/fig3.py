@@ -12,7 +12,7 @@ from typing import Dict, List
 from repro import config
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Series, Table
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext
 from repro.numeric import ordered_sum
 from repro.workloads.graphics import graphics_workload
 from repro.workloads.io_devices import STANDARD_CONFIGURATIONS
@@ -21,17 +21,15 @@ from repro.workloads.spec2006 import spec_workload
 #: The workloads plotted in Fig. 3(a).
 FIG3_WORKLOADS = ("400.perlbench", "473.astar", "470.lbm")
 
+#: Sampling interval of the Fig. 3(a) bandwidth timelines (seconds).
+SAMPLE_INTERVAL = config.ms(100)
+
 TITLE = "Fig. 3: memory bandwidth demand of workloads and displays"
 
 
-def run_fig3_bandwidth_demand(
-    context: ExperimentContext | None = None,
-    sample_interval: float = config.ms(100),
-) -> ExperimentReport:
-    """Reproduce Fig. 3(a) time series and Fig. 3(b) per-component demands."""
-    if context is None:
-        context = build_context()
-
+@experiment("fig3", title=TITLE)
+def _fig3(context: ExperimentContext, quick: bool) -> ExperimentReport:
+    """Bandwidth-demand timelines plus per-component display/ISP/graphics demand."""
     timelines: List[Series] = []
     traces = [
         spec_workload(name, duration=context.workload_duration)
@@ -43,7 +41,7 @@ def run_fig3_bandwidth_demand(
                 f"timelines/{trace.name}",
                 (
                     (t, bw / config.GBPS)
-                    for t, bw in trace.bandwidth_timeline(sample_interval)
+                    for t, bw in trace.bandwidth_timeline(SAMPLE_INTERVAL)
                 ),
                 x_label="time_s",
                 y_label="bandwidth_gbps",
@@ -82,7 +80,7 @@ def run_fig3_bandwidth_demand(
         title=TITLE,
         params={
             "duration": context.workload_duration,
-            "sample_interval": sample_interval,
+            "sample_interval": SAMPLE_INTERVAL,
         },
         blocks=(
             *timelines,
@@ -98,9 +96,3 @@ def run_fig3_bandwidth_demand(
             ),
         ),
     )
-
-
-@experiment("fig3", title=TITLE)
-def _fig3(context: ExperimentContext, quick: bool) -> ExperimentReport:
-    """Bandwidth-demand timelines plus per-component display/ISP/graphics demand."""
-    return run_fig3_bandwidth_demand(context)

@@ -2,36 +2,38 @@
 
 from __future__ import annotations
 
-from repro.baselines.md_dvfs import StaticMdDvfsPolicy
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric
-from repro.experiments.runner import ExperimentContext, build_context
-from repro.workloads.microbenchmarks import peak_bandwidth_microbenchmark
+from repro.experiments.runner import ExperimentContext
+from repro.runtime.jobs import PolicySpec, SimSpec, SimulationJob, TraceSpec
 
 TITLE = "Fig. 4: impact of unoptimized MRC register values"
 
 
-def run_fig4_mrc_impact(context: ExperimentContext | None = None) -> ExperimentReport:
-    """Reproduce Fig. 4: performance and power penalty of stale MRC registers.
+@experiment("fig4", title=TITLE, flags=("--tdp",))
+def _fig4(context: ExperimentContext, quick: bool) -> ExperimentReport:
+    """Performance and power penalty of stale MRC registers at the low point.
 
     Both runs use the reduced (MD-DVFS) memory operating point; the only
     difference is whether the MC/DDRIO/DRAM configuration registers were
     re-trained for the new frequency (SysScale behaviour) or left at the values
-    trained for the boot frequency (prior-work behaviour).
+    trained for the boot frequency (prior-work behaviour).  The jobs record
+    bandwidth samples, so the achieved throughput of the microbenchmark is
+    reported alongside the penalties.  They run with the engine's default
+    limits, not the context's, so ``--max-time`` does not cut the
+    microbenchmark short.
     """
-    if context is None:
-        context = build_context()
-    # A dedicated engine with bandwidth recording enabled, so the achieved
-    # throughput of the microbenchmark can be reported alongside the penalties.
-    from repro.sim.engine import SimulationConfig, SimulationEngine
-
-    engine = SimulationEngine(
-        context.platform, SimulationConfig(record_bandwidth_samples=True)
+    optimized, unoptimized = context.runtime.simulate(
+        [
+            SimulationJob(
+                trace=TraceSpec.make("microbenchmark"),
+                policy=PolicySpec.make("md_dvfs", mrc_optimized=mrc_optimized),
+                platform=context.hardware,
+                sim=SimSpec(record_bandwidth_samples=True),
+            )
+            for mrc_optimized in (True, False)
+        ]
     )
-    trace = peak_bandwidth_microbenchmark()
-
-    optimized = engine.run(trace, StaticMdDvfsPolicy(mrc_optimized=True))
-    unoptimized = engine.run(trace, StaticMdDvfsPolicy(mrc_optimized=False))
 
     performance_degradation = (
         unoptimized.execution_time / optimized.execution_time - 1.0
@@ -65,9 +67,3 @@ def run_fig4_mrc_impact(context: ExperimentContext | None = None) -> ExperimentR
             ),
         ),
     )
-
-
-@experiment("fig4", title=TITLE, flags=("--tdp",))
-def _fig4(context: ExperimentContext, quick: bool) -> ExperimentReport:
-    """Performance and power penalty of stale MRC registers at the low point."""
-    return run_fig4_mrc_impact(context)

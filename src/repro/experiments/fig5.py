@@ -8,17 +8,14 @@ from repro import config
 from repro.core.flow import TransitionFlow
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext
 
 TITLE = "Fig. 5: SysScale transition-flow latency breakdown"
 
 
-def run_fig5_transition_flow(
-    context: ExperimentContext | None = None,
-) -> ExperimentReport:
-    """Execute the Fig. 5 flow in both directions and report per-step latencies."""
-    if context is None:
-        context = build_context()
+@experiment("fig5", title=TITLE, flags=("--tdp",))
+def _fig5(context: ExperimentContext, quick: bool) -> ExperimentReport:
+    """Per-step latencies of the Fig. 5 DVFS flow in both directions."""
     platform = context.platform
     points = context.operating_points
 
@@ -54,9 +51,3 @@ def run_fig5_transition_flow(
             ),
         ),
     )
-
-
-@experiment("fig5", title=TITLE, flags=("--tdp",))
-def _fig5(context: ExperimentContext, quick: bool) -> ExperimentReport:
-    """Per-step latencies of the Fig. 5 DVFS flow in both directions."""
-    return run_fig5_transition_flow(context)

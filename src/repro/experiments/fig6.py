@@ -27,12 +27,19 @@ from repro.core.operating_points import OperatingPoint, OperatingPointTable
 from repro.core.thresholds import ThresholdCalibrator
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext
 from repro.numeric import ordered_sum
 from repro.runtime.jobs import DegradationMeasurement, PointSpec, TraceSpec
 from repro.workloads.trace import WorkloadClass
 
 TITLE = "Fig. 6: demand-predictor accuracy over the synthetic corpus"
+
+#: Corpus sizes for the predictor evaluation (550 workloads).
+FULL_CORPUS: Dict[WorkloadClass, int] = {
+    WorkloadClass.CPU_SINGLE_THREAD: 300,
+    WorkloadClass.CPU_MULTI_THREAD: 140,
+    WorkloadClass.GRAPHICS: 110,
+}
 
 #: ``--quick`` corpus sizes for the predictor evaluation.
 QUICK_CORPUS: Dict[WorkloadClass, int] = {
@@ -135,12 +142,20 @@ def _evaluate_panel(
     }
 
 
-def run_fig6_prediction(
-    context: ExperimentContext | None = None,
+@experiment(
+    "fig6",
+    title=TITLE,
+    flags=("--tdp",),
+    quick="reduced evaluation corpus (110 instead of 550 workloads)",
+)
+def _fig6(
+    context: ExperimentContext,
+    quick: bool,
+    *,
     workloads_per_class: Optional[Dict[WorkloadClass, int]] = None,
     seed: int = config.DEFAULT_SEED + 7,
 ) -> ExperimentReport:
-    """Reproduce the nine panels of Fig. 6 on a synthetic evaluation corpus.
+    """Predictor correlation/accuracy across the nine (class x pair) panels.
 
     The per-workload measurements (slowdown at the low point plus high-point
     counters) are submitted as one batch of degradation jobs through the
@@ -152,15 +167,8 @@ def run_fig6_prediction(
     advances per call), which the trace specs encode in their ``calls``
     parameter so workers replay the exact corpora built here.
     """
-    if context is None:
-        context = build_context()
-    before = context.runtime.accounting()
     if workloads_per_class is None:
-        workloads_per_class = {
-            WorkloadClass.CPU_SINGLE_THREAD: 300,
-            WorkloadClass.CPU_MULTI_THREAD: 140,
-            WorkloadClass.GRAPHICS: 110,
-        }
+        workloads_per_class = QUICK_CORPUS if quick else FULL_CORPUS
 
     calls = tuple(
         f"{workload_class.value}:{workloads_per_class[workload_class]}"
@@ -221,19 +229,4 @@ def run_fig6_prediction(
                 sum(panel["false_positives"] for panel in panels),
             ),
         ),
-        run=context.runtime.accounting().since(before),
     )
-
-
-@experiment(
-    "fig6",
-    title=TITLE,
-    flags=("--tdp",),
-    quick="reduced evaluation corpus (110 instead of 550 workloads)",
-    params=("workloads_per_class", "seed"),
-)
-def _fig6(context: ExperimentContext, quick: bool, **overrides: object) -> ExperimentReport:
-    """Predictor correlation/accuracy across the nine (class x pair) panels."""
-    if quick:
-        overrides.setdefault("workloads_per_class", QUICK_CORPUS)
-    return run_fig6_prediction(context, **overrides)

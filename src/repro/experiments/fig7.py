@@ -8,27 +8,35 @@ from repro.baselines.coscale import CoScaleRedistProjection
 from repro.baselines.memscale import MemScaleRedistProjection
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
-from repro.experiments.runner import ExperimentContext, build_context, mean
+from repro.experiments.runner import ExperimentContext, mean
+from repro.runtime.campaign import QUICK_SPEC_SUBSET
 from repro.runtime.jobs import PolicySpec, TraceSpec
 from repro.workloads.spec2006 import spec_cpu2006_suite
 
 TITLE = "Fig. 7: SPEC CPU2006 performance improvement"
 
 
-def run_fig7_spec(
-    context: ExperimentContext | None = None,
+@experiment(
+    "fig7",
+    title=TITLE,
+    quick="12-benchmark representative SPEC subset",
+)
+def _fig7(
+    context: ExperimentContext,
+    quick: bool,
+    *,
     subset: Optional[Tuple[str, ...]] = None,
 ) -> ExperimentReport:
-    """Reproduce Fig. 7: per-benchmark and average performance improvements.
+    """Per-benchmark and average SPEC improvements for the three techniques.
 
     SysScale and the baseline are simulated (through the context's runtime, so
     the per-benchmark pairs parallelize and cache); MemScale-Redist and
     CoScale-Redist are projected with the Sec. 6 methodology, exactly as in the
-    paper.
+    paper.  ``subset`` names the SPEC workloads (default: the whole suite, or
+    the representative subset in quick mode).
     """
-    if context is None:
-        context = build_context()
-    before = context.runtime.accounting()
+    if quick and subset is None:
+        subset = QUICK_SPEC_SUBSET
     memscale = MemScaleRedistProjection(platform=context.platform)
     coscale = CoScaleRedistProjection(platform=context.platform)
 
@@ -80,20 +88,4 @@ def run_fig7_spec(
                 unit="fraction",
             ),
         ),
-        run=context.runtime.accounting().since(before),
     )
-
-
-@experiment(
-    "fig7",
-    title=TITLE,
-    quick="12-benchmark representative SPEC subset",
-    params=("subset",),
-)
-def _fig7(context: ExperimentContext, quick: bool, **overrides: object) -> ExperimentReport:
-    """Per-benchmark and average SPEC improvements for the three techniques."""
-    if quick:
-        from repro.runtime.campaign import QUICK_SPEC_SUBSET
-
-        overrides.setdefault("subset", QUICK_SPEC_SUBSET)
-    return run_fig7_spec(context, **overrides)

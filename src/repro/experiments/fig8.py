@@ -8,18 +8,16 @@ from repro.baselines.coscale import CoScaleRedistProjection
 from repro.baselines.memscale import MemScaleRedistProjection
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
-from repro.experiments.runner import ExperimentContext, build_context, mean
+from repro.experiments.runner import ExperimentContext, mean
 from repro.runtime.jobs import PolicySpec, TraceSpec
 from repro.workloads.graphics import graphics_suite
 
 TITLE = "Fig. 8: 3DMark performance improvement"
 
 
-def run_fig8_graphics(context: ExperimentContext | None = None) -> ExperimentReport:
-    """Reproduce Fig. 8: per-benchmark improvements on the three 3DMark variants."""
-    if context is None:
-        context = build_context()
-    before = context.runtime.accounting()
+@experiment("fig8", title=TITLE, flags=("--tdp",))
+def _fig8(context: ExperimentContext, quick: bool) -> ExperimentReport:
+    """Per-benchmark improvements on the three 3DMark variants."""
     memscale = MemScaleRedistProjection(platform=context.platform)
     coscale = CoScaleRedistProjection(platform=context.platform)
 
@@ -63,11 +61,4 @@ def run_fig8_graphics(context: ExperimentContext | None = None) -> ExperimentRep
                 unit="fraction",
             ),
         ),
-        run=context.runtime.accounting().since(before),
     )
-
-
-@experiment("fig8", title=TITLE, flags=("--tdp",))
-def _fig8(context: ExperimentContext, quick: bool) -> ExperimentReport:
-    """Per-benchmark improvements on the three 3DMark variants."""
-    return run_fig8_graphics(context)

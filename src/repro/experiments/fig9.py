@@ -8,21 +8,25 @@ from repro.baselines.coscale import CoScaleRedistProjection
 from repro.baselines.memscale import MemScaleRedistProjection
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
-from repro.experiments.runner import ExperimentContext, build_context, mean
+from repro.experiments.runner import ExperimentContext, mean
 from repro.runtime.jobs import PolicySpec, TraceSpec
 from repro.workloads.batterylife import battery_life_suite
 
 TITLE = "Fig. 9: battery-life workload power reduction"
 
 
-def run_fig9_battery_life(
-    context: ExperimentContext | None = None,
+@experiment("fig9", title=TITLE, flags=("--tdp",))
+def _fig9(
+    context: ExperimentContext,
+    quick: bool,
+    *,
     peripheral_configuration: str = "single_hd",
 ) -> ExperimentReport:
-    """Reproduce Fig. 9: average-power reduction with a single HD panel active."""
-    if context is None:
-        context = build_context()
-    before = context.runtime.accounting()
+    """Average-power reduction on the battery-life suite (single HD panel).
+
+    ``peripheral_configuration`` names the display/ISP setup active in every
+    run (a key of ``repro.workloads.io_devices.STANDARD_CONFIGURATIONS``).
+    """
     memscale = MemScaleRedistProjection(platform=context.platform)
     coscale = CoScaleRedistProjection(platform=context.platform)
 
@@ -73,16 +77,4 @@ def run_fig9_battery_life(
                 unit="fraction",
             ),
         ),
-        run=context.runtime.accounting().since(before),
     )
-
-
-@experiment(
-    "fig9",
-    title=TITLE,
-    flags=("--tdp",),
-    params=("peripheral_configuration",),
-)
-def _fig9(context: ExperimentContext, quick: bool, **overrides: object) -> ExperimentReport:
-    """Average-power reduction on the battery-life suite (single HD panel)."""
-    return run_fig9_battery_life(context, **overrides)

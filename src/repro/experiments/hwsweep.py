@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
-from repro.experiments.runner import ExperimentContext, build_context, mean
+from repro.experiments.runner import ExperimentContext, mean
 from repro.hw import HardwareSpec, resolve_hardware
 from repro.runtime.campaign import DEFAULT_HW_VARIANTS, QUICK_SPEC_SUBSET
 from repro.runtime.jobs import PolicySpec, SimulationJob, TraceSpec
@@ -54,25 +54,32 @@ def _variant_labels(specs: Sequence[HardwareSpec]) -> List[str]:
     ]
 
 
-def run_hwsweep(
-    context: ExperimentContext | None = None,
+@experiment(
+    "hwsweep",
+    title=TITLE,
+    flags=("--duration",),
+    quick=(
+        f"first {QUICK_VARIANT_COUNT} variants x "
+        f"{QUICK_WORKLOAD_COUNT}-benchmark subset"
+    ),
+)
+def _hwsweep(
+    context: ExperimentContext,
+    quick: bool,
+    *,
     variants: Optional[Sequence[object]] = None,
     subset: Optional[Tuple[str, ...]] = None,
-    quick: bool = False,
 ) -> ExperimentReport:
-    """Sweep {baseline, SysScale} x SPEC subset over hardware variants.
+    """Energy/perf sensitivity of SysScale across registered hardware variants.
 
+    Sweeps {baseline, SysScale} x SPEC subset over hardware variants.
     ``variants`` accepts registered platform names or
     :class:`~repro.hw.HardwareSpec` objects; ``subset`` names the SPEC
     workloads (default: the representative 12-benchmark subset).  With no
-    explicit ``variants``, a context built for non-default hardware
-    (``--platform``/``--set``, ``Session(platform=...)``) is swept *in
-    addition to* the default axis rather than silently ignored.
+    explicit ``variants``, the context's hardware (``--platform``/``--set``,
+    ``Session(platform=...)``) is swept *in addition to* the default axis
+    rather than silently ignored.
     """
-    if context is None:
-        context = build_context()
-    before = context.runtime.accounting()
-
     if isinstance(variants, str):
         variants = (variants,)
     if isinstance(subset, str):
@@ -84,7 +91,7 @@ def run_hwsweep(
             DEFAULT_HW_VARIANTS[:QUICK_VARIANT_COUNT] if quick else DEFAULT_HW_VARIANTS
         )
         specs = [resolve_hardware(name) for name in defaults]
-        if context.hardware is not None and context.hardware not in specs:
+        if context.hardware not in specs:
             specs.insert(0, context.hardware)
     if len(specs) < 2:
         raise ValueError("a hardware sweep needs at least two variants")
@@ -97,15 +104,15 @@ def run_hwsweep(
         TraceSpec.make("spec", name=name, duration=context.workload_duration)
         for name in names
     ]
-    sim = context.sim_spec()
-
     jobs: List[SimulationJob] = []
     for spec in specs:
         policies = (PolicySpec.make("baseline"), _sysscale_for(spec))
         for trace in traces:
             for policy in policies:
                 jobs.append(
-                    SimulationJob(trace=trace, policy=policy, platform=spec, sim=sim)
+                    SimulationJob(
+                        trace=trace, policy=policy, platform=spec, sim=context.sim
+                    )
                 )
     results = context.runtime.simulate(jobs)
 
@@ -187,22 +194,4 @@ def run_hwsweep(
                 "fraction",
             ),
         ),
-        run=context.runtime.accounting().since(before),
     )
-
-
-@experiment(
-    "hwsweep",
-    title=TITLE,
-    flags=("--duration",),
-    quick=(
-        f"first {QUICK_VARIANT_COUNT} variants x "
-        f"{QUICK_WORKLOAD_COUNT}-benchmark subset"
-    ),
-    params=("variants", "subset"),
-)
-def _hwsweep(
-    context: ExperimentContext, quick: bool, **overrides: object
-) -> ExperimentReport:
-    """Energy/perf sensitivity of SysScale across registered hardware variants."""
-    return run_hwsweep(context, quick=quick, **overrides)

@@ -157,9 +157,6 @@ class Table:
             for row in self.rows
         ]
 
-    def unit_of(self, column: str) -> str:
-        return dict(self.units).get(column, "")
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": "table",

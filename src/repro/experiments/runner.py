@@ -1,12 +1,12 @@
 """Shared experiment plumbing: context construction and the runtime bridge.
 (The result types and renderers live in :mod:`repro.experiments.report`.)
 
-Experiments no longer loop ``SimulationEngine.run`` themselves: they build
+Experiments never drive ``SimulationEngine`` themselves: they build
 declarative jobs (``repro.runtime.jobs``) and submit them through the context's
 :class:`ExperimentRuntime`, which deduplicates, consults the content-addressed
 result cache, and optionally fans the work out over a process pool.  The
-default runtime (serial, no cache) reproduces the old in-process behaviour
-exactly, so calling any ``run_*`` function with no arguments still works.
+default runtime (serial, no cache) runs every job in-process, so
+``get_spec(name).run(build_context())`` needs no further setup.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro import config
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span as obs_span
 from repro.core.operating_points import OperatingPointTable, build_default_operating_points
@@ -34,13 +33,13 @@ from repro.runtime.jobs import (
     DegradationJob,
     DegradationMeasurement,
     Job,
-    PlatformSpec,
+    PointSpec,
     PolicySpec,
     SimSpec,
     SimulationJob,
     TraceSpec,
 )
-from repro.sim.engine import SimulationConfig, SimulationEngine
+from repro.sim.engine import SimulationConfig
 from repro.sim.platform import Platform
 from repro.sim.result import SimulationResult
 
@@ -140,26 +139,24 @@ class ExperimentRuntime:
 
 @dataclass
 class ExperimentContext:
-    """Everything an experiment needs: platform, engine, thresholds, operating
-    points, and the runtime its jobs are submitted through.
+    """Everything an experiment needs: platform, hardware description,
+    thresholds, operating points, engine limits, and the runtime its jobs are
+    submitted through.
 
     Building the context once and sharing it across experiments avoids repeating
     the threshold calibration (the paper's offline procedure) for every figure.
+    :func:`build_context` is the one constructor: ``platform`` is always built
+    from ``hardware``, so jobs built from the spec simulate exactly this
+    platform.
     """
 
     platform: Platform
-    engine: SimulationEngine
+    hardware: HardwareSpec
     thresholds: CounterThresholds
     operating_points: OperatingPointTable
     workload_duration: float = 1.0
+    sim: SimSpec = SimSpec()
     runtime: ExperimentRuntime = field(default_factory=ExperimentRuntime)
-    #: The hardware description ``platform`` was built from, when known.
-    #: ``build_context`` always sets it; contexts wrapping hand-built
-    #: platforms leave it ``None`` and fall back to spec verification.
-    hardware: Optional[HardwareSpec] = None
-    _verified_platform_spec: Optional[PlatformSpec] = field(
-        default=None, init=False, repr=False
-    )
 
     def sysscale(self) -> SysScaleController:
         """A fresh SysScale controller bound to this context's platform."""
@@ -172,56 +169,18 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Job construction
     # ------------------------------------------------------------------
-    def platform_spec(self) -> PlatformSpec:
-        """The declarative hardware description matching this context's platform.
-
-        Contexts built by :func:`build_context` carry their
-        :class:`~repro.hw.spec.HardwareSpec` directly -- the platform was
-        materialized from it, so jobs built from the spec simulate exactly
-        this hardware.  For contexts wrapping a hand-built platform the
-        default description is derived from the platform's knobs and verified
-        against it once; a platform the derived spec cannot reproduce (a
-        customized SoC, modified DRAM timings) raises rather than letting
-        runtime jobs silently simulate different hardware.
-        """
-        if self.hardware is not None:
-            return self.hardware
-        spec = PlatformSpec(
-            tdp=self.platform.tdp,
-            dram=self.platform.dram.technology.value,
-            platform_fixed_power=self.platform.soc_power.platform_fixed_power,
-        )
-        if self._verified_platform_spec != spec:
-            # describe() reports live state too (DRAM frequency, self-refresh)
-            # which a previous direct engine run may have left at the low
-            # operating point; compare boot states so only *configuration*
-            # differences are flagged.
-            self.platform.reset_to_boot()
-            if spec.build().describe() != self.platform.describe():
-                raise ValueError(
-                    "this context's platform cannot be expressed as a "
-                    "PlatformSpec (customized SoC or DRAM device?); runtime "
-                    "jobs would simulate different hardware"
-                )
-            self._verified_platform_spec = spec
-        return spec
-
-    def sim_spec(self) -> SimSpec:
-        """The declarative spec matching this context's engine configuration."""
-        return SimSpec.from_config(self.engine.config)
-
     def simulation_job(
         self,
         trace: TraceSpec,
         policy: PolicySpec,
         peripherals: Optional[str] = None,
     ) -> SimulationJob:
-        """A simulation job on this context's platform and engine configuration."""
+        """A simulation job on this context's hardware and engine limits."""
         return SimulationJob(
             trace=trace,
             policy=policy,
-            platform=self.platform_spec(),
-            sim=self.sim_spec(),
+            platform=self.hardware,
+            sim=self.sim,
             peripherals=peripherals,
         )
 
@@ -234,9 +193,9 @@ class ExperimentContext:
         """Simulate every trace under every policy; one result tuple per trace.
 
         Keeps the submit-order/read-order pairing in one place: figures that
-        compare policies per workload (Figs. 7-9) get ``(baseline, sysscale,
-        ...)`` tuples aligned with ``traces`` instead of hand-indexing a flat
-        result list.
+        compare policies per workload (Figs. 2 and 7-9) get ``(baseline,
+        sysscale, ...)`` tuples aligned with ``traces`` instead of
+        hand-indexing a flat result list.
         """
         jobs = [
             self.simulation_job(trace, policy, peripherals=peripherals)
@@ -252,15 +211,11 @@ class ExperimentContext:
 
     def degradation_job(self, trace: TraceSpec, high, low) -> DegradationJob:
         """A degradation measurement between two operating points (specs or points)."""
-        from repro.runtime.jobs import PointSpec
-
         if not isinstance(high, PointSpec):
             high = PointSpec.from_point(high)
         if not isinstance(low, PointSpec):
             low = PointSpec.from_point(low)
-        return DegradationJob(
-            trace=trace, high=high, low=low, platform=self.platform_spec()
-        )
+        return DegradationJob(trace=trace, high=high, low=low, platform=self.hardware)
 
 
 def build_context(
@@ -290,15 +245,14 @@ def build_context(
     else:
         operating_points = build_default_operating_points(platform)
     thresholds = default_thresholds(platform, operating_points)
-    engine = SimulationEngine(platform, sim_config)
     return ExperimentContext(
         platform=platform,
-        engine=engine,
+        hardware=spec,
         thresholds=thresholds,
         operating_points=operating_points,
         workload_duration=workload_duration,
+        sim=SimSpec.from_config(sim_config) if sim_config is not None else SimSpec(),
         runtime=runtime or ExperimentRuntime(),
-        hardware=spec,
     )
 
 

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
-from repro.experiments.runner import ExperimentContext, build_context, mean
+from repro.experiments.runner import ExperimentContext, mean
+from repro.runtime.campaign import QUICK_SCENARIO_SUBSET
 from repro.runtime.jobs import PolicySpec
 from repro.scenarios.generators import GENERATORS
 from repro.scenarios.registry import SCENARIOS, catalog_trace_specs
@@ -33,14 +34,25 @@ MANAGED_POLICIES = ("sysscale", "md_dvfs")
 TITLE = "Scenario robustness: SysScale vs. baselines across the synthesized catalog"
 
 
-def run_scenario_robustness(
-    context: Optional[ExperimentContext] = None,
+@experiment(
+    "robustness",
+    title=TITLE,
+    flags=("--tdp",),
+    quick="one representative scenario per generator family",
+)
+def _robustness(
+    context: ExperimentContext,
+    quick: bool,
+    *,
     subset: Optional[Sequence[str]] = None,
 ) -> ExperimentReport:
-    """Sweep the scenario catalog under baseline, SysScale, and MD-DVFS."""
-    if context is None:
-        context = build_context()
-    before = context.runtime.accounting()
+    """Per-scenario energy/performance deltas plus SysScale's worst cases.
+
+    Sweeps the scenario catalog (or the named ``subset`` of it) under the
+    fixed baseline, SysScale, and MD-DVFS.
+    """
+    if quick and subset is None:
+        subset = QUICK_SCENARIO_SUBSET
     names = sorted(SCENARIOS) if subset is None else list(subset)
     policies = [PolicySpec.make("baseline")] + [
         PolicySpec.make(name) for name in MANAGED_POLICIES
@@ -127,23 +139,4 @@ def run_scenario_robustness(
                 ),
             ),
         ),
-        run=context.runtime.accounting().since(before),
     )
-
-
-@experiment(
-    "robustness",
-    title=TITLE,
-    flags=("--tdp",),
-    quick="one representative scenario per generator family",
-    params=("subset",),
-)
-def _robustness(
-    context: ExperimentContext, quick: bool, **overrides: object
-) -> ExperimentReport:
-    """Per-scenario energy/performance deltas plus SysScale's worst cases."""
-    if quick:
-        from repro.runtime.campaign import QUICK_SCENARIO_SUBSET
-
-        overrides.setdefault("subset", QUICK_SCENARIO_SUBSET)
-    return run_scenario_robustness(context, **overrides)

@@ -11,6 +11,8 @@ Two questions from the paper's sensitivity discussion are reproduced:
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro import config
 from repro.core.operating_points import (
     build_ddr4_operating_points,
@@ -18,22 +20,29 @@ from repro.core.operating_points import (
 )
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric
-from repro.experiments.runner import ExperimentContext, build_context, mean
+from repro.experiments.runner import ExperimentContext, mean
 from repro.runtime.jobs import PointSpec, TraceSpec, platform_for
 from repro.workloads.trace import WorkloadClass
 
 TITLE = "Sec. 7.4: DRAM device and operating-point sensitivity"
 
 
-def run_dram_frequency_sensitivity(
-    context: ExperimentContext | None = None,
-    corpus_size: int = 80,
+@experiment(
+    "sensitivity",
+    title=TITLE,
+    flags=("--tdp",),
+    quick="20-workload corpus instead of 80",
+)
+def _sensitivity(
+    context: ExperimentContext,
+    quick: bool,
+    *,
+    corpus_size: Optional[int] = None,
     seed: int = config.DEFAULT_SEED + 11,
 ) -> ExperimentReport:
-    """Reproduce the Sec. 7.4 DRAM-device and operating-point sensitivity results."""
-    if context is None:
-        context = build_context()
-    before = context.runtime.accounting()
+    """DRAM-device power savings and the 0.8 GHz third-operating-point question."""
+    if corpus_size is None:
+        corpus_size = 20 if quick else 80
 
     # --- LPDDR3 1.6 -> 1.06 GHz: the power freed by the default low point -------
     lpddr3_platform = context.platform
@@ -47,7 +56,7 @@ def run_dram_frequency_sensitivity(
     # The DDR4 platform is a declarative delta over this context's hardware
     # description, materialized through the same worker-local memo the runtime
     # jobs use -- no imperative build_platform(...) bypass.
-    ddr4_platform = platform_for(context.platform_spec().derive(dram="ddr4"))
+    ddr4_platform = platform_for(context.hardware.derive(dram="ddr4"))
     ddr4_points = build_ddr4_operating_points()
     ddr4_savings = ddr4_platform.worst_case_io_memory_power(
         dram_frequency=ddr4_points.high.dram_frequency
@@ -104,21 +113,4 @@ def run_dram_frequency_sensitivity(
                 (mean_08 / mean_106) if mean_106 > 0 else 0.0,
             ),
         ),
-        run=context.runtime.accounting().since(before),
     )
-
-
-@experiment(
-    "sensitivity",
-    title=TITLE,
-    flags=("--tdp",),
-    quick="20-workload corpus instead of 80",
-    params=("corpus_size", "seed"),
-)
-def _sensitivity(
-    context: ExperimentContext, quick: bool, **overrides: object
-) -> ExperimentReport:
-    """DRAM-device power savings and the 0.8 GHz third-operating-point question."""
-    if quick:
-        overrides.setdefault("corpus_size", 20)
-    return run_dram_frequency_sensitivity(context, **overrides)

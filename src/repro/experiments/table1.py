@@ -8,20 +8,19 @@ from repro import config
 from repro.baselines.md_dvfs import build_md_dvfs_action
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext
 
 TITLE = "Table 1: static MD-DVFS operating-point settings"
 
 
-def run_table1(context: ExperimentContext | None = None) -> ExperimentReport:
-    """Reproduce Table 1: the component settings of the two setups.
+@experiment("table1", title=TITLE, flags=("--tdp",))
+def _table1(context: ExperimentContext, quick: bool) -> ExperimentReport:
+    """The component settings of the baseline and static MD-DVFS setups.
 
     The baseline column is the default high operating point; the MD-DVFS column is
     the static reduced configuration (one DRAM bin down, interconnect halved,
     V_SA x 0.8, V_IO x 0.85, CPU cores unchanged).
     """
-    if context is None:
-        context = build_context()
     platform = context.platform
     md_action = build_md_dvfs_action(platform)
     baseline_state = platform.default_state()
@@ -59,9 +58,3 @@ def run_table1(context: ExperimentContext | None = None) -> ExperimentReport:
         params={"tdp": platform.tdp},
         blocks=(Table.from_records("rows", rows),),
     )
-
-
-@experiment("table1", title=TITLE, flags=("--tdp",))
-def _table1(context: ExperimentContext, quick: bool) -> ExperimentReport:
-    """The component settings of the baseline and static MD-DVFS setups."""
-    return run_table1(context)

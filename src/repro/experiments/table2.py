@@ -7,16 +7,15 @@ from typing import Dict, List
 from repro import config
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext, build_context
+from repro.experiments.runner import ExperimentContext
 from repro.hw import get_hardware
 
 TITLE = "Table 2: evaluated system parameters"
 
 
-def run_table2(context: ExperimentContext | None = None) -> ExperimentReport:
-    """Reproduce Table 2: the platform parameters used throughout the evaluation."""
-    if context is None:
-        context = build_context()
+@experiment("table2", title=TITLE, flags=("--tdp",))
+def _table2(context: ExperimentContext, quick: bool) -> ExperimentReport:
+    """The SoC and memory parameters of the evaluation platform."""
     skylake = context.platform.soc
     # The motivation platform is addressable by name like every other spec; no
     # SoC needs to be materialized just to quote its identity.
@@ -58,9 +57,3 @@ def run_table2(context: ExperimentContext | None = None) -> ExperimentReport:
         params={"tdp": skylake.tdp},
         blocks=(Table.from_records("rows", rows),),
     )
-
-
-@experiment("table2", title=TITLE, flags=("--tdp",))
-def _table2(context: ExperimentContext, quick: bool) -> ExperimentReport:
-    """The SoC and memory parameters of the evaluation platform."""
-    return run_table2(context)

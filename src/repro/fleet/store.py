@@ -89,9 +89,6 @@ class ShardedResultStore:
         """True when a result entry for ``job_hash`` is on disk."""
         return self.job_path(job_hash).is_file()
 
-    def get_job(self, job: Job) -> Optional[Dict[str, Any]]:
-        return self._job_cache.get(job)
-
     def put_job(self, job: Job, payload: Dict[str, Any]) -> Path:
         return self._job_cache.put(job, payload)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import config
 from repro.memory.timings import DramTimings, timings_for_frequency
@@ -107,11 +107,6 @@ class DramDevice:
     def max_frequency(self) -> float:
         """Highest supported data rate (the default bin)."""
         return self.frequency_bins[0]
-
-    @property
-    def min_frequency(self) -> float:
-        """Lowest supported data rate."""
-        return self.frequency_bins[-1]
 
     def supports_frequency(self, frequency: float) -> bool:
         """True if ``frequency`` is one of the device's discrete bins."""

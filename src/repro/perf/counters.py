@@ -172,23 +172,3 @@ class PerformanceCounterUnit:
             },
             interval=self.sampling_interval,
         )
-
-    def sample_interval_average(
-        self,
-        phase: Phase,
-        state: SoCState,
-        samples: int,
-        mrc: Optional[MrcRegisterFile] = None,
-    ) -> CounterSample:
-        """Average of ``samples`` consecutive samples within one evaluation interval.
-
-        Within a single phase the synthesised counters are stationary, so the
-        average equals one sample; the method exists so callers mirror the PMU's
-        sampling procedure and so phase boundaries inside an interval average
-        correctly when the caller mixes phases.
-        """
-        if samples <= 0:
-            raise ValueError("sample count must be positive")
-        return CounterSample.average(
-            self.sample(phase, state, mrc) for _ in range(samples)
-        )

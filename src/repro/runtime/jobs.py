@@ -65,6 +65,7 @@ from repro.workloads.batterylife import battery_life_workload
 from repro.workloads.corpus import CorpusGenerator
 from repro.workloads.graphics import graphics_workload
 from repro.workloads.io_devices import STANDARD_CONFIGURATIONS
+from repro.workloads.microbenchmarks import peak_bandwidth_microbenchmark
 from repro.workloads.spec2006 import spec_workload
 from repro.workloads.trace import WorkloadClass, WorkloadTrace
 
@@ -145,6 +146,7 @@ TRACE_BUILDERS: Dict[str, TraceBuilder] = {
     "battery_life": battery_life_workload,
     "corpus": _build_corpus_trace,
     "scenario": _build_scenario_trace,
+    "microbenchmark": peak_bandwidth_microbenchmark,
 }
 
 

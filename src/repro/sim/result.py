@@ -9,7 +9,7 @@ frequencies the PBM actually granted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro import config
 from repro.numeric import ordered_sum
@@ -168,11 +168,6 @@ class SimulationResult:
     def low_point_residency(self) -> float:
         """Fraction of execution time spent at a reduced IO/memory operating point."""
         return min(1.0, self.low_point_time / self.execution_time)
-
-    @property
-    def transition_overhead_fraction(self) -> float:
-        """Fraction of execution time spent inside DVFS transitions."""
-        return self.transition_time / self.execution_time
 
     @property
     def average_achieved_bandwidth(self) -> float:

@@ -92,11 +92,6 @@ class SoCState:
         """Memory controller clock: half the DDR frequency (Sec. 3)."""
         return self.dram_frequency * config.MC_TO_DDR_FREQUENCY_RATIO
 
-    @property
-    def ddrio_frequency(self) -> float:
-        """DDRIO clock: locked to the DDR frequency."""
-        return self.dram_frequency
-
     def with_updates(self, **changes) -> "SoCState":
         """Return a copy of the state with the given fields replaced."""
         return replace(self, **changes)

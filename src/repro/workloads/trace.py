@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro import config
 from repro.numeric import ordered_sum
@@ -231,11 +231,6 @@ class WorkloadTrace:
         return max(phase.memory_bandwidth_demand for phase in self.phases)
 
     @property
-    def average_compute_fraction(self) -> float:
-        """Duration-weighted average compute-bound fraction."""
-        return self._weighted(lambda p: p.compute_fraction)
-
-    @property
     def average_memory_bound_fraction(self) -> float:
         """Duration-weighted average memory-bound (latency + bandwidth) fraction."""
         return self._weighted(lambda p: p.memory_bound_fraction)
@@ -287,10 +282,6 @@ class WorkloadTrace:
                 return phase
             elapsed += phase.duration
         return self.phases[-1]
-
-    def with_phases(self, phases: Iterable[Phase]) -> "WorkloadTrace":
-        """Return a copy of the trace with a different phase list."""
-        return replace(self, phases=tuple(phases))
 
 
 def uniform_phase_trace(

@@ -36,7 +36,8 @@ def _mean_improvement(engine, controller_factory):
 
 def test_ablation_mrc_reoptimization(context):
     """SysScale with vs. without per-frequency MRC re-optimization (Fig. 4 tie-in)."""
-    with_mrc = _mean_improvement(context.engine, context.sysscale)
+    engine = SimulationEngine(context.platform)
+    with_mrc = _mean_improvement(engine, context.sysscale)
 
     stale_points = OperatingPointTable(
         points=[
@@ -54,20 +55,21 @@ def test_ablation_mrc_reoptimization(context):
             thresholds=context.thresholds,
         )
 
-    without_mrc = _mean_improvement(context.engine, stale_controller)
+    without_mrc = _mean_improvement(engine, stale_controller)
     assert with_mrc >= without_mrc - 0.005
 
 
 def test_ablation_transition_latency(context):
     """Nominal 10 us transitions vs. 100x slower transitions (prior-work style)."""
-    fast = _mean_improvement(context.engine, context.sysscale)
+    engine = SimulationEngine(context.platform)
+    fast = _mean_improvement(engine, context.sysscale)
 
     def slow_controller():
         controller = context.sysscale()
         controller.flow.firmware_latency = 100 * config.TRANSITION_TOTAL_LATENCY_BUDGET
         return controller
 
-    slow = _mean_improvement(context.engine, slow_controller)
+    slow = _mean_improvement(engine, slow_controller)
     # With 30 ms evaluation intervals even slow transitions cost little, which is
     # exactly why the paper can afford a firmware-driven flow.
     assert abs(fast - slow) < 0.02

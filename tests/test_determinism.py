@@ -12,7 +12,7 @@ import pytest
 
 from repro.baselines.fixed import FixedBaselinePolicy
 from repro.core.sysscale import SysScaleController
-from repro.experiments import build_context, run_fig7_spec
+from repro.experiments import build_context, get_spec, registry
 from repro.experiments.runner import ExperimentRuntime
 from repro.numeric import ordered_sum
 from repro.runtime import (
@@ -91,16 +91,48 @@ class TestRuntimeDeterminism:
         warm run performs zero new simulations."""
         cache_dir = tmp_path / "cache"
         cold_context = self._context(cache=ResultCache(cache_dir))
-        cold = run_fig7_spec(cold_context, subset=SUBSET)
+        cold = get_spec("fig7").run(cold_context, subset=SUBSET)
         assert cold_context.runtime.executed > 0
         assert cold_context.runtime.cache_hits == 0
 
         warm_context = self._context(cache=ResultCache(cache_dir))
-        warm = run_fig7_spec(warm_context, subset=SUBSET)
+        warm = get_spec("fig7").run(warm_context, subset=SUBSET)
         assert warm_context.runtime.executed == 0
         assert warm_context.runtime.cache_hits == warm_context.runtime.unique
 
         assert warm.blocks == cold.blocks
+
+    def test_warm_rerun_simulates_nothing_in_every_experiment(
+        self, tmp_path, monkeypatch
+    ):
+        """Every experiment reaches the engine only through the runtime, so a
+        warm rerun of all of them against one cache makes no engine call, and
+        each warm report says so."""
+        engine_runs = []
+        run = SimulationEngine.run
+
+        def counted_run(engine, *args, **kwargs):
+            engine_runs.append(engine)
+            return run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "run", counted_run)
+        context = build_context(
+            workload_duration=0.05,
+            sim_config=SimulationConfig(max_simulated_time=0.05),
+            runtime=ExperimentRuntime(cache=ResultCache(tmp_path / "cache")),
+        )
+        specs = registry()
+        cold = {name: spec.run(context, quick=True) for name, spec in specs.items()}
+        assert engine_runs
+        assert cold["fig2"].run.submitted == 9
+        assert cold["fig4"].run.submitted == 2
+
+        engine_runs.clear()
+        warm = {name: spec.run(context, quick=True) for name, spec in specs.items()}
+        assert engine_runs == []
+        assert {name: report.run.executed for name, report in warm.items()} == {
+            name: 0 for name in specs
+        }
 
     def test_parallel_equals_serial_for_campaign(self):
         """ParallelExecutor results are bit-identical to SerialExecutor results
@@ -122,7 +154,7 @@ class TestRuntimeDeterminism:
         """The figure code's runtime submission produces the same numbers as
         driving the engine directly with equivalent objects."""
         context = self._context()
-        figure = run_fig7_spec(context, subset=("470.lbm",))
+        figure = get_spec("fig7").run(context, subset=("470.lbm",))
 
         platform = build_platform()
         engine = SimulationEngine(platform, SimulationConfig(max_simulated_time=0.1))

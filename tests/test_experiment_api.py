@@ -5,8 +5,8 @@ Covers the acceptance surface of the experiment-API redesign:
 * ``ExperimentReport`` ``to_dict``/``from_dict`` round-trips exactly (including
   through a JSON encode/decode);
 * the CSV and JSON exports match golden documents;
-* the registry is complete -- every experiment module's ``run_*`` entry has a
-  registered spec, and every registered spec runs in ``--quick`` mode;
+* the registry is complete -- every experiment module registers exactly one
+  spec, and every registered spec runs in ``--quick`` mode;
 * ``python -m repro run <target> --json`` emits a parseable report for *all*
   targets, and a warm-cache rerun exports bit-identical numbers;
 * the :class:`repro.api.Session` facade drives experiments and single
@@ -22,7 +22,7 @@ import pytest
 
 import repro.experiments
 from repro.api import Session
-from repro.experiments import build_context, format_table, run_table1
+from repro.experiments import build_context, format_table
 from repro.experiments.api import CONTEXT_FLAGS, REGISTRY, get_spec, registry
 from repro.experiments.report import (
     ExperimentReport,
@@ -197,7 +197,7 @@ class TestExportGoldens:
         assert base.spec_hash != different_ask.spec_hash
 
     def test_format_table_renders(self, tiny_context):
-        text = format_table(run_table1(tiny_context).block("rows").records())
+        text = format_table(get_spec("table1").run(tiny_context).block("rows").records())
         assert "DRAM frequency" in text
 
 
@@ -206,30 +206,42 @@ class TestRegistryCompleteness:
         assert set(registry()) == set(ALL_TARGETS)
 
     def test_every_experiment_module_registers_a_spec(self):
-        registered_modules = {spec.runner.__module__ for spec in REGISTRY.values()}
+        """Each experiment module registers exactly one spec: its runner is
+        the module's only entry point."""
+        registered = [spec.runner.__module__ for spec in REGISTRY.values()]
         for info in pkgutil.iter_modules(repro.experiments.__path__):
             if info.name in NON_EXPERIMENT_MODULES or info.name.startswith("_"):
                 continue
             module_name = f"repro.experiments.{info.name}"
-            assert module_name in registered_modules, (
-                f"{module_name} has no registered experiment spec"
+            assert registered.count(module_name) == 1, (
+                f"{module_name} registers {registered.count(module_name)} specs"
             )
 
     def test_every_run_function_is_reachable_from_a_spec(self):
-        """Each module-level ``run_*`` entry lives in a module whose spec
-        adapter calls it (adapters are registered next to their run_*)."""
+        """Each module-level entry -- a ``run_*`` function or one shaped
+        ``(context, quick, ...)`` -- is a registered spec's runner, so no
+        experiment keeps a second, unregistered way in."""
+        runners = {spec.runner for spec in REGISTRY.values()}
         for info in pkgutil.iter_modules(repro.experiments.__path__):
             if info.name in NON_EXPERIMENT_MODULES or info.name.startswith("_"):
                 continue
             module = importlib.import_module(f"repro.experiments.{info.name}")
             entries = [
-                name
+                obj
                 for name, obj in vars(module).items()
-                if name.startswith("run_")
-                and inspect.isfunction(obj)
+                if inspect.isfunction(obj)
                 and obj.__module__ == module.__name__
+                and (
+                    name.startswith("run_")
+                    or tuple(inspect.signature(obj).parameters)[:2]
+                    == ("context", "quick")
+                )
             ]
-            assert entries, f"{module.__name__} has no run_* entry"
+            assert entries, f"{module.__name__} has no entry function"
+            for entry in entries:
+                assert entry in runners, (
+                    f"{module.__name__}.{entry.__name__} is not a registered runner"
+                )
 
     def test_declared_flags_are_known(self):
         for spec in REGISTRY.values():

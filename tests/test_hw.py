@@ -358,10 +358,10 @@ class TestHwSweep:
         assert variant_lines(cold)
 
     def test_sweep_requires_two_variants(self):
-        from repro.experiments.hwsweep import run_hwsweep
+        from repro.experiments import build_context, get_spec
 
         with pytest.raises(ValueError):
-            run_hwsweep(variants=("skylake",))
+            get_spec("hwsweep").run(build_context(), variants=("skylake",))
 
     def test_session_runs_hwsweep_with_params(self, tmp_path):
         from repro.api import Session
@@ -405,11 +405,30 @@ class TestHwSweep:
         assert f"skylake@{SKYLAKE.content_hash[:8]}" in variants[1:]
         assert "broadwell" in variants
 
+    def test_fig10_follows_the_context_hardware(self):
+        """Regression: each fig10 TDP point derives from the context's
+        hardware, so at the context's own TDP it reads the very jobs fig7
+        reads on a DDR4 context, instead of default LPDDR3 results."""
+        from repro.experiments import build_context, get_spec
+        from repro.sim.engine import SimulationConfig
+
+        context = build_context(
+            hardware=get_hardware("skylake").derive(dram="ddr4"),
+            workload_duration=0.2,
+            sim_config=SimulationConfig(max_simulated_time=0.2),
+        )
+        subset = ("470.lbm", "429.mcf")
+        fig10 = get_spec("fig10").run(context, subset=subset, tdp_points=(4.5,))
+        fig7 = get_spec("fig7").run(context, subset=subset)
+        (row,) = fig10.block("rows").records()
+        assert row["average"] == fig7.block("average/sysscale").value
+
     def test_single_string_params_are_not_iterated_charwise(self, tmp_path):
-        from repro.experiments.hwsweep import run_hwsweep
+        from repro.experiments import build_context, get_spec
 
         with pytest.raises(ValueError, match="at least two variants"):
-            run_hwsweep(variants="broadwell")  # one variant, not 9 characters
+            # one variant, not 9 characters
+            get_spec("hwsweep").run(build_context(), variants="broadwell")
 
 
 class TestCampaignRebasing:
