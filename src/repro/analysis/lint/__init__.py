@@ -16,17 +16,15 @@ rule                severity  enforces
                               ``print()``
 ==================  ========  ====================================================
 
-Escape hatches: ``# reprolint: disable=RULE`` inline, or the committed
-``.reprolint-baseline.json``.  CLI: ``python -m repro lint`` (see
-``--list-rules`` / ``--explain RULE``); CI runs it as a hard gate.
+Escape hatch: ``# reprolint: disable=RULE`` inline.  CLI: ``python -m repro
+lint`` (see ``--list-rules`` / ``--explain RULE``); CI runs it as a hard gate.
 """
 
 from repro.analysis.lint.engine import DEFAULT_ROOTS, LintReport, lint_paths
-from repro.analysis.lint.findings import Baseline, Finding
+from repro.analysis.lint.findings import Finding
 from repro.analysis.lint.rules import RULES, LintRule
 
 __all__ = [
-    "Baseline",
     "DEFAULT_ROOTS",
     "Finding",
     "LintReport",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.analysis.lint.findings import Baseline, Finding, suppressed_rules
+from repro.analysis.lint.findings import Finding, suppressed_rules
 from repro.analysis.lint.rules import RULES, LintRule
 from repro.analysis.lint.source import parse_source
 
@@ -38,7 +38,6 @@ class LintReport:
     errors: List[str] = field(default_factory=list)  # unreadable/syntax errors
     files_scanned: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -49,7 +48,6 @@ class LintReport:
             "ok": self.ok,
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "errors": list(self.errors),
             "findings": [finding.to_dict() for finding in self.findings],
         }
@@ -91,12 +89,10 @@ def lint_paths(
     *,
     repo_root: Optional[Path] = None,
     rules: Optional[Iterable[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint ``paths`` (default: :data:`DEFAULT_ROOTS` that exist).
 
-    ``rules`` restricts to a subset of rule names; ``baseline`` absorbs
-    known findings (the report counts them as ``baselined``).
+    ``rules`` restricts to a subset of rule names.
     """
     root = (repo_root or Path.cwd()).resolve()
     if paths:
@@ -113,7 +109,6 @@ def lint_paths(
         active = [RULES[name] for name in rules]
 
     report = LintReport()
-    raw: List[Finding] = []
     for file_path in iter_python_files(targets, root):
         rel = _relative(file_path, root)
         module, error = parse_source(file_path, rel)
@@ -128,7 +123,7 @@ def lint_paths(
                 if rule.name in suppressed_rules(module.line(lineno)):
                     report.suppressed += 1
                     continue
-                raw.append(
+                report.findings.append(
                     Finding(
                         rule=rule.name,
                         severity=rule.severity,
@@ -138,11 +133,5 @@ def lint_paths(
                     )
                 )
 
-    raw.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    if baseline is not None:
-        fresh = baseline.filter_new(raw)
-        report.baselined = len(raw) - len(fresh)
-        report.findings = fresh
-    else:
-        report.findings = raw
+    report.findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return report

@@ -1,26 +1,17 @@
-"""Findings, suppressions, and the committed baseline.
+"""Findings and inline suppressions.
 
-A :class:`Finding` is one rule violation at one source line.  Two escape
-hatches keep the gate honest without blocking work:
-
-* **inline suppressions** -- ``# reprolint: disable=RULE`` on the offending
-  line waives that rule there, visibly, in the diff;
-* **the baseline** -- a committed JSON file of known findings that are
-  tolerated but not endorsed.  Baseline entries match on ``(rule, path,
-  message)`` with a multiplicity, *not* on line numbers, so unrelated edits
-  that shift a tolerated finding up or down the file do not break the gate.
+A :class:`Finding` is one rule violation at one source line.  The one escape
+hatch is an inline suppression: ``# reprolint: disable=RULE`` on the
+offending line waives that rule there, visibly, in the diff.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = [
-    "Baseline",
     "Finding",
     "suppressed_rules",
 ]
@@ -39,10 +30,6 @@ class Finding:
     path: str  # repo-relative, posix separators
     line: int
     message: str
-
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: line numbers deliberately excluded."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -65,60 +52,3 @@ def suppressed_rules(line: str) -> Tuple[str, ...]:
     return tuple(
         part.strip() for part in match.group(1).split(",") if part.strip()
     )
-
-
-class Baseline:
-    """Known findings tolerated by the gate, keyed with multiplicity.
-
-    The file format is a sorted list of ``{rule, path, message, count}``
-    entries so diffs stay reviewable and the count shrinking over time is
-    visible in the history.
-    """
-
-    def __init__(self, counts: Dict[Tuple[str, str, str], int] | None = None) -> None:
-        self.counts: Dict[Tuple[str, str, str], int] = dict(counts or {})
-
-    @classmethod
-    def from_findings(cls, findings: List[Finding]) -> "Baseline":
-        baseline = cls()
-        for finding in findings:
-            key = finding.key()
-            baseline.counts[key] = baseline.counts.get(key, 0) + 1
-        return baseline
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(path.read_text(encoding="utf-8"))
-        baseline = cls()
-        for entry in data.get("findings", []):
-            key = (str(entry["rule"]), str(entry["path"]), str(entry["message"]))
-            baseline.counts[key] = baseline.counts.get(key, 0) + int(
-                entry.get("count", 1)
-            )
-        return baseline
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "findings": [
-                {"rule": rule, "path": path, "message": message, "count": count}
-                for (rule, path, message), count in sorted(self.counts.items())
-            ]
-        }
-
-    def save(self, path: Path) -> None:
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    def filter_new(self, findings: List[Finding]) -> List[Finding]:
-        """Findings not absorbed by the baseline (multiplicity-aware)."""
-        budget = dict(self.counts)
-        fresh: List[Finding] = []
-        for finding in findings:
-            key = finding.key()
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-            else:
-                fresh.append(finding)
-        return fresh

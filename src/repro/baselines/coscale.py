@@ -22,17 +22,13 @@ exactly how the paper explains the near-identical bars of Figs. 8 and 9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro import config
 from repro.baselines.memscale import (
-    MemScalePolicy,
     MemScaleRedistProjection,
     UNOPTIMIZED_MRC_SLOWDOWN_SHARE,
 )
-from repro.baselines.projection import ProjectionResult, RedistProjection
-from repro.sim.platform import Platform
 from repro.workloads.trace import WorkloadClass, WorkloadTrace
 
 
@@ -44,18 +40,6 @@ COSCALE_LOW_RESIDENCY = 0.80
 #: Fraction of the per-core power CoScale can shed by lowering the CPU frequency
 #: during memory-bound execution (one or two bins of headroom at these TDPs).
 COSCALE_CPU_SCALING_DEPTH = 0.35
-
-
-@dataclass
-class CoScalePolicy(MemScalePolicy):
-    """Engine-runnable CoScale: like MemScale but with a less conservative guard.
-
-    The joint-slack accounting is represented by a higher utilization threshold
-    before it backs off to the high memory frequency.
-    """
-
-    utilization_threshold: float = 0.60
-    name: str = "CoScale"
 
 
 @dataclass

@@ -16,22 +16,20 @@ SoC (Sec. 8):
 * the stale MRC values inflate the DRAM operation/termination power at the low
   frequency (Fig. 4) and slow down memory-bound phases.
 
-The module provides both an engine-runnable policy (``MemScalePolicy``) and the
-projection used for Fig. 7-9 (``MemScaleRedistProjection``), which follows the
-paper's own three-step methodology (Sec. 6).
+Like the paper, the reproduction does not run MemScale: it projects
+MemScale-Redist for Figs. 7-9 (``MemScaleRedistProjection``) with the paper's
+own three-step methodology (Sec. 6).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro import config
 from repro.baselines.projection import ProjectionResult, RedistProjection
-from repro.core.operating_points import OperatingPoint
 from repro.numeric import ordered_sum
 from repro.sim.platform import Platform
-from repro.sim.policy import Policy, PolicyAction, PolicyObservation
 from repro.workloads.trace import WorkloadClass, WorkloadTrace
 
 
@@ -47,90 +45,6 @@ MEMSCALE_LOW_RESIDENCY = 0.55
 #: frequency with unoptimized MRC values (Fig. 4 measures ~10 % on a saturating
 #: microbenchmark; typical workloads see a fraction of that).
 UNOPTIMIZED_MRC_SLOWDOWN_SHARE = 0.5
-
-
-def memscale_low_point(platform: Platform) -> OperatingPoint:
-    """The reduced operating point MemScale can reach on this platform.
-
-    DRAM drops one bin and the MC clock follows it, but the interconnect clock,
-    V_SA, and V_IO stay at nominal, and the MRC registers are not re-optimized.
-    """
-    low_dram = platform.dram.next_lower_bin(platform.dram.max_frequency)
-    if low_dram is None:
-        raise ValueError("the attached DRAM device has a single frequency bin")
-    return OperatingPoint(
-        name="memscale_low",
-        dram_frequency=low_dram,
-        interconnect_frequency=config.IO_INTERCONNECT_HIGH_FREQUENCY,
-        v_sa_scale=1.0,
-        v_io_scale=1.0,
-        mrc_optimized=False,
-    )
-
-
-@dataclass
-class MemScalePolicy(Policy):
-    """Engine-runnable MemScale: memory-only DVFS driven by memory utilization."""
-
-    #: Utilization of the low point's bandwidth ceiling above which MemScale keeps
-    #: the high frequency (its performance-slack guard).
-    utilization_threshold: float = 0.45
-    name: str = "MemScale"
-    _platform: Optional[Platform] = field(default=None, init=False)
-    _high: Optional[PolicyAction] = field(default=None, init=False)
-    _low: Optional[PolicyAction] = field(default=None, init=False)
-
-    def reset(self, platform: Platform, trace: WorkloadTrace) -> PolicyAction:
-        """Start at the high point with the baseline's fixed budget."""
-        del trace
-        self._platform = platform
-        worst_case = platform.worst_case_io_memory_power()
-        self._high = PolicyAction(
-            name="memscale_high",
-            dram_frequency=platform.dram.max_frequency,
-            interconnect_frequency=config.IO_INTERCONNECT_HIGH_FREQUENCY,
-            v_sa_scale=1.0,
-            v_io_scale=1.0,
-            mrc_optimized=True,
-            io_memory_budget=worst_case,
-            transition_latency=0.0,
-        )
-        low_point = memscale_low_point(platform)
-        # MemScale (non-redist) keeps the baseline compute budget: its savings are
-        # not handed to the compute domain.
-        self._low = PolicyAction(
-            name="memscale_low",
-            dram_frequency=low_point.dram_frequency,
-            interconnect_frequency=low_point.interconnect_frequency,
-            v_sa_scale=low_point.v_sa_scale,
-            v_io_scale=low_point.v_io_scale,
-            mrc_optimized=False,
-            io_memory_budget=worst_case,
-            # Without SRAM-resident MRC sets the transition requires a full
-            # interface re-training, which is an order of magnitude slower than
-            # the SysScale flow.
-            transition_latency=10 * config.TRANSITION_TOTAL_LATENCY_BUDGET,
-        )
-        return self._high
-
-    def decide(self, observation: PolicyObservation) -> PolicyAction:
-        """Drop the memory frequency when measured traffic leaves enough slack."""
-        if self._platform is None or self._high is None or self._low is None:
-            raise RuntimeError("reset() must be called before decide()")
-        from repro.perf.counters import CounterName  # local import to avoid cycles
-
-        occupancy = observation.counters[CounterName.LLC_OCCUPANCY_TRACER]
-        gfx = observation.counters[CounterName.GFX_LLC_MISSES]
-        low_ceiling = self._platform.controller.achievable_bandwidth(
-            self._low.dram_frequency, self._platform.mrc_registers
-        )
-        # Reconstruct an approximate demand from the occupancy counter: occupancy
-        # is demand/line_size x latency, so demand ~ occupancy x line / latency.
-        latency = self._platform.latency_model.reference_latency(0.0)
-        approx_demand = (occupancy * 64.0 / latency) + gfx * 64.0 / observation.counters.interval
-        if approx_demand > self.utilization_threshold * low_ceiling:
-            return self._high
-        return self._low
 
 
 @dataclass

@@ -17,8 +17,9 @@ run at a lower operating point without exceeding the degradation bound, and whic
 conditions (if any) require the high point.  The paper reports prediction
 accuracies of 97.7 % / 94.2 % / 98.8 % for single-thread CPU, multi-thread CPU and
 graphics workloads with *no false positives* (no case where the predictor says
-"safe to go low" but the actual degradation exceeds the bound); the mu + sigma
-threshold margin is what provides that one-sidedness.
+"safe to go low" but the actual degradation exceeds the bound); the guard band
+that sets each threshold below its probed degradation boundary is what provides
+that one-sidedness.
 """
 
 from __future__ import annotations

@@ -111,13 +111,6 @@ class OperatingPointTable:
         """The lowest-performance point."""
         return self.points[-1]
 
-    def by_name(self, name: str) -> OperatingPoint:
-        """Look a point up by name; raises ``KeyError`` if absent."""
-        for point in self.points:
-            if point.name == name:
-                return point
-        raise KeyError(f"no operating point named {name!r}")
-
     def index_of(self, point: OperatingPoint) -> int:
         """Index of ``point`` in the table (0 = highest performance)."""
         return self.points.index(point)

@@ -27,43 +27,23 @@ from repro.core.operating_points import (
 from repro.core.thresholds import CounterThresholds, ThresholdCalibrator
 from repro.sim.platform import Platform
 from repro.sim.policy import Policy, PolicyAction, PolicyObservation
-from repro.workloads.corpus import CorpusGenerator
 from repro.workloads.trace import WorkloadTrace
 
 
 def default_thresholds(
     platform: Platform,
     operating_points: Optional[OperatingPointTable] = None,
-    method: str = "boundary",
-    training_workloads: int = 120,
-    seed: int = config.DEFAULT_SEED,
 ) -> CounterThresholds:
     """Calibrate the counter thresholds offline (Sec. 4.2).
 
-    Two calibration procedures are provided:
-
-    * ``"boundary"`` (default) probes each counter's degradation boundary directly
-      against the platform model -- the outcome of the paper's empirical tuning
-      loop;
-    * ``"corpus"`` runs a synthetic training corpus through the mu + sigma
-      procedure the paper describes (with boundary refinement), which is slower
-      but exercises the full offline pipeline.
+    Each counter's threshold comes from probing its degradation boundary
+    against the platform model (:meth:`ThresholdCalibrator.calibrate_boundary`),
+    the outcome of the paper's empirical tuning loop.
     """
     if operating_points is None:
         operating_points = build_default_operating_points(platform)
     calibrator = ThresholdCalibrator(platform=platform, operating_points=operating_points)
-    if method == "boundary":
-        return calibrator.calibrate_boundary()
-    if method == "corpus":
-        generator = CorpusGenerator(seed=seed)
-        corpus = generator.generate(
-            single_thread=max(20, training_workloads // 2),
-            multi_thread=max(10, training_workloads // 4),
-            graphics=max(10, training_workloads // 4),
-        )
-        calibrator.add_corpus(corpus)
-        return calibrator.calibrate()
-    raise ValueError(f"unknown calibration method {method!r}; use 'boundary' or 'corpus'")
+    return calibrator.calibrate_boundary()
 
 
 @dataclass

@@ -47,11 +47,6 @@ class DramOrganization:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def total_banks(self) -> int:
-        """Banks across all ranks (the unit of bank-level parallelism)."""
-        return self.ranks * self.banks_per_rank
-
 
 @dataclass
 class DramDevice:
@@ -121,12 +116,6 @@ class DramDevice:
         reference = self.current_frequency if frequency is None else frequency
         lower = [f for f in self.frequency_bins if f < reference - 1e3]
         return lower[0] if lower else None
-
-    def next_higher_bin(self, frequency: Optional[float] = None) -> Optional[float]:
-        """The bin one step above ``frequency`` (default: the current bin), if any."""
-        reference = self.current_frequency if frequency is None else frequency
-        higher = [f for f in reversed(self.frequency_bins) if f > reference + 1e3]
-        return higher[0] if higher else None
 
     # ------------------------------------------------------------------
     # Self-refresh and frequency switching (Fig. 5 steps 4, 6, 8)

@@ -144,15 +144,3 @@ class PhasePerformanceModel:
     ) -> float:
         """Execution time (seconds) of ``phase`` under ``state``."""
         return phase.duration * self.slowdown(phase, state, mrc).total
-
-    def speedup_over_reference(
-        self,
-        phase: Phase,
-        state: SoCState,
-        mrc: Optional[MrcRegisterFile] = None,
-    ) -> float:
-        """Speedup of ``phase`` under ``state`` relative to the reference (>1 = faster)."""
-        total = self.slowdown(phase, state, mrc).total
-        if total <= 0:
-            raise ValueError("slowdown must be positive")
-        return 1.0 / total

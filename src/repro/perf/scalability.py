@@ -48,8 +48,3 @@ def amdahl_speedup(scalability: float, frequency_ratio: float) -> float:
     if denominator <= 0:
         raise ValueError("invalid speedup denominator")
     return 1.0 / denominator
-
-
-def projected_improvement(scalability: float, frequency_ratio: float) -> float:
-    """Fractional performance improvement (Amdahl speedup minus one)."""
-    return amdahl_speedup(scalability, frequency_ratio) - 1.0

@@ -16,7 +16,7 @@ from repro.power.pstates import (
     build_gfx_pstates,
     max_pstate_within_budget,
 )
-from repro.power.cstates import CState, CStateResidency, HardwareDutyCycling
+from repro.power.cstates import CState, CStateResidency
 from repro.power.budget import PowerBudgetManager, DomainBudgets
 from repro.power.energy import EnergyMetrics, energy_delay_product
 
@@ -31,7 +31,6 @@ __all__ = [
     "max_pstate_within_budget",
     "CState",
     "CStateResidency",
-    "HardwareDutyCycling",
     "PowerBudgetManager",
     "DomainBudgets",
     "EnergyMetrics",

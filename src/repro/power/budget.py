@@ -20,7 +20,7 @@ typically receive only 10-20 % of the compute budget and run at Pn (Sec. 7.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import config
 from repro.power.models import ActivityVector, ComputePowerModel
@@ -136,13 +136,6 @@ class PowerBudgetManager:
             io_memory=io_memory_allocation,
             platform_fixed=self.platform_fixed_power,
         )
-
-    def redistributed_budget(self, saved_io_memory_power: float) -> DomainBudgets:
-        """Budgets after handing ``saved_io_memory_power`` watts back to compute."""
-        if saved_io_memory_power < 0:
-            raise ValueError("saved power must be non-negative")
-        allocation = max(0.0, self.worst_case_io_memory_power - saved_io_memory_power)
-        return self.budgets(allocation)
 
     # ------------------------------------------------------------------
     # Compute-domain planning
@@ -262,30 +255,6 @@ class PowerBudgetManager:
                 plan = self.plan_cpu_centric(compute_budget, activity)
             self._plan_memo[key] = plan
         return plan
-
-    # ------------------------------------------------------------------
-    # Request demotion (Sec. 4.4)
-    # ------------------------------------------------------------------
-    def demote_request(
-        self,
-        requested: PState,
-        table: PStateTable,
-        power_of_state,
-        budget: float,
-    ) -> Tuple[PState, bool]:
-        """Grant ``requested`` if it fits ``budget``, else demote to the highest fit.
-
-        Returns the granted state and whether a demotion happened.  This mirrors
-        Sec. 4.4: "If the request violates the power budget, then PBM demotes the
-        request and places the requestor in a safe lower frequency".
-        """
-        self._check_budget(budget)
-        if power_of_state(requested) <= budget + 1e-12:
-            return requested, False
-        granted = max_pstate_within_budget(table, power_of_state, budget)
-        if granted.frequency > requested.frequency:
-            granted = requested
-        return granted, True
 
     @staticmethod
     def _check_budget(budget: float) -> None:

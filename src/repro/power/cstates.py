@@ -1,14 +1,10 @@
-"""Package C-states, residency profiles, and hardware duty cycling.
+"""Package C-states and residency profiles.
 
 Battery-life workloads (Sec. 7.3) have fixed performance demands and long idle
 phases: the SoC is in the active C0 state only 10-40 % of the time and spends the
 rest in package idle states (C2, C6, C7, C8).  DRAM is active (and therefore
 subject to SysScale's DVFS) only in C0 and C2; in deeper states DRAM is in
 self-refresh and the compute domain is clock- or power-gated.
-
-Hardware duty cycling (HDC, footnote 10) reduces the *effective* CPU frequency
-below Pn at very low TDPs by periodically forcing idle states, which is modelled
-here as a duty-cycle multiplier on active residency.
 """
 
 from __future__ import annotations
@@ -130,30 +126,3 @@ class CStateResidency:
             scaled[state] = value * scale
         return CStateResidency(scaled)
 
-
-@dataclass(frozen=True)
-class HardwareDutyCycling:
-    """Hardware duty cycling (HDC / SoC duty cycling, footnote 10).
-
-    At very low TDPs the effective CPU frequency is reduced below Pn by forcing
-    coarse-grained idle periods (C-states with power gating).  The model expresses
-    this as a duty cycle in (0, 1]: effective frequency = duty_cycle * frequency.
-    """
-
-    duty_cycle: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError("duty cycle must be in (0, 1]")
-
-    def effective_frequency(self, frequency: float) -> float:
-        """Effective (time-averaged) frequency under duty cycling."""
-        if frequency <= 0:
-            raise ValueError("frequency must be positive")
-        return self.duty_cycle * frequency
-
-    def average_power(self, active_power: float, gated_power: float = 0.0) -> float:
-        """Time-averaged power when duty-cycling between active and gated power."""
-        if active_power < 0 or gated_power < 0:
-            raise ValueError("power values must be non-negative")
-        return self.duty_cycle * active_power + (1.0 - self.duty_cycle) * gated_power

@@ -13,22 +13,16 @@ can never corrupt each other's entries.  Each write encodes its document once
 with the C JSON encoder and writes the text in one call; a shard directory is
 made on first use only, not checked on every write.
 
-A bounded in-memory memo sits in front of the disk store: warm sweeps that
-resolve the same job hash repeatedly (campaign rebasing, ``hwsweep`` and
-``robustness`` sharing jobs across experiments in one session) hit the memo
-instead of re-reading and re-parsing the same JSON file.  Memo hits are
-counted separately in the ``cache.memo_hits`` counter (they still count in
-``cache.hits``).
+The disk is the only copy: every lookup reads and parses the entry file, so
+each ``get`` returns a fresh dict and always sees what is on disk.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import tempfile
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
@@ -40,11 +34,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Default bound on the in-memory hit memo (entries, not bytes); a result
-#: payload is a few KB, so the default working set stays small while covering
-#: every real campaign's repeat-lookup pattern.
-DEFAULT_MEMO_ENTRIES = 1024
 
 
 def default_cache_dir() -> Path:
@@ -99,21 +88,12 @@ def atomic_write_json(
 
 @dataclass
 class ResultCache:
-    """Content-addressed job-result store rooted at ``root``.
-
-    ``memo_entries`` bounds the in-memory hit memo (0 disables it).
-    """
+    """Content-addressed job-result store rooted at ``root``."""
 
     root: Path
-    memo_entries: int = DEFAULT_MEMO_ENTRIES
-    _memo: "OrderedDict[str, Dict[str, Any]]" = field(
-        default_factory=OrderedDict, repr=False
-    )
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        if self.memo_entries < 0:
-            raise ValueError("memo_entries must be non-negative")
 
     # ------------------------------------------------------------------
     # Paths
@@ -132,19 +112,8 @@ class ResultCache:
 
         Entries written under a different schema version, or unreadable files,
         count as misses (the entry will simply be recomputed and rewritten).
-        Repeat lookups of the same hash are served from the in-memory memo
-        without re-reading the file.
         """
-        job_hash = job.content_hash
-        memoized = self._memo.get(job_hash)
-        if memoized is not None:
-            self._memo.move_to_end(job_hash)
-            obs_state.counter("cache.hits").inc()
-            obs_state.counter("cache.memo_hits").inc()
-            # Serve a copy: a disk read always returned a fresh dict, so a
-            # caller mutating its payload must never poison later hits.
-            return copy.deepcopy(memoized)
-        path = self.path_for(job_hash)
+        path = self.path_for(job.content_hash)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 entry = json.load(handle)
@@ -157,18 +126,7 @@ class ResultCache:
             obs_state.counter("cache.misses").inc()
             return None
         obs_state.counter("cache.hits").inc()
-        self._memoize(job_hash, entry["result"])
         return entry["result"]
-
-    def _memoize(self, job_hash: str, payload: Dict[str, Any]) -> None:
-        if self.memo_entries <= 0:
-            return
-        # Detach from the caller's dict for the same no-aliasing reason get()
-        # serves copies.
-        self._memo[job_hash] = copy.deepcopy(payload)
-        self._memo.move_to_end(job_hash)
-        while len(self._memo) > self.memo_entries:
-            self._memo.popitem(last=False)
 
     def put(self, job: Job, payload: Dict[str, Any]) -> Path:
         """Store ``payload`` for ``job`` atomically; returns the entry path."""
@@ -184,7 +142,6 @@ class ResultCache:
             },
         )
         obs_state.counter("cache.writes").inc()
-        self._memoize(job_hash, payload)
         return path
 
     def contains(self, job: Job) -> bool:
@@ -210,10 +167,9 @@ class ResultCache:
         return sum(path.stat().st_size for path in self.iter_entries())
 
     def clear(self) -> int:
-        """Delete every entry (and the in-memory memo); returns entries removed."""
+        """Delete every entry; returns entries removed."""
         removed = 0
         for path in list(self.iter_entries()):
             path.unlink()
             removed += 1
-        self._memo.clear()
         return removed

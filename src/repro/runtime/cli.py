@@ -627,8 +627,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(
         args.paths,
         as_json=args.json,
-        baseline_path=args.baseline,
-        update_baseline=args.update_baseline,
         explain=args.explain,
         list_rules=args.list_rules,
         rules=args.rules or None,
@@ -1213,15 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--json", action="store_true", help="emit the full report as JSON on stdout"
-    )
-    lint_parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline file of tolerated findings "
-        "(default: .reprolint-baseline.json when present)",
-    )
-    lint_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to absorb all current findings",
     )
     lint_parser.add_argument(
         "--rule", dest="rules", action="append", metavar="RULE",

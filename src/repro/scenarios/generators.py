@@ -17,7 +17,7 @@ Generators come in two layers:
 All demand figures are GB/s at the reference configuration; the dual-channel
 LPDDR3-1600 interface sustains ~22 GB/s, so the bandwidth-bound fraction of a
 phase grows as demand approaches that ceiling (same model as the Fig. 6
-calibration corpus).
+corpus).
 """
 
 from __future__ import annotations

@@ -153,14 +153,6 @@ class IoInterconnect(Component):
 class MemoryControllerComponent(Component):
     """The memory controller, housed in the system agent (V_SA rail)."""
 
-    mc_to_ddr_ratio: float = config.MC_TO_DDR_FREQUENCY_RATIO
-
-    def frequency_for_ddr(self, ddr_frequency: float) -> float:
-        """Memory-controller clock for a given DDR frequency (MC runs at DDR/2)."""
-        if ddr_frequency <= 0:
-            raise ValueError("DDR frequency must be positive")
-        return ddr_frequency * self.mc_to_ddr_ratio
-
 
 @dataclass
 class DdrioInterface(Component):

@@ -129,13 +129,6 @@ class SkylakeSoC:
         """Peak theoretical memory bandwidth at the default DRAM bin (bytes/s)."""
         return self.dram.peak_bandwidth(self.dram.max_frequency)
 
-    def with_tdp(self, tdp: float) -> "SkylakeSoC":
-        """A copy of this SoC description at a different configurable TDP."""
-        if tdp <= 0:
-            raise ValueError("TDP must be positive")
-        clone = build_skylake_soc(tdp=tdp, dram=self.dram)
-        return clone
-
     def describe(self) -> dict:
         """Flat summary corresponding to Table 2."""
         return {

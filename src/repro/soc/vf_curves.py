@@ -100,36 +100,6 @@ class VFCurve:
                 return v_lo + frac * (v_hi - v_lo)
         return self.vmax
 
-    def max_frequency_at(self, voltage: float) -> float:
-        """Return the highest frequency supported at ``voltage``.
-
-        This is the inverse lookup used when a shared rail is dropped to a lower
-        voltage and each component on the rail must be re-clocked to a frequency
-        its curve allows at that voltage.
-        """
-        if voltage < self.vmin:
-            raise VFCurveError(
-                f"voltage {voltage:.3f} V is below the minimum functional voltage "
-                f"{self.vmin:.3f} V"
-            )
-        if voltage >= self.vmax:
-            return self.fmax
-        for (f_lo, v_lo), (f_hi, v_hi) in zip(self.points, self.points[1:]):
-            if v_lo <= voltage <= v_hi:
-                if v_hi == v_lo:
-                    return f_hi
-                frac = (voltage - v_lo) / (v_hi - v_lo)
-                return f_lo + frac * (f_hi - f_lo)
-        return self.fmax
-
-    def scaled(self, frequency_scale: float, voltage_scale: float) -> "VFCurve":
-        """Return a copy of the curve with frequency and voltage axes scaled."""
-        if frequency_scale <= 0 or voltage_scale <= 0:
-            raise VFCurveError("scale factors must be positive")
-        return VFCurve.from_points(
-            (f * frequency_scale, v * voltage_scale) for f, v in self.points
-        )
-
 
 @dataclass(frozen=True)
 class PState:
@@ -156,8 +126,8 @@ class PStateTable:
     """An ordered table of P-states for a CPU-core cluster or graphics engine.
 
     States are kept sorted by ascending frequency.  The table exposes the lookups
-    the power-budget manager needs: the state nearest a requested frequency, the
-    most efficient state (``pn``), and the next state up or down.
+    the power-budget manager needs: the lowest and highest states and the most
+    efficient state (``pn``).
     """
 
     states: List[PState] = field(default_factory=list)
@@ -217,38 +187,3 @@ class PStateTable:
         vmin = self.states[0].voltage
         candidates = [s for s in self.states if abs(s.voltage - vmin) < 1e-9]
         return candidates[-1] if candidates else self.states[0]
-
-    def by_name(self, name: str) -> PState:
-        """Look a state up by name; raises ``KeyError`` if absent."""
-        for state in self.states:
-            if state.name == name:
-                return state
-        raise KeyError(f"no P-state named {name!r}")
-
-    def nearest(self, frequency: float) -> PState:
-        """Return the state whose frequency is closest to ``frequency``."""
-        return min(self.states, key=lambda s: abs(s.frequency - frequency))
-
-    def floor(self, frequency: float) -> PState:
-        """Return the highest state with frequency <= ``frequency`` (or the minimum)."""
-        eligible = [s for s in self.states if s.frequency <= frequency * (1 + 1e-12)]
-        return eligible[-1] if eligible else self.states[0]
-
-    def ceiling(self, frequency: float) -> PState:
-        """Return the lowest state with frequency >= ``frequency`` (or the maximum)."""
-        eligible = [s for s in self.states if s.frequency >= frequency * (1 - 1e-12)]
-        return eligible[0] if eligible else self.states[-1]
-
-    def step_down(self, state: PState) -> PState:
-        """Return the next lower-frequency state (or ``state`` if already lowest)."""
-        index = self.states.index(state)
-        return self.states[max(0, index - 1)]
-
-    def step_up(self, state: PState) -> PState:
-        """Return the next higher-frequency state (or ``state`` if already highest)."""
-        index = self.states.index(state)
-        return self.states[min(len(self.states) - 1, index + 1)]
-
-    def frequencies(self) -> List[float]:
-        """All frequencies in ascending order."""
-        return [s.frequency for s in self.states]

@@ -1,28 +1,25 @@
-"""Synthetic workload corpus for predictor calibration and Fig. 6.
+"""Synthetic workload corpus for Fig. 6 and the threshold sensitivity study.
 
-Sec. 4.2 of the paper calibrates the demand predictor against "a large number of
-representative mobile workloads" and evaluates the prediction quality on more than
-1600 workloads spanning three classes (single-threaded CPU, multi-threaded CPU,
-graphics) and three DRAM frequency pairs.  The original corpus (SPEC06, SYSmark,
-MobileMark, 3DMark traces) is not redistributable, so this module generates a
-synthetic corpus with the same *structure*: per-class populations of workloads with
+Sec. 4.2 of the paper evaluates the demand predictor on more than 1600 workloads
+spanning three classes (single-threaded CPU, multi-threaded CPU, graphics) and
+three DRAM frequency pairs.  The original corpus (SPEC06, SYSmark, MobileMark,
+3DMark traces) is not redistributable, so this module generates a synthetic
+corpus with the same *structure*: per-class populations of workloads with
 controlled, widely varying memory sensitivity, each with a known ground truth for
 how much it slows down when the memory subsystem is scaled.
 
-The corpus serves two purposes:
-
-* :mod:`repro.core.thresholds` uses a training split to derive the per-counter
-  thresholds (mean + standard deviation of the counter values among runs whose
-  degradation is below the bound);
-* :mod:`repro.experiments.fig6` uses a disjoint evaluation split to reproduce the
-  nine panels of Fig. 6 (actual vs. predicted performance impact and the
-  correlation coefficients).
+The corpus feeds :mod:`repro.experiments.fig6`, which reproduces the nine panels
+of Fig. 6 (actual vs. predicted performance impact, accuracy and false
+positives), and :mod:`repro.experiments.sensitivity`.  Both reach it through the
+runtime's ``corpus`` trace builder, which replays :meth:`CorpusGenerator.generate_class`
+calls.  The thresholds themselves do not come from the corpus: see
+:mod:`repro.core.thresholds`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -54,7 +51,7 @@ class CorpusWorkload:
 
 @dataclass
 class CorpusGenerator:
-    """Generates the synthetic calibration/evaluation corpus.
+    """Generates the synthetic evaluation corpus.
 
     Parameters
     ----------
@@ -214,39 +211,3 @@ class CorpusGenerator:
             else:
                 raise ValueError(f"corpus generation does not cover {workload_class}")
         return workloads
-
-    def generate(
-        self,
-        single_thread: int = 300,
-        multi_thread: int = 140,
-        graphics: int = 100,
-    ) -> List[CorpusWorkload]:
-        """Generate the full corpus (defaults give ~540 workloads per frequency pair,
-        i.e. >1600 evaluation points across the three pairs of Fig. 6)."""
-        corpus: List[CorpusWorkload] = []
-        corpus.extend(self.generate_class(WorkloadClass.CPU_SINGLE_THREAD, single_thread))
-        corpus.extend(self.generate_class(WorkloadClass.CPU_MULTI_THREAD, multi_thread))
-        corpus.extend(self.generate_class(WorkloadClass.GRAPHICS, graphics))
-        return corpus
-
-    def train_eval_split(
-        self,
-        corpus: Sequence[CorpusWorkload],
-        train_fraction: float = 0.5,
-    ) -> Tuple[List[CorpusWorkload], List[CorpusWorkload]]:
-        """Split a corpus into disjoint training and evaluation sets."""
-        if not 0.0 < train_fraction < 1.0:
-            raise ValueError("train fraction must be in (0, 1)")
-        corpus = list(corpus)
-        rng = np.random.default_rng(self.seed + 1)
-        order = rng.permutation(len(corpus))
-        cut = int(len(corpus) * train_fraction)
-        train = [corpus[i] for i in order[:cut]]
-        evaluation = [corpus[i] for i in order[cut:]]
-        return train, evaluation
-
-
-def iter_traces(corpus: Sequence[CorpusWorkload]) -> Iterator[WorkloadTrace]:
-    """Convenience iterator over the traces of a corpus."""
-    for workload in corpus:
-        yield workload.trace

@@ -272,17 +272,6 @@ class WorkloadTrace:
             elapsed += phase.duration
         return samples
 
-    def phase_at(self, time: float) -> Phase:
-        """The phase active at ``time`` seconds into the trace (reference timeline)."""
-        if time < 0:
-            raise ValueError("time must be non-negative")
-        elapsed = 0.0
-        for phase in self.phases:
-            if time < elapsed + phase.duration:
-                return phase
-            elapsed += phase.duration
-        return self.phases[-1]
-
 
 def uniform_phase_trace(
     name: str,
@@ -294,7 +283,7 @@ def uniform_phase_trace(
 ) -> WorkloadTrace:
     """Build a trace that repeats one phase ``repetitions`` times.
 
-    Useful for microbenchmarks and for the synthetic calibration corpus.
+    Useful for microbenchmarks and for the threshold calibration's boundary probes.
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.baselines.coscale import CoScalePolicy, CoScaleRedistProjection
+from repro.baselines.coscale import CoScaleRedistProjection
 from repro.baselines.fixed import FixedBaselinePolicy
 from repro.baselines.md_dvfs import StaticMdDvfsPolicy, build_md_dvfs_action
-from repro.baselines.memscale import (
-    MemScalePolicy,
-    MemScaleRedistProjection,
-    memscale_low_point,
-)
+from repro.baselines.memscale import MemScaleRedistProjection
 from repro.workloads.batterylife import battery_life_workload
 from repro.workloads.graphics import graphics_workload
 from repro.workloads.spec2006 import spec_workload
@@ -45,26 +41,6 @@ class TestMdDvfs:
         result = engine.run(spec_workload("400.perlbench", duration=0.2), StaticMdDvfsPolicy())
         assert result.transitions == 0
         assert result.low_point_residency == pytest.approx(1.0)
-
-
-class TestMemScaleStructure:
-    def test_low_point_keeps_interconnect_and_rails(self, platform):
-        point = memscale_low_point(platform)
-        assert point.dram_frequency == pytest.approx(1.06e9)
-        assert point.interconnect_frequency == pytest.approx(0.8e9)
-        assert point.v_sa_scale == 1.0 and point.v_io_scale == 1.0
-        assert not point.mrc_optimized
-
-    def test_memscale_policy_scales_down_quiet_workloads(self, platform, engine):
-        result = engine.run(spec_workload("416.gamess", duration=0.3), MemScalePolicy())
-        assert result.low_point_residency > 0.5
-
-    def test_memscale_policy_backs_off_under_bandwidth(self, platform, engine):
-        result = engine.run(spec_workload("470.lbm", duration=0.3), MemScalePolicy())
-        assert result.low_point_residency < 0.5
-
-    def test_coscale_policy_is_less_conservative(self):
-        assert CoScalePolicy().utilization_threshold > MemScalePolicy().utilization_threshold
 
 
 class TestProjections:

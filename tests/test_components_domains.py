@@ -3,7 +3,7 @@
 import pytest
 
 from repro import config
-from repro.soc.components import Component, CpuCluster, MemoryControllerComponent
+from repro.soc.components import Component, CpuCluster
 from repro.soc.domains import Domain, DomainKind, SoCState
 from repro.soc.skylake import build_skylake_soc
 from repro.soc.broadwell import build_broadwell_soc
@@ -40,10 +40,6 @@ class TestComponentPower:
         two_cores = cpu.cluster_power(0.7, 1e9, active_cores=2)
         assert two_cores > one_core
         assert two_cores - one_core == pytest.approx(cpu.dynamic_power(0.7, 1e9))
-
-    def test_mc_frequency_follows_ddr(self):
-        mc = MemoryControllerComponent(name="mc", rail=RailName.V_SA)
-        assert mc.frequency_for_ddr(1.6e9) == pytest.approx(0.8e9)
 
 
 class TestDomains:
@@ -115,10 +111,6 @@ class TestSoCDescriptions:
         assert summary["cpu_cores"] == 2
         assert summary["llc_mib"] == pytest.approx(4.0)
         assert summary["dram"]["peak_bandwidth_gbps"] == pytest.approx(25.6)
-
-    def test_skylake_with_tdp(self):
-        soc = build_skylake_soc().with_tdp(3.5)
-        assert soc.tdp == pytest.approx(3.5)
 
     def test_broadwell_differs_in_name_only_structurally(self):
         broadwell = build_broadwell_soc()

@@ -95,21 +95,6 @@ class TestThresholds:
             spec_workload("470.lbm")
         ) > calibrator.measure_degradation(spec_workload("416.gamess"))
 
-    def test_corpus_calibration_pipeline(self, platform, operating_points):
-        from repro.workloads.corpus import CorpusGenerator
-
-        calibrator = ThresholdCalibrator(platform=platform, operating_points=operating_points)
-        corpus = CorpusGenerator(seed=42).generate(single_thread=30, multi_thread=10, graphics=10)
-        assert calibrator.add_corpus(corpus) == 50
-        thresholds = calibrator.calibrate()
-        for name in CounterName:
-            assert thresholds[name] > 0
-
-    def test_calibrate_without_runs_raises(self, platform, operating_points):
-        calibrator = ThresholdCalibrator(platform=platform, operating_points=operating_points)
-        with pytest.raises(ValueError):
-            calibrator.calibrate()
-
 
 class TestDemandPredictor:
     def test_all_quiet_means_low_safe(self, thresholds):

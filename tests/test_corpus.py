@@ -1,8 +1,8 @@
-"""Tests for the synthetic calibration/evaluation corpus."""
+"""Tests for the synthetic evaluation corpus."""
 
 import pytest
 
-from repro.workloads.corpus import CorpusGenerator, iter_traces
+from repro.workloads.corpus import CorpusGenerator
 from repro.workloads.trace import WorkloadClass
 
 
@@ -11,14 +11,22 @@ def generator():
     return CorpusGenerator(seed=123)
 
 
-class TestCorpusGenerator:
-    def test_default_corpus_size(self, generator):
-        corpus = generator.generate()
-        assert len(corpus) == 540
+def _three_classes(generator, single_thread, multi_thread, graphics):
+    """One ``generate_class`` call per class on one generator, as Fig. 6 makes them."""
+    corpus = []
+    for workload_class, count in (
+        (WorkloadClass.CPU_SINGLE_THREAD, single_thread),
+        (WorkloadClass.CPU_MULTI_THREAD, multi_thread),
+        (WorkloadClass.GRAPHICS, graphics),
+    ):
+        corpus.extend(generator.generate_class(workload_class, count))
+    return corpus
 
+
+class TestCorpusGenerator:
     def test_deterministic_for_seed(self):
-        first = CorpusGenerator(seed=7).generate(single_thread=20, multi_thread=10, graphics=10)
-        second = CorpusGenerator(seed=7).generate(single_thread=20, multi_thread=10, graphics=10)
+        first = _three_classes(CorpusGenerator(seed=7), 20, 10, 10)
+        second = _three_classes(CorpusGenerator(seed=7), 20, 10, 10)
         assert [w.memory_sensitivity for w in first] == [w.memory_sensitivity for w in second]
 
     def test_different_seeds_differ(self):
@@ -46,24 +54,8 @@ class TestCorpusGenerator:
         corpus = generator.generate_class(WorkloadClass.CPU_SINGLE_THREAD, 10)
         assert all(w.trace.phases[0].active_cores == 1 for w in corpus)
 
-    def test_train_eval_split_is_disjoint(self, generator):
-        corpus = generator.generate(single_thread=40, multi_thread=20, graphics=20)
-        train, evaluation = generator.train_eval_split(corpus, train_fraction=0.5)
-        assert len(train) + len(evaluation) == len(corpus)
-        train_names = {w.trace.name for w in train}
-        eval_names = {w.trace.name for w in evaluation}
-        assert not train_names & eval_names
-
-    def test_invalid_split_fraction(self, generator):
-        with pytest.raises(ValueError):
-            generator.train_eval_split([], train_fraction=1.5)
-
-    def test_iter_traces(self, generator):
-        corpus = generator.generate_class(WorkloadClass.CPU_MULTI_THREAD, 5)
-        assert len(list(iter_traces(corpus))) == 5
-
     def test_all_phases_are_valid(self, generator):
-        corpus = generator.generate(single_thread=30, multi_thread=15, graphics=15)
+        corpus = _three_classes(generator, 30, 15, 15)
         for workload in corpus:
             for phase in workload.trace.phases:
                 assert abs(sum(phase.fraction_vector()) - 1.0) < 1e-6

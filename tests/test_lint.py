@@ -1,10 +1,9 @@
-"""The invariant linter: rules, fixtures, suppressions, baseline, CLI.
+"""The invariant linter: rules, fixtures, suppressions, CLI.
 
 Every rule is exercised against a golden bad/good fixture pair under
 ``tests/fixtures/lint`` -- the same files ``repro lint --explain`` renders,
 so examples and behavior cannot drift apart.  The meta-test at the bottom
-is the repo's own gate: the shipped tree must lint clean with no baseline
-crutch.
+is the repo's own gate: the shipped tree must lint clean.
 """
 
 import json
@@ -12,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import RULES, Baseline, Finding, lint_paths
-from repro.analysis.lint.cli import DEFAULT_BASELINE, run_lint
+from repro.analysis.lint import RULES, lint_paths
+from repro.analysis.lint.cli import run_lint
 from repro.analysis.lint.explain import explain_rule
 from repro.analysis.lint.layers import layer_of, layering_violation
 from repro.runtime import cli as repro_cli
@@ -138,43 +137,6 @@ class TestSuppression:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_round_trip_absorbs_known_findings(self, tmp_path):
-        report = _lint_fixture("console_bad.py")
-        assert report.findings
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(report.findings).save(baseline_path)
-        reloaded = Baseline.load(baseline_path)
-        gated = _lint_fixture("console_bad.py", baseline=reloaded)
-        assert gated.findings == []
-        assert gated.baselined == len(report.findings)
-
-    def test_new_findings_still_surface(self):
-        report = _lint_fixture("console_bad.py")
-        baseline = Baseline.from_findings(report.findings[:1])
-        gated = _lint_fixture("console_bad.py", baseline=baseline)
-        assert len(gated.findings) == len(report.findings) - 1
-
-    def test_multiplicity_is_respected(self):
-        finding = Finding(
-            rule="console", severity="warning", path="x.py", line=1, message="m"
-        )
-        twin = Finding(
-            rule="console", severity="warning", path="x.py", line=9, message="m"
-        )
-        baseline = Baseline.from_findings([finding])
-        assert baseline.filter_new([finding, twin]) == [twin]
-
-    def test_committed_baseline_is_empty(self):
-        data = json.loads((REPO_ROOT / DEFAULT_BASELINE).read_text())
-        assert data == {"findings": []}
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -211,17 +173,6 @@ class TestCli:
         assert finding["severity"] == "error"
         assert finding["line"] > 0
 
-    def test_update_baseline_then_gate_passes(self, tmp_path, capsys):
-        victim = tmp_path / "legacy.py"
-        victim.write_text('print("legacy")\n', encoding="utf-8")
-        assert run_lint([str(victim)], repo_root=tmp_path) == 1
-        assert (
-            run_lint([str(victim)], repo_root=tmp_path, update_baseline=True) == 0
-        )
-        assert (tmp_path / DEFAULT_BASELINE).is_file()
-        capsys.readouterr()
-        assert run_lint([str(victim)], repo_root=tmp_path) == 0
-
     def test_explain_renders_fixture_examples(self, capsys):
         for rule_name in sorted(RULES):
             code = run_lint([], explain=rule_name, repo_root=REPO_ROOT)
@@ -246,7 +197,7 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# The gate itself: the shipped tree is clean without a baseline crutch
+# The gate itself: the shipped tree is clean
 # ---------------------------------------------------------------------------
 
 

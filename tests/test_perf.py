@@ -6,7 +6,7 @@ from repro import config
 from repro.perf.bottleneck import analyze_bottlenecks
 from repro.perf.counters import CounterName, CounterSample
 from repro.perf.model import PhasePerformanceModel
-from repro.perf.scalability import amdahl_speedup, frequency_scalability, projected_improvement
+from repro.perf.scalability import amdahl_speedup, frequency_scalability
 from repro.soc.domains import SoCState
 from repro.workloads.microbenchmarks import (
     compute_only_microbenchmark,
@@ -60,13 +60,6 @@ class TestPhasePerformanceModel:
         time_1 = platform.performance_model.execution_time(phase, SoCState())
         time_2 = platform.performance_model.execution_time(phase.scaled_duration(2.0), SoCState())
         assert time_2 == pytest.approx(2 * time_1)
-
-    def test_speedup_is_inverse_slowdown(self, platform):
-        phase = spec_workload("470.lbm").phases[0]
-        slowdown = platform.performance_model.slowdown(phase, LOW_STATE).total
-        assert platform.performance_model.speedup_over_reference(phase, LOW_STATE) == pytest.approx(
-            1.0 / slowdown
-        )
 
     def test_invalid_io_sensitivity(self, platform):
         with pytest.raises(ValueError):
@@ -150,9 +143,6 @@ class TestBottleneckAndScalability:
         assert amdahl_speedup(1.0, 1.2) == pytest.approx(1.2)
         assert amdahl_speedup(0.0, 1.2) == pytest.approx(1.0)
         assert 1.0 < amdahl_speedup(0.5, 1.2) < 1.2
-
-    def test_projected_improvement(self):
-        assert projected_improvement(1.0, 1.1) == pytest.approx(0.1)
 
     def test_scalability_selector(self):
         trace = spec_workload("416.gamess")

@@ -140,10 +140,23 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         job = _tiny_job()
         cache.put(job, {"x": 1})
+        path = cache.path_for(job.content_hash)
+        stale = {"schema": SCHEMA_VERSION - 1, "result": {"x": 1}}
+        with obs_state.scoped(enabled=True):
+            for text in ("not json", json.dumps(stale)):
+                path.write_text(text)
+                assert cache.get(job) is None
+            assert _counter("cache.misses") == 2
+            assert _counter("cache.hits") == 0
+
+    def test_writer_instance_reads_what_is_on_disk(self, tmp_path):
+        """The instance that wrote an entry holds no copy of it: a later
+        ``get`` reads the file, so a damaged entry is a miss, never a stale hit."""
+        cache = ResultCache(tmp_path / "cache")
+        job = _tiny_job()
+        cache.put(job, {"x": 1})
         cache.path_for(job.content_hash).write_text("not json")
-        # A fresh instance has a cold memo, so the corrupt file is actually
-        # read (the writer instance would serve the entry from memory).
-        assert ResultCache(tmp_path / "cache").get(job) is None
+        assert cache.get(job) is None
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -152,49 +165,9 @@ class TestResultCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
-    def test_repeat_lookups_hit_the_memo_not_the_disk(self, tmp_path):
-        """Warm sweeps resolving the same hash repeatedly must stop re-reading
-        and re-parsing the same JSON file."""
-        cache = ResultCache(tmp_path / "cache")
-        job = _tiny_job()
-        with obs_state.scoped(enabled=True):
-            cache.put(job, {"x": 1})
-            first = cache.get(job)
-            path = cache.path_for(job.content_hash)
-            # Corrupt the on-disk entry: subsequent gets must still succeed,
-            # proving they are served from memory.
-            path.write_text("not json")
-            assert cache.get(job) == first
-            assert _counter("cache.hits") == 2
-            assert _counter("cache.memo_hits") == 2  # put() pre-populates the memo
-            assert _counter("cache.misses") == 0
-
-    def test_disk_hits_populate_the_memo(self, tmp_path):
-        job = _tiny_job()
-        writer = ResultCache(tmp_path / "cache")
-        writer.put(job, {"x": 1})
-        reader = ResultCache(tmp_path / "cache")
-        with obs_state.scoped(enabled=True):
-            assert reader.get(job) == {"x": 1}
-            assert _counter("cache.memo_hits") == 0
-            assert reader.get(job) == {"x": 1}
-            assert _counter("cache.memo_hits") == 1
-
-    def test_memo_is_bounded_and_clearable(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", memo_entries=1)
-        first, second = _tiny_job(), _tiny_job(name="433.milc")
-        cache.put(first, {"x": 1})
-        cache.put(second, {"x": 2})  # evicts the first entry
-        assert len(cache._memo) == 1
-        with obs_state.scoped(enabled=True):
-            assert cache.get(first) == {"x": 1}  # served from disk, re-memoized
-            assert _counter("cache.memo_hits") == 0
-        cache.clear()
-        assert len(cache._memo) == 0
-
-    def test_memo_served_payloads_are_isolated(self, tmp_path):
-        """Mutating a returned payload must not poison later hits (disk reads
-        always returned fresh dicts; the memo keeps that contract)."""
+    def test_served_payloads_are_isolated(self, tmp_path):
+        """Mutating a stored or a returned payload must not change later hits:
+        every ``get`` returns a fresh dict."""
         cache = ResultCache(tmp_path / "cache")
         job = _tiny_job()
         original = {"x": 1, "nested": {"y": [1, 2]}}
@@ -204,16 +177,6 @@ class TestResultCache:
         first["x"] = 99
         first["nested"]["y"].clear()
         assert cache.get(job) == {"x": 1, "nested": {"y": [1, 2]}}
-
-    def test_memo_can_be_disabled(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", memo_entries=0)
-        job = _tiny_job()
-        cache.put(job, {"x": 1})
-        with obs_state.scoped(enabled=True):
-            assert cache.get(job) == {"x": 1}
-            assert _counter("cache.memo_hits") == 0
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path / "cache", memo_entries=-1)
 
 
 def _json_dump_text(document):

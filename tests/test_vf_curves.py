@@ -43,19 +43,6 @@ class TestVFCurve:
         with pytest.raises(VFCurveError):
             curve.voltage_at(3.5e9)
 
-    def test_max_frequency_inverse_lookup(self, curve):
-        frequency = curve.max_frequency_at(0.65)
-        assert frequency == pytest.approx(1.2e9, rel=1e-6)
-
-    def test_max_frequency_below_vmin_raises(self, curve):
-        with pytest.raises(VFCurveError):
-            curve.max_frequency_at(0.3)
-
-    def test_scaled_curve(self, curve):
-        scaled = curve.scaled(0.5, 1.1)
-        assert scaled.fmax == pytest.approx(curve.fmax * 0.5)
-        assert scaled.vmax == pytest.approx(curve.vmax * 1.1)
-
     def test_voltage_monotone_in_frequency(self, curve):
         frequencies = [0.4e9, 0.8e9, 1.2e9, 2.0e9, 2.9e9]
         voltages = [curve.voltage_at(f) for f in frequencies]
@@ -78,25 +65,6 @@ class TestPStateTable:
         pn = table.pn
         assert pn.voltage == pytest.approx(table.min_state.voltage)
         assert pn.frequency >= table.min_state.frequency
-
-    def test_floor_and_ceiling(self, curve):
-        table = PStateTable.from_curve(curve, [0.4e9, 1.2e9, 2.9e9])
-        assert table.floor(1.5e9).frequency == pytest.approx(1.2e9)
-        assert table.ceiling(1.5e9).frequency == pytest.approx(2.9e9)
-
-    def test_step_up_down(self, curve):
-        table = PStateTable.from_curve(curve, [0.4e9, 1.2e9, 2.9e9])
-        middle = table.nearest(1.2e9)
-        assert table.step_up(middle).frequency == pytest.approx(2.9e9)
-        assert table.step_down(middle).frequency == pytest.approx(0.4e9)
-        assert table.step_down(table.min_state) is table.min_state
-        assert table.step_up(table.max_state) is table.max_state
-
-    def test_by_name_lookup(self, curve):
-        table = PStateTable.from_curve(curve, [0.4e9, 2.9e9])
-        assert table.by_name("P0").frequency == pytest.approx(2.9e9)
-        with pytest.raises(KeyError):
-            table.by_name("P9")
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):

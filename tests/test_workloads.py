@@ -228,10 +228,3 @@ class TestMicrobenchmarksAndTimeline:
         timeline = trace.bandwidth_timeline(sample_interval=0.05)
         assert timeline[0][0] == pytest.approx(0.0)
         assert timeline[-1][0] <= trace.total_duration
-
-    def test_phase_at_time(self):
-        trace = spec_workload("473.astar", duration=1.0)
-        assert trace.phase_at(0.0) is trace.phases[0]
-        assert trace.phase_at(1e9) is trace.phases[-1]
-        with pytest.raises(ValueError):
-            trace.phase_at(-1.0)
