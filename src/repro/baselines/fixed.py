@@ -9,21 +9,19 @@ compute budget, which the simulation engine handles through the PBM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro import config
 from repro.sim.platform import Platform
-from repro.sim.policy import Policy, PolicyAction, PolicyObservation
+from repro.sim.policy import PolicyAction, StaticPolicy
 from repro.workloads.trace import WorkloadTrace
 
 
 @dataclass
-class FixedBaselinePolicy(Policy):
+class FixedBaselinePolicy(StaticPolicy):
     """Keep the IO and memory domains at the worst-case-provisioned high point."""
 
     name: str = "Baseline"
-    _action: Optional[PolicyAction] = field(default=None, init=False)
 
     def reset(self, platform: Platform, trace: WorkloadTrace) -> PolicyAction:
         """Build the single action the baseline ever uses."""
@@ -38,11 +36,4 @@ class FixedBaselinePolicy(Policy):
             io_memory_budget=platform.worst_case_io_memory_power(),
             transition_latency=0.0,
         )
-        return self._action
-
-    def decide(self, observation: PolicyObservation) -> PolicyAction:
-        """The baseline never changes the operating point."""
-        del observation
-        if self._action is None:
-            raise RuntimeError("reset() must be called before decide()")
         return self._action

@@ -15,12 +15,11 @@ variant used by the Fig. 4 experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro import config
 from repro.sim.platform import Platform
-from repro.sim.policy import Policy, PolicyAction, PolicyObservation
+from repro.sim.policy import PolicyAction, StaticPolicy
 from repro.workloads.trace import WorkloadTrace
 
 
@@ -61,13 +60,12 @@ def build_md_dvfs_action(
 
 
 @dataclass
-class StaticMdDvfsPolicy(Policy):
+class StaticMdDvfsPolicy(StaticPolicy):
     """Always run the IO and memory domains at the Table 1 reduced operating point."""
 
     mrc_optimized: bool = True
     redistribute_to_compute: bool = False
     name: str = "MD-DVFS"
-    _action: Optional[PolicyAction] = field(default=None, init=False)
 
     def reset(self, platform: Platform, trace: WorkloadTrace) -> PolicyAction:
         """Build the single static action used for the whole run."""
@@ -77,11 +75,4 @@ class StaticMdDvfsPolicy(Policy):
             mrc_optimized=self.mrc_optimized,
             redistribute_to_compute=self.redistribute_to_compute,
         )
-        return self._action
-
-    def decide(self, observation: PolicyObservation) -> PolicyAction:
-        """The static setup never changes."""
-        del observation
-        if self._action is None:
-            raise RuntimeError("reset() must be called before decide()")
         return self._action

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from repro import config
 from repro.core.thresholds import CounterThresholds
-from repro.perf.counters import CounterName, CounterSample
+from repro.perf.counters import COUNTER_NAMES, CounterName, CounterSample
 from repro.sim.policy import StaticDemandInfo
 
 
@@ -130,7 +130,7 @@ class DemandPredictor:
             low_point_safe=low_point_safe,
             triggered_conditions=conditions,
             static_bandwidth_demand=static_estimate.bandwidth_demand,
-            counter_values={str(name): counters[name] for name in CounterName},
+            counter_values={str(name): counters[name] for name in COUNTER_NAMES},
         )
 
     @property

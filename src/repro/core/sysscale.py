@@ -73,6 +73,11 @@ class SysScaleController(Policy):
     algorithm: HolisticPowerAlgorithm = field(init=False)
     flow: TransitionFlow = field(init=False)
     _current_point: OperatingPoint = field(init=False)
+    #: The action last built for a decision that kept ``_current_point``.
+    #: Its latency estimate reads the rails and the interconnect, which move
+    #: only inside the Fig. 5 flow, so it stays valid until the next
+    #: transition (or reset) drops it.
+    _steady_action: Optional[PolicyAction] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.operating_points is None:
@@ -105,6 +110,7 @@ class SysScaleController(Policy):
         # both must be charged on the platform being simulated.
         self.algorithm.platform = platform
         self._current_point = self.algorithm.reset()
+        self._steady_action = None
         return self._action_for(self._current_point)
 
     def decide(self, observation: PolicyObservation) -> PolicyAction:
@@ -115,10 +121,16 @@ class SysScaleController(Policy):
         if target is not self._current_point:
             latency = self._execute_transition(self._current_point, target)
             self._current_point = target
+            self._steady_action = None
             return self._action_for(
                 target, transition_latency=latency, io_memory_budget=budget
             )
-        return self._action_for(target, io_memory_budget=budget)
+        steady = self._steady_action
+        if steady is None or steady.io_memory_budget != budget:
+            steady = self._steady_action = self._action_for(
+                target, io_memory_budget=budget
+            )
+        return steady
 
     def notify_transition(self, previous: PolicyAction, new: PolicyAction) -> None:
         """The engine applied the transition; nothing further to do."""

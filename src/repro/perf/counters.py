@@ -41,6 +41,10 @@ class CounterName(str, enum.Enum):
         return self.value
 
 
+#: The four counters in declaration order.  Hot paths iterate this tuple
+#: rather than the enum class, whose ``__iter__`` builds a generator per call.
+COUNTER_NAMES: Tuple[CounterName, ...] = tuple(CounterName)
+
 #: Cache-line size used to convert bandwidth into miss counts.
 CACHE_LINE_BYTES = 64
 
@@ -53,7 +57,7 @@ class CounterSample:
     interval: float = config.COUNTER_SAMPLING_INTERVAL
 
     def __post_init__(self) -> None:
-        for name in CounterName:
+        for name in COUNTER_NAMES:
             if name not in self.values:
                 raise ValueError(f"counter sample is missing {name}")
             if self.values[name] < 0:

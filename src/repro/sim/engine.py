@@ -26,6 +26,14 @@ characteristics, operating point, MRC register set)``, so recurring segments --
 Markov scenarios revisit phases constantly -- skip even that), then replays the
 seed engine's per-tick additions in a tight arithmetic-only inner loop.
 
+A :class:`~repro.sim.policy.StaticPolicy` (one that inherits its ``decide``)
+returns its reset action at every evaluation and never reads the counters, so
+for it an evaluation cannot change anything but the evaluation count.  Its
+runs take a second tight loop that counts evaluations in place and keeps no
+counter sums: a segment ends only at a phase boundary or at
+``max_simulated_time``, and no observation is built.  Every other policy takes
+the observing loop, whose segments also end at each evaluation.
+
 The bit-exactness strategy is *replay, not algebra*: the seed loop adds the
 same per-tick increment to each accumulator on every tick of a segment, and
 floating-point addition is deterministic, so performing the identical sequence
@@ -46,12 +54,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import config
 from repro.numeric import ordered_sum
-from repro.perf.counters import CounterName, CounterSample
+from repro.perf.counters import COUNTER_NAMES, CounterSample
 from repro.power.budget import ComputePlan
 from repro.power.cstates import CState, IDLE_PACKAGE_POWER
 from repro.power.models import ActivityVector
 from repro.sim.platform import Platform, activity_for_phase
-from repro.sim.policy import Policy, PolicyAction, PolicyObservation, StaticDemandInfo
+from repro.sim.policy import (
+    Policy,
+    PolicyAction,
+    PolicyObservation,
+    StaticDemandInfo,
+    StaticPolicy,
+)
 from repro.sim.result import DomainEnergyBreakdown, EngineRunStats, SimulationResult
 from repro.sim.trace import EngineTraceRecorder
 from repro.soc.domains import SoCState
@@ -276,9 +290,13 @@ class SimulationEngine:
         workload_class = trace.workload_class.value
         mrc_registers = self.platform.mrc_registers
 
+        # Looked up on every run, not once at import: the benchmark's layer
+        # tracer rebinds ``decide`` on each class that defines it, and a
+        # traced run must take the same loop as an untraced one.
+        static = type(policy).decide is StaticPolicy.decide
+
         memo: Dict[tuple, _SegmentModel] = {}
         phase_keys: Dict[int, tuple] = {}
-        counter_names = tuple(CounterName)
 
         # Locals mirror the _RunState accumulators; every addition below
         # replays the exact sequence of float additions the reference loop
@@ -292,6 +310,7 @@ class SimulationEngine:
         sum_0 = sum_1 = sum_2 = sum_3 = 0.0
         samples = 0
         sample_interval = 0.0
+        evaluations = 0
         ticks_total = 0
         segments = 0
         model_evaluations = 0
@@ -317,42 +336,65 @@ class SimulationEngine:
             segment_start = time_now
 
             inc_compute, inc_io, inc_memory, inc_platform = segment.energy_ticks
-            value_0, value_1, value_2, value_3 = segment.counter_values
             cpu_inc, gfx_inc, dram_inc = segment.frequency_ticks
             work_tick = segment.work_tick
             low_point = segment.low_point
             duration_threshold = phase.duration - 1e-12
-            if samples == 0:
-                sample_interval = segment.sample_interval
-            phase_done = False
-            evaluation_due = False
             ticks = 0
 
-            # The tight loop: pure float additions and comparisons, no calls.
-            while True:
-                energy_compute += inc_compute
-                energy_io += inc_io
-                energy_memory += inc_memory
-                energy_platform += inc_platform
-                sum_0 += value_0
-                sum_1 += value_1
-                sum_2 += value_2
-                sum_3 += value_3
-                samples += 1
-                cpu_time += cpu_inc
-                gfx_time += gfx_inc
-                dram_time += dram_inc
-                if low_point:
-                    low_point_time += tick
-                time_now += tick
-                work += work_tick
-                ticks += 1
-                if work >= duration_threshold:
-                    phase_done = True
-                if time_now - last_evaluation_time >= evaluation_threshold:
-                    evaluation_due = True
-                if phase_done or evaluation_due or time_now >= max_time:
-                    break
+            # The tight loops: pure float additions and comparisons, no calls.
+            if static:
+                # The static policy's decide() would return the action in
+                # force, so an evaluation only moves the evaluation mark.
+                while True:
+                    energy_compute += inc_compute
+                    energy_io += inc_io
+                    energy_memory += inc_memory
+                    energy_platform += inc_platform
+                    cpu_time += cpu_inc
+                    gfx_time += gfx_inc
+                    dram_time += dram_inc
+                    if low_point:
+                        low_point_time += tick
+                    time_now += tick
+                    work += work_tick
+                    ticks += 1
+                    if time_now - last_evaluation_time >= evaluation_threshold:
+                        last_evaluation_time = time_now
+                        evaluations += 1
+                    if work >= duration_threshold or time_now >= max_time:
+                        break
+                evaluation_due = False
+            else:
+                value_0, value_1, value_2, value_3 = segment.counter_values
+                if samples == 0:
+                    sample_interval = segment.sample_interval
+                while True:
+                    energy_compute += inc_compute
+                    energy_io += inc_io
+                    energy_memory += inc_memory
+                    energy_platform += inc_platform
+                    sum_0 += value_0
+                    sum_1 += value_1
+                    sum_2 += value_2
+                    sum_3 += value_3
+                    cpu_time += cpu_inc
+                    gfx_time += gfx_inc
+                    dram_time += dram_inc
+                    if low_point:
+                        low_point_time += tick
+                    time_now += tick
+                    work += work_tick
+                    ticks += 1
+                    if (
+                        work >= duration_threshold
+                        or time_now - last_evaluation_time >= evaluation_threshold
+                        or time_now >= max_time
+                    ):
+                        break
+                samples += ticks
+                evaluation_due = time_now - last_evaluation_time >= evaluation_threshold
+            phase_done = work >= duration_threshold
 
             ticks_total += ticks
             if recorder is not None:
@@ -371,10 +413,10 @@ class SimulationEngine:
                 work = 0.0
             if evaluation_due:
                 last_evaluation_time = time_now
-                run.evaluation_count += 1
+                evaluations += 1
                 observation = PolicyObservation(
                     counters=CounterSample.from_sums(
-                        counter_names,
+                        COUNTER_NAMES,
                         (sum_0, sum_1, sum_2, sum_3),
                         samples,
                         sample_interval,
@@ -429,12 +471,13 @@ class SimulationEngine:
         run.gfx_frequency_time = gfx_time
         run.dram_frequency_time = dram_time
         run.low_point_time = low_point_time
+        run.evaluation_count = evaluations
         self.last_run_stats = EngineRunStats(
             ticks=ticks_total,
             segments=segments,
             model_evaluations=model_evaluations,
             memo_hits=memo_hits,
-            evaluations=run.evaluation_count,
+            evaluations=evaluations,
             transitions=run.transitions,
         )
 
@@ -475,7 +518,7 @@ class SimulationEngine:
             activity=activity,
             work_tick=work_tick,
             energy_ticks=energy_ticks,
-            counter_values=tuple(sample[name] for name in CounterName),
+            counter_values=tuple(sample[name] for name in COUNTER_NAMES),
             sample_interval=sample.interval,
             bandwidth=slowdown.achieved_bandwidth,
             frequency_ticks=(

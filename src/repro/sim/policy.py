@@ -8,6 +8,13 @@ calls the policy once per evaluation interval with a :class:`PolicyObservation`
 the inputs Sec. 4.2/4.3 give the PMU firmware) and receives a
 :class:`PolicyAction` describing the target IO/memory configuration, the budget to
 charge, and the transition cost of getting there.
+
+A :class:`StaticPolicy` is one that never reads an observation: it picks its
+action in ``reset`` and keeps it for the whole run (the SysScale-disabled
+baseline and the Table 1 MD-DVFS setup).  Its ``decide`` is inherited, never
+overridden, which is how the engine recognises it and skips the evaluations
+nobody reads; a subclass that overrides ``decide`` is observed like any other
+policy.
 """
 
 from __future__ import annotations
@@ -131,3 +138,20 @@ class Policy(abc.ABC):
 
     def notify_transition(self, previous: PolicyAction, new: PolicyAction) -> None:
         """Hook called by the engine after a transition is applied (optional)."""
+
+
+class StaticPolicy(Policy):
+    """A policy whose action is fixed at ``reset`` and never reads a counter.
+
+    Subclasses build the run's single action in ``reset`` and store it in
+    ``_action``; the inherited :meth:`decide` returns it unchanged.
+    """
+
+    _action: Optional[PolicyAction] = None
+
+    def decide(self, observation: PolicyObservation) -> PolicyAction:
+        """Return the action chosen at reset; the observation is ignored."""
+        del observation
+        if self._action is None:
+            raise RuntimeError("reset() must be called before decide()")
+        return self._action

@@ -260,6 +260,31 @@ class TestSysScaleController:
         engine.run(spec_workload("473.astar", duration=0.3), controller)
         assert controller.algorithm.transition_count >= 1
 
+    def test_steady_action_equals_a_fresh_build(self, platform, thresholds, engine):
+        """A decision that keeps the operating point reuses the action built
+        since the last transition; it must equal one built at that moment."""
+        controller = SysScaleController(platform=platform, thresholds=thresholds)
+        decide = controller.decide
+        steady = []
+
+        def checked_decide(observation):
+            action = decide(observation)
+            decision = controller.algorithm.decisions[-1]
+            if not decision.changed:
+                point = decision.operating_point
+                assert action == point.to_action(
+                    controller.platform,
+                    transition_latency=controller.flow.estimate_latency(point, point),
+                    io_memory_budget=decision.io_memory_budget,
+                )
+                steady.append(action)
+            return action
+
+        controller.decide = checked_decide
+        engine.run(spec_workload("473.astar", duration=0.3), controller)
+        assert controller.algorithm.transition_count >= 1
+        assert any(a is b for a, b in zip(steady, steady[1:]))
+
     def test_nominal_latency_mode(self, platform, thresholds, engine):
         controller = SysScaleController(
             platform=platform, thresholds=thresholds, use_flow_latency=False

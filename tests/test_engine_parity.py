@@ -7,18 +7,22 @@ is replay (the tight loop performs the identical sequence of per-tick float
 additions on identical increments), and these tests are the arbiter the
 engine's docstring points at: every scenario-catalog entry under every policy,
 plus registry hardware variants, plus the classic workload families, plus two
-whole traces run uncapped to their end.
+whole traces run uncapped to their end, plus hypothesis-generated scenarios
+from every generator.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.fixed import FixedBaselinePolicy
 from repro.baselines.md_dvfs import StaticMdDvfsPolicy
 from repro.hw import get_hardware
 from repro.runtime.jobs import _build_sysscale
-from repro.scenarios.registry import SCENARIOS
+from repro.scenarios.generators import GENERATORS
+from repro.scenarios.registry import SCENARIOS, ScenarioSpec
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.platform import build_platform
+from repro.sim.policy import StaticPolicy
 from repro.workloads.batterylife import battery_life_workload
 from repro.workloads.spec2006 import spec_workload
 
@@ -140,6 +144,24 @@ class TestWorkloadFamilyParity:
         _assert_parity(fast_engine, reference_engine, trace, platform, policy_name)
 
 
+class TestGeneratedScenarioParity:
+    """Beyond the hand-written catalog: any generator at its default
+    parameters, any seed, under every policy."""
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        generator=st.sampled_from(sorted(GENERATORS)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_generated_scenario_bit_identical(
+        self, platform, policy_name, generator, seed
+    ):
+        trace = ScenarioSpec.make("generated", generator, seed=seed).build()
+        fast_engine, reference_engine = _engines(platform)
+        _assert_parity(fast_engine, reference_engine, trace, platform, policy_name)
+
+
 class TestUncappedParity:
     @pytest.mark.parametrize("trace_name", sorted(UNCAPPED_TRACES))
     def test_whole_trace_bit_identical(self, platform, trace_name):
@@ -185,6 +207,40 @@ class TestSegmentStepping:
         stats = engine.last_run_stats
         assert stats.model_evaluations == stats.ticks
         assert stats.memo_hits == 0
+
+    @pytest.mark.parametrize("policy_name", ("baseline", "md_dvfs"))
+    @pytest.mark.parametrize(
+        "build, max_time, segments, evaluations",
+        (
+            (lambda: spec_workload("416.gamess", duration=0.3), PARITY_MAX_TIME, 1, 8),
+            (lambda: battery_life_workload("video_playback", cycles=1), 1.0, 2, 33),
+        ),
+        ids=("416.gamess", "video_playback"),
+    )
+    def test_static_policy_evaluations_do_not_split_segments(
+        self, platform, policy_name, build, max_time, segments, evaluations
+    ):
+        """A static policy never reads an observation, so its evaluations are
+        only counted: a segment ends at a phase boundary or at max_time."""
+        fast_engine, reference_engine = _engines(platform, max_time=max_time)
+        stats = _assert_parity(
+            fast_engine, reference_engine, build(), platform, policy_name
+        )
+        assert stats.segments == segments
+        assert stats.evaluations == evaluations
+
+    def test_wrapped_static_decide_keeps_the_static_loop(self, platform, monkeypatch):
+        """A tracer that rebinds ``StaticPolicy.decide`` must not send static
+        runs down the observing loop: the engine looks ``decide`` up per run."""
+        original = StaticPolicy.decide
+        monkeypatch.setattr(
+            StaticPolicy, "decide", lambda self, observation: original(self, observation)
+        )
+        engine = SimulationEngine(
+            platform, SimulationConfig(max_simulated_time=PARITY_MAX_TIME)
+        )
+        engine.run(spec_workload("416.gamess", duration=0.3), FixedBaselinePolicy())
+        assert engine.last_run_stats.segments == 1
 
     def test_policy_sees_sample_counts(self, platform):
         """Segment-aware observation plumbing: the policy learns how many 1 ms
