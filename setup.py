@@ -3,7 +3,8 @@
 There is no ``pyproject.toml`` in this repository (offline environments without
 the ``wheel``/``build`` packages still need ``pip install -e .`` to work), so
 all metadata lives here: the full ``src/repro`` package tree and the ``repro``
-console script that fronts the runtime CLI (``python -m repro`` works too).
+console script that fronts the ``repro.cli`` command line (``python -m repro``
+runs the same ``main``).
 """
 
 from setuptools import find_packages, setup
@@ -22,7 +23,7 @@ setup(
     install_requires=["numpy"],
     entry_points={
         "console_scripts": [
-            "repro = repro.runtime.cli:main",
+            "repro = repro.cli:main",
         ]
     },
 )

@@ -1,6 +1,6 @@
-"""``python -m repro`` entry point (delegates to the runtime CLI)."""
+"""``python -m repro`` entry point (delegates to :mod:`repro.cli`)."""
 
-from repro.runtime.cli import main
+from repro.cli import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

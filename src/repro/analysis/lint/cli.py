@@ -1,4 +1,4 @@
-"""The ``repro lint`` command body.
+"""The ``repro lint`` command: its parser and its body.
 
 Exit codes follow the rest of the CLI: 0 clean, 1 findings, 2 usage
 errors.  ``--json`` emits the full :class:`LintReport` payload on
@@ -7,16 +7,17 @@ stdout (decorations move to stderr), which is what the CI gate archives.
 
 from __future__ import annotations
 
-import json
+import argparse
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.analysis.lint.engine import lint_paths
 from repro.analysis.lint.explain import explain_rule
 from repro.analysis.lint.rules import RULES
+from repro.cli.common import add_command, add_json_flag, print_json
 from repro.obs.logging import Console
 
-__all__ = ["run_lint"]
+__all__ = ["register", "run_lint"]
 
 
 def run_lint(
@@ -52,7 +53,7 @@ def run_lint(
         return 2
 
     if as_json:
-        ui.out(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print_json(ui, report.to_dict(), sort_keys=True)
     else:
         for error in report.errors:
             ui.error(error)
@@ -67,3 +68,37 @@ def run_lint(
 
     return 0 if report.ok else 1
 
+
+def _cmd_lint(args: argparse.Namespace, ui: Console) -> int:
+    return run_lint(
+        args.paths,
+        as_json=args.json,
+        explain=args.explain,
+        list_rules=args.list_rules,
+        rules=args.rules or None,
+        console=ui,
+    )
+
+
+def register(subparsers: Any) -> None:
+    """Add ``lint`` to the ``python -m repro`` subcommands."""
+    parser = add_command(
+        subparsers, "lint", _cmd_lint,
+        help="statically check the repo's determinism/hash/layering contracts",
+    )
+    parser.add_argument(
+        "paths", nargs="*", metavar="PATH",
+        help="files or directories to lint (default: src/repro tests examples)",
+    )
+    add_json_flag(parser, "emit the full report as JSON on stdout")
+    parser.add_argument(
+        "--rule", dest="rules", action="append", metavar="RULE",
+        help="restrict to one rule (repeatable)",
+    )
+    parser.add_argument(
+        "--explain", metavar="RULE", default=None,
+        help="print a rule's rationale with a bad/good example, then exit",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true", help="list rules with severities"
+    )

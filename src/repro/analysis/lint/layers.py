@@ -19,11 +19,11 @@ Layers, bottom to top::
     model       core, memory, soc, power, hw,    (imports: base, model)
                 workloads, perf, baselines, sim
     obs         obs/**                           (imports: base, obs)
-    runtime     runtime/* except cli             (imports: base, model, obs, runtime)
+    runtime     runtime/**                       (imports: base, model, obs, runtime)
     scenarios   scenarios/**                     (imports: + runtime, scenarios)
     experiments experiments/**                   (imports: + scenarios, experiments)
     fleet       fleet/**                         (imports: + scenarios, fleet)
-    app         cli, __main__, api, analysis,    (imports: anything)
+    app         cli/**, __main__, api, analysis, (imports: anything)
                 package __init__
 
 The crucial edges *absent* from this DAG: model cannot see obs or runtime
@@ -54,12 +54,11 @@ LAYERS: Dict[str, str] = {
     "repro.sim": "model",
     "repro.obs": "obs",
     "repro.runtime": "runtime",
-    "repro.runtime.cli": "app",
     "repro.scenarios": "scenarios",
     "repro.experiments": "experiments",
     "repro.fleet": "fleet",
-    # Everything else under repro (package __init__, __main__, api, analysis)
-    # is app-layer: free to import the whole stack.
+    # Everything else under repro (package __init__, __main__, api, cli,
+    # analysis) is app-layer: free to import the whole stack.
     "repro": "app",
 }
 

@@ -71,10 +71,9 @@ from repro.fleet.resilience import (
 from repro.fleet.store import FLEET_SCHEMA_VERSION, ShardedResultStore
 from repro.hashing import content_hash
 from repro.obs import state as obs_state
-from repro.runtime.campaign import CAMPAIGNS, Campaign
+from repro.runtime.campaign import Campaign, resolve_campaign
 from repro.runtime.cache import atomic_write_json
 from repro.runtime.executor import JobFailure, ParallelExecutor, SerialExecutor
-from repro.runtime.jobs import SimSpec
 
 __all__ = [
     "FleetConfig",
@@ -137,21 +136,6 @@ def sweep_spec_hash(campaign: Campaign) -> str:
     )
 
 
-def resolve_campaign(
-    name: str, quick: bool = False, max_time: Optional[float] = None
-) -> Campaign:
-    """A named catalog campaign, optionally capped for smoke runs."""
-    try:
-        factory = CAMPAIGNS[name]
-    except KeyError:
-        known = ", ".join(sorted(CAMPAIGNS))
-        raise KeyError(f"unknown campaign {name!r} (known: {known})") from None
-    campaign = factory(quick=quick)
-    if max_time is not None:
-        campaign = campaign.with_sim(SimSpec(max_simulated_time=max_time))
-    return campaign
-
-
 def build_sweep_report(
     campaign_name: str,
     spec_hash: str,
@@ -174,11 +158,7 @@ def build_sweep_report(
 
 
 def submit_campaign(
-    root: Path,
-    campaign: Campaign,
-    priority: int = 0,
-    lease_timeout: float = 60.0,
-    max_attempts: int = 3,
+    root: Path, campaign: Campaign, priority: int = 0
 ) -> Dict[str, Any]:
     """Submit a campaign's jobs to the fleet directory at ``root``.
 
@@ -188,9 +168,7 @@ def submit_campaign(
     """
     paths = FleetPaths(Path(root))
     store = ShardedResultStore(paths.store_dir)
-    queue = JobQueue(
-        paths.queue_dir, lease_timeout=lease_timeout, max_attempts=max_attempts
-    )
+    queue = JobQueue(paths.queue_dir)
     spec_hash = sweep_spec_hash(campaign)
     job_hashes = [job.content_hash for job in campaign.jobs]
     manifest = {
@@ -263,6 +241,18 @@ class FleetConfig:
             raise ValueError(
                 "autoscale=True is not supported: the pool is pinned at workers"
             )
+        # A bad value here would only fail later, inside the loop: a lease
+        # limit of 0 makes every poll raise, so ``drain`` never exits.
+        for name in ("workers", "lease_limit", "max_attempts", "batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.lease_timeout <= 0:
+            raise ValueError(f"lease_timeout must be positive, got {self.lease_timeout}")
+        for name in ("poll_interval", "drain_grace", "idle_timeout"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 class FleetService:

@@ -9,8 +9,10 @@ The runtime turns the reproduction's simulation sweeps into declarative jobs:
   executor that rebuild platforms per worker and report per-job progress;
 * :mod:`repro.runtime.campaign` -- declarative sweep grids (workload x policy
   x TDP x DRAM device, or x explicit hardware variants), deduplicated before
-  submission;
-* :mod:`repro.runtime.cli` -- the ``python -m repro`` command line.
+  submission, and the named campaigns behind ``resolve_campaign``.
+
+The ``python -m repro`` command line that drives all of this is the app-layer
+:mod:`repro.cli` package, not part of the runtime.
 """
 
 from repro.hw import DramSpec, HardwareSpec

@@ -8,9 +8,10 @@ jobs whose content hash has already been seen, so overlapping campaigns (or a
 figure re-listing a workload under a second axis) never submit redundant work.
 
 The named campaigns registered in :data:`CAMPAIGNS` back the ``python -m repro
-run <campaign>`` CLI targets.  Every factory accepts an optional ``hardware``
-base so ``--platform NAME --set key=value`` rebases a whole campaign onto a
-different platform.
+run <campaign>`` CLI targets and the fleet's ``submit``/``fleet verify``; all
+of them look a name up through :func:`resolve_campaign`.  Every factory
+accepts an optional ``hardware`` base so ``--platform NAME --set key=value``
+rebases a whole campaign onto a different platform.
 """
 
 from __future__ import annotations
@@ -326,3 +327,22 @@ CAMPAIGNS: Dict[str, Callable[..., Campaign]] = {
     "scenarios": scenario_campaign,
     "hw-variants": hw_variants_campaign,
 }
+
+
+def resolve_campaign(
+    name: str,
+    quick: bool = False,
+    max_time: Optional[float] = None,
+    hardware: Optional[Union[str, HardwareSpec]] = None,
+) -> Campaign:
+    """A named catalog campaign, optionally rebased onto ``hardware`` and
+    capped at ``max_time`` simulated seconds per job for smoke runs."""
+    try:
+        factory = CAMPAIGNS[name]
+    except KeyError:
+        known = ", ".join(sorted(CAMPAIGNS))
+        raise KeyError(f"unknown campaign {name!r} (known: {known})") from None
+    campaign = factory(quick=quick, hardware=hardware)
+    if max_time is not None:
+        campaign = campaign.with_sim(SimSpec(max_simulated_time=max_time))
+    return campaign

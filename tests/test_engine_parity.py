@@ -8,7 +8,7 @@ additions on identical increments), and these tests are the arbiter the
 engine's docstring points at: every scenario-catalog entry under every policy,
 plus registry hardware variants, plus the classic workload families, plus two
 whole traces run uncapped to their end, plus hypothesis-generated scenarios
-from every generator.
+from every generator, alone and on generated hardware derivations.
 """
 
 import pytest
@@ -160,6 +160,41 @@ class TestGeneratedScenarioParity:
         trace = ScenarioSpec.make("generated", generator, seed=seed).build()
         fast_engine, reference_engine = _engines(platform)
         _assert_parity(fast_engine, reference_engine, trace, platform, policy_name)
+
+
+#: Coefficients the generated hardware axis scales: one per power-model
+#: family (uncore leakage, memory controller, CPU dynamic, DRAM background).
+GENERATED_HW_COEFFICIENTS = (
+    "uncore_leakage_coeff",
+    "mc_power_high",
+    "cpu_ceff",
+    "dram_background_power_high",
+)
+
+
+class TestGeneratedHardwareParity:
+    """Beyond the registry variants: a derived Skylake (TDP, DRAM family and
+    one scaled power coefficient) crossed with a generated scenario, under
+    every policy."""
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        tdp=st.floats(min_value=3.5, max_value=15.0),
+        dram=st.sampled_from(("lpddr3", "ddr4")),
+        coefficient=st.sampled_from(GENERATED_HW_COEFFICIENTS),
+        scale=st.floats(min_value=0.8, max_value=1.25),
+        generator=st.sampled_from(sorted(GENERATORS)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_generated_hardware_bit_identical(
+        self, policy_name, tdp, dram, coefficient, scale, generator, seed
+    ):
+        overrides = {"tdp": tdp, "dram": dram, f"{coefficient}_scale": scale}
+        hw_platform = get_hardware("skylake").derive(**overrides).build()
+        trace = ScenarioSpec.make("generated", generator, seed=seed).build()
+        fast_engine, reference_engine = _engines(hw_platform)
+        _assert_parity(fast_engine, reference_engine, trace, hw_platform, policy_name)
 
 
 class TestUncappedParity:

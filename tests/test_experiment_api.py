@@ -33,7 +33,7 @@ from repro.experiments.report import (
     render_csv,
     render_json,
 )
-from repro.runtime.cli import main
+from repro.cli import main
 from repro.sim.engine import SimulationConfig
 
 #: Modules that are plumbing, not experiments.

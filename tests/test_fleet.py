@@ -1,6 +1,10 @@
 """The repro.fleet subsystem: queue, store, service."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,9 @@ from repro.runtime import (
 
 #: A fast simulation spec: 50 ticks, one or two evaluation intervals.
 TINY_SIM = SimSpec(max_simulated_time=0.05)
+
+#: The package source, for tests that run ``python -m repro`` in a subprocess.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _tiny_job(name="470.lbm", policy="baseline", tdp=4.5):
@@ -335,6 +342,42 @@ class TestFleetBitIdentity:
     def test_autoscale_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="pinned"):
             FleetConfig(root=tmp_path / "fleet", autoscale=True)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"lease_limit": 0},
+            {"workers": 0},
+            {"max_attempts": 0},
+            {"batch_size": 0},
+            {"lease_timeout": 0.0},
+            {"poll_interval": -1.0},
+            {"drain_grace": -0.5},
+            {"idle_timeout": -1.0},
+        ],
+    )
+    def test_config_rejects_settings_the_loop_cannot_run_with(self, tmp_path, setting):
+        """A lease limit of 0 used to make every poll raise, so a draining
+        service never exited; now the config refuses it, naming the field."""
+        [name] = setting
+        with pytest.raises(ValueError, match=name):
+            FleetConfig(root=tmp_path, **setting)
+
+    @pytest.mark.parametrize(
+        "flags", [["--drain", "--lease-limit", "0"], ["--max-attempts", "0"]]
+    )
+    def test_serve_rejects_bad_settings_as_usage_errors(self, tmp_path, flags):
+        """Exit 2 with a one-line message: no traceback, and no loop that
+        never ends (a subprocess with a timeout, because it once hung)."""
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--fleet-dir",
+             str(tmp_path / "fleet"), "--drain-grace", "0.5", *flags],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr.startswith("invalid serve setting:")
 
     def test_warm_resubmission_runs_nothing(self, tmp_path):
         root = tmp_path / "fleet"

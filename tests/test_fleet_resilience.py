@@ -779,7 +779,7 @@ class TestResilienceCli:
         return root
 
     def test_doctor_healthy_exits_zero(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         root = self._drained_fleet(tmp_path)
         assert main(["fleet", "doctor", "--fleet-dir", str(root)]) == 0
@@ -787,7 +787,7 @@ class TestResilienceCli:
         assert "verdict: healthy" in output
 
     def test_doctor_flags_corruption_and_fixes_it(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
@@ -803,7 +803,7 @@ class TestResilienceCli:
         assert main(["fleet", "doctor", "--fleet-dir", str(root)]) == 0
 
     def test_doctor_json_round_trips(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         root = self._drained_fleet(tmp_path)
         assert main(["fleet", "doctor", "--fleet-dir", str(root), "--json"]) == 0
@@ -812,7 +812,7 @@ class TestResilienceCli:
         assert isinstance(report["findings"], list)
 
     def test_gc_dry_run_then_real(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
@@ -828,14 +828,14 @@ class TestResilienceCli:
         assert queue.entries() == []
 
     def test_gc_rejects_negative_ttl(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         code = main(["fleet", "gc", "--fleet-dir", str(tmp_path), "--ttl", "-5"])
         assert code == 2
         assert "--ttl" in capsys.readouterr().err
 
     def test_status_surfaces_corruption_and_quarantine(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
@@ -859,7 +859,7 @@ class TestResilienceCli:
         assert f"service: stopped (drained, pid {os.getpid()})" in output
 
     def test_serve_rejects_invalid_faults_spec(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         code = main(
             ["serve", "--fleet-dir", str(tmp_path), "--faults", "bogus-spec"]
@@ -868,7 +868,7 @@ class TestResilienceCli:
         assert "invalid --faults spec" in capsys.readouterr().err
 
     def test_serve_drains_under_faults(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         root = tmp_path / "fleet"
         campaign = _tiny_campaign()

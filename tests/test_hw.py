@@ -272,7 +272,7 @@ class TestRuntimeIntegration:
 
 class TestHwCli:
     def test_hw_list_names_every_platform(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(["hw", "list"]) == 0
         output = capsys.readouterr().out
@@ -280,14 +280,14 @@ class TestHwCli:
             assert name in output
 
     def test_hw_list_json(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(["hw", "list", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert HardwareSpec.from_dict(document["skylake"]) == SKYLAKE
 
     def test_hw_describe(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(["hw", "describe", "broadwell"]) == 0
         output = capsys.readouterr().out
@@ -295,7 +295,7 @@ class TestHwCli:
         assert BROADWELL.content_hash in output
 
     def test_hw_describe_json_round_trips(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(["hw", "describe", "skylake", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
@@ -303,13 +303,13 @@ class TestHwCli:
         assert document["content_hash"] == GOLDEN_HASHES["skylake"]
 
     def test_hw_describe_unknown_fails(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(["hw", "describe", "pentium4"]) == 2
         assert "unknown hardware" in capsys.readouterr().err
 
     def test_hw_hash_matches_golden(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(["hw", "hash", "skylake", "broadwell"]) == 0
         output = capsys.readouterr().out
@@ -317,7 +317,7 @@ class TestHwCli:
             assert f"{digest}  {name}" in output
 
     def test_run_set_override_rejects_garbage(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(["run", "table2", "--no-cache", "--set", "nonsense"]) == 2
         assert "key=value" in capsys.readouterr().err
@@ -325,7 +325,7 @@ class TestHwCli:
         assert "invalid hardware" in capsys.readouterr().err
 
     def test_run_platform_reaches_the_context(self, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         assert main(
             ["run", "table2", "--no-cache", "--platform", "broadwell"]
@@ -335,7 +335,7 @@ class TestHwCli:
 
 class TestHwSweep:
     def test_quick_sweep_caches_and_reproduces(self, tmp_path, capsys):
-        from repro.runtime.cli import main
+        from repro.cli import main
 
         args = [
             "run", "hwsweep", "--quick",

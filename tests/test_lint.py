@@ -15,7 +15,7 @@ from repro.analysis.lint import RULES, lint_paths
 from repro.analysis.lint.cli import run_lint
 from repro.analysis.lint.explain import explain_rule
 from repro.analysis.lint.layers import layer_of, layering_violation
-from repro.runtime import cli as repro_cli
+from repro import cli as repro_cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
@@ -102,7 +102,7 @@ class TestLayers:
         assert layer_of("repro.sim.engine") == "model"
         assert layer_of("repro.obs.state") == "obs"
         assert layer_of("repro.runtime.jobs") == "runtime"
-        assert layer_of("repro.runtime.cli") == "app"
+        assert layer_of("repro.cli.run") == "app"
         assert layer_of("numpy") is None
 
     def test_forbidden_edges(self):
@@ -112,7 +112,7 @@ class TestLayers:
 
     def test_allowed_edges(self):
         assert layering_violation("repro.runtime.jobs", "repro.sim.engine") is None
-        assert layering_violation("repro.runtime.cli", "repro.obs.state") is None
+        assert layering_violation("repro.cli.fleet", "repro.fleet.service") is None
         assert layering_violation("repro.sim.engine", "repro.config") is None
 
 

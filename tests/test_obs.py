@@ -19,7 +19,7 @@ from repro.obs import state as obs_state
 from repro.obs.analysis import TraceModel
 from repro.obs.metrics import NULL_INSTRUMENT
 from repro.runtime.cache import ResultCache
-from repro.runtime.cli import main
+from repro.cli import main
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.jobs import (
     PlatformSpec,

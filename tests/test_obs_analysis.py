@@ -14,7 +14,7 @@ from repro.obs.analysis import (
     export_chrome_trace,
     render_diff_text,
 )
-from repro.runtime.cli import main
+from repro.cli import main
 
 
 @pytest.fixture(autouse=True)

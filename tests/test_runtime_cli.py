@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.api import registry
 from repro.experiments.report import ExperimentReport
-from repro.runtime.cli import main
+from repro.cli import main
 from repro.runtime.campaign import CAMPAIGNS
 
 
@@ -98,6 +98,30 @@ class TestRun:
         output = capsys.readouterr().out
         assert "jobs:" in output
         assert "[" in output  # progress lines
+
+    def test_campaign_hardware_is_none_without_platform_flags(self, monkeypatch):
+        """``hw-variants`` replaces its whole variant axis when it is given a
+        platform, so only --platform/--set may hand the campaign hardware."""
+        from repro.cli import run as run_command
+        from repro.hw import BROADWELL
+
+        class Resolved(Exception):
+            pass
+
+        seen = []
+
+        def record(name, **kwargs):
+            seen.append((name, kwargs))
+            raise Resolved
+
+        monkeypatch.setattr(run_command, "resolve_campaign", record)
+        for extra in ([], ["--platform", "broadwell"]):
+            with pytest.raises(Resolved):
+                main(["run", "hw-variants", "--no-cache", "--max-time", "0.05", *extra])
+        assert seen == [
+            ("hw-variants", {"quick": False, "max_time": 0.05, "hardware": None}),
+            ("hw-variants", {"quick": False, "max_time": 0.05, "hardware": BROADWELL}),
+        ]
 
 
 class TestExports:

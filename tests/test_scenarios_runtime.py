@@ -2,7 +2,7 @@
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import QUICK_SCENARIO_SUBSET, scenario_campaign
-from repro.runtime.cli import main
+from repro.cli import main
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.jobs import (
     PolicySpec,
