@@ -10,12 +10,14 @@ handlers; :mod:`repro.cli.common` holds what they share.
 All user-facing text goes through :class:`repro.obs.logging.Console`, one per
 invocation.  Exit codes: 0 success, 1 a failed check (``lint`` findings,
 ``fleet verify`` mismatch, unhealthy ``fleet doctor``), 2 a usage error
-(:class:`CliError`).
+(:class:`CliError`), 141 (:data:`EXIT_BROKEN_PIPE`) when the reader closed
+stdout early, as in ``repro list | head -1``; that exit prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -23,7 +25,11 @@ from repro.cli import catalog, fleet, run, trace
 from repro.cli.common import CliError, exporting
 from repro.obs import Console
 
-__all__ = ["CliError", "build_parser", "main"]
+__all__ = ["CliError", "EXIT_BROKEN_PIPE", "build_parser", "main"]
+
+#: Exit code when the reader closed stdout early: 128 + SIGPIPE, what a shell
+#: reports for a process that signal ended.
+EXIT_BROKEN_PIPE = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,3 +65,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliError as error:
         ui.error(str(error))
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so the
+        # interpreter's final flush of what is still buffered is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE

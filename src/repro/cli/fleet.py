@@ -40,10 +40,12 @@ SERVE_SETTINGS = {
     )),
     "drain": (bool, None, "exit once the queue is empty and all sweep reports are stored"),
     "drain_grace": (float, "S", (
-        "with --drain: seconds to wait for work to first appear (default %(default)g)"
+        "with --drain: seconds to wait for work to first appear, or to retry "
+        "polls that all fail (default %(default)g)"
     )),
     "idle_timeout": (float, "S", (
-        "without --drain: exit after S idle seconds (default: run forever)"
+        "without --drain: exit after S idle seconds, or S seconds of polls that "
+        "all fail (default: run forever)"
     )),
 }
 

@@ -340,14 +340,26 @@ def _run_epilog() -> str:
     return "\n".join(lines)
 
 
+#: Stands in for ``run``'s epilog until its help is printed.
+_RUN_EPILOG = object()
+
+
+class _RunHelpFormatter(argparse.RawDescriptionHelpFormatter):
+    """Builds the epilog only when ``run --help`` prints it: that builds every
+    quick campaign, which no other command should pay for."""
+
+    def add_text(self, text: Any) -> None:
+        super().add_text(_run_epilog() if text is _RUN_EPILOG else text)
+
+
 def register(subparsers: Any) -> None:
     """Add ``list`` and ``run``."""
     common.add_command(subparsers, "list", _cmd_list, help="list runnable targets")
     run = common.add_command(
         subparsers, "run", _cmd_run,
         help="run experiment/campaign targets",
-        epilog=_run_epilog(),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_RUN_EPILOG,
+        formatter_class=_RunHelpFormatter,
     )
     run.add_argument(
         "targets", nargs="+", metavar="TARGET", help="figure, table, or campaign name"

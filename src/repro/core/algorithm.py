@@ -85,7 +85,13 @@ class HolisticPowerAlgorithm:
 
     @property
     def decisions(self) -> List[AlgorithmDecision]:
-        """All decisions taken so far in this run."""
+        """The decisions actually evaluated so far in this run.
+
+        The engine skips the evaluations of a steady window (see
+        :attr:`~repro.sim.policy.Policy.decides_from_counters`), so this is
+        not one entry per evaluation interval; the result's
+        ``evaluation_count`` is.
+        """
         return list(self._decisions)
 
     # ------------------------------------------------------------------
@@ -124,18 +130,6 @@ class HolisticPowerAlgorithm:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    @property
-    def low_point_fraction(self) -> float:
-        """Fraction of decisions that selected a point below the highest one."""
-        if not self._decisions:
-            return 0.0
-        below_high = sum(
-            1
-            for decision in self._decisions
-            if decision.operating_point is not self.operating_points.high
-        )
-        return below_high / len(self._decisions)
-
     @property
     def transition_count(self) -> int:
         """Number of decisions that changed the operating point."""

@@ -8,12 +8,22 @@ point, the controller executes the Fig. 5 transition flow to obtain the actual
 transition latency and to reload the MRC registers, and reports the selected
 point's provisioned IO+memory power so the PBM can hand the difference to the
 compute domain.
+
+The controller declares :attr:`~repro.sim.policy.Policy.decides_from_counters`.
+Its ``decide`` keeps that promise: the predictor reads only the counters and
+the static demand; the algorithm leaves its current point only when the
+prediction changes; the budget is a function of the point and the platform,
+and only the Fig. 5 flow (run on a transition) changes the platform; and a
+decision that keeps the point returns the one steady action built since the
+last transition.  So the engine counts, without calling ``decide``, the
+evaluations of each steady window; the algorithm's decision history holds
+only the decisions that were actually evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro import config
 from repro.core.algorithm import HolisticPowerAlgorithm
@@ -69,6 +79,7 @@ class SysScaleController(Policy):
     thresholds: Optional[CounterThresholds] = None
     use_flow_latency: bool = True
     name: str = "SysScale"
+    decides_from_counters: ClassVar[bool] = True
 
     algorithm: HolisticPowerAlgorithm = field(init=False)
     flow: TransitionFlow = field(init=False)
@@ -159,11 +170,3 @@ class SysScaleController(Policy):
             transition_latency=transition_latency,
             io_memory_budget=io_memory_budget,
         )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def low_point_fraction(self) -> float:
-        """Fraction of decisions that chose a reduced operating point."""
-        return self.algorithm.low_point_fraction

@@ -639,10 +639,14 @@ class FleetService:
         Drain mode waits up to ``drain_grace`` for work to first appear, then
         exits as soon as the directory is fully drained -- the shape CI's
         background-service smoke test relies on.  Otherwise the loop runs
-        until ``idle_timeout`` (if set) elapses with nothing to do.  On the
+        until ``idle_timeout`` (if set) elapses with nothing to do.  A poll
+        that raises counts as a poll with no work; once every poll has failed
+        for ``drain_grace`` seconds in drain mode, or for ``idle_timeout``
+        seconds, the loop gives up (a plain ``serve`` keeps retrying).  On the
         way out the heartbeat is rewritten as ``stopped`` with the exit
         reason: ``drained``, ``idle-timeout``, ``blocked`` (pending manifests
-        wait on failed or quarantined jobs) or ``interrupted``.
+        wait on failed or quarantined jobs), ``poll-errors`` or
+        ``interrupted``.
         """
         config = self.config
         started = time.time()
@@ -650,6 +654,7 @@ class FleetService:
         drained_at_exit = False
         exit_reason = "interrupted"
         idle_since: Optional[float] = None
+        failing_since: Optional[float] = None
         try:
             while True:
                 finalized = self.reports_finalized
@@ -659,11 +664,24 @@ class FleetService:
                     # An injected (or real) infrastructure error escaped a
                     # poll -- e.g. an OSError out of a queue write.  The
                     # queue's durable state self-recovers (leases expire,
-                    # corrupt files heal); crashing the service would not.
+                    # corrupt files heal); crashing the service would not,
+                    # but neither may a fault that recurs on every poll keep
+                    # a draining or idle-bounded service alive forever.
                     self.poll_errors += 1
                     obs_state.counter("fleet.failures.poll_errors").inc()
+                    now = time.time()
+                    if failing_since is None:
+                        failing_since = now
+                    failing = now - failing_since
+                    if (config.drain and failing >= config.drain_grace) or (
+                        config.idle_timeout is not None
+                        and failing >= config.idle_timeout
+                    ):
+                        exit_reason = "poll-errors"
+                        break
                     time.sleep(config.poll_interval)
                     continue
+                failing_since = None
                 now = time.time()
                 if executed or self.reports_finalized > finalized:
                     # A finalized report is work too: a store-warm directory
@@ -721,7 +739,8 @@ class FleetService:
             "jobs_quarantined": self.jobs_quarantined,
             "poll_errors": self.poll_errors,
             "reports_finalized": self.reports_finalized,
-            "drained": drained_at_exit or self.drained(),
+            "drained": drained_at_exit
+            or (exit_reason != "poll-errors" and self.drained()),
             "workers": self.executor.max_workers,
             "faults": (
                 self.config.faults.summary()

@@ -25,8 +25,12 @@ Two job kinds exist:
   sweep.
 
 ``execute_job`` is the single entry point both executors use; worker-local
-memoization (platforms, synthetic corpora) lives here so serial and parallel
-execution share one code path and produce bit-identical results.
+memoization (platforms, synthetic corpora, built traces) lives here so serial
+and parallel execution share one code path and produce bit-identical results.
+Jobs that share a :class:`TraceSpec` in one process share the trace it built:
+a :class:`~repro.workloads.trace.WorkloadTrace` is frozen (its phases a tuple
+of frozen phases), and every builder is a pure function of its parameters, as
+job hashing already assumes.
 """
 
 from __future__ import annotations
@@ -169,9 +173,21 @@ class TraceSpec:
         return cls(builder=builder, params=_normalize_params(params))
 
     def build(self) -> WorkloadTrace:
-        """Materialize the trace."""
-        kwargs = {key: value for key, value in self.params}
-        return TRACE_BUILDERS[self.builder](**kwargs)
+        """Materialize the trace, or return the one this process built for
+        an equal spec (LRU-bounded, see :data:`_TRACE_MEMO`)."""
+        # Parameter types are part of the key: ``1 == 1.0 == True`` in Python
+        # but not in the JSON a job hashes, so the memo is no coarser than
+        # job identity.
+        key = (self, tuple(type(value) for _, value in self.params))
+        trace = _TRACE_MEMO.get(key)
+        if trace is None:
+            trace = TRACE_BUILDERS[self.builder](**dict(self.params))
+            _TRACE_MEMO[key] = trace
+            while len(_TRACE_MEMO) > MEMO_MAX_ENTRIES:
+                _TRACE_MEMO.popitem(last=False)
+        else:
+            _TRACE_MEMO.move_to_end(key)
+        return trace
 
     @property
     def label(self) -> str:
@@ -306,6 +322,11 @@ PlatformSpec = HardwareSpec
 #: recently used platforms alive instead of growing without limit.
 _PLATFORM_MEMO: "OrderedDict[PlatformSpec, Platform]" = OrderedDict()
 
+#: Process-local memo of built traces (see :meth:`TraceSpec.build`), keyed by
+#: spec and parameter types and LRU-bounded like :data:`_PLATFORM_MEMO`: jobs
+#: that run one trace under several policies or platforms build it once.
+_TRACE_MEMO: "OrderedDict[tuple, WorkloadTrace]" = OrderedDict()
+
 
 def platform_for(spec: PlatformSpec) -> Platform:
     """The memoized platform for ``spec`` in this process (LRU-bounded)."""
@@ -326,9 +347,10 @@ def platform_for(spec: PlatformSpec) -> Platform:
 
 
 def clear_memos() -> None:
-    """Explicitly empty the worker-local platform/calibration memos."""
+    """Explicitly empty the worker-local platform/calibration/trace memos."""
     _PLATFORM_MEMO.clear()
     _SYSSCALE_MEMO.clear()
+    _TRACE_MEMO.clear()
 
 
 @dataclass(frozen=True)

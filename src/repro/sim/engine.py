@@ -26,13 +26,27 @@ characteristics, operating point, MRC register set)``, so recurring segments --
 Markov scenarios revisit phases constantly -- skip even that), then replays the
 seed engine's per-tick additions in a tight arithmetic-only inner loop.
 
-A :class:`~repro.sim.policy.StaticPolicy` (one that inherits its ``decide``)
-returns its reset action at every evaluation and never reads the counters, so
-for it an evaluation cannot change anything but the evaluation count.  Its
-runs take a second tight loop that counts evaluations in place and keeps no
-counter sums: a segment ends only at a phase boundary or at
-``max_simulated_time``, and no observation is built.  Every other policy takes
-the observing loop, whose segments also end at each evaluation.
+A second tight loop, the *skipping* loop, counts evaluations in place instead
+of building an observation; it keeps no counter sums, and its segment ends
+only at a phase boundary, at ``max_simulated_time`` or at an evaluation it
+cannot skip.  It serves two cases:
+
+* a :class:`~repro.sim.policy.StaticPolicy` (one that inherits its
+  ``decide``), on every segment: it returns its reset action at every
+  evaluation and never reads the counters, so an evaluation cannot change
+  anything but the evaluation count;
+* a policy that declares
+  :attr:`~repro.sim.policy.Policy.decides_from_counters` (SysScale), on each
+  *steady window*: a whole window of the same segment model and tick count as
+  the last window whose ``decide`` returned the action in force itself.  Such
+  a window's observation is bit-equal to that window's (only ``time``
+  differs), so the policy's answer is already known.  The loop stops at an
+  evaluation whose window has another length; when it stops part-way through
+  a window, it rebuilds the counter sums with the additions the observing
+  loop would have made, and that loop takes over.
+
+Every other segment takes the observing loop, whose segments also end at each
+evaluation.
 
 The bit-exactness strategy is *replay, not algebra*: the seed loop adds the
 same per-tick increment to each accumulator on every tick of a segment, and
@@ -294,6 +308,7 @@ class SimulationEngine:
         # tracer rebinds ``decide`` on each class that defines it, and a
         # traced run must take the same loop as an untraced one.
         static = type(policy).decide is StaticPolicy.decide
+        from_counters = type(policy).decides_from_counters
 
         memo: Dict[tuple, _SegmentModel] = {}
         phase_keys: Dict[int, tuple] = {}
@@ -315,6 +330,11 @@ class SimulationEngine:
         segments = 0
         model_evaluations = 0
         memo_hits = 0
+        # The steady window: the segment model and tick count of the last
+        # window that had all its ticks from one segment and whose decide()
+        # returned the action in force itself.
+        steady_segment: Optional[_SegmentModel] = None
+        steady_ticks = 0
 
         while phase_index < phase_count and time_now < max_time:
             phase = phases[phase_index]
@@ -334,6 +354,9 @@ class SimulationEngine:
                 model_evaluations += 1
             segments += 1
             segment_start = time_now
+            # A window that opens here and is decided before the next segment
+            # has all its ticks from this one.
+            window_opened = samples == 0
 
             inc_compute, inc_io, inc_memory, inc_platform = segment.energy_ticks
             cpu_inc, gfx_inc, dram_inc = segment.frequency_ticks
@@ -343,9 +366,13 @@ class SimulationEngine:
             ticks = 0
 
             # The tight loops: pure float additions and comparisons, no calls.
-            if static:
-                # The static policy's decide() would return the action in
-                # force, so an evaluation only moves the evaluation mark.
+            if static or (window_opened and segment is steady_segment):
+                # decide() would return the action in force, so an evaluation
+                # only moves the evaluation mark -- for a steady window only
+                # if it is as long as the steady one (``mark`` is the tick
+                # its window started at).
+                mark = 0
+                evaluation_due = False
                 while True:
                     energy_compute += inc_compute
                     energy_io += inc_io
@@ -360,14 +387,28 @@ class SimulationEngine:
                     work += work_tick
                     ticks += 1
                     if time_now - last_evaluation_time >= evaluation_threshold:
+                        if not static and ticks - mark != steady_ticks:
+                            evaluation_due = True
+                            break
                         last_evaluation_time = time_now
                         evaluations += 1
+                        mark = ticks
                     if work >= duration_threshold or time_now >= max_time:
                         break
-                evaluation_due = False
+                if not static:
+                    # The open window's sums, by the additions the observing
+                    # loop would have made since the window started.
+                    value_0, value_1, value_2, value_3 = segment.counter_values
+                    for _ in range(ticks - mark):
+                        sum_0 += value_0
+                        sum_1 += value_1
+                        sum_2 += value_2
+                        sum_3 += value_3
+                    samples = ticks - mark
+                    sample_interval = segment.sample_interval
             else:
                 value_0, value_1, value_2, value_3 = segment.counter_values
-                if samples == 0:
+                if window_opened:
                     sample_interval = segment.sample_interval
                 while True:
                     energy_compute += inc_compute
@@ -430,6 +471,11 @@ class SimulationEngine:
                 sum_0 = sum_1 = sum_2 = sum_3 = 0.0
                 samples = 0
                 new_action = policy.decide(observation)
+                if from_counters and new_action is action and window_opened:
+                    steady_segment = segment
+                    steady_ticks = observation.samples
+                else:
+                    steady_segment = None
                 if not new_action.same_operating_point(action):
                     latency = new_action.transition_latency
                     run.transitions += 1

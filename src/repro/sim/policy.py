@@ -15,13 +15,23 @@ baseline and the Table 1 MD-DVFS setup).  Its ``decide`` is inherited, never
 overridden, which is how the engine recognises it and skips the evaluations
 nobody reads; a subclass that overrides ``decide`` is observed like any other
 policy.
+
+A policy class may also declare :attr:`Policy.decides_from_counters`: its
+``decide`` reads only the observation's counters and static demand, plus
+state that changes only on a transition.  Then a ``decide`` that returned the
+action in force would return that same action object for any observation
+bit-equal to the one it saw (the ``time`` aside), so the engine skips the
+evaluations of each *steady window* -- a whole window of the same segment and
+length as the last one whose decision kept the action -- and only counts them.
+The declaration is a promise about the class, not a setting; SysScale makes
+it (:mod:`repro.core.sysscale`).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro import config
 from repro.perf.counters import CounterSample
@@ -123,6 +133,14 @@ class Policy(abc.ABC):
 
     #: Human-readable policy name used in result tables.
     name: str = "policy"
+
+    #: The promise that ``decide`` depends only on the observation's counters
+    #: and static demand and on state that changes only on a transition: a
+    #: decision that returned the action in force returns that same object
+    #: again for a bit-equal observation.  The engine then counts, rather
+    #: than observes, the evaluations of a steady window.  A subclass whose
+    #: ``decide`` breaks the promise must set it back to ``False``.
+    decides_from_counters: ClassVar[bool] = False
 
     @abc.abstractmethod
     def reset(self, platform, trace: WorkloadTrace) -> PolicyAction:

@@ -8,8 +8,12 @@ additions on identical increments), and these tests are the arbiter the
 engine's docstring points at: every scenario-catalog entry under every policy,
 plus registry hardware variants, plus the classic workload families, plus two
 whole traces run uncapped to their end, plus hypothesis-generated scenarios
-from every generator, alone and on generated hardware derivations.
+from every generator, alone and on generated hardware derivations.  The
+steady-window skip is checked against the observations the reference loop
+hands SysScale: every one the fast loop skips repeats one it saw.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.fixed import FixedBaselinePolicy
 from repro.baselines.md_dvfs import StaticMdDvfsPolicy
 from repro.hw import get_hardware
+from repro.perf.counters import COUNTER_NAMES
 from repro.runtime.jobs import _build_sysscale
 from repro.scenarios.generators import GENERATORS
 from repro.scenarios.registry import SCENARIOS, ScenarioSpec
@@ -279,7 +284,9 @@ class TestSegmentStepping:
 
     def test_policy_sees_sample_counts(self, platform):
         """Segment-aware observation plumbing: the policy learns how many 1 ms
-        samples each averaged observation covers (30 per 30 ms interval)."""
+        samples each averaged observation covers (30 per 30 ms interval), and
+        a policy that does not declare ``decides_from_counters`` sees every
+        evaluation."""
         observed = []
 
         class Probe(FixedBaselinePolicy):
@@ -292,6 +299,28 @@ class TestSegmentStepping:
         engine.run(trace, Probe())
         assert observed
         assert all(count == 30 for count in observed)
+        assert len(observed) == engine.last_run_stats.evaluations
+
+    def test_steady_windows_skip_decide(self, platform):
+        """SysScale settles on 416.gamess; the evaluations of its steady
+        windows are counted without a decide() call, and nothing else moves."""
+        fast_engine, reference_engine = _engines(platform)
+        trace = spec_workload("416.gamess", duration=0.3)
+        calls = []
+        policy = _policy("sysscale", platform)
+        decide = policy.decide
+
+        def counted_decide(observation):
+            calls.append(observation.time)
+            return decide(observation)
+
+        policy.decide = counted_decide
+        fast = fast_engine.run(trace, policy)
+        reference = reference_engine.run(trace, _policy("sysscale", platform))
+        assert fast.to_dict() == reference.to_dict()
+        evaluations = fast_engine.last_run_stats.evaluations
+        assert evaluations == reference_engine.last_run_stats.evaluations
+        assert 0 < len(calls) < evaluations
 
     def test_fast_loop_is_materially_faster(self, platform):
         """A very lenient wall-clock sanity floor (the benchmark measures
@@ -308,3 +337,124 @@ class TestSegmentStepping:
         reference_engine.run(trace, FixedBaselinePolicy())
         reference_seconds = time.perf_counter() - started
         assert fast_seconds < reference_seconds
+
+
+def _bits(observation):
+    """An observation as exact bits (``==`` would equate 0.0 and -0.0)."""
+    counters = observation.counters
+    return (
+        tuple(counters[name].hex() for name in COUNTER_NAMES),
+        counters.interval.hex(),
+        observation.samples,
+        observation.time.hex(),
+        observation.workload_class,
+        observation.evaluation_interval.hex(),
+        observation.static_demand,
+    )
+
+
+def _recorded_decisions(engine, trace, platform):
+    """Run SysScale and return ``(observation, kept)`` per decide() call,
+    where ``kept`` says the call returned the action in force itself."""
+    policy = _policy("sysscale", platform)
+    reset, decide = policy.reset, policy.decide
+    in_force = []
+    calls = []
+
+    def recording_reset(reset_platform, reset_trace):
+        in_force.append(reset(reset_platform, reset_trace))
+        return in_force[-1]
+
+    def recording_decide(observation):
+        action = decide(observation)
+        calls.append((observation, action is in_force[-1]))
+        in_force.append(action)
+        return action
+
+    policy.reset, policy.decide = recording_reset, recording_decide
+    engine.run(trace, policy)
+    return calls
+
+
+class TestSteadyWindowSkip:
+    """The promise behind ``decides_from_counters``, checked against the
+    reference loop, which calls decide() at every evaluation."""
+
+    @pytest.mark.parametrize(
+        "build, max_time, interval",
+        (
+            (lambda: spec_workload("416.gamess", duration=0.3), PARITY_MAX_TIME, 0.03),
+            (lambda: battery_life_workload("video_playback", cycles=1), 1.0, 0.03),
+            (lambda: SCENARIOS["markov-mobile-day"].build(), 1.0, 0.03),
+            # An interval a hair above 3 ticks: float drift in the clock makes
+            # some windows 4 ticks long, and those must not be skipped.
+            (lambda: spec_workload("416.gamess", duration=0.3), 0.3, 0.003 + 1e-12),
+        ),
+        ids=("416.gamess", "video_playback", "markov-mobile-day", "uneven-windows"),
+    )
+    def test_skipped_observations_repeat_a_kept_decision(
+        self, platform, build, max_time, interval
+    ):
+        trace = build()
+        fast_engine, reference_engine = _engines(
+            platform, max_time=max_time, evaluation_interval=interval
+        )
+        fast = _recorded_decisions(fast_engine, trace, platform)
+        reference = _recorded_decisions(reference_engine, trace, platform)
+        by_time = {observation.time: observation for observation, _ in reference}
+        assert len(by_time) == len(reference)
+        assert len(fast) < len(reference)
+
+        # Every observation the fast loop builds is the reference's, bit for bit.
+        for observation, _ in fast:
+            assert _bits(observation) == _bits(by_time[observation.time])
+
+        # Every one it skips repeats the last one it saw, whose decide()
+        # returned the action in force (and the reference call kept it too).
+        seen = iter(fast)
+        upcoming = next(seen, None)
+        last = None
+        for observation, kept in reference:
+            if upcoming is not None and upcoming[0].time == observation.time:
+                last, upcoming = upcoming, next(seen, None)
+                continue
+            assert last is not None and last[1], observation.time
+            assert kept
+            assert _bits(replace(observation, time=last[0].time)) == _bits(last[0])
+        assert upcoming is None
+
+    def test_a_decision_that_returns_a_new_action_is_not_steady(self, platform):
+        """Only a decide() that returns the action in force itself marks a
+        steady window; after one that returns an equal copy, the next
+        evaluation is observed even on the last steady segment.  (The uneven
+        interval makes the engine observe some windows of a steady segment,
+        so a copy can be returned on one.)"""
+
+        class EveryOtherCopy(FixedBaselinePolicy):
+            decides_from_counters = True
+
+            def reset(self, reset_platform, trace):
+                self.calls = []
+                return super().reset(reset_platform, trace)
+
+            def decide(self, observation):
+                kept = len(self.calls) % 2 == 0
+                if not kept:
+                    self._action = replace(self._action)
+                self.calls.append((observation.time, kept))
+                return self._action
+
+        trace = spec_workload("416.gamess", duration=0.3)
+        fast_engine, reference_engine = _engines(
+            platform, max_time=0.3, evaluation_interval=0.003 + 1e-12
+        )
+        fast_policy, reference_policy = EveryOtherCopy(), EveryOtherCopy()
+        assert (
+            fast_engine.run(trace, fast_policy).to_dict()
+            == reference_engine.run(trace, reference_policy).to_dict()
+        )
+        evaluation_times = [time for time, _ in reference_policy.calls]
+        assert len(fast_policy.calls) < len(evaluation_times)
+        for (time, kept), (next_time, _) in zip(fast_policy.calls, fast_policy.calls[1:]):
+            if not kept:
+                assert next_time == evaluation_times[evaluation_times.index(time) + 1]

@@ -41,6 +41,7 @@ from repro.runtime import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "fleet"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_SIM = SimSpec(max_simulated_time=0.05)
 
@@ -614,6 +615,39 @@ class TestServiceChaos:
         heartbeat.mkdir()
         with pytest.raises(KeyboardInterrupt):
             interrupted_service().serve_forever()
+
+    @pytest.mark.parametrize(
+        "settings",
+        ({"drain": True, "drain_grace": 0.2}, {"drain": False, "idle_timeout": 0.2}),
+        ids=("drain", "idle-timeout"),
+    )
+    def test_polls_that_always_fail_end_a_bounded_loop(self, tmp_path, settings):
+        """A fault that recurs on every poll must not keep a draining or
+        idle-bounded service alive: it exits with ``poll-errors``, not
+        drained.  (A subprocess with a timeout, because the loop once spun
+        forever here.)"""
+        root = tmp_path / "fleet"
+        script = (
+            "import json, sys\n"
+            "from repro.fleet.service import FleetConfig, FleetService\n"
+            "def fail(self, now=None):\n"
+            "    raise OSError('injected: every poll fails')\n"
+            "FleetService.run_once = fail\n"
+            "config = FleetConfig(root=sys.argv[1], workers=1, poll_interval=0.01,\n"
+            "                     **json.loads(sys.argv[2]))\n"
+            "print(json.dumps(FleetService(config).serve_forever()))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(root), json.dumps(settings)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        summary = json.loads(completed.stdout)
+        assert summary["drained"] is False
+        assert summary["poll_errors"] > 1
+        beat = json.loads(FleetPaths(root).heartbeat.read_text(encoding="utf-8"))
+        assert (beat["state"], beat["exit"]) == ("stopped", "poll-errors")
 
 
 # ---------------------------------------------------------------------------

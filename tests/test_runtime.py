@@ -586,3 +586,60 @@ class TestPlatformMemoBound:
             assert rebuilt.describe() == described
         finally:
             clear_memos()
+
+
+class TestTraceMemo:
+    """Jobs that share a TraceSpec in one process share the trace it built."""
+
+    def test_second_build_returns_the_same_trace(self):
+        from repro.runtime.jobs import clear_memos
+
+        clear_memos()
+        try:
+            spec = TraceSpec.make("spec", name="416.gamess", duration=0.05)
+            first = spec.build()
+            assert TraceSpec.make("spec", duration=0.05, name="416.gamess").build() is first
+        finally:
+            clear_memos()
+
+    def test_parameter_types_are_part_of_the_key(self):
+        """``1 == 1.0`` in Python but not in the JSON a job hashes: after the
+        int spec is built, the equal float spec still reaches its builder,
+        which rejects a float cycle count."""
+        from repro.runtime.jobs import clear_memos
+
+        clear_memos()
+        try:
+            as_int = TraceSpec.make("battery_life", name="web_browsing", cycles=1)
+            as_float = TraceSpec.make("battery_life", name="web_browsing", cycles=1.0)
+            assert as_int == as_float
+            as_int.build()
+            with pytest.raises(TypeError):
+                as_float.build()
+        finally:
+            clear_memos()
+
+    def test_clear_memos_empties_the_memo(self):
+        from repro.runtime.jobs import _TRACE_MEMO, clear_memos
+
+        spec = TraceSpec.make("spec", name="416.gamess", duration=0.05)
+        first = spec.build()
+        assert _TRACE_MEMO
+        clear_memos()
+        assert not _TRACE_MEMO
+        assert spec.build() is not first
+        clear_memos()
+
+    def test_memo_is_lru_bounded(self):
+        from repro.runtime.jobs import MEMO_MAX_ENTRIES, _TRACE_MEMO, clear_memos
+
+        clear_memos()
+        try:
+            first = TraceSpec.make("spec", name="416.gamess", duration=0.01)
+            first_trace = first.build()
+            for index in range(1, 3 * MEMO_MAX_ENTRIES):
+                TraceSpec.make("spec", name="416.gamess", duration=0.01 * (index + 1)).build()
+                assert len(_TRACE_MEMO) <= MEMO_MAX_ENTRIES
+            assert first.build() is not first_trace
+        finally:
+            clear_memos()

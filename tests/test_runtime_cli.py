@@ -1,13 +1,19 @@
 """The ``python -m repro`` command line (registry-driven dispatch + exports)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.api import registry
 from repro.experiments.report import ExperimentReport
-from repro.cli import main
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
 from repro.runtime.campaign import CAMPAIGNS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestList:
@@ -36,6 +42,40 @@ class TestList:
             assert name in output
             if spec.ignored_flags:
                 assert f"ignores {'/'.join(spec.ignored_flags)}" in output
+        for name, factory in CAMPAIGNS.items():
+            assert f"  {name:12s} {factory(True).description}" in output
+
+    def test_other_commands_build_no_campaign(self, monkeypatch):
+        """Only ``run --help`` prints the campaign descriptions, so only it
+        builds the campaigns."""
+        built = []
+        for name, factory in list(CAMPAIGNS.items()):
+            monkeypatch.setitem(
+                CAMPAIGNS,
+                name,
+                lambda quick, name=name, factory=factory: built.append(name)
+                or factory(quick),
+            )
+        build_parser().parse_args(["hw", "hash", "skylake"])
+        assert built == []
+
+
+class TestClosedStdout:
+    def test_a_reader_gone_before_the_first_write_gets_a_quiet_exit(self):
+        """``repro list | head -1``: no traceback, nothing on stderr, and the
+        documented exit code."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write_end)
+        assert completed.stderr == ""
+        assert completed.returncode == EXIT_BROKEN_PIPE
 
 
 class TestRun:
