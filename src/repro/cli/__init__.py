@@ -9,7 +9,8 @@ handlers; :mod:`repro.cli.common` holds what they share.
 
 All user-facing text goes through :class:`repro.obs.logging.Console`, one per
 invocation.  Exit codes: 0 success, 1 a failed check (``lint`` findings,
-``fleet verify`` mismatch, unhealthy ``fleet doctor``), 2 a usage error
+``fleet verify`` mismatch, unhealthy ``fleet doctor``, a ``serve`` loop that
+ended ``blocked`` or ``poll-errors``), 2 a usage error
 (:class:`CliError`), 141 (:data:`EXIT_BROKEN_PIPE`) when the reader closed
 stdout early, as in ``repro list | head -1``; that exit prints nothing.
 """

@@ -50,6 +50,12 @@ SERVE_SETTINGS = {
 }
 
 
+#: ``serve`` exit reasons that end the command with status 1: the loop gave
+#: up with sweeps still pending (``blocked``) or with every poll failing
+#: (``poll-errors``).
+SERVE_FAILED_EXITS = ("blocked", "poll-errors")
+
+
 def _campaign(args: argparse.Namespace) -> Campaign:
     """Resolve the ``CAMPAIGN`` argument of submit/verify, with smoke caps."""
     if args.max_time is not None and args.max_time <= 0:
@@ -89,17 +95,21 @@ def _cmd_serve(args: argparse.Namespace, ui: Console) -> int:
             summary = service.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         ui.info("interrupted")  # serve_forever already closed the pool
-        summary = {"rounds": service.rounds, "jobs_run": service.jobs_run}
+        summary = {
+            "exit": "interrupted",
+            "rounds": service.rounds,
+            "jobs_run": service.jobs_run,
+        }
     if args.json:
         common.print_json(ui, summary)
     else:
         ui.out(
-            f"serve: {summary.get('jobs_run', 0)} job(s) in "
-            f"{summary.get('rounds', 0)} round(s), "
+            f"serve: {summary['exit']} after {summary.get('jobs_run', 0)} "
+            f"job(s) in {summary.get('rounds', 0)} round(s), "
             f"{summary.get('reports_finalized', 0)} report(s) finalized"
         )
     common.obs_teardown(args, sink, ui)
-    return 0
+    return 1 if summary["exit"] in SERVE_FAILED_EXITS else 0
 
 
 def _cmd_submit(args: argparse.Namespace, ui: Console) -> int:
@@ -168,6 +178,11 @@ def _cmd_fleet_status(args: argparse.Namespace, ui: Console) -> int:
                 f"  service: alive (pid {service.get('pid')}, "
                 f"{service.get('workers')} worker(s))"
             )
+    if status["unreadable_manifests"]:
+        ui.out(
+            f"  unreadable manifest(s): {len(status['unreadable_manifests'])} "
+            "(never pending; see fleet doctor)"
+        )
     ui.out(f"  drained: {'yes' if status['drained'] else 'no'}")
     return 0
 
@@ -328,10 +343,10 @@ def register(subparsers: Any) -> None:
         description=(
             "Cross-check the fleet directory for corrupt queue entries, "
             "queue/store state skew, expired leases, stale heartbeats, stray "
-            "temp files, and lost manifest jobs.  --fix applies every repair "
-            "that cannot lose information (restore or quarantine corrupt "
-            "entries, requeue lost results, complete already-stored leases, "
-            "sweep temp files)."
+            "temp files, unreadable campaign manifests, and lost manifest "
+            "jobs.  --fix applies every repair that cannot lose information "
+            "(restore or quarantine corrupt entries and manifests, requeue "
+            "lost results, complete already-stored leases, sweep temp files)."
         ),
     )
     _add_fleet_dir(doctor)

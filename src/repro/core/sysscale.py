@@ -143,9 +143,6 @@ class SysScaleController(Policy):
             )
         return steady
 
-    def notify_transition(self, previous: PolicyAction, new: PolicyAction) -> None:
-        """The engine applied the transition; nothing further to do."""
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -25,8 +25,9 @@ half of the failure state machine:
   and quarantine, reporting findings by severity; ``fix=True`` applies the
   safe repairs (restore or quarantine corrupt entries, requeue done-but-lost
   results, complete already-stored leases, recover expired leases, sweep
-  stray temp files).  The exit contract: a directory is healthy iff no
-  *unfixed* error-severity finding remains.
+  stray temp files, quarantine unreadable campaign manifests).  The exit
+  contract: a directory is healthy iff no *unfixed* error-severity finding
+  remains.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fleet.queue import STATE_DONE, STATE_LEASED, STATE_QUEUED, JobQueue
-from repro.fleet.store import ShardedResultStore
+from repro.fleet.store import FleetPaths, ShardedResultStore, read_manifests
 from repro.hashing import content_hash
 from repro.runtime.cache import atomic_write_json
 
@@ -361,9 +362,6 @@ def run_doctor(
     check, each tagged with severity and whether it was fixed.  ``now`` is
     injectable so tests audit frozen directories deterministically.
     """
-    # Deferred import: service.py imports this module at top level.
-    from repro.fleet.service import FleetPaths
-
     now = time.time() if now is None else now
     paths = FleetPaths(Path(root))
     queue = JobQueue(paths.queue_dir)
@@ -511,38 +509,47 @@ def run_doctor(
 
     # -- 7. manifest accounting ------------------------------------------
     known = {entry.job_hash for entry in entries}
-    if paths.campaigns_dir.is_dir():
-        for manifest_path in sorted(paths.campaigns_dir.glob("*.json")):
-            try:
-                with manifest_path.open("r", encoding="utf-8") as handle:
-                    manifest = json.load(handle)
-            except (OSError, ValueError):
+    manifests, unreadable = read_manifests(paths)
+    for manifest_path in unreadable:
+        repaired = False
+        if fix:
+            quarantine.absorb_corrupt(manifest_path)
+            repaired = True
+        findings.append(
+            Finding(
+                SEVERITY_ERROR,
+                "corrupt-manifest",
+                str(manifest_path.relative_to(paths.root)),
+                "unreadable campaign manifest (json, schema or spec hash); "
+                "no service can finalize its sweep"
+                + ("; moved to quarantine" if repaired else ""),
+                repaired,
+            )
+        )
+    for manifest in manifests:
+        for job_hash in manifest["jobs"]:
+            if store.has_job(job_hash) or job_hash in known:
                 continue
-            if not isinstance(manifest, dict) or "jobs" not in manifest:
-                continue
-            for job_hash in manifest["jobs"]:
-                if store.has_job(job_hash) or job_hash in known:
-                    continue
-                if quarantine.has(job_hash):
-                    findings.append(
-                        Finding(
-                            SEVERITY_INFO,
-                            "quarantined-job",
-                            job_hash,
-                            f"manifest job is quarantined "
-                            f"(campaign {manifest.get('campaign')})",
-                        )
+            if quarantine.has(job_hash):
+                findings.append(
+                    Finding(
+                        SEVERITY_INFO,
+                        "quarantined-job",
+                        job_hash,
+                        f"manifest job is quarantined "
+                        f"(campaign {manifest['campaign']})",
                     )
-                else:
-                    findings.append(
-                        Finding(
-                            SEVERITY_ERROR,
-                            "lost-job",
-                            job_hash,
-                            "manifest job has no queue entry, stored result, "
-                            "or quarantine record",
-                        )
+                )
+            else:
+                findings.append(
+                    Finding(
+                        SEVERITY_ERROR,
+                        "lost-job",
+                        job_hash,
+                        "manifest job has no queue entry, stored result, "
+                        "or quarantine record",
                     )
+                )
 
     quarantine_counts = quarantine.counts()
     if quarantine_counts["jobs"] or quarantine_counts["corrupt"]:

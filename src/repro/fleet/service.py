@@ -40,7 +40,6 @@ payloads and reports are bit-identical to a serial run of the same campaign
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -68,7 +67,12 @@ from repro.fleet.resilience import (
     _read_heartbeat,
     _restore_from_store,
 )
-from repro.fleet.store import FLEET_SCHEMA_VERSION, ShardedResultStore
+from repro.fleet.store import (
+    FLEET_SCHEMA_VERSION,
+    FleetPaths,
+    ShardedResultStore,
+    read_manifests,
+)
 from repro.hashing import content_hash
 from repro.obs import state as obs_state
 from repro.runtime.campaign import Campaign, resolve_campaign
@@ -88,34 +92,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Layout and sweep identity
+# Sweep identity
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetPaths:
-    """Where a fleet directory keeps each piece of shared state."""
-
-    root: Path
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", Path(self.root))
-
-    @property
-    def queue_dir(self) -> Path:
-        return self.root / "queue"
-
-    @property
-    def store_dir(self) -> Path:
-        return self.root / "store"
-
-    @property
-    def campaigns_dir(self) -> Path:
-        return self.root / "campaigns"
-
-    @property
-    def heartbeat(self) -> Path:
-        return self.root / "service.json"
 
 
 def sweep_spec_hash(campaign: Campaign) -> str:
@@ -557,20 +535,8 @@ class FleetService:
     def finalize_reports(self) -> int:
         """Turn fully-landed manifests into stored ``spec_hash`` reports."""
         finalized = 0
-        if not self.paths.campaigns_dir.is_dir():
-            return 0
-        for path in sorted(self.paths.campaigns_dir.glob("*.json")):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    manifest = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if (
-                not isinstance(manifest, dict)
-                or manifest.get("schema") != FLEET_SCHEMA_VERSION
-                or manifest.get("kind") != "fleet_manifest"
-            ):
-                continue
+        manifests, _ = read_manifests(self.paths)
+        for manifest in manifests:
             spec_hash = manifest["spec_hash"]
             if self.store.get_report(spec_hash) is not None:
                 continue
@@ -594,22 +560,12 @@ class FleetService:
             finalized += 1
         return finalized
 
-    def _pending_manifests(self) -> int:
-        """Manifests whose reports are not stored yet."""
-        if not self.paths.campaigns_dir.is_dir():
-            return 0
-        pending = 0
-        for path in self.paths.campaigns_dir.glob("*.json"):
-            spec_hash = path.stem
-            if self.store.get_report(spec_hash) is None:
-                pending += 1
-        return pending
-
     def _write_heartbeat(
-        self, now: float, exit_reason: Optional[str] = None
+        self, now: float, summary: Optional[Dict[str, Any]] = None
     ) -> None:
         """Write ``service.json``: each poll's ``running`` beat, or, given
-        ``exit_reason``, the terminal ``stopped`` beat.
+        the loop's exit ``summary``, the terminal ``stopped`` beat, which
+        carries that summary whole.
 
         Either beat carries the tally of the loop's latest scan, so writing
         it adds no queue scan.
@@ -623,15 +579,11 @@ class FleetService:
             "rounds": self.rounds,
             "jobs_run": self.jobs_run,
             "queue": self._last_counts,
-            "state": SERVICE_RUNNING if exit_reason is None else SERVICE_STOPPED,
+            "state": SERVICE_RUNNING if summary is None else SERVICE_STOPPED,
         }
-        if exit_reason is not None:
-            beat["exit"] = exit_reason
+        if summary is not None:
+            beat.update(summary)
         atomic_write_json(self.paths.heartbeat, beat)
-
-    def drained(self) -> bool:
-        """Nothing queued, nothing leased, every manifest reported."""
-        return self.queue.drained() and self._pending_manifests() == 0
 
     def serve_forever(self) -> Dict[str, Any]:
         """The ``repro serve`` loop; returns a summary when it exits.
@@ -643,15 +595,14 @@ class FleetService:
         that raises counts as a poll with no work; once every poll has failed
         for ``drain_grace`` seconds in drain mode, or for ``idle_timeout``
         seconds, the loop gives up (a plain ``serve`` keeps retrying).  On the
-        way out the heartbeat is rewritten as ``stopped`` with the exit
-        reason: ``drained``, ``idle-timeout``, ``blocked`` (pending manifests
-        wait on failed or quarantined jobs), ``poll-errors`` or
-        ``interrupted``.
+        way out one summary is built, with the exit reason as ``exit``:
+        ``drained``, ``idle-timeout``, ``blocked`` (pending manifests wait on
+        failed or quarantined jobs), ``poll-errors`` or ``interrupted``.  It
+        is both the return value and the body of the ``stopped`` heartbeat.
         """
         config = self.config
         started = time.time()
         saw_work = False
-        drained_at_exit = False
         exit_reason = "interrupted"
         idle_since: Optional[float] = None
         failing_since: Optional[float] = None
@@ -691,14 +642,12 @@ class FleetService:
                     idle_since = None
                     continue
                 counts = self._last_counts = self.queue.counts()
-                queue_drained = is_drained(counts)
-                if queue_drained and self._pending_manifests() == 0:
+                if _drained(counts, self.store, read_manifests(self.paths)[0]):
                     # is_drained() is only ever True on a complete (nothing
                     # transient-hidden) scan, so the observation is
-                    # trustworthy at this instant -- record it for the
-                    # summary, whose own rescan could be degraded.
+                    # trustworthy at this instant; the summary's ``drained``
+                    # reports it.
                     if config.drain and (saw_work or now - started >= config.drain_grace):
-                        drained_at_exit = True
                         exit_reason = "drained"
                         break
                     if idle_since is None:
@@ -707,12 +656,11 @@ class FleetService:
                         config.idle_timeout is not None
                         and now - idle_since >= config.idle_timeout
                     ):
-                        drained_at_exit = True
                         exit_reason = "idle-timeout"
                         break
                 elif (
                     config.drain
-                    and queue_drained
+                    and is_drained(counts)
                     and counts[COUNT_CORRUPT] == 0
                     and (
                         counts[STATE_FAILED] > 0
@@ -727,27 +675,40 @@ class FleetService:
                     break
                 time.sleep(config.poll_interval)
         finally:
+            summary = {
+                "exit": exit_reason,
+                "rounds": self.rounds,
+                "jobs_run": self.jobs_run,
+                "jobs_failed": self.jobs_failed,
+                "jobs_quarantined": self.jobs_quarantined,
+                "poll_errors": self.poll_errors,
+                "reports_finalized": self.reports_finalized,
+                "drained": exit_reason in ("drained", "idle-timeout"),
+                "workers": self.executor.max_workers,
+                "faults": (
+                    self.config.faults.summary()
+                    if self.config.faults is not None
+                    else {}
+                ),
+            }
             try:
-                self._write_heartbeat(time.time(), exit_reason=exit_reason)
+                self._write_heartbeat(time.time(), summary)
             except OSError:  # counted, never raised over the loop's own exit
                 obs_state.counter("fleet.failures.heartbeat").inc()
             self.executor.close()
-        return {
-            "rounds": self.rounds,
-            "jobs_run": self.jobs_run,
-            "jobs_failed": self.jobs_failed,
-            "jobs_quarantined": self.jobs_quarantined,
-            "poll_errors": self.poll_errors,
-            "reports_finalized": self.reports_finalized,
-            "drained": drained_at_exit
-            or (exit_reason != "poll-errors" and self.drained()),
-            "workers": self.executor.max_workers,
-            "faults": (
-                self.config.faults.summary()
-                if self.config.faults is not None
-                else {}
-            ),
-        }
+        return summary
+
+
+def _drained(
+    counts: Dict[str, int], store: ShardedResultStore, manifests: List[Dict[str, Any]]
+) -> bool:
+    """The one drained rule: a queue tally with nothing queued, leased or
+    hidden, and a stored report for every readable manifest.  An unreadable
+    manifest is never pending: no service can finalize it (``fleet doctor``
+    reports it)."""
+    return is_drained(counts) and all(
+        store.get_report(manifest["spec_hash"]) is not None for manifest in manifests
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -772,37 +733,29 @@ def fleet_status(
     paths = FleetPaths(Path(root))
     store = ShardedResultStore(paths.store_dir)
     queue = JobQueue(paths.queue_dir)
+    manifests, unreadable = read_manifests(paths)
     campaigns = []
-    if paths.campaigns_dir.is_dir():
-        for path in sorted(paths.campaigns_dir.glob("*.json")):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    manifest = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(manifest, dict) or "jobs" not in manifest:
-                continue
-            job_hashes = list(manifest["jobs"])
-            landed = sum(1 for h in job_hashes if store.has_job(h))
-            campaigns.append(
-                {
-                    "campaign": manifest.get("campaign"),
-                    "spec_hash": manifest.get("spec_hash"),
-                    "jobs": len(job_hashes),
-                    "landed": landed,
-                    "reported": store.get_report(path.stem) is not None,
-                }
-            )
+    for manifest in manifests:
+        job_hashes = manifest["jobs"]
+        campaigns.append(
+            {
+                "campaign": manifest["campaign"],
+                "spec_hash": manifest["spec_hash"],
+                "jobs": len(job_hashes),
+                "landed": sum(1 for h in job_hashes if store.has_job(h)),
+                "reported": store.get_report(manifest["spec_hash"]) is not None,
+            }
+        )
     counts = queue.counts()
     quarantine = Quarantine(paths.root / QUARANTINE_SUBDIR)
     return {
         "root": str(paths.root),
         "queue": counts,
-        "drained": is_drained(counts)
-        and all(entry["reported"] for entry in campaigns),
+        "drained": _drained(counts, store, manifests),
         "store": store.stats(),
         "quarantine": quarantine.counts(),
         "campaigns": campaigns,
+        "unreadable_manifests": [path.name for path in unreadable],
         "service": _read_heartbeat(paths.heartbeat, now, stale_after),
     }
 

@@ -19,6 +19,10 @@ per entry, atomic temp-file-then-``os.replace`` writes):
     granularity: no queueing, no per-job lookups, the finished document comes
     straight back.  This is the ``spec_hash``-level warm start the ROADMAP's
     sweep-service item calls for.
+
+The module also holds the fleet directory's layout (:class:`FleetPaths`) and
+the one reader of its campaign manifests (:func:`read_manifests`), which the
+service, ``fleet status`` and ``fleet doctor`` share.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import state as obs_state
 from repro.runtime.cache import ResultCache, atomic_write_json
@@ -35,7 +39,9 @@ from repro.runtime.jobs import SCHEMA_VERSION, Job
 __all__ = [
     "FLEET_SCHEMA_VERSION",
     "SHARD_WIDTH",
+    "FleetPaths",
     "ShardedResultStore",
+    "read_manifests",
 ]
 
 #: Version stamp carried by every report entry (and the sweep-spec payloads
@@ -48,6 +54,66 @@ SHARD_WIDTH = 2
 
 _JOBS_SUBDIR = "jobs"
 _REPORTS_SUBDIR = "reports"
+
+
+@dataclass(frozen=True)
+class FleetPaths:
+    """Where a fleet directory keeps each piece of shared state."""
+
+    root: Path
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "root", Path(self.root))
+
+    @property
+    def queue_dir(self) -> Path:
+        return self.root / "queue"
+
+    @property
+    def store_dir(self) -> Path:
+        return self.root / "store"
+
+    @property
+    def campaigns_dir(self) -> Path:
+        return self.root / "campaigns"
+
+    @property
+    def heartbeat(self) -> Path:
+        return self.root / "service.json"
+
+
+def read_manifests(paths: FleetPaths) -> Tuple[List[Dict[str, Any]], List[Path]]:
+    """The campaign manifests of a fleet directory, in file-name order, and
+    the paths of the unreadable ones.
+
+    A manifest is readable when it parses as a ``fleet_manifest`` of this
+    schema, with a campaign name and a job list, whose ``spec_hash`` names
+    its file.  Every reader applies this one rule: the service finalizes and
+    drains over the readable manifests only, since no service can finalize
+    the others, and ``fleet doctor`` reports each unreadable one.
+    """
+    manifests: List[Dict[str, Any]] = []
+    unreadable: List[Path] = []
+    if not paths.campaigns_dir.is_dir():
+        return manifests, unreadable
+    for path in sorted(paths.campaigns_dir.glob("*.json")):
+        try:
+            with path.open("r", encoding="utf-8") as handle:
+                manifest = json.load(handle)
+        except (OSError, ValueError):
+            manifest = None
+        if (
+            isinstance(manifest, dict)
+            and manifest.get("schema") == FLEET_SCHEMA_VERSION
+            and manifest.get("kind") == "fleet_manifest"
+            and manifest.get("spec_hash") == path.stem
+            and isinstance(manifest.get("campaign"), str)
+            and isinstance(manifest.get("jobs"), list)
+        ):
+            manifests.append(manifest)
+        else:
+            unreadable.append(path)
+    return manifests, unreadable
 
 
 @dataclass

@@ -93,7 +93,8 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class TraceSegment:
-    """One replayed segment, typed (see ``repro.sim.trace.SegmentRecord``)."""
+    """One replayed segment, typed: an ``engine.segment`` event read back
+    (written by ``repro.sim.trace.EngineTraceRecorder.record_segment``)."""
 
     time: float
     duration: float

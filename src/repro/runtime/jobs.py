@@ -355,22 +355,18 @@ def clear_memos() -> None:
 
 @dataclass(frozen=True)
 class SimSpec:
-    """The :class:`SimulationConfig` fields, as a hashable value object.
+    """The :class:`SimulationConfig` fields a job varies, as a hashable value
+    object.
 
-    ``reference_loop`` selects the seed per-tick engine loop (the parity
-    arbiter) instead of segment stepping.  Both loops are bit-identical, but
-    the flag is still part of the content hash when set -- a reference-loop
-    benchmark job must never be answered from a fast-loop cache entry, or the
-    measured baseline would be a cache read.  It is omitted from the
-    serialization when ``False`` so every pre-existing job hash (and cache
-    entry) stays valid.
+    Neither ``SimulationConfig.reference_loop`` (the parity suite's arbiter
+    switch, which builds its engines directly) nor ``trace_segments``
+    (telemetry, never part of job identity) is a job dimension.
     """
 
     tick: float = config.COUNTER_SAMPLING_INTERVAL
     evaluation_interval: float = config.EVALUATION_INTERVAL
     max_simulated_time: float = 120.0
     record_bandwidth_samples: bool = False
-    reference_loop: bool = False
 
     def to_config(self) -> SimulationConfig:
         return SimulationConfig(
@@ -378,7 +374,6 @@ class SimSpec:
             evaluation_interval=self.evaluation_interval,
             max_simulated_time=self.max_simulated_time,
             record_bandwidth_samples=self.record_bandwidth_samples,
-            reference_loop=self.reference_loop,
         )
 
     @classmethod
@@ -388,19 +383,15 @@ class SimSpec:
             evaluation_interval=sim_config.evaluation_interval,
             max_simulated_time=sim_config.max_simulated_time,
             record_bandwidth_samples=sim_config.record_bandwidth_samples,
-            reference_loop=sim_config.reference_loop,
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "tick": self.tick,
             "evaluation_interval": self.evaluation_interval,
             "max_simulated_time": self.max_simulated_time,
             "record_bandwidth_samples": self.record_bandwidth_samples,
         }
-        if self.reference_loop:
-            data["reference_loop"] = True
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimSpec":

@@ -26,35 +26,35 @@ characteristics, operating point, MRC register set)``, so recurring segments --
 Markov scenarios revisit phases constantly -- skip even that), then replays the
 seed engine's per-tick additions in a tight arithmetic-only inner loop.
 
-A second tight loop, the *skipping* loop, counts evaluations in place instead
-of building an observation; it keeps no counter sums, and its segment ends
-only at a phase boundary, at ``max_simulated_time`` or at an evaluation it
-cannot skip.  It serves two cases:
+That one loop keeps no counter sums.  A segment ends at a phase boundary, at
+``max_simulated_time`` or at the first evaluation the loop cannot count in
+place; an evaluation is counted in place, without building an observation,
+in two cases:
 
 * a :class:`~repro.sim.policy.StaticPolicy` (one that inherits its
   ``decide``), on every segment: it returns its reset action at every
   evaluation and never reads the counters, so an evaluation cannot change
   anything but the evaluation count;
 * a policy that declares
-  :attr:`~repro.sim.policy.Policy.decides_from_counters` (SysScale), on each
+  :attr:`~repro.sim.policy.Policy.decides_from_counters` (SysScale), in each
   *steady window*: a whole window of the same segment model and tick count as
   the last window whose ``decide`` returned the action in force itself.  Such
   a window's observation is bit-equal to that window's (only ``time``
-  differs), so the policy's answer is already known.  The loop stops at an
-  evaluation whose window has another length; when it stops part-way through
-  a window, it rebuilds the counter sums with the additions the observing
-  loop would have made, and that loop takes over.
+  differs), so the policy's answer is already known.
 
-Every other segment takes the observing loop, whose segments also end at each
-evaluation.
+Every other evaluation ends the segment and is observed.  For any policy but
+a static one, the counter sums are rebuilt once the loop stops: the segment's
+per-tick counter values are added once per tick of the open window, onto the
+sums the window carries from its earlier segments -- the additions the
+reference loop's ``CounterSample.average`` makes, in its order.
 
 The bit-exactness strategy is *replay, not algebra*: the seed loop adds the
 same per-tick increment to each accumulator on every tick of a segment, and
 floating-point addition is deterministic, so performing the identical sequence
 of additions on the identical increments yields identical bits -- no
 ``n * increment`` shortcuts are taken anywhere (an ``n``-fold product is not
-bit-equal to an ``n``-fold sum).  Counter averaging keeps running sums per
-counter instead of a per-interval ``List[CounterSample]``; the sums perform the
+bit-equal to an ``n``-fold sum).  Counter averaging keeps one sum per counter
+instead of a per-interval ``List[CounterSample]``; the rebuild performs the
 same ordered additions ``CounterSample.average`` would, so the averages match
 bit-for-bit.  ``SimulationConfig(reference_loop=True)`` selects the seed
 per-tick loop, which is kept verbatim as the arbiter for the parity suite
@@ -364,77 +364,52 @@ class SimulationEngine:
             low_point = segment.low_point
             duration_threshold = phase.duration - 1e-12
             ticks = 0
+            # An evaluation is counted in place, not observed, when decide()
+            # would return the action in force: always for a static policy,
+            # and in a steady window for a window as long as the steady one
+            # (``mark`` is the tick the open window started at).  A window is
+            # at least one tick long, so 0 never matches.
+            skip_ticks = steady_ticks if window_opened and segment is steady_segment else 0
+            mark = 0
+            evaluation_due = False
 
-            # The tight loops: pure float additions and comparisons, no calls.
-            if static or (window_opened and segment is steady_segment):
-                # decide() would return the action in force, so an evaluation
-                # only moves the evaluation mark -- for a steady window only
-                # if it is as long as the steady one (``mark`` is the tick
-                # its window started at).
-                mark = 0
-                evaluation_due = False
-                while True:
-                    energy_compute += inc_compute
-                    energy_io += inc_io
-                    energy_memory += inc_memory
-                    energy_platform += inc_platform
-                    cpu_time += cpu_inc
-                    gfx_time += gfx_inc
-                    dram_time += dram_inc
-                    if low_point:
-                        low_point_time += tick
-                    time_now += tick
-                    work += work_tick
-                    ticks += 1
-                    if time_now - last_evaluation_time >= evaluation_threshold:
-                        if not static and ticks - mark != steady_ticks:
-                            evaluation_due = True
-                            break
-                        last_evaluation_time = time_now
-                        evaluations += 1
-                        mark = ticks
-                    if work >= duration_threshold or time_now >= max_time:
+            # The tight loop: pure float additions and comparisons, no calls.
+            while True:
+                energy_compute += inc_compute
+                energy_io += inc_io
+                energy_memory += inc_memory
+                energy_platform += inc_platform
+                cpu_time += cpu_inc
+                gfx_time += gfx_inc
+                dram_time += dram_inc
+                if low_point:
+                    low_point_time += tick
+                time_now += tick
+                work += work_tick
+                ticks += 1
+                if time_now - last_evaluation_time >= evaluation_threshold:
+                    if not static and ticks - mark != skip_ticks:
+                        evaluation_due = True
                         break
-                if not static:
-                    # The open window's sums, by the additions the observing
-                    # loop would have made since the window started.
-                    value_0, value_1, value_2, value_3 = segment.counter_values
-                    for _ in range(ticks - mark):
-                        sum_0 += value_0
-                        sum_1 += value_1
-                        sum_2 += value_2
-                        sum_3 += value_3
-                    samples = ticks - mark
-                    sample_interval = segment.sample_interval
-            else:
+                    last_evaluation_time = time_now
+                    evaluations += 1
+                    mark = ticks
+                if work >= duration_threshold or time_now >= max_time:
+                    break
+            if not static:
+                # The open window's counter sums: one addition per tick since
+                # the window started, onto the sums of the segments before.
+                # (A skip happens only in a window that opened here, so
+                # ``samples`` is 0 whenever ``mark`` is not.)
                 value_0, value_1, value_2, value_3 = segment.counter_values
-                if window_opened:
-                    sample_interval = segment.sample_interval
-                while True:
-                    energy_compute += inc_compute
-                    energy_io += inc_io
-                    energy_memory += inc_memory
-                    energy_platform += inc_platform
+                for _ in range(ticks - mark):
                     sum_0 += value_0
                     sum_1 += value_1
                     sum_2 += value_2
                     sum_3 += value_3
-                    cpu_time += cpu_inc
-                    gfx_time += gfx_inc
-                    dram_time += dram_inc
-                    if low_point:
-                        low_point_time += tick
-                    time_now += tick
-                    work += work_tick
-                    ticks += 1
-                    if (
-                        work >= duration_threshold
-                        or time_now - last_evaluation_time >= evaluation_threshold
-                        or time_now >= max_time
-                    ):
-                        break
-                samples += ticks
-                evaluation_due = time_now - last_evaluation_time >= evaluation_threshold
+                samples += ticks - mark
+                if window_opened:
+                    sample_interval = segment.sample_interval
             phase_done = work >= duration_threshold
 
             ticks_total += ticks
@@ -500,7 +475,6 @@ class SimulationEngine:
                     energy_io += power.io_domain * latency
                     energy_memory += power.memory_domain * latency
                     energy_platform += power.platform_fixed * latency
-                    policy.notify_transition(action, new_action)
                     self._apply_mrc(new_action)
                 action = new_action
 
@@ -646,7 +620,6 @@ class SimulationEngine:
                 new_action = policy.decide(observation)
                 if not new_action.same_operating_point(action):
                     self._charge_transition(run, new_action, state, activity)
-                    policy.notify_transition(action, new_action)
                     self._apply_mrc(new_action)
                 action = new_action
 

@@ -154,9 +154,6 @@ class Policy(abc.ABC):
     def decide(self, observation: PolicyObservation) -> PolicyAction:
         """Return the action for the next evaluation interval."""
 
-    def notify_transition(self, previous: PolicyAction, new: PolicyAction) -> None:
-        """Hook called by the engine after a transition is applied (optional)."""
-
 
 class StaticPolicy(Policy):
     """A policy whose action is fixed at ``reset`` and never reads a counter.

@@ -3,17 +3,18 @@
 The segment-stepping loop evaluates the model stack once per ``(phase,
 action, MRC)`` segment and replays it tick-by-tick.  When tracing is enabled
 (``SimulationConfig(trace_segments=True)``), the engine hands each segment to
-an :class:`EngineTraceRecorder`, which captures exactly what SysScale's
-figures are drawn from: the phase, the operating point (DRAM/interconnect
-frequency, rail scales, MRC register set), the per-domain power, the achieved
-bandwidth, and whether the segment-model memo hit.  Operating-point
-transitions are recorded with their latencies.
+an :class:`EngineTraceRecorder`, which stores it as the ``engine.segment``
+event it will emit, carrying exactly what SysScale's figures are drawn from:
+the phase, the operating point (DRAM/interconnect frequency, rail scales, MRC
+register set), the per-domain power, the achieved bandwidth, and whether the
+segment-model memo hit.  Operating-point transitions are stored as
+``engine.transition`` events with their latencies.  The typed read side of
+these events is :mod:`repro.obs.analysis.model`.
 
-Recording happens once per *segment*, never per tick, so a traced run adds a
-handful of attribute stores per model evaluation -- the tight replay loop is
-untouched.  The records are deliberately *derived* observations: nothing the
-recorder touches feeds back into the simulation, so results are bit-identical
-with tracing on or off.
+Recording happens once per *segment*, never per tick, so a traced run builds
+one dict per segment -- the tight replay loop is untouched.  The events are
+deliberately *derived* observations: nothing the recorder touches feeds back
+into the simulation, so results are bit-identical with tracing on or off.
 
 The recorder lives in the sim layer on purpose: it is plain data collection
 with zero dependencies, so the engine can trace without importing the
@@ -28,126 +29,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List
 
-__all__ = ["EngineTraceRecorder", "SegmentRecord", "TransitionRecord"]
-
-
-class SegmentRecord:
-    """One replayed segment: when, for how long, and under what state."""
-
-    __slots__ = (
-        "time",
-        "duration",
-        "ticks",
-        "phase",
-        "memo_hit",
-        "dram_frequency",
-        "interconnect_frequency",
-        "cpu_frequency",
-        "gfx_frequency",
-        "v_sa_scale",
-        "v_io_scale",
-        "mrc_optimized",
-        "low_point",
-        "bandwidth",
-        "compute_power",
-        "io_power",
-        "memory_power",
-        "platform_power",
-    )
-
-    def __init__(
-        self,
-        time: float,
-        duration: float,
-        ticks: int,
-        phase: str,
-        memo_hit: bool,
-        dram_frequency: float,
-        interconnect_frequency: float,
-        cpu_frequency: float,
-        gfx_frequency: float,
-        v_sa_scale: float,
-        v_io_scale: float,
-        mrc_optimized: bool,
-        low_point: bool,
-        bandwidth: float,
-        compute_power: float,
-        io_power: float,
-        memory_power: float,
-        platform_power: float,
-    ) -> None:
-        self.time = time
-        self.duration = duration
-        self.ticks = ticks
-        self.phase = phase
-        self.memo_hit = memo_hit
-        self.dram_frequency = dram_frequency
-        self.interconnect_frequency = interconnect_frequency
-        self.cpu_frequency = cpu_frequency
-        self.gfx_frequency = gfx_frequency
-        self.v_sa_scale = v_sa_scale
-        self.v_io_scale = v_io_scale
-        self.mrc_optimized = mrc_optimized
-        self.low_point = low_point
-        self.bandwidth = bandwidth
-        self.compute_power = compute_power
-        self.io_power = io_power
-        self.memory_power = memory_power
-        self.platform_power = platform_power
-
-    def to_event(self) -> Dict[str, Any]:
-        return {
-            "type": "engine.segment",
-            "t": self.time,
-            "duration_s": self.duration,
-            "ticks": self.ticks,
-            "phase": self.phase,
-            "memo_hit": self.memo_hit,
-            "dram_frequency": self.dram_frequency,
-            "interconnect_frequency": self.interconnect_frequency,
-            "cpu_frequency": self.cpu_frequency,
-            "gfx_frequency": self.gfx_frequency,
-            "v_sa_scale": self.v_sa_scale,
-            "v_io_scale": self.v_io_scale,
-            "mrc_optimized": self.mrc_optimized,
-            "low_point": self.low_point,
-            "bandwidth": self.bandwidth,
-            "compute_power": self.compute_power,
-            "io_power": self.io_power,
-            "memory_power": self.memory_power,
-            "platform_power": self.platform_power,
-        }
-
-
-class TransitionRecord:
-    """One operating-point transition and its charged latency."""
-
-    __slots__ = ("time", "latency", "from_dram_frequency", "to_dram_frequency")
-
-    def __init__(
-        self,
-        time: float,
-        latency: float,
-        from_dram_frequency: float,
-        to_dram_frequency: float,
-    ) -> None:
-        self.time = time
-        self.latency = latency
-        self.from_dram_frequency = from_dram_frequency
-        self.to_dram_frequency = to_dram_frequency
-
-    def to_event(self) -> Dict[str, Any]:
-        return {
-            "type": "engine.transition",
-            "t": self.time,
-            "latency_s": self.latency,
-            "from_dram_frequency": self.from_dram_frequency,
-            "to_dram_frequency": self.to_dram_frequency,
-        }
+__all__ = ["EngineTraceRecorder"]
 
 
 class EngineTraceRecorder:
-    """Accumulates segment/transition records for one engine run.
+    """Accumulates the segment/transition events of one engine run.
 
     Only the segment-stepping loop records (the reference loop has no
     segments to speak of -- its recorder stays empty by design).
@@ -156,8 +42,8 @@ class EngineTraceRecorder:
     def __init__(self, workload: str = "", policy: str = "") -> None:
         self.workload = workload
         self.policy = policy
-        self.segments: List[SegmentRecord] = []
-        self.transitions: List[TransitionRecord] = []
+        self.segments: List[Dict[str, Any]] = []
+        self.transitions: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
     # Recording (called by the engine, once per segment/transition)
@@ -169,26 +55,27 @@ class EngineTraceRecorder:
         state = segment.state
         inc_compute, inc_io, inc_memory, inc_platform = segment.energy_ticks
         self.segments.append(
-            SegmentRecord(
-                time=time,
-                duration=ticks * tick,
-                ticks=ticks,
-                phase=phase,
-                memo_hit=memo_hit,
-                dram_frequency=state.dram_frequency,
-                interconnect_frequency=state.interconnect_frequency,
-                cpu_frequency=state.cpu_frequency,
-                gfx_frequency=state.gfx_frequency,
-                v_sa_scale=state.v_sa_scale,
-                v_io_scale=state.v_io_scale,
-                mrc_optimized=state.mrc_optimized,
-                low_point=segment.low_point,
-                bandwidth=segment.bandwidth,
-                compute_power=inc_compute / tick,
-                io_power=inc_io / tick,
-                memory_power=inc_memory / tick,
-                platform_power=inc_platform / tick,
-            )
+            {
+                "type": "engine.segment",
+                "t": time,
+                "duration_s": ticks * tick,
+                "ticks": ticks,
+                "phase": phase,
+                "memo_hit": memo_hit,
+                "dram_frequency": state.dram_frequency,
+                "interconnect_frequency": state.interconnect_frequency,
+                "cpu_frequency": state.cpu_frequency,
+                "gfx_frequency": state.gfx_frequency,
+                "v_sa_scale": state.v_sa_scale,
+                "v_io_scale": state.v_io_scale,
+                "mrc_optimized": state.mrc_optimized,
+                "low_point": segment.low_point,
+                "bandwidth": segment.bandwidth,
+                "compute_power": inc_compute / tick,
+                "io_power": inc_io / tick,
+                "memory_power": inc_memory / tick,
+                "platform_power": inc_platform / tick,
+            }
         )
 
     def record_transition(
@@ -199,7 +86,13 @@ class EngineTraceRecorder:
         to_dram_frequency: float,
     ) -> None:
         self.transitions.append(
-            TransitionRecord(time, latency, from_dram_frequency, to_dram_frequency)
+            {
+                "type": "engine.transition",
+                "t": time,
+                "latency_s": latency,
+                "from_dram_frequency": from_dram_frequency,
+                "to_dram_frequency": to_dram_frequency,
+            }
         )
 
     # ------------------------------------------------------------------
@@ -213,8 +106,8 @@ class EngineTraceRecorder:
             "workload": self.workload,
             "policy": self.policy,
             "segments": len(self.segments),
-            "ticks": sum(s.ticks for s in self.segments),
-            "memo_hits": sum(1 for s in self.segments if s.memo_hit),
+            "ticks": sum(s["ticks"] for s in self.segments),
+            "memo_hits": sum(1 for s in self.segments if s["memo_hit"]),
             "transitions": len(self.transitions),
         }
 
@@ -222,14 +115,8 @@ class EngineTraceRecorder:
         """The run as an event stream: segments, transitions, then a
         ``engine.run`` summary event.  ``extra`` fields (job label/hash) are
         stamped onto every event."""
-        for record in self.segments:
-            event = record.to_event()
-            event.update(extra)
-            yield event
-        for transition in self.transitions:
-            event = transition.to_event()
-            event.update(extra)
-            yield event
+        for record in self.segments + self.transitions:
+            yield {**record, **extra}
         summary = self.summary()
         summary["type"] = "engine.run"
         summary.update(extra)

@@ -9,8 +9,10 @@ engine's docstring points at: every scenario-catalog entry under every policy,
 plus registry hardware variants, plus the classic workload families, plus two
 whole traces run uncapped to their end, plus hypothesis-generated scenarios
 from every generator, alone and on generated hardware derivations.  The
-steady-window skip is checked against the observations the reference loop
-hands SysScale: every one the fast loop skips repeats one it saw.
+observations are checked against the ones the reference loop hands SysScale:
+every one the fast loop builds is bit-equal to the reference's, including
+windows whose counter sums span several segments, and every one it skips
+repeats one it saw.
 """
 
 from dataclasses import replace
@@ -177,10 +179,16 @@ GENERATED_HW_COEFFICIENTS = (
 )
 
 
+def _scaled_voltages(points, scale):
+    """A V/F curve with every voltage multiplied by ``scale``: a positive
+    factor keeps the voltages non-decreasing, as ``VFCurve`` requires."""
+    return tuple((frequency, voltage * scale) for frequency, voltage in points)
+
+
 class TestGeneratedHardwareParity:
-    """Beyond the registry variants: a derived Skylake (TDP, DRAM family and
-    one scaled power coefficient) crossed with a generated scenario, under
-    every policy."""
+    """Beyond the registry variants: a derived Skylake (TDP, DRAM family, one
+    scaled power coefficient, and scaled CPU and graphics V/F curves) crossed
+    with a generated scenario, under every policy."""
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -189,14 +197,24 @@ class TestGeneratedHardwareParity:
         dram=st.sampled_from(("lpddr3", "ddr4")),
         coefficient=st.sampled_from(GENERATED_HW_COEFFICIENTS),
         scale=st.floats(min_value=0.8, max_value=1.25),
+        cpu_vf_scale=st.floats(min_value=0.9, max_value=1.1),
+        gfx_vf_scale=st.floats(min_value=0.9, max_value=1.1),
         generator=st.sampled_from(sorted(GENERATORS)),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_generated_hardware_bit_identical(
-        self, policy_name, tdp, dram, coefficient, scale, generator, seed
+        self, policy_name, tdp, dram, coefficient, scale, cpu_vf_scale,
+        gfx_vf_scale, generator, seed,
     ):
-        overrides = {"tdp": tdp, "dram": dram, f"{coefficient}_scale": scale}
-        hw_platform = get_hardware("skylake").derive(**overrides).build()
+        base = get_hardware("skylake")
+        overrides = {
+            "tdp": tdp,
+            "dram": dram,
+            f"{coefficient}_scale": scale,
+            "cpu_vf_points": _scaled_voltages(base.cpu_vf_points, cpu_vf_scale),
+            "gfx_vf_points": _scaled_voltages(base.gfx_vf_points, gfx_vf_scale),
+        }
+        hw_platform = base.derive(**overrides).build()
         trace = ScenarioSpec.make("generated", generator, seed=seed).build()
         fast_engine, reference_engine = _engines(hw_platform)
         _assert_parity(fast_engine, reference_engine, trace, hw_platform, policy_name)
@@ -270,8 +288,9 @@ class TestSegmentStepping:
         assert stats.evaluations == evaluations
 
     def test_wrapped_static_decide_keeps_the_static_loop(self, platform, monkeypatch):
-        """A tracer that rebinds ``StaticPolicy.decide`` must not send static
-        runs down the observing loop: the engine looks ``decide`` up per run."""
+        """A tracer that rebinds ``StaticPolicy.decide`` must not make static
+        runs observe their evaluations: the engine looks ``decide`` up per
+        run."""
         original = StaticPolicy.decide
         monkeypatch.setattr(
             StaticPolicy, "decide", lambda self, observation: original(self, observation)
@@ -422,6 +441,27 @@ class TestSteadyWindowSkip:
             assert kept
             assert _bits(replace(observation, time=last[0].time)) == _bits(last[0])
         assert upcoming is None
+
+    def test_windows_spanning_segments_observe_the_reference_bits(self, platform):
+        """Phases of about a third of a window, so every window's counter
+        sums are rebuilt over three or more segments.  A last-bit change in
+        an average need not flip a decision, so this compares every
+        observation, not just the results.  No window here lies within one
+        segment, so none is skipped."""
+        trace = ScenarioSpec.make(
+            "short-phases", "periodic", seed=3, duration=1.0, period=0.021,
+            duty_cycle=0.5, high_gbps=3.0, low_gbps=0.5,
+        ).build()
+        assert max(phase.duration for phase in trace.phases) < 0.011
+        fast_engine, reference_engine = _engines(platform, max_time=1.1)
+        fast = _recorded_decisions(fast_engine, trace, platform)
+        reference = _recorded_decisions(reference_engine, trace, platform)
+        stats = fast_engine.last_run_stats
+        assert stats.segments >= 3 * stats.evaluations
+        assert stats.transitions > 0
+        assert [_bits(observation) for observation, _ in fast] == [
+            _bits(observation) for observation, _ in reference
+        ]
 
     def test_a_decision_that_returns_a_new_action_is_not_steady(self, platform):
         """Only a decide() that returns the action in force itself marks a

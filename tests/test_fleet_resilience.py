@@ -18,6 +18,7 @@ from repro.fleet import (
     Quarantine,
     ShardedResultStore,
     backoff_seconds,
+    fleet_status,
     run_doctor,
     submit_campaign,
     verify_campaign,
@@ -31,6 +32,7 @@ from repro.fleet.queue import (
 )
 from repro.fleet.resilience import FailureRecord
 from repro.fleet.service import FleetPaths
+from repro.fleet.store import read_manifests
 from repro.runtime import (
     Campaign,
     PlatformSpec,
@@ -648,6 +650,81 @@ class TestServiceChaos:
         assert summary["poll_errors"] > 1
         beat = json.loads(FleetPaths(root).heartbeat.read_text(encoding="utf-8"))
         assert (beat["state"], beat["exit"]) == ("stopped", "poll-errors")
+        # The stopped beat carries the summary whole.
+        assert {key: beat[key] for key in summary} == summary
+
+    def test_unreadable_manifest_never_blocks_a_drain(self, tmp_path):
+        """No service can finalize a manifest that does not parse, so it is
+        never pending: the drain exits ``drained``, ``fleet status`` agrees
+        and lists the file, and the doctor names it until ``--fix`` moves it
+        into quarantine.  (A subprocess with a timeout, because the loop once
+        spun forever here.)"""
+        root = tmp_path / "fleet"
+        submit_campaign(root, _tiny_campaign())
+        torn = FleetPaths(root).campaigns_dir / "ffffffffffffffff.json"
+        torn.write_text('{"torn": ', encoding="utf-8")
+        script = (
+            "import json, sys\n"
+            "from repro.fleet.service import FleetConfig, FleetService\n"
+            "config = FleetConfig(root=sys.argv[1], workers=1, drain=True,\n"
+            "                     drain_grace=0.5, poll_interval=0.01)\n"
+            "print(json.dumps(FleetService(config).serve_forever()))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(root)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        summary = json.loads(completed.stdout)
+        assert (summary["exit"], summary["drained"]) == ("drained", True)
+        assert summary["reports_finalized"] == 1
+
+        status = fleet_status(root)
+        assert status["drained"] is True
+        assert status["unreadable_manifests"] == [torn.name]
+        audit = run_doctor(root)
+        assert not audit.ok
+        [finding] = [f for f in audit.findings if f.code == "corrupt-manifest"]
+        assert (finding.severity, finding.subject) == (
+            "error", "campaigns/ffffffffffffffff.json"
+        )
+        assert run_doctor(root, fix=True).ok
+        assert not torn.exists()
+        moved = root / "quarantine" / "corrupt" / torn.name
+        assert moved.read_text(encoding="utf-8") == '{"torn": '
+        assert run_doctor(root).ok
+        assert fleet_status(root)["unreadable_manifests"] == []
+
+
+class TestReadManifests:
+    @pytest.mark.parametrize(
+        "text",
+        (
+            '{"torn": ',
+            "[]",
+            '{"schema": 99, "kind": "fleet_manifest", "campaign": "c", '
+            '"spec_hash": "ffffffffffffffff", "jobs": []}',
+            '{"schema": 1, "kind": "fleet_manifest", "campaign": "c", '
+            '"spec_hash": "0123456789abcdef", "jobs": []}',
+            '{"schema": 1, "kind": "fleet_manifest", "campaign": "c", '
+            '"spec_hash": "ffffffffffffffff"}',
+        ),
+        ids=("torn", "not-a-dict", "other-schema", "hash-not-its-name", "no-jobs"),
+    )
+    def test_a_manifest_no_service_can_finalize_is_unreadable(self, tmp_path, text):
+        root = tmp_path / "fleet"
+        submit_campaign(root, _tiny_campaign())
+        bad = FleetPaths(root).campaigns_dir / "ffffffffffffffff.json"
+        bad.write_text(text, encoding="utf-8")
+        manifests, unreadable = read_manifests(FleetPaths(root))
+        assert [manifest["campaign"] for manifest in manifests] == [
+            "resilience-tiny"
+        ]
+        assert unreadable == [bad]
+
+    def test_missing_campaigns_directory_reads_empty(self, tmp_path):
+        assert read_manifests(FleetPaths(tmp_path / "fleet")) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +978,49 @@ class TestResilienceCli:
         assert code == 2
         assert "invalid --faults spec" in capsys.readouterr().err
 
+    def test_serve_exits_one_when_every_poll_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        def fail(self, now=None):
+            raise OSError("injected: every poll fails")
+
+        monkeypatch.setattr(FleetService, "run_once", fail)
+        root = tmp_path / "fleet"
+        code = main(
+            [
+                "serve", "--fleet-dir", str(root), "--drain", "--drain-grace",
+                "0.3", "--workers", "1", "--poll-interval", "0.01", "--json",
+            ]
+        )
+        assert code == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["exit"], summary["drained"]) == ("poll-errors", False)
+        beat = json.loads(FleetPaths(root).heartbeat.read_text(encoding="utf-8"))
+        assert beat["exit"] == "poll-errors"
+        assert beat["poll_errors"] == summary["poll_errors"] > 1
+
+    def test_serve_exits_one_when_blocked(self, tmp_path, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "fleet"
+        campaign = _tiny_campaign()
+        submit_campaign(root, campaign)
+        poison = campaign.jobs[0].content_hash
+        code = main(
+            [
+                "serve", "--fleet-dir", str(root), "--drain", "--workers", "1",
+                "--poll-interval", "0.01", "--max-attempts", "1",
+                "--faults", f"crash@job[{poison[:12]}]=1.0",
+            ]
+        )
+        assert code == 1
+        assert "serve: blocked after 2 job(s)" in capsys.readouterr().out
+        beat = json.loads(FleetPaths(root).heartbeat.read_text(encoding="utf-8"))
+        assert (beat["exit"], beat["jobs_quarantined"]) == ("blocked", 1)
+        assert beat["faults"] == {"crash@job": 1}
+
     def test_serve_drains_under_faults(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -925,7 +1045,7 @@ class TestResilienceCli:
         assert code == 0
         captured = capsys.readouterr()
         summary = json.loads(captured.out)
-        assert summary["drained"] is True
+        assert (summary["exit"], summary["drained"]) == ("drained", True)
         assert "faults" in summary
         assert "chaos faults active" in captured.err + captured.out
         assert verify_campaign(root, campaign)["ok"] is True
