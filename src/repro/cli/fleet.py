@@ -113,7 +113,11 @@ def _cmd_serve(args: argparse.Namespace, ui: Console) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace, ui: Console) -> int:
-    summary = fleet.submit_campaign(args.fleet_dir, _campaign(args), priority=args.priority)
+    campaign = _campaign(args)
+    try:
+        summary = fleet.submit_campaign(args.fleet_dir, campaign, priority=args.priority)
+    except ValueError as error:  # refused before anything was written
+        raise common.CliError(f"invalid --priority: {error}") from error
     if args.json:
         common.print_json(ui, summary)
     elif summary["warm_start"]:
@@ -316,7 +320,7 @@ def register(subparsers: Any) -> None:
     _add_campaign_args(submit)
     submit.add_argument(
         "--priority", type=int, default=0, metavar="P",
-        help="queue priority (higher dispatches sooner; default 0)",
+        help="queue priority, a 32-bit integer (higher dispatches sooner; default 0)",
     )
     common.add_json_flag(submit, "emit the submission summary as JSON")
 
@@ -341,12 +345,13 @@ def register(subparsers: Any) -> None:
         fleet_sub, "doctor", _cmd_fleet_doctor,
         help="audit queue/store/heartbeat consistency (exit 1 when unhealthy)",
         description=(
-            "Cross-check the fleet directory for corrupt queue entries, "
-            "queue/store state skew, expired leases, stale heartbeats, stray "
-            "temp files, unreadable campaign manifests, and lost manifest "
-            "jobs.  --fix applies every repair that cannot lose information "
-            "(restore or quarantine corrupt entries and manifests, requeue "
-            "lost results, complete already-stored leases, sweep temp files)."
+            "Cross-check the fleet directory for duplicate and corrupt queue "
+            "entries, queue/store state skew, expired leases, stale "
+            "heartbeats, stray temp files, unreadable campaign manifests, and "
+            "lost manifest jobs.  --fix applies every repair that cannot lose "
+            "information (remove shadowed duplicates, restore or quarantine "
+            "corrupt entries and manifests, requeue lost results, complete "
+            "already-stored leases, sweep temp files)."
         ),
     )
     _add_fleet_dir(doctor)

@@ -1,22 +1,27 @@
 """The durable job queue behind ``repro serve`` / ``repro submit``.
 
-Every queue entry is one JSON file named by the job's content hash, written
-atomically (same-directory temp file + ``os.replace``) on every state
-transition -- a killed service or submitter never leaves a truncated entry,
-and the queue's full state survives process restarts by construction.
-Submitters (``repro submit``) and the service (``repro serve``) are separate
-processes sharing nothing but the queue directory; the service discovers new
-entries by rescanning it each poll.
+Every queue entry is one JSON file, written atomically (same-directory temp
+file + ``os.replace``) -- a killed service or submitter never leaves a
+truncated entry, and the queue's full state survives process restarts by
+construction.  Submitters (``repro submit``) and the service (``repro
+serve``) are separate processes sharing nothing but the queue directory; the
+service discovers new entries by listing it each poll.
 
-A rescan reads and decodes every entry file, done ones included, so callers
-that act on the whole queue take one :meth:`JobQueue.scan` and hand the
-snapshot on: :meth:`JobQueue.lease` and :meth:`JobQueue.expire_leases` accept
-it, and :func:`tally` turns it into the :meth:`JobQueue.counts` shape.  The
-service reads the queue exactly once per poll this way, and its heartbeat's
-``queue`` block is that scan's tally.  The no-snapshot forms (``lease()``,
-``requeue_expired()``, ``counts()``) rescan, for one-shot callers like the
-doctor and the CLI.  :func:`is_drained` is the one rule for reading
-"drained" off a tally.
+Layout: the directory an entry file sits in *is* its state::
+
+    <root>/entries/queued/<key>-<job_hash>.json
+                  leased/<key>-<job_hash>.json
+                  done/<key>-<job_hash>.json
+                  failed/<key>-<job_hash>.json
+
+``<key>`` is fixed-width hex that sorts as ``(-priority, seq)``, so a state
+directory lists in dispatch order -- priority first (higher sooner), then
+submission sequence, a FIFO within each priority band -- and an entry in
+hand maps to its path with no listing.  The key never changes over an
+entry's life.  When a file's content disagrees with its directory, the
+directory wins.  A lookup by hash alone (:meth:`JobQueue.get`,
+:meth:`JobQueue.locate`) lists the directories, and :func:`entry_hash` is the
+one parser of a hash out of a file name.
 
 An entry moves through four states::
 
@@ -25,31 +30,54 @@ An entry moves through four states::
        |                  +--fail() / lease timeout--+
        +--(attempts left)--------------------------- +--> failed (exhausted)
 
+A transition writes the new state's file and removes the old state's file
+only once the new one is on disk, so a lost write keeps the old state.
+``complete`` reads the lease file and, when it is intact, moves it into
+``done/`` with one ``os.replace``; only a torn or missing lease is rewritten,
+from the caller's copy.  A crash between a write and a removal (or another
+process moving the entry mid-transition) can leave one hash in two
+directories: the later lifecycle state wins (done, then failed, then leased,
+then queued; within one directory, the first name), the other file is
+ignored -- never leased twice -- and ``fleet doctor`` reports it as
+``duplicate-entry``.
+
+Reads: :meth:`JobQueue.scan` lists every state directory and reads only the
+files its caller asks for -- ``states`` to read in full, done entries the
+caller already holds to skip, and, given a lease limit, queued entries in
+dispatch order only until that many are leasable.  The files it does not
+read are counted from the listing under :attr:`QueueScan.unread`, so
+:func:`tally` still gives the whole queue's per-state counts.  The service
+reads the queue once per poll this way and reads each done entry once per
+service lifetime (see :mod:`repro.fleet.service`).  The no-argument forms
+(``scan()``, ``counts()``, ``entries()``) read everything, for one-shot
+callers like ``fleet status``, the doctor and tests.  :func:`is_drained` is
+the one rule for reading "drained" off a tally.
+
 Leases carry a deadline: a worker that dies mid-job simply stops renewing,
 :meth:`JobQueue.requeue_expired` flips the entry back to ``queued`` (or to
 ``failed`` once ``max_attempts`` is spent), and another turn of the service
 loop picks it up.  A failed attempt also stamps ``not_before`` with a
 deterministic exponential backoff (:func:`repro.fleet.resilience.backoff_seconds`,
 jitter derived from ``(job_hash, attempt)``), which ``lease`` honors -- a
-flapping job cannot hot-loop through its attempt budget.  Dispatch order is
-priority first (higher sooner), then submission sequence -- a FIFO within
-each priority band.
+flapping job cannot hot-loop through its attempt budget.
 
 Corrupt entry files (truncated JSON, wrong schema, missing fields) are
 **counted, not swallowed**: :meth:`JobQueue.scan` classifies them,
 :meth:`JobQueue.counts` surfaces them under ``"corrupt"``, and the service's
-healing sweep restores or quarantines them.  Transient read errors
-(``OSError``, including injected ones) just hide an entry for one scan --
-the bytes on disk are fine and the next scan sees them.
+healing sweep restores or quarantines them.  A file in the schema-1 flat
+layout (``entries/<job_hash>.json``) is corrupt by its place, unread.
+Transient read errors (``OSError``, including injected ones) just hide an
+entry for one scan -- the bytes on disk are fine and the next scan sees them.
 
-Deduplication happens **before** anything is enqueued: a job whose hash is
-already live in the queue is returned as-is, and a job whose result already
-sits in the shared :class:`~repro.fleet.store.ShardedResultStore` is recorded
-straight to ``done`` (``note="store-hit"``) without ever touching a worker.
-Jobs are content-addressed, so two racing submitters at worst both write the
-same entry -- never conflicting ones.  :meth:`JobQueue.submit_many` reserves
-its batch's sequence numbers under one lock; a race can at worst leave a
-gap in the sequence, which changes no dispatch order.
+Deduplication happens **before** anything is enqueued, from the directory
+listing: a job whose hash is already queued, leased or done is returned
+as-is, and a job whose result already sits in the shared
+:class:`~repro.fleet.store.ShardedResultStore` is recorded straight to
+``done`` (``note="store-hit"``) without ever touching a worker.
+:meth:`JobQueue.submit_many` reserves its batch's sequence numbers under one
+lock and lists the queue again after, so a job a racing submitter enqueued
+meanwhile is returned as-is; a race can at worst leave a gap in the
+sequence, which changes no dispatch order.
 
 Chaos seams: an optional :class:`~repro.fleet.faults.FaultPlan` attached to
 the queue intercepts entry writes (torn/lost/OSError), entry reads
@@ -64,25 +92,38 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.runtime.cache import atomic_write_json
 from repro.runtime.jobs import Job, job_from_dict
 
 __all__ = [
     "FLEET_QUEUE_SCHEMA_VERSION",
+    "PRIORITIES",
     "JobQueue",
     "QueueEntry",
+    "QueueScan",
     "STATE_DONE",
     "STATE_FAILED",
     "STATE_LEASED",
     "STATE_QUEUED",
+    "entry_hash",
     "is_drained",
     "tally",
 ]
 
 #: Version stamp on every entry file; mismatched entries read as corrupt.
-FLEET_QUEUE_SCHEMA_VERSION = 1
+#: Version 2 is the state-directory layout.
+FLEET_QUEUE_SCHEMA_VERSION = 2
 
 STATE_QUEUED = "queued"
 STATE_LEASED = "leased"
@@ -92,6 +133,14 @@ STATE_FAILED = "failed"
 #: All states, in lifecycle order (used by ``counts()`` and the status CLI).
 STATES = (STATE_QUEUED, STATE_LEASED, STATE_DONE, STATE_FAILED)
 
+#: States from least to most authoritative: when one hash has files in
+#: several directories, the last one here wins.
+_PRECEDENCE = (STATE_QUEUED, STATE_LEASED, STATE_FAILED, STATE_DONE)
+
+#: Pseudo-state of schema-1 flat files (``entries/<job_hash>.json``); they
+#: lose to any state directory and always count as corrupt.
+_LEGACY = ""
+
 #: Extra ``counts()`` key for unreadable entry files.
 COUNT_CORRUPT = "corrupt"
 
@@ -100,15 +149,44 @@ COUNT_CORRUPT = "corrupt"
 #: (like "drained") drawn from it would be guesses, not observations.
 COUNT_TRANSIENT = "transient"
 
+#: The priorities an entry file name can carry (32-bit): its key is 8 hex
+#: digits of ``PRIORITIES[-1] - priority``, then 12 of ``seq``.
+PRIORITIES = range(-(2**31), 2**31)
+_SEQ_LIMIT = 16**12
+
+
+def entry_hash(name: str) -> str:
+    """The job hash an entry file name carries: what follows the key's dash,
+    or the whole stem of a schema-1 flat file."""
+    return name[: -len(".json")].rpartition("-")[2]
+
+
+class QueueScan(NamedTuple):
+    """One :meth:`JobQueue.scan`: what it read, and what it only listed."""
+
+    #: Readable entries the scan read, in dispatch order.
+    entries: List["QueueEntry"]
+    #: Entry files that read as corrupt (schema-1 flat files included).
+    corrupt: List[Path]
+    #: Entry files hidden by a transient read error.
+    transient: List[Path]
+    #: Per state, the entry files listed but not read (every state present).
+    unread: Dict[str, int]
+
 
 def tally(
-    entries: List["QueueEntry"], corrupt: List[Path], transient: List[Path]
+    entries: List["QueueEntry"],
+    corrupt: List[Path],
+    transient: List[Path],
+    unread: Dict[str, int],
 ) -> Dict[str, int]:
-    """Entry counts per state of one :meth:`JobQueue.scan` result, plus
-    ``"corrupt"`` and ``"transient"`` (every key present, zero included)."""
-    totals = {state: 0 for state in STATES}
+    """Entry counts per state of one :meth:`JobQueue.scan` result --
+    ``tally(*scan)`` -- plus ``"corrupt"`` and ``"transient"`` (every key
+    present, zero included).  A file the scan listed but did not read counts
+    in its directory's state."""
+    totals = dict(unread)
     for entry in entries:
-        totals[entry.state] = totals.get(entry.state, 0) + 1
+        totals[entry.state] += 1
     totals[COUNT_CORRUPT] = len(corrupt)
     totals[COUNT_TRANSIENT] = len(transient)
     return totals
@@ -117,9 +195,12 @@ def tally(
 def is_drained(totals: Dict[str, int]) -> bool:
     """True when a tally shows no entry waiting or running.
 
-    Conservative under degraded scans: an entry hidden by a transient read
-    error *might* be queued or leased, so it counts as not drained -- a
-    draining service must never exit on a scan it could not trust.
+    Conservative under degraded scans: a file hidden by a transient read
+    error *might* be queued or leased, or be one its reader must still read
+    back, so it counts as not drained -- a draining service must never exit
+    on a scan it could not trust.  Only the files a scan reads can be
+    hidden, so the service's drain check, which reads just the done entries
+    it has not yet read, is never held up by one it already holds.
     """
     return (
         totals[STATE_QUEUED] == 0
@@ -149,6 +230,17 @@ class QueueEntry:
     worker: Optional[str] = None
     error: Optional[str] = None
     note: Optional[str] = None
+
+    @property
+    def name(self) -> str:
+        """The entry's file name in any state directory."""
+        if self.priority not in PRIORITIES or not 0 <= self.seq < _SEQ_LIMIT:
+            raise ValueError(
+                f"priority {self.priority} or seq {self.seq} does not fit an "
+                "entry file name"
+            )
+        key = f"{PRIORITIES[-1] - self.priority:08x}{self.seq:012x}"
+        return f"{key}-{self.job_hash}.json"
 
     def build_job(self) -> Job:
         """Rehydrate the executable job from its serialized payload."""
@@ -185,6 +277,27 @@ class QueueEntry:
             error=data.get("error"),
             note=data.get("note"),
         )
+
+
+def _finished(entry: QueueEntry) -> QueueEntry:
+    """``entry`` as ``complete`` leaves it: done, with no deadline, backoff
+    or error.  A lease file renamed into ``done/`` reads back as this."""
+    return replace(
+        entry, state=STATE_DONE, lease_deadline=None, not_before=None, error=None
+    )
+
+
+@dataclass
+class _Listing:
+    """One listing of the entry directories, duplicates resolved."""
+
+    #: Per state (``_LEGACY`` included), the winning file names in name
+    #: (dispatch) order.
+    names: Dict[str, List[str]]
+    #: job hash -> ``(state, name)`` of its winning file.
+    where: Dict[str, Tuple[str, str]]
+    #: Files that lost to another file of the same hash.
+    losers: List[Path]
 
 
 class _SeqLock:
@@ -243,7 +356,8 @@ class JobQueue:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         self._entries_dir = self.root / "entries"
-        self._entries_dir.mkdir(parents=True, exist_ok=True)
+        for state in STATES:
+            (self._entries_dir / state).mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     # Durable primitives
@@ -252,23 +366,66 @@ class JobQueue:
     def entries_dir(self) -> Path:
         return self._entries_dir
 
-    def _entry_path(self, job_hash: str) -> Path:
-        return self._entries_dir / f"{job_hash}.json"
+    def _dir(self, state: str) -> Path:
+        return self._entries_dir / state if state else self._entries_dir
 
-    def _write(self, entry: QueueEntry) -> None:
-        atomic_write_json(
-            self._entry_path(entry.job_hash),
-            entry.to_dict(),
-            faults=self.faults,
-            fault_op="queue.write",
+    def _path(self, entry: QueueEntry) -> Path:
+        return self._entries_dir / entry.state / entry.name
+
+    def _list(self) -> _Listing:
+        """List every entry directory; each hash keeps one winning file."""
+        where: Dict[str, Tuple[str, str]] = {}
+        losers: List[Path] = []
+        for state in (_LEGACY,) + _PRECEDENCE:
+            try:
+                names = sorted(
+                    name
+                    for name in os.listdir(self._dir(state))
+                    if name.endswith(".json")
+                )
+            except FileNotFoundError:
+                continue
+            for name in names:
+                job_hash = entry_hash(name)
+                held = where.get(job_hash)
+                if held is not None and held[0] == state:
+                    losers.append(self._dir(state) / name)
+                    continue
+                if held is not None:
+                    losers.append(self._dir(held[0]) / held[1])
+                where[job_hash] = (state, name)
+        names_by_state: Dict[str, List[str]] = {_LEGACY: []}
+        names_by_state.update((state, []) for state in STATES)
+        for state, name in where.values():
+            names_by_state[state].append(name)
+        for names in names_by_state.values():
+            names.sort()
+        return _Listing(names_by_state, where, losers)
+
+    def _write(self, entry: QueueEntry, replaces: Iterable[Path] = ()) -> None:
+        """Write ``entry`` into its state's directory, then remove the files
+        it ``replaces``.
+
+        A lost write (an injected ``skip``: the crash before the rename)
+        removes nothing, so the entry keeps its old state."""
+        path = self._path(entry)
+        injected = atomic_write_json(
+            path, entry.to_dict(), faults=self.faults, fault_op="queue.write"
         )
+        if injected == "skip":
+            return
+        for old in replaces:
+            if old != path:
+                old.unlink(missing_ok=True)
 
     def _read_classified(
-        self, path: Path
+        self, path: Path, state: str
     ) -> Tuple[Optional[QueueEntry], Optional[str]]:
-        """Read one entry file: ``(entry, None)``, ``(None, "transient")``
-        for filesystem errors (bytes intact, retry next scan), or
-        ``(None, "corrupt")`` for undecodable/mis-schemaed content."""
+        """Read one entry file of ``state``'s directory: ``(entry, None)``,
+        ``(None, "transient")`` for filesystem errors (bytes intact, retry
+        next scan), or ``(None, "corrupt")`` for undecodable/mis-schemaed
+        content or a hash its name does not carry.  The directory sets the
+        entry's state; a done entry reads back as :func:`_finished`."""
         if self.faults is not None:
             try:
                 self.faults.intercept_read("queue.read", path)
@@ -288,13 +445,34 @@ class JobQueue:
         ):
             return None, "corrupt"
         try:
-            return QueueEntry.from_dict(data), None
+            entry = QueueEntry.from_dict(data)
         except (KeyError, TypeError, ValueError):
             return None, "corrupt"
+        if entry.job_hash != entry_hash(path.name):
+            return None, "corrupt"
+        if state == STATE_DONE:
+            return _finished(entry), None
+        if entry.state != state:
+            entry = replace(entry, state=state)
+        return entry, None
 
-    def _read(self, path: Path) -> Optional[QueueEntry]:
-        entry, _ = self._read_classified(path)
-        return entry
+    def _on_disk(
+        self, job_hash: str, fallback: Optional[QueueEntry]
+    ) -> Tuple[Optional[QueueEntry], Optional[Path]]:
+        """The on-disk entry for ``job_hash`` and its file.
+
+        With ``fallback`` (the caller's copy) the file is the one at the
+        copy's own state and name, read with no listing; without it, the
+        hash's winning file.  The entry is ``None`` when that file is
+        missing, unreadable or in the schema-1 flat layout."""
+        if fallback is not None:
+            path = self._path(fallback)
+            return self._read_classified(path, fallback.state)[0], path
+        held = self._list().where.get(job_hash)
+        if held is None or held[0] == _LEGACY:
+            return None, None
+        path = self._dir(held[0]) / held[1]
+        return self._read_classified(path, held[0])[0], path
 
     def _next_seq(self, count: int = 1) -> int:
         """Reserve ``count`` consecutive sequence numbers under one lock and
@@ -312,33 +490,77 @@ class JobQueue:
     # Introspection
     # ------------------------------------------------------------------
     def get(self, job_hash: str) -> Optional[QueueEntry]:
-        return self._read(self._entry_path(job_hash))
+        """The entry for ``job_hash`` (lists the directories), or ``None``
+        when it is absent or unreadable."""
+        return self._on_disk(job_hash, None)[0]
 
-    def scan(self) -> Tuple[List[QueueEntry], List[Path], List[Path]]:
-        """One full rescan: readable entries (dispatch order), the paths of
-        corrupt entry files, and the paths hidden by transient read errors.
+    def locate(self, job_hash: str) -> Optional[Path]:
+        """The winning entry file for ``job_hash`` (lists the directories)."""
+        held = self._list().where.get(job_hash)
+        return None if held is None else self._dir(held[0]) / held[1]
+
+    def duplicates(self) -> List[Path]:
+        """Entry files that lost to another file of the same hash."""
+        return self._list().losers
+
+    def scan(
+        self,
+        states: Collection[str] = STATES,
+        known_done: Collection[str] = (),
+        lease_limit: Optional[int] = None,
+        now: Optional[float] = None,
+    ) -> QueueScan:
+        """List the queue and read the entry files the caller needs.
+
+        ``states`` are the states whose files are read; a done entry whose
+        hash is in ``known_done`` (one the caller already holds) is skipped.
+        With ``lease_limit``, queued entries are read in dispatch order only
+        until that many are leasable at ``now``; those inside their backoff
+        window are read and passed over.  Every file listed but not read
+        counts under :attr:`QueueScan.unread`.  The default reads everything.
 
         A non-empty transient list means this scan under-reports the queue:
         callers deciding anything terminal (drain exit, doctor verdicts)
         must rescan rather than conclude from a degraded snapshot."""
+        listing = self._list()
         found: List[QueueEntry] = []
-        corrupt: List[Path] = []
+        corrupt = [self._entries_dir / name for name in listing.names[_LEGACY]]
         transient: List[Path] = []
-        for path in sorted(self._entries_dir.glob("*.json")):
-            entry, problem = self._read_classified(path)
-            if entry is not None:
+        unread = dict.fromkeys(STATES, 0)
+        if lease_limit is not None and now is None:
+            now = time.time()
+        for state in STATES:
+            names = listing.names[state]
+            if state not in states:
+                unread[state] = len(names)
+                continue
+            wanted = lease_limit if state == STATE_QUEUED else None
+            directory = self._dir(state)
+            read = 0
+            for name in names:
+                if wanted == 0:
+                    break
+                if state == STATE_DONE and entry_hash(name) in known_done:
+                    continue
+                read += 1
+                path = directory / name
+                entry, problem = self._read_classified(path, state)
+                if entry is None:
+                    (corrupt if problem == "corrupt" else transient).append(path)
+                    continue
                 found.append(entry)
-            elif problem == "corrupt":
-                corrupt.append(path)
-            elif problem == "transient":
-                transient.append(path)
+                if wanted is not None and (
+                    entry.not_before is None or entry.not_before <= now
+                ):
+                    wanted -= 1
+            unread[state] = len(names) - read
         found.sort(key=_dispatch_order)
-        return found, corrupt, transient
+        return QueueScan(found, corrupt, transient, unread)
 
     def entries(self) -> List[QueueEntry]:
         """Every readable entry, rescanned from disk (sorted by dispatch
         order: priority desc, then submission sequence)."""
-        return self.scan()[0]
+        return self.scan().entries
 
     def scan_settled(self, attempts: int = 3) -> Tuple[List[QueueEntry], List[Path]]:
         """Rescan until no entry is transient-hidden (or ``attempts`` runs
@@ -348,13 +570,13 @@ class JobQueue:
         into a false "lost-job" or premature-drain verdict; a path that
         stays unreadable across every attempt is treated as corrupt."""
         for _ in range(max(1, attempts)):
-            found, corrupt, transient = self.scan()
-            if not transient:
-                return found, corrupt
-        return found, corrupt + transient
+            scan = self.scan()
+            if not scan.transient:
+                return scan.entries, scan.corrupt
+        return scan.entries, scan.corrupt + scan.transient
 
     def counts(self) -> Dict[str, int]:
-        """One rescan's :func:`tally`: entry counts per state, plus
+        """One full rescan's :func:`tally`: entry counts per state, plus
         ``"corrupt"`` for unreadable files and ``"transient"`` for entries
         this scan could not read."""
         return tally(*self.scan())
@@ -379,8 +601,9 @@ class JobQueue:
         result is already on disk is recorded straight to ``done``.  Returns
         the (possibly pre-existing) entry either way.
         """
-        return self._live(job.content_hash) or self._enqueue(
-            job, priority, store, self._next_seq()
+        held = self._list().where.get(job.content_hash)
+        return self._live(held) or self._enqueue(
+            job, priority, store, self._next_seq(), held
         )
 
     def submit_many(
@@ -391,14 +614,17 @@ class JobQueue:
     ) -> Dict[str, int]:
         """Submit a batch; returns ``{enqueued, deduped_store, deduped_queue}``.
 
-        Every job not already live takes one sequence number, in job order,
-        all reserved under one lock: the same numbers as one ``submit()``
-        per job.  A job a racing submitter enqueued meanwhile is returned
-        as-is, and its reserved number is left unused.
+        Dedup reads the directory listing, not the entries.  Every job not
+        already queued, leased or done takes one sequence number, in job
+        order, all reserved under one lock: the same numbers as one
+        ``submit()`` per job.  A job a racing submitter enqueued meanwhile
+        is returned as-is, and its reserved number is left unused.
         """
         accounting = {"enqueued": 0, "deduped_store": 0, "deduped_queue": 0}
         seen_before = {
-            entry.job_hash for entry in self.entries() if entry.state != STATE_FAILED
+            job_hash
+            for job_hash, (state, _) in self._list().where.items()
+            if state not in (STATE_FAILED, _LEGACY)
         }
         fresh: List[Job] = []
         for job in jobs:
@@ -408,29 +634,38 @@ class JobQueue:
                 continue
             seen_before.add(job_hash)
             fresh.append(job)
-        first_seq = self._next_seq(len(fresh)) if fresh else 0
+        if not fresh:
+            return accounting
+        first_seq = self._next_seq(len(fresh))
+        where = self._list().where
         for seq, job in enumerate(fresh, start=first_seq):
-            entry = self._live(job.content_hash) or self._enqueue(
-                job, priority, store, seq
-            )
+            held = where.get(job.content_hash)
+            entry = self._live(held) or self._enqueue(job, priority, store, seq, held)
             if entry.note == "store-hit":
                 accounting["deduped_store"] += 1
             else:
                 accounting["enqueued"] += 1
         return accounting
 
-    def _live(self, job_hash: str) -> Optional[QueueEntry]:
-        """The on-disk entry for ``job_hash`` unless it is absent or failed."""
-        existing = self.get(job_hash)
-        if existing is not None and existing.state != STATE_FAILED:
-            return existing
-        return None
+    def _live(self, held: Optional[Tuple[str, str]]) -> Optional[QueueEntry]:
+        """The entry of a listed ``(state, name)`` unless it is absent,
+        failed, unreadable or in the flat layout."""
+        if held is None or held[0] in (STATE_FAILED, _LEGACY):
+            return None
+        state, name = held
+        return self._read_classified(self._dir(state) / name, state)[0]
 
     def _enqueue(
-        self, job: Job, priority: int, store: Optional[Any], seq: int
+        self,
+        job: Job,
+        priority: int,
+        store: Optional[Any],
+        seq: int,
+        held: Optional[Tuple[str, str]] = None,
     ) -> QueueEntry:
         """Write ``job`` at ``seq``: straight to ``done`` when ``store``
-        already holds its result, else ``queued``."""
+        already holds its result, else ``queued``.  ``held`` is the job's
+        listed file (failed, unreadable or flat), replaced by the new one."""
         stored = store is not None and store.has_job(job.content_hash)
         entry = QueueEntry(
             job_hash=job.content_hash,
@@ -440,7 +675,7 @@ class JobQueue:
             state=STATE_DONE if stored else STATE_QUEUED,
             note="store-hit" if stored else None,
         )
-        self._write(entry)
+        self._write(entry, [] if held is None else [self._dir(held[0]) / held[1]])
         return entry
 
     # ------------------------------------------------------------------
@@ -460,14 +695,17 @@ class JobQueue:
         (``not_before > now``) are skipped.  ``now`` is injectable so tests
         drive lease expiry and backoff without sleeping.  ``entries`` is the
         caller's snapshot of the queue (a :meth:`scan` the caller has kept
-        up to date); without it, the queue is rescanned.
+        up to date); without it, the queued entries are scanned.
         """
         if limit < 1:
             raise ValueError("lease limit must be at least 1")
         now = time.time() if now is None else now
-        candidates = (
-            self.entries() if entries is None else sorted(entries, key=_dispatch_order)
-        )
+        if entries is None:
+            candidates = self.scan(
+                states=(STATE_QUEUED,), lease_limit=limit, now=now
+            ).entries
+        else:
+            candidates = sorted(entries, key=_dispatch_order)
         leased: List[QueueEntry] = []
         for entry in candidates:
             if len(leased) >= limit:
@@ -492,7 +730,7 @@ class JobQueue:
                 not_before=None,
                 worker=worker,
             )
-            self._write(claimed)
+            self._write(claimed, [self._path(entry)])
             leased.append(claimed)
         return leased
 
@@ -501,26 +739,27 @@ class JobQueue:
     ) -> QueueEntry:
         """Mark a leased entry done (idempotent for already-done entries).
 
+        An intact on-disk file moves into ``done/`` by one rename.
         ``fallback`` is the caller's in-memory copy of the entry (the service
-        holds the leased entry it dispatched): if the on-disk file has gone
-        corrupt or missing in the meantime -- a torn write, an injected
-        fault -- the completion is recorded over it instead of being lost.
+        holds the leased entry it dispatched): its file is found with no
+        listing, and if that file has gone corrupt or missing in the
+        meantime -- a torn write, an injected fault -- the completion is
+        written from the copy instead of being lost.
         """
-        entry = self.get(job_hash)
+        entry, path = self._on_disk(job_hash, fallback)
         if entry is None:
             if fallback is None:
                 raise KeyError(f"no queue entry for {job_hash}")
-            entry = fallback
+            finished = _finished(fallback)
+            self._write(finished, self._everywhere(finished))
+            return finished
         if entry.state == STATE_DONE:
             return entry
-        finished = replace(
-            entry,
-            state=STATE_DONE,
-            lease_deadline=None,
-            not_before=None,
-            error=None,
-        )
-        self._write(finished)
+        finished = _finished(entry)
+        try:
+            os.replace(path, self._path(finished))
+        except FileNotFoundError:  # moved by another process since the read
+            self._write(finished, self._everywhere(finished))
         return finished
 
     def fail(
@@ -533,18 +772,13 @@ class JobQueue:
         """Record a failed attempt: back to ``queued`` behind a deterministic
         backoff window, or ``failed`` when ``max_attempts`` is exhausted.
 
-        ``fallback`` plays the same torn-write-healing role as in
-        :meth:`complete`.
+        ``fallback`` plays the same role as in :meth:`complete`.
         """
         # Deferred import: resilience imports this module at top level.
         from repro.fleet.resilience import backoff_seconds
 
         now = time.time() if now is None else now
-        entry = self.get(job_hash)
-        if entry is None:
-            if fallback is None:
-                raise KeyError(f"no queue entry for {job_hash}")
-            entry = fallback
+        entry, replaces = self._current(job_hash, fallback)
         exhausted = entry.attempts >= self.max_attempts
         not_before = None
         if not exhausted:
@@ -557,7 +791,7 @@ class JobQueue:
             worker=None,
             error=error,
         )
-        self._write(failed)
+        self._write(failed, replaces)
         return failed
 
     def release(
@@ -572,11 +806,7 @@ class JobQueue:
         bystanders of a pool collapse whose culprit is unknown.  No backoff
         is applied: the entry is immediately leasable (typically solo, so a
         repeat collapse identifies it exactly)."""
-        entry = self.get(job_hash)
-        if entry is None:
-            if fallback is None:
-                raise KeyError(f"no queue entry for {job_hash}")
-            entry = fallback
+        entry, replaces = self._current(job_hash, fallback)
         released = replace(
             entry,
             state=STATE_QUEUED,
@@ -586,14 +816,33 @@ class JobQueue:
             worker=None,
             note=note if note is not None else entry.note,
         )
-        self._write(released)
+        self._write(released, replaces)
         return released
+
+    def _current(
+        self, job_hash: str, fallback: Optional[QueueEntry]
+    ) -> Tuple[QueueEntry, List[Path]]:
+        """The on-disk entry, else ``fallback``, and the files its transition
+        replaces; ``KeyError`` with neither."""
+        entry, path = self._on_disk(job_hash, fallback)
+        if entry is not None:
+            return entry, [path]
+        if fallback is None:
+            raise KeyError(f"no queue entry for {job_hash}")
+        return fallback, self._everywhere(fallback)
+
+    def _everywhere(self, entry: QueueEntry) -> List[Path]:
+        """``entry``'s file in every state: what a write from the caller's
+        copy replaces, since a lost or torn write may have left the entry in
+        any of them."""
+        return [self._entries_dir / state / entry.name for state in STATES]
 
     def record_done(
         self, job_hash: str, job: Dict[str, Any], note: Optional[str] = None
     ) -> QueueEntry:
         """(Re)write a ``done`` entry from its serialized job -- the healing
-        path for corrupt entries whose results already landed in the store."""
+        path for corrupt entries whose results already landed in the store.
+        The hash's other files, the corrupt one included, go once it lands."""
         entry = QueueEntry(
             job_hash=job_hash,
             job=job,
@@ -602,13 +851,14 @@ class JobQueue:
             state=STATE_DONE,
             note=note,
         )
-        self._write(entry)
+        self._write(entry, self._files(job_hash))
         return entry
 
     def record_queued(
         self, entry: QueueEntry, note: Optional[str] = None
     ) -> QueueEntry:
-        """Rewrite ``entry`` as immediately-leasable ``queued`` state."""
+        """Rewrite ``entry`` as immediately-leasable ``queued`` state -- a
+        healing path too, so the hash's other files go once it lands."""
         requeued = replace(
             entry,
             state=STATE_QUEUED,
@@ -617,24 +867,36 @@ class JobQueue:
             worker=None,
             note=note if note is not None else entry.note,
         )
-        self._write(requeued)
+        self._write(requeued, self._files(entry.job_hash))
         return requeued
 
     def remove(self, job_hash: str) -> bool:
-        """Delete an entry file outright (quarantine/GC use only)."""
-        try:
-            self._entry_path(job_hash).unlink()
-            return True
-        except OSError:
-            return False
+        """Delete every file of an entry outright (quarantine/GC use only)."""
+        files = self._files(job_hash)
+        for path in files:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
+        return bool(files)
+
+    def _files(self, job_hash: str) -> List[Path]:
+        """Every entry file of ``job_hash``: the winner and its losers."""
+        listing = self._list()
+        files = [path for path in listing.losers if entry_hash(path.name) == job_hash]
+        held = listing.where.get(job_hash)
+        if held is not None:
+            files.append(self._dir(held[0]) / held[1])
+        return files
 
     def requeue_expired(self, now: Optional[float] = None) -> int:
         """Return timed-out leases to the queue; exhausted ones fail.
 
-        Rescans the queue; returns how many leases were recovered.
+        Scans the leased entries; returns how many leases were recovered.
         """
         now = time.time() if now is None else now
-        return len(self.expire_leases(self.entries(), now))
+        leased = self.scan(states=(STATE_LEASED,)).entries
+        return len(self.expire_leases(leased, now))
 
     def expire_leases(
         self, entries: Iterable[QueueEntry], now: float
@@ -659,6 +921,7 @@ class JobQueue:
                         f"(worker {entry.worker or 'unknown'})"
                     ),
                     now=now,
+                    fallback=entry,
                 )
             )
         return expired
@@ -674,41 +937,45 @@ class JobQueue:
     ) -> Dict[str, int]:
         """Compact terminal entries older than ``ttl`` seconds.
 
-        Removes ``done``/``failed`` entry files whose last state transition
-        (file mtime) is older than the TTL, plus stray ``*.tmp`` files of the
-        same age -- queued/leased entries are never touched.  ``dry_run``
-        counts without deleting.  Returns
-        ``{scanned, removed_done, removed_failed, removed_tmp, kept}``.
+        Lists the entry directories and stats each ``done``/``failed`` file;
+        it reads no entry.  Removes those whose last write (file mtime; a
+        completion renames the lease file, keeping its mtime) is older than
+        the TTL, plus stray ``*.tmp`` files of the same age -- queued/leased
+        entries are never touched.  ``dry_run`` counts without deleting.
+        Returns ``{scanned, removed_done, removed_failed, removed_tmp, kept}``.
         """
         now = time.time() if now is None else now
+        listing = self._list()
         summary = {
-            "scanned": 0,
+            "scanned": len(listing.losers),
             "removed_done": 0,
             "removed_failed": 0,
             "removed_tmp": 0,
-            "kept": 0,
+            "kept": len(listing.losers),
         }
-        for path in sorted(self._entries_dir.glob("*.json")):
-            summary["scanned"] += 1
-            entry, _ = self._read_classified(path)
-            if entry is None or entry.state not in (STATE_DONE, STATE_FAILED):
-                summary["kept"] += 1
-                continue
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                summary["kept"] += 1
-                continue
-            if age < ttl:
-                summary["kept"] += 1
-                continue
-            key = "removed_done" if entry.state == STATE_DONE else "removed_failed"
-            if not dry_run:
-                if not self.remove(entry.job_hash):
+        for state, names in listing.names.items():
+            for name in names:
+                summary["scanned"] += 1
+                if state not in (STATE_DONE, STATE_FAILED):
                     summary["kept"] += 1
                     continue
-            summary[key] += 1
-        for tmp in sorted(self._entries_dir.glob("*.tmp")):
+                path = self._dir(state) / name
+                try:
+                    age = now - path.stat().st_mtime
+                except OSError:
+                    summary["kept"] += 1
+                    continue
+                if age < ttl:
+                    summary["kept"] += 1
+                    continue
+                if not dry_run:
+                    try:
+                        path.unlink()
+                    except OSError:
+                        summary["kept"] += 1
+                        continue
+                summary[f"removed_{state}"] += 1
+        for tmp in sorted(self._entries_dir.rglob("*.tmp")):
             try:
                 if now - tmp.stat().st_mtime < ttl:
                     continue

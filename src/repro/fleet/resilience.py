@@ -23,7 +23,8 @@ half of the failure state machine:
 * :func:`run_doctor` -- the consistency audit behind ``repro fleet doctor
   [--fix]``.  It cross-checks queue, store, campaign manifests, heartbeat,
   and quarantine, reporting findings by severity; ``fix=True`` applies the
-  safe repairs (restore or quarantine corrupt entries, requeue done-but-lost
+  safe repairs (remove an entry file shadowed by another of the same job,
+  restore or quarantine corrupt entries, requeue done-but-lost
   results, complete already-stored leases, recover expired leases, sweep
   stray temp files, quarantine unreadable campaign manifests).  The exit
   contract: a directory is healthy iff no *unfixed* error-severity finding
@@ -39,7 +40,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.fleet.queue import STATE_DONE, STATE_LEASED, STATE_QUEUED, JobQueue
+from repro.fleet.queue import (
+    STATE_DONE,
+    STATE_LEASED,
+    STATE_QUEUED,
+    JobQueue,
+    entry_hash,
+)
 from repro.fleet.store import FleetPaths, ShardedResultStore, read_manifests
 from repro.hashing import content_hash
 from repro.runtime.cache import atomic_write_json
@@ -164,9 +171,10 @@ class Quarantine:
     """The terminal namespace for poison jobs and corrupt queue files.
 
     ``<root>/jobs/<job_hash>.json`` holds one :class:`FailureRecord` per
-    quarantined job; ``<root>/corrupt/<name>`` holds corrupt queue-entry
-    files moved out of the scan path with their bytes intact (forensics
-    beats deletion).  Nothing in here is ever leased again.
+    quarantined job; ``<root>/corrupt/<hash>.json`` holds corrupt queue-entry
+    files (and campaign manifests) moved out of the scan path with their
+    bytes intact (forensics beats deletion).  Nothing in here is ever leased
+    again.
     """
 
     root: Path
@@ -223,9 +231,10 @@ class Quarantine:
         return (self.corrupt_dir / f"{job_hash}.json").is_file()
 
     def absorb_corrupt(self, path: Path) -> Path:
-        """Move a corrupt file into the quarantine, keeping its name."""
+        """Move a corrupt file into the quarantine as ``<hash>.json``: the
+        hash its name carries (:func:`~repro.fleet.queue.entry_hash`)."""
         self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-        target = self.corrupt_dir / path.name
+        target = self.corrupt_dir / f"{entry_hash(path.name)}.json"
         os.replace(path, target)
         return target
 
@@ -370,12 +379,33 @@ def run_doctor(
     report = DoctorReport(root=str(paths.root), fix=fix)
     findings = report.findings
 
-    # -- 1. corrupt queue entries --------------------------------------
+    # -- 1. duplicate and corrupt queue entries --------------------------
+    # One job with two entry files (a transition whose cleanup never ran,
+    # or two racing submitters) reads as the winning file; the other is
+    # never read or leased.
+    for path in queue.duplicates():
+        repaired = False
+        if fix:
+            try:
+                path.unlink()
+                repaired = True
+            except OSError:
+                pass
+        findings.append(
+            Finding(
+                SEVERITY_WARNING,
+                "duplicate-entry",
+                entry_hash(path.name),
+                f"{path.relative_to(paths.root)} is shadowed by another entry "
+                "file of the same job" + ("; removed" if repaired else ""),
+                repaired,
+            )
+        )
     # scan_settled retries transient-hidden entries so a one-scan read
     # blip cannot fabricate a lost-job/skew verdict out of thin air.
     entries, corrupt_paths = queue.scan_settled()
     for path in corrupt_paths:
-        job_hash = path.stem
+        job_hash = entry_hash(path.name)
         repaired = False
         if fix:
             if store.has_job(job_hash) and _restore_from_store(
@@ -387,6 +417,8 @@ def run_doctor(
                 quarantine.absorb_corrupt(path)
                 message = "corrupt queue entry moved to quarantine"
                 repaired = True
+        elif path.parent == queue.entries_dir:
+            message = "queue entry in the schema-1 flat layout"
         else:
             message = "unreadable queue entry (json or schema)"
         findings.append(

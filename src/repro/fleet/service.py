@@ -25,11 +25,23 @@ doctor can tell a clean exit from a crash.
 
 A poll reads the queue once: one :meth:`~repro.fleet.queue.JobQueue.scan` at
 its top feeds corrupt-entry healing, lease expiry, quarantine and the lease,
-and is dropped before dispatch.  The heartbeat's ``queue`` block is always
-the tally of a real scan, never in-memory bookkeeping: a ``running`` beat
-carries the tally of that poll's scan, taken at its ``updated_unix``; the
-``stopped`` beat carries the loop's latest scan, which for a ``drained`` or
-``blocked`` exit is the drain check's fresh scan after the last poll.
+and is dropped before dispatch.  That scan lists every state directory but
+reads only what the poll can act on: the queued entries in dispatch order
+until ``lease_limit`` of them are leasable, every leased and failed entry,
+and the done entries this service has not yet read -- all of them at its
+first poll, then the ones it completed or rewrote since.  A done entry that
+read back intact is never read again.  The drain check between polls lists
+the queue and reads only those unread done entries, so a done entry hidden
+by a transient read error is retried on its own, and the service does not
+exit while a done entry it wrote is unread or corrupt: a torn completion is
+healed before a draining service leaves.
+
+The heartbeat's ``queue`` block is always the tally of a real scan, never
+in-memory bookkeeping (files listed but not read count in their directory's
+state): a ``running`` beat carries the tally of that poll's scan, taken at
+its ``updated_unix``; the ``stopped`` beat carries the loop's latest scan,
+which for a ``drained`` or ``blocked`` exit is the drain check's scan after
+the last poll.
 
 Determinism contract: the service orchestrates *which* jobs run where and
 when, but every job still executes ``execute_job_with_stats`` and every
@@ -44,17 +56,21 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.fleet.faults import directive_hook
 from repro.fleet.queue import (
     COUNT_CORRUPT,
+    PRIORITIES,
+    STATE_DONE,
     STATE_FAILED,
     STATE_QUEUED,
     JobQueue,
     QueueEntry,
+    QueueScan,
+    entry_hash,
     is_drained,
     tally,
 )
@@ -142,8 +158,15 @@ def submit_campaign(
 
     Writes the manifest, then enqueues jobs with store/queue dedup.  If the
     sweep's report is already stored, this is a pure warm start: no jobs are
-    enqueued and ``warm_start`` is true in the returned summary.
+    enqueued and ``warm_start`` is true in the returned summary.  A priority
+    outside :data:`~repro.fleet.queue.PRIORITIES` raises ``ValueError``
+    before anything is written.
     """
+    if priority not in PRIORITIES:
+        raise ValueError(
+            f"priority must be within [{PRIORITIES[0]}, {PRIORITIES[-1]}], "
+            f"got {priority}"
+        )
     paths = FleetPaths(Path(root))
     store = ShardedResultStore(paths.store_dir)
     queue = JobQueue(paths.queue_dir)
@@ -266,6 +289,11 @@ class FleetService:
         #: Last in-memory copy of every entry this service has leased --
         #: the healing source when an entry's on-disk file gets torn.
         self._known: Dict[str, QueueEntry] = {}
+        #: Done entries read back intact; no scan of this service reads them
+        #: again until it completes or rewrites them.
+        self._done_read: Set[str] = set()
+        #: Spec hashes whose stored report read back valid.
+        self._reported: Set[str] = set()
         #: Per-job failure history observed by this process (feeds the
         #: quarantine ``FailureRecord``; tracebacks included).
         self._failure_history: Dict[str, List[Dict[str, Any]]] = {}
@@ -305,14 +333,20 @@ class FleetService:
         """The poll's one queue scan: heal, expire, quarantine, lease.
 
         Each step updates the snapshot with the entries it rewrote, so the
-        lease sees what a rescan would.  The scan's tally becomes the
-        heartbeat's counts.  Only the leased entries outlive this call:
-        dispatch does not hold the snapshot.
+        lease sees what a rescan would: the queued entries the scan did not
+        read all come after ``lease_limit`` leasable ones.  The scan's tally
+        becomes the heartbeat's counts.  Only the leased entries outlive
+        this call: dispatch does not hold the snapshot.
         """
-        entries, corrupt, transient = self.queue.scan()
-        self._last_counts = tally(entries, corrupt, transient)
-        snapshot = {entry.job_hash: entry for entry in entries}
-        for entry in self._heal_corrupt(corrupt, now):
+        scan = self._observe(
+            self.queue.scan(
+                known_done=self._done_read,
+                lease_limit=self.config.lease_limit,
+                now=now,
+            )
+        )
+        snapshot = {entry.job_hash: entry for entry in scan.entries}
+        for entry in self._heal_corrupt(scan.corrupt, now):
             snapshot[entry.job_hash] = entry
         for entry in self.queue.expire_leases(snapshot.values(), now):
             snapshot[entry.job_hash] = entry
@@ -323,6 +357,21 @@ class FleetService:
             now=now,
             entries=snapshot.values(),
         )
+
+    def _observe(self, scan: QueueScan) -> QueueScan:
+        """Record a scan: its tally for the heartbeat, and the done entries
+        it read back intact."""
+        self._last_counts = tally(*scan)
+        self._done_read.update(
+            entry.job_hash for entry in scan.entries if entry.state == STATE_DONE
+        )
+        return scan
+
+    def _complete(self, entry: QueueEntry) -> None:
+        """Complete a dispatched entry; the next scan reads its done file."""
+        # fallback= heals a torn/corrupt on-disk lease record.
+        self.queue.complete(entry.job_hash, fallback=entry)
+        self._done_read.discard(entry.job_hash)
 
     # -- dispatch and failure isolation ---------------------------------
     def _dispatch(self, entries: List[QueueEntry], now: float) -> int:
@@ -367,8 +416,7 @@ class FleetService:
         for entry in entries:
             failure = failures.get(entry.job_hash)
             if failure is None:
-                # fallback= heals a torn/corrupt on-disk lease record.
-                self.queue.complete(entry.job_hash, fallback=entry)
+                self._complete(entry)
                 completed += 1
             else:
                 self._fail_entry(entry, failure, now)
@@ -391,7 +439,7 @@ class FleetService:
         obs_state.counter("fleet.failures.pool_breaks").inc()
         for entry in entries:
             if self.store.has_job(entry.job_hash):
-                self.queue.complete(entry.job_hash, fallback=entry)
+                self._complete(entry)
                 continue
             if len(entries) == 1:
                 self._record_history(
@@ -459,10 +507,11 @@ class FleetService:
         """
         requeued: List[QueueEntry] = []
         for path in corrupt:
-            job_hash = path.stem
+            job_hash = entry_hash(path.name)
             if self.store.has_job(job_hash) and _restore_from_store(
                 self.queue, self.store, job_hash
             ):
+                self._done_read.discard(job_hash)
                 obs_state.counter("fleet.failures.corrupt_healed").inc()
                 continue
             known = self._known.get(job_hash)
@@ -533,32 +582,46 @@ class FleetService:
             obs_state.counter("fleet.failures.quarantined").inc()
 
     def finalize_reports(self) -> int:
-        """Turn fully-landed manifests into stored ``spec_hash`` reports."""
+        """Turn fully-landed manifests into stored ``spec_hash`` reports.
+
+        A manifest's payloads are read only once every one of its jobs has a
+        result on disk, and a report that read back valid is not read again.
+        A freshly written report is not taken on trust: the next check reads
+        it, so one torn by a faulted write reads as absent and is rewritten.
+        """
         finalized = 0
         manifests, _ = read_manifests(self.paths)
         for manifest in manifests:
             spec_hash = manifest["spec_hash"]
-            if self.store.get_report(spec_hash) is not None:
-                continue
             job_hashes = list(manifest["jobs"])
+            if self._report_stored(spec_hash) or not all(
+                self.store.has_job(job_hash) for job_hash in job_hashes
+            ):
+                continue
             results: Dict[str, Dict[str, Any]] = {}
-            complete = True
             for job_hash in job_hashes:
                 payload = self.store.job_payload(job_hash)
                 if payload is None:
-                    complete = False
                     break
                 results[job_hash] = payload
-            if not complete:
-                continue
-            self.store.put_report(
-                spec_hash,
-                build_sweep_report(
-                    manifest["campaign"], spec_hash, job_hashes, results
-                ),
-            )
-            finalized += 1
+            else:
+                self.store.put_report(
+                    spec_hash,
+                    build_sweep_report(
+                        manifest["campaign"], spec_hash, job_hashes, results
+                    ),
+                )
+                finalized += 1
         return finalized
+
+    def _report_stored(self, spec_hash: str) -> bool:
+        """True once ``spec_hash``'s stored report has read back valid."""
+        if spec_hash in self._reported:
+            return True
+        if self.store.get_report(spec_hash) is None:
+            return False
+        self._reported.add(spec_hash)
+        return True
 
     def _write_heartbeat(
         self, now: float, summary: Optional[Dict[str, Any]] = None
@@ -641,12 +704,20 @@ class FleetService:
                     saw_work = True
                     idle_since = None
                     continue
-                counts = self._last_counts = self.queue.counts()
-                if _drained(counts, self.store, read_manifests(self.paths)[0]):
-                    # is_drained() is only ever True on a complete (nothing
-                    # transient-hidden) scan, so the observation is
-                    # trustworthy at this instant; the summary's ``drained``
-                    # reports it.
+                # Lists the queue and reads only the done entries this
+                # service has not yet read back intact: one hidden by a
+                # transient read keeps is_drained() false, and one that reads
+                # back torn waits for the next poll to heal it.
+                scan = self._observe(
+                    self.queue.scan(states=(STATE_DONE,), known_done=self._done_read)
+                )
+                counts = self._last_counts
+                manifests = read_manifests(self.paths)[0]
+                if not scan.corrupt and _drained(
+                    counts, manifests, self._report_stored
+                ):
+                    # The observation is trustworthy at this instant; the
+                    # summary's ``drained`` reports it.
                     if config.drain and (saw_work or now - started >= config.drain_grace):
                         exit_reason = "drained"
                         break
@@ -700,14 +771,16 @@ class FleetService:
 
 
 def _drained(
-    counts: Dict[str, int], store: ShardedResultStore, manifests: List[Dict[str, Any]]
+    counts: Dict[str, int],
+    manifests: List[Dict[str, Any]],
+    reported: Callable[[str], bool],
 ) -> bool:
     """The one drained rule: a queue tally with nothing queued, leased or
-    hidden, and a stored report for every readable manifest.  An unreadable
-    manifest is never pending: no service can finalize it (``fleet doctor``
-    reports it)."""
+    hidden, and a stored report (``reported(spec_hash)``) for every readable
+    manifest.  An unreadable manifest is never pending: no service can
+    finalize it (``fleet doctor`` reports it)."""
     return is_drained(counts) and all(
-        store.get_report(manifest["spec_hash"]) is not None for manifest in manifests
+        reported(manifest["spec_hash"]) for manifest in manifests
     )
 
 
@@ -747,11 +820,12 @@ def fleet_status(
             }
         )
     counts = queue.counts()
+    reported = {campaign["spec_hash"] for campaign in campaigns if campaign["reported"]}
     quarantine = Quarantine(paths.root / QUARANTINE_SUBDIR)
     return {
         "root": str(paths.root),
         "queue": counts,
-        "drained": _drained(counts, store, manifests),
+        "drained": _drained(counts, manifests, reported.__contains__),
         "store": store.stats(),
         "quarantine": quarantine.counts(),
         "campaigns": campaigns,

@@ -46,7 +46,7 @@ def atomic_write_json(
     document: Dict[str, Any],
     faults: Optional[Any] = None,
     fault_op: Optional[str] = None,
-) -> None:
+) -> Optional[str]:
     """Write ``document`` to ``path`` via a same-directory temp file.
 
     The one atomic JSON writer: cache entries, fleet queue entries, reports,
@@ -63,10 +63,14 @@ def atomic_write_json(
     write.  The bytes are the ones ``json.dump`` writes.  The parent
     directory is created only when the temp-file create finds it missing, so
     a write into an existing shard makes no ``mkdir`` call.
+
+    Returns ``None`` after a real write, or the kind of write a fault plan
+    injected instead (``"torn"``, ``"skip"``).
     """
     if faults is not None and fault_op is not None:
-        if faults.intercept_write(fault_op, path, document) is not None:
-            return
+        injected = faults.intercept_write(fault_op, path, document)
+        if injected is not None:
+            return injected
     text = json.dumps(document)
     prefix = f".{path.stem[:8]}-"
     try:
@@ -84,6 +88,7 @@ def atomic_write_json(
         except OSError:
             pass
         raise
+    return None
 
 
 @dataclass

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.fleet import (
     verify_campaign,
 )
 from repro.fleet.queue import (
+    PRIORITIES,
     STATE_DONE,
     STATE_FAILED,
     STATE_LEASED,
@@ -55,9 +57,11 @@ def _tiny_job(name="470.lbm", policy="baseline", tdp=4.5):
 
 
 def _tally(scan):
-    """Per-state counts of one ``JobQueue.scan()`` result."""
-    entries, corrupt, transient = scan
+    """Per-state counts of one ``JobQueue.scan()`` result: the entries it
+    read, plus the files it listed without reading."""
+    entries, corrupt, transient, unread = scan
     totals = dict.fromkeys((STATE_QUEUED, STATE_LEASED, STATE_DONE, STATE_FAILED), 0)
+    totals.update(unread)
     for entry in entries:
         totals[entry.state] += 1
     totals.update(corrupt=len(corrupt), transient=len(transient))
@@ -151,6 +155,29 @@ class TestJobQueue:
         assert (
             queue.fail(entry.job_hash, error="boom", now=200.0).state
             == STATE_FAILED
+        )
+
+    def test_priorities_beyond_32_bits_are_refused_before_any_write(
+        self, tmp_path, capsys
+    ):
+        """An entry's file name carries its priority in 8 hex digits."""
+        from repro.cli import main
+
+        root = tmp_path / "fleet"
+        for priority in (PRIORITIES[0] - 1, PRIORITIES[-1] + 1):
+            with pytest.raises(ValueError, match="priority"):
+                submit_campaign(root, _tiny_campaign(), priority=priority)
+        assert not root.exists()
+        argv = ["submit", "scenarios", "--quick", "--fleet-dir", str(root)]
+        assert main(argv + ["--priority", str(2**31)]) == 2
+        assert "invalid --priority" in capsys.readouterr().err
+        # The extremes themselves list, and lease, in dispatch order.
+        queue = JobQueue(tmp_path / "q")
+        low = queue.submit(_tiny_job(policy="baseline"), priority=PRIORITIES[0])
+        high = queue.submit(_tiny_job(policy="sysscale"), priority=PRIORITIES[-1])
+        [first] = queue.lease(limit=1, now=100.0)
+        assert (first.job_hash, queue.lease(limit=1, now=100.0)[0].job_hash) == (
+            high.job_hash, low.job_hash
         )
 
     def test_entries_survive_reopen(self, tmp_path):
@@ -419,8 +446,8 @@ class TestFleetBitIdentity:
         scans, polls = [], []
         scan, run_once = JobQueue.scan, FleetService.run_once
 
-        def counted_scan(queue):
-            result = scan(queue)
+        def counted_scan(queue, *args, **kwargs):
+            result = scan(queue, *args, **kwargs)
             scans.append(result)
             return result
 
@@ -474,3 +501,88 @@ class TestFleetBitIdentity:
         assert "worker lost" in entry.error
         assert entry.not_before is not None and entry.not_before > 100.0
         service.executor.close()
+
+
+# ---------------------------------------------------------------------------
+# What a drain reads
+# ---------------------------------------------------------------------------
+
+
+class TestDrainReads:
+    """Two quick catalog campaigns sharing 12 of their 74 jobs, drained a
+    few leases per poll."""
+
+    CAMPAIGNS = ("evaluation", "dram-device")
+
+    def _submit(self, root):
+        campaigns = [
+            resolve_campaign(name, quick=True, max_time=0.02) for name in self.CAMPAIGNS
+        ]
+        for campaign in campaigns:
+            submit_campaign(root, campaign)
+        return campaigns
+
+    def _drain(self, root, lease_limit):
+        config = FleetConfig(
+            root=root, workers=1, lease_limit=lease_limit, poll_interval=0.01,
+            drain=True, drain_grace=5.0,
+        )
+        summary = FleetService(config).serve_forever()
+        assert (summary["exit"], summary["drained"]) == ("drained", True)
+
+    def test_a_drain_reads_at_most_three_entry_files_per_job(
+        self, tmp_path, monkeypatch
+    ):
+        """Submit reads no entry, each poll reads only the queued entries it
+        may lease, ``complete`` reads the lease it renames, and each done
+        entry is read back once."""
+        reads = []
+        read = JobQueue._read_classified
+
+        def counted_read(queue, path, *args):
+            reads.append(path)
+            return read(queue, path, *args)
+
+        monkeypatch.setattr(JobQueue, "_read_classified", counted_read)
+        root = tmp_path / "fleet"
+        campaigns = self._submit(root)
+        assert reads == []
+        self._drain(root, lease_limit=4)
+        unique = {job.content_hash for campaign in campaigns for job in campaign.jobs}
+        assert len(unique) == 74
+        assert len(reads) <= 3 * len(unique)
+        done_reads = Counter(path for path in reads if path.parent.name == STATE_DONE)
+        assert len(done_reads) == len(unique)
+        assert set(done_reads.values()) == {1}
+
+    def test_finalize_reads_each_payload_once_per_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """A manifest's payloads are read only once all its jobs have landed,
+        and a stored report is parsed at most twice (the first poll that
+        finds it, plus one rewrite if a faulted write tore it)."""
+        payload_reads, report_parses = Counter(), Counter()
+        store_class = ShardedResultStore
+        job_payload, get_report = store_class.job_payload, store_class.get_report
+
+        def counted_payload(store, job_hash):
+            payload_reads[job_hash] += 1
+            return job_payload(store, job_hash)
+
+        def counted_report(store, spec_hash):
+            if store.report_path(spec_hash).is_file():
+                report_parses[spec_hash] += 1
+            return get_report(store, spec_hash)
+
+        monkeypatch.setattr(store_class, "job_payload", counted_payload)
+        monkeypatch.setattr(store_class, "get_report", counted_report)
+        root = tmp_path / "fleet"
+        campaigns = self._submit(root)
+        self._drain(root, lease_limit=1)
+        listed_by = Counter(
+            job.content_hash for campaign in campaigns for job in campaign.jobs
+        )
+        assert max(listed_by.values()) == 2  # the campaigns share jobs
+        assert payload_reads == listed_by
+        assert set(report_parses) == {sweep_spec_hash(c) for c in campaigns}
+        assert max(report_parses.values()) <= 2

@@ -21,6 +21,7 @@ from repro.fleet import (
     fleet_status,
     run_doctor,
     submit_campaign,
+    sweep_spec_hash,
     verify_campaign,
 )
 from repro.fleet.faults import InjectedFault, InjectedOSError
@@ -260,18 +261,18 @@ class TestQueueCrashConsistency:
     def test_corrupt_entry_is_counted_not_swallowed(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
         entry = queue.submit(_tiny_job())
-        path = queue.entries_dir / f"{entry.job_hash}.json"
+        path = queue.locate(entry.job_hash)
         path.write_text('{"schema": 1, "job_hash"', encoding="utf-8")
         counts = queue.counts()
         assert counts["corrupt"] == 1
         assert counts[STATE_QUEUED] == 0
-        entries, corrupt, transient = queue.scan()
+        entries, corrupt, transient, _ = queue.scan()
         assert entries == [] and corrupt == [path] and transient == []
 
     def test_wrong_schema_reads_as_corrupt(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
         entry = queue.submit(_tiny_job())
-        path = queue.entries_dir / f"{entry.job_hash}.json"
+        path = queue.locate(entry.job_hash)
         data = json.loads(path.read_text(encoding="utf-8"))
         data["schema"] = 999
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -299,11 +300,15 @@ class TestQueueCrashConsistency:
         queue = JobQueue(tmp_path / "q")
         entry = queue.submit(_tiny_job())
         queue.faults = FaultPlan.parse("seed=0;skip@queue.write=1.0")
-        queue.lease(limit=1, now=100.0)
+        [leased] = queue.lease(limit=1, now=100.0)
         queue.faults = None
         on_disk = queue.get(entry.job_hash)
         assert on_disk.state == STATE_QUEUED  # the lease write never landed
-        assert list(queue.entries_dir.glob("*.tmp"))
+        assert list(queue.entries_dir.rglob("*.tmp"))
+        # Completing from the caller's copy replaces the queued file too.
+        queue.complete(entry.job_hash, fallback=leased)
+        assert queue.duplicates() == []
+        assert queue.counts()[STATE_DONE] == 1
 
     def test_requeue_expired_racing_lease_loses_nothing(self, tmp_path):
         # Worker w1's lease expires; the entry is requeued and re-leased by
@@ -348,7 +353,7 @@ class TestQueueCrashConsistency:
         queue = JobQueue(tmp_path / "q")
         queue.submit(_tiny_job())
         queue.faults = FaultPlan.parse("seed=0;oserror@queue.read=1.0")
-        entries, corrupt, transient = queue.scan()
+        entries, corrupt, transient, _ = queue.scan()
         assert entries == [] and corrupt == []  # invisible, not corrupt
         assert len(transient) == 1  # ...but the degradation is reported
         queue.faults = None
@@ -383,7 +388,7 @@ class TestQueueCrashConsistency:
         queue.faults = FaultPlan.parse("seed=0;oserror@queue.read=1.0")
         entries, corrupt = queue.scan_settled(attempts=3)
         assert entries == []
-        assert corrupt == [queue.entries_dir / f"{entry.job_hash}.json"]
+        assert corrupt == [queue.locate(entry.job_hash)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +410,7 @@ class TestQueueGC:
         queue.complete(done.job_hash)
         queue.fail(failed.job_hash, error="boom", now=100.0)
         for entry in (done, failed, live):
-            self._aged(queue.entries_dir / f"{entry.job_hash}.json", 7200.0)
+            self._aged(queue.locate(entry.job_hash), 7200.0)
         summary = queue.gc(ttl=3600.0)
         assert summary["removed_done"] == 1
         assert summary["removed_failed"] == 1
@@ -420,7 +425,7 @@ class TestQueueGC:
         queue.complete(entry.job_hash)
         summary = queue.gc(ttl=3600.0)  # entry is fresh: kept
         assert summary["removed_done"] == 0 and summary["kept"] == 1
-        self._aged(queue.entries_dir / f"{entry.job_hash}.json", 7200.0)
+        self._aged(queue.locate(entry.job_hash), 7200.0)
         dry = queue.gc(ttl=3600.0, dry_run=True)
         assert dry["removed_done"] == 1
         assert queue.get(entry.job_hash) is not None  # dry run deleted nothing
@@ -581,7 +586,7 @@ class TestServiceChaos:
         # Corrupt a done entry whose result is safely in the store.
         queue = JobQueue(FleetPaths(root).queue_dir)
         victim = queue.entries()[0]
-        path = queue.entries_dir / f"{victim.job_hash}.json"
+        path = queue.locate(victim.job_hash)
         path.write_text("{torn", encoding="utf-8")
         assert queue.counts()["corrupt"] == 1
         healer = FleetService(_drain_config(root))
@@ -652,6 +657,85 @@ class TestServiceChaos:
         assert (beat["state"], beat["exit"]) == ("stopped", "poll-errors")
         # The stopped beat carries the summary whole.
         assert {key: beat[key] for key in summary} == summary
+
+    def test_read_faults_on_done_entries_never_hold_a_drain(self, tmp_path):
+        """A draining service reads each done entry back once; one hidden by a
+        transient read is retried on its own.  (A subprocess with a timeout:
+        when the drain check had to read all 200 done entries cleanly in one
+        scan, a 10% read-fault rate made that a 0.9**200 chance, and the
+        loop never exited.)"""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        for index in range(200):
+            queue.record_done(f"{index:064x}", {"kind": "simulation"})
+        script = (
+            "import json, sys\n"
+            "from repro.fleet import FaultPlan\n"
+            "from repro.fleet.service import FleetConfig, FleetService\n"
+            "config = FleetConfig(root=sys.argv[1], workers=1, drain=True,\n"
+            "                     drain_grace=0.2,\n"
+            "                     faults=FaultPlan.parse(sys.argv[2]))\n"
+            "print(json.dumps(FleetService(config).serve_forever()))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(root), "seed=7;oserror@queue.read=0.1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.returncode == 0, completed.stderr
+        summary = json.loads(completed.stdout)
+        assert (summary["exit"], summary["drained"]) == ("drained", True)
+        assert summary["faults"]["oserror@queue.read"] > 10
+        assert summary["rounds"] <= 10
+        assert queue.counts() == {
+            STATE_QUEUED: 0, STATE_LEASED: 0, STATE_DONE: 200, STATE_FAILED: 0,
+            "corrupt": 0, "transient": 0,
+        }
+
+    def test_flat_layout_entries_are_restored_or_quarantined(self, tmp_path):
+        """Entries in the schema-1 flat layout (``entries/<hash>.json``) read
+        as corrupt: the doctor names them, and a draining service restores
+        each one whose result is stored and quarantines the rest, then exits
+        (a subprocess with a timeout, since flat files no scan reads would
+        leave their manifest pending forever)."""
+        root = tmp_path / "fleet"
+        campaign = _tiny_campaign()
+        submit_campaign(root, campaign)
+        FleetService(_drain_config(root)).serve_forever()
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        store = ShardedResultStore(FleetPaths(root).store_dir)
+        stamp = time.time() - 3600.0
+        for path in sorted(queue.entries_dir.rglob("*.json")):
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            flat = queue.entries_dir / f"{entry['job_hash']}.json"
+            flat.write_text(json.dumps({**entry, "schema": 1}), encoding="utf-8")
+            os.utime(flat, (stamp, stamp))
+            path.unlink()
+        lost = campaign.jobs[0].content_hash
+        store.job_path(lost).unlink()
+        store.report_path(sweep_spec_hash(campaign)).unlink()
+
+        audit = run_doctor(root)
+        flat_findings = [f for f in audit.findings if f.code == "corrupt-entry"]
+        assert sorted(f.subject for f in flat_findings) == sorted(
+            job.content_hash for job in campaign.jobs
+        )
+        assert all("flat layout" in f.message for f in flat_findings)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--fleet-dir", str(root),
+             "--drain", "--drain-grace", "0.5", "--workers", "1",
+             "--poll-interval", "0.01", "--json"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.returncode == 1, completed.stderr
+        summary = json.loads(completed.stdout)
+        assert (summary["exit"], summary["jobs_quarantined"]) == ("blocked", 1)
+        assert list(queue.entries_dir.glob("*.json")) == []
+        assert Quarantine(root / "quarantine").has(lost)
+        for job in campaign.jobs[1:]:
+            restored = queue.get(job.content_hash)
+            assert (restored.state, restored.note) == (STATE_DONE, "doctor-restored")
 
     def test_unreadable_manifest_never_blocks_a_drain(self, tmp_path):
         """No service can finalize a manifest that does not parse, so it is
@@ -751,7 +835,7 @@ class TestDoctor:
         root, _ = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
         victim = queue.entries()[0]
-        path = queue.entries_dir / f"{victim.job_hash}.json"
+        path = queue.locate(victim.job_hash)
         path.write_text("{torn", encoding="utf-8")
         audit = run_doctor(root)
         assert not audit.ok
@@ -765,7 +849,7 @@ class TestDoctor:
         root = tmp_path / "fleet"
         queue = JobQueue(FleetPaths(root).queue_dir)
         entry = queue.submit(_tiny_job())
-        path = queue.entries_dir / f"{entry.job_hash}.json"
+        path = queue.locate(entry.job_hash)
         path.write_text("{torn", encoding="utf-8")
         report = run_doctor(root, fix=True)
         assert report.ok
@@ -832,6 +916,45 @@ class TestDoctor:
             f.code == "lost-job" and f.subject == victim
             for f in report.findings
         )
+
+    @pytest.mark.parametrize("later", [STATE_LEASED, STATE_DONE, STATE_FAILED])
+    def test_entry_in_two_state_directories_resolves_to_the_later(
+        self, tmp_path, later
+    ):
+        """The crash between a transition's write and the old file's removal:
+        the later state wins, the entry is never leased again, and the doctor
+        reports the leftover and removes it on ``--fix``."""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
+        job = _tiny_job()
+        entry = queue.submit(job)
+        queued_file = queue.locate(entry.job_hash)
+        queued_bytes = queued_file.read_bytes()
+        now = time.time()
+        queue.lease(limit=1, now=now)  # a live lease: nothing else to repair
+        if later == STATE_DONE:
+            ShardedResultStore(FleetPaths(root).store_dir).put_job(job, {"x": 1})
+            queue.complete(entry.job_hash)
+        elif later == STATE_FAILED:
+            queue.fail(entry.job_hash, error="boom", now=now)
+        queued_file.write_bytes(queued_bytes)
+        assert queue.get(entry.job_hash).state == later
+        assert queue.lease(limit=1, now=now) == []
+        counts = queue.counts()
+        assert (counts[STATE_QUEUED], counts[later]) == (0, 1)
+        assert queue.duplicates() == [queued_file]
+
+        [finding] = [
+            f for f in run_doctor(root).findings if f.code == "duplicate-entry"
+        ]
+        assert (finding.severity, finding.subject, finding.fixed) == (
+            "warning", entry.job_hash, False
+        )
+        fixed = run_doctor(root, fix=True).findings
+        assert [f.fixed for f in fixed if f.code == "duplicate-entry"] == [True]
+        assert not queued_file.exists()
+        assert queue.duplicates() == []
+        assert queue.get(entry.job_hash).state == later
 
     def test_stale_heartbeat_with_pending_work_is_a_warning(self, tmp_path):
         root = tmp_path / "fleet"
@@ -903,7 +1026,7 @@ class TestResilienceCli:
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
         victim = queue.entries()[0]
-        (queue.entries_dir / f"{victim.job_hash}.json").write_text(
+        queue.locate(victim.job_hash).write_text(
             "{torn", encoding="utf-8"
         )
         assert main(["fleet", "doctor", "--fleet-dir", str(root)]) == 1
@@ -928,7 +1051,7 @@ class TestResilienceCli:
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
         stamp = time.time() - 7200.0
-        for path in queue.entries_dir.glob("*.json"):
+        for path in queue.entries_dir.rglob("*.json"):
             os.utime(path, (stamp, stamp))
         args = ["fleet", "gc", "--fleet-dir", str(root), "--ttl", "3600"]
         assert main(args + ["--dry-run"]) == 0
@@ -951,7 +1074,7 @@ class TestResilienceCli:
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
         victim = queue.entries()[0]
-        (queue.entries_dir / f"{victim.job_hash}.json").write_text(
+        queue.locate(victim.job_hash).write_text(
             "{torn", encoding="utf-8"
         )
         Quarantine(root / "quarantine").add(
