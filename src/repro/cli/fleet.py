@@ -4,7 +4,7 @@
 directory, ``serve`` runs the batched worker loop over it on a fixed pool of
 ``--workers`` processes, and ``fleet status|verify|doctor|gc`` inspect the
 directory, check fleet results bit-identical against a serial re-run, audit
-and repair it, and compact finished queue entries.
+and repair it, and compact failed queue entries.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ SERVE_SETTINGS = {
     )),
     "drain": (bool, None, "exit once the queue is empty and all sweep reports are stored"),
     "drain_grace": (float, "S", (
-        "with --drain: seconds to wait for work to first appear, or to retry "
-        "polls that all fail (default %(default)g)"
+        "with --drain: seconds to wait for work to first appear, to wait with "
+        "the queue empty on a pending sweep whose jobs are lost before exiting "
+        "blocked, or to retry polls that all fail (default %(default)g)"
     )),
     "idle_timeout": (float, "S", (
         "without --drain: exit after S idle seconds, or S seconds of polls that "
@@ -145,7 +146,7 @@ def _cmd_fleet_status(args: argparse.Namespace, ui: Console) -> int:
     corrupt_suffix = f", {queue['corrupt']} CORRUPT" if queue.get("corrupt") else ""
     ui.out(
         f"  queue: {queue['queued']} queued, {queue['leased']} leased, "
-        f"{queue['done']} done, {queue['failed']} failed{corrupt_suffix}"
+        f"{queue['failed']} failed{corrupt_suffix}"
     )
     store = status["store"]
     ui.out(
@@ -237,8 +238,7 @@ def _cmd_fleet_gc(args: argparse.Namespace, ui: Console) -> int:
     else:
         verb = "would remove" if args.dry_run else "removed"
         ui.out(
-            f"gc: {verb} {summary['removed_done']} done, "
-            f"{summary['removed_failed']} failed, "
+            f"gc: {verb} {summary['removed_failed']} failed, "
             f"{summary['removed_tmp']} stray tmp "
             f"({summary['kept']} kept of {summary['scanned']} scanned, "
             f"ttl {args.ttl:g}s)"
@@ -346,12 +346,14 @@ def register(subparsers: Any) -> None:
         help="audit queue/store/heartbeat consistency (exit 1 when unhealthy)",
         description=(
             "Cross-check the fleet directory for duplicate and corrupt queue "
-            "entries, queue/store state skew, expired leases, stale "
-            "heartbeats, stray temp files, unreadable campaign manifests, and "
-            "lost manifest jobs.  --fix applies every repair that cannot lose "
-            "information (remove shadowed duplicates, restore or quarantine "
-            "corrupt entries and manifests, requeue lost results, complete "
-            "already-stored leases, sweep temp files)."
+            "entries, queued or leased entries whose result is already "
+            "stored, expired leases, stale heartbeats, stray temp files, "
+            "unreadable campaign manifests, and lost manifest jobs.  --fix "
+            "applies every repair that cannot lose information (remove "
+            "shadowed duplicates, drop corrupt entries whose result reads "
+            "back and quarantine the rest, quarantine unreadable manifests, "
+            "complete already-stored entries, recover expired leases, sweep "
+            "temp files)."
         ),
     )
     _add_fleet_dir(doctor)
@@ -361,17 +363,18 @@ def register(subparsers: Any) -> None:
     common.add_json_flag(doctor, "emit the findings as JSON")
     gc = common.add_command(
         fleet_sub, "gc", _cmd_fleet_gc,
-        help="compact done/failed queue entries older than a TTL",
+        help="compact failed queue entries older than a TTL",
         description=(
-            "Remove terminal (done/failed) queue-entry files whose last "
-            "state change is older than --ttl, plus stray temp files of the "
-            "same age.  Queued and leased entries are never touched."
+            "Remove failed queue-entry files whose last state change is "
+            "older than --ttl, plus stray temp files of the same age.  Queued "
+            "and leased entries are never touched, and a done job leaves no "
+            "entry: its stored result is its record."
         ),
     )
     _add_fleet_dir(gc)
     gc.add_argument(
         "--ttl", type=float, default=3600.0, metavar="S",
-        help="age in seconds before a terminal entry is collected (default 3600)",
+        help="age in seconds before a failed entry is collected (default 3600)",
     )
     gc.add_argument(
         "--dry-run", action="store_true",

@@ -11,7 +11,6 @@ Layout: the directory an entry file sits in *is* its state::
 
     <root>/entries/queued/<key>-<job_hash>.json
                   leased/<key>-<job_hash>.json
-                  done/<key>-<job_hash>.json
                   failed/<key>-<job_hash>.json
 
 ``<key>`` is fixed-width hex that sorts as ``(-priority, seq)``, so a state
@@ -23,35 +22,40 @@ directory wins.  A lookup by hash alone (:meth:`JobQueue.get`,
 :meth:`JobQueue.locate`) lists the directories, and :func:`entry_hash` is the
 one parser of a hash out of a file name.
 
-An entry moves through four states::
+An entry moves through three states, and leaves the queue once its job is
+done::
 
-    queued --lease()--> leased --complete()--> done
+    queued --lease()--> leased --complete()--> (no entry)
        ^                  |
        |                  +--fail() / lease timeout--+
        +--(attempts left)--------------------------- +--> failed (exhausted)
 
-A transition writes the new state's file and removes the old state's file
-only once the new one is on disk, so a lost write keeps the old state.
-``complete`` reads the lease file and, when it is intact, moves it into
-``done/`` with one ``os.replace``; only a torn or missing lease is rewritten,
-from the caller's copy.  A crash between a write and a removal (or another
-process moving the entry mid-transition) can leave one hash in two
-directories: the later lifecycle state wins (done, then failed, then leased,
-then queued; within one directory, the first name), the other file is
-ignored -- never leased twice -- and ``fleet doctor`` reports it as
-``duplicate-entry``.
+A job is done when the shared result store holds a result that reads back;
+the store is the one record of it.  ``complete`` unlinks the entry's file in
+every state directory and reads nothing; the service calls it only once the
+job's result has read back (see :mod:`repro.fleet.service`).  A ``done/``
+directory left by an older service is no part of the layout: nothing lists
+or reads it, and it may be deleted.
+
+Any other transition writes the new state's file and removes the old
+state's file only once the new one is on disk, so a lost write keeps the old
+state.  A crash between a write and a removal (or another process moving
+the entry mid-transition) can leave one hash in two directories: the later
+lifecycle state wins (failed, then leased, then queued; within one
+directory, the first name), the other file is ignored -- never leased twice
+-- and ``fleet doctor`` reports it as ``duplicate-entry``.
 
 Reads: :meth:`JobQueue.scan` lists every state directory and reads only the
-files its caller asks for -- ``states`` to read in full, done entries the
-caller already holds to skip, and, given a lease limit, queued entries in
-dispatch order only until that many are leasable.  The files it does not
-read are counted from the listing under :attr:`QueueScan.unread`, so
-:func:`tally` still gives the whole queue's per-state counts.  The service
-reads the queue once per poll this way and reads each done entry once per
-service lifetime (see :mod:`repro.fleet.service`).  The no-argument forms
-(``scan()``, ``counts()``, ``entries()``) read everything, for one-shot
-callers like ``fleet status``, the doctor and tests.  :func:`is_drained` is
-the one rule for reading "drained" off a tally.
+files its caller asks for -- ``states`` to read in full and, given a lease
+limit, queued entries in dispatch order only until that many are leasable.
+The files it does not read are counted from the listing under
+:attr:`QueueScan.unread`, so :func:`tally` still gives the whole queue's
+per-state counts, and ``scan(states=())`` is a listing that reads no entry.
+The service reads the queue once per poll this way, and its drain check
+between polls is such a listing (see :mod:`repro.fleet.service`).  The
+no-argument forms (``scan()``, ``counts()``, ``entries()``) read everything,
+for one-shot callers like ``fleet status``, the doctor and tests.
+:func:`is_drained` is the one rule for reading "drained" off a tally.
 
 Leases carry a deadline: a worker that dies mid-job simply stops renewing,
 :meth:`JobQueue.requeue_expired` flips the entry back to ``queued`` (or to
@@ -64,20 +68,20 @@ flapping job cannot hot-loop through its attempt budget.
 Corrupt entry files (truncated JSON, wrong schema, missing fields) are
 **counted, not swallowed**: :meth:`JobQueue.scan` classifies them,
 :meth:`JobQueue.counts` surfaces them under ``"corrupt"``, and the service's
-healing sweep restores or quarantines them.  A file in the schema-1 flat
-layout (``entries/<job_hash>.json``) is corrupt by its place, unread.
-Transient read errors (``OSError``, including injected ones) just hide an
-entry for one scan -- the bytes on disk are fine and the next scan sees them.
+healing sweep drops (the job is done), requeues or quarantines them.  A
+file in the schema-1 flat layout (``entries/<job_hash>.json``) is corrupt by
+its place, unread.  Transient read errors (``OSError``, including injected
+ones) just hide an entry for one scan -- the bytes on disk are fine and the
+next scan sees them.
 
-Deduplication happens **before** anything is enqueued, from the directory
-listing: a job whose hash is already queued, leased or done is returned
-as-is, and a job whose result already sits in the shared
-:class:`~repro.fleet.store.ShardedResultStore` is recorded straight to
-``done`` (``note="store-hit"``) without ever touching a worker.
-:meth:`JobQueue.submit_many` reserves its batch's sequence numbers under one
-lock and lists the queue again after, so a job a racing submitter enqueued
-meanwhile is returned as-is; a race can at worst leave a gap in the
-sequence, which changes no dispatch order.
+Deduplication happens **before** anything is enqueued: a job whose hash the
+directory listing shows queued or leased is returned as-is, and a job whose
+result reads back from the shared
+:class:`~repro.fleet.store.ShardedResultStore` is done already, so nothing
+is written for it.  :meth:`JobQueue.submit_many` reserves its batch's
+sequence numbers under one lock and lists the queue again after, so a job a
+racing submitter enqueued meanwhile is returned as-is; a race can at worst
+leave a gap in the sequence, which changes no dispatch order.
 
 Chaos seams: an optional :class:`~repro.fleet.faults.FaultPlan` attached to
 the queue intercepts entry writes (torn/lost/OSError), entry reads
@@ -112,7 +116,6 @@ __all__ = [
     "JobQueue",
     "QueueEntry",
     "QueueScan",
-    "STATE_DONE",
     "STATE_FAILED",
     "STATE_LEASED",
     "STATE_QUEUED",
@@ -127,15 +130,12 @@ FLEET_QUEUE_SCHEMA_VERSION = 2
 
 STATE_QUEUED = "queued"
 STATE_LEASED = "leased"
-STATE_DONE = "done"
 STATE_FAILED = "failed"
 
 #: All states, in lifecycle order (used by ``counts()`` and the status CLI).
-STATES = (STATE_QUEUED, STATE_LEASED, STATE_DONE, STATE_FAILED)
-
-#: States from least to most authoritative: when one hash has files in
-#: several directories, the last one here wins.
-_PRECEDENCE = (STATE_QUEUED, STATE_LEASED, STATE_FAILED, STATE_DONE)
+#: Also least to most authoritative: when one hash has files in several
+#: directories, the last one here wins.
+STATES = (STATE_QUEUED, STATE_LEASED, STATE_FAILED)
 
 #: Pseudo-state of schema-1 flat files (``entries/<job_hash>.json``); they
 #: lose to any state directory and always count as corrupt.
@@ -196,11 +196,10 @@ def is_drained(totals: Dict[str, int]) -> bool:
     """True when a tally shows no entry waiting or running.
 
     Conservative under degraded scans: a file hidden by a transient read
-    error *might* be queued or leased, or be one its reader must still read
-    back, so it counts as not drained -- a draining service must never exit
-    on a scan it could not trust.  Only the files a scan reads can be
-    hidden, so the service's drain check, which reads just the done entries
-    it has not yet read, is never held up by one it already holds.
+    error *might* be queued or leased, so it counts as not drained -- a
+    draining service must never exit on a scan it could not trust.  Only
+    the files a scan reads can be hidden, so the service's drain check, a
+    listing that reads no entry, is never held up by a read.
     """
     return (
         totals[STATE_QUEUED] == 0
@@ -212,6 +211,12 @@ def is_drained(totals: Dict[str, int]) -> bool:
 def _dispatch_order(entry: "QueueEntry") -> Tuple[int, int]:
     """Priority first (higher sooner), then submission sequence."""
     return -entry.priority, entry.seq
+
+
+def _answered(store: Optional[Any], job_hash: str) -> bool:
+    """True when ``store`` holds a result for ``job_hash`` that reads back:
+    the job is done, and submitting it again enqueues nothing."""
+    return store is not None and store.job_payload(job_hash) is not None
 
 
 @dataclass(frozen=True)
@@ -277,14 +282,6 @@ class QueueEntry:
             error=data.get("error"),
             note=data.get("note"),
         )
-
-
-def _finished(entry: QueueEntry) -> QueueEntry:
-    """``entry`` as ``complete`` leaves it: done, with no deadline, backoff
-    or error.  A lease file renamed into ``done/`` reads back as this."""
-    return replace(
-        entry, state=STATE_DONE, lease_deadline=None, not_before=None, error=None
-    )
 
 
 @dataclass
@@ -376,7 +373,7 @@ class JobQueue:
         """List every entry directory; each hash keeps one winning file."""
         where: Dict[str, Tuple[str, str]] = {}
         losers: List[Path] = []
-        for state in (_LEGACY,) + _PRECEDENCE:
+        for state in (_LEGACY,) + STATES:
             try:
                 names = sorted(
                     name
@@ -425,7 +422,7 @@ class JobQueue:
         ``(None, "transient")`` for filesystem errors (bytes intact, retry
         next scan), or ``(None, "corrupt")`` for undecodable/mis-schemaed
         content or a hash its name does not carry.  The directory sets the
-        entry's state; a done entry reads back as :func:`_finished`."""
+        entry's state."""
         if self.faults is not None:
             try:
                 self.faults.intercept_read("queue.read", path)
@@ -450,8 +447,6 @@ class JobQueue:
             return None, "corrupt"
         if entry.job_hash != entry_hash(path.name):
             return None, "corrupt"
-        if state == STATE_DONE:
-            return _finished(entry), None
         if entry.state != state:
             entry = replace(entry, state=state)
         return entry, None
@@ -506,15 +501,13 @@ class JobQueue:
     def scan(
         self,
         states: Collection[str] = STATES,
-        known_done: Collection[str] = (),
         lease_limit: Optional[int] = None,
         now: Optional[float] = None,
     ) -> QueueScan:
         """List the queue and read the entry files the caller needs.
 
-        ``states`` are the states whose files are read; a done entry whose
-        hash is in ``known_done`` (one the caller already holds) is skipped.
-        With ``lease_limit``, queued entries are read in dispatch order only
+        ``states`` are the states whose files are read.  With
+        ``lease_limit``, queued entries are read in dispatch order only
         until that many are leasable at ``now``; those inside their backoff
         window are read and passed over.  Every file listed but not read
         counts under :attr:`QueueScan.unread`.  The default reads everything.
@@ -540,8 +533,6 @@ class JobQueue:
             for name in names:
                 if wanted == 0:
                     break
-                if state == STATE_DONE and entry_hash(name) in known_done:
-                    continue
                 read += 1
                 path = directory / name
                 entry, problem = self._read_classified(path, state)
@@ -594,17 +585,18 @@ class JobQueue:
         job: Job,
         priority: int = 0,
         store: Optional[Any] = None,
-    ) -> QueueEntry:
-        """Enqueue ``job`` unless it is already live or already answered.
+    ) -> Optional[QueueEntry]:
+        """Enqueue ``job`` unless it is already live or already done.
 
-        ``store`` is the shared result store dedup consults: a job whose
-        result is already on disk is recorded straight to ``done``.  Returns
-        the (possibly pre-existing) entry either way.
+        Returns the (possibly pre-existing) queued or leased entry, or
+        ``None`` when ``store``, the shared result store dedup consults,
+        holds the job's result: the job is done, and nothing is written.
         """
         held = self._list().where.get(job.content_hash)
-        return self._live(held) or self._enqueue(
-            job, priority, store, self._next_seq(), held
-        )
+        live = self._live(held)
+        if live is not None or _answered(store, job.content_hash):
+            return live
+        return self._enqueue(job, priority, self._next_seq(), held)
 
     def submit_many(
         self,
@@ -614,11 +606,13 @@ class JobQueue:
     ) -> Dict[str, int]:
         """Submit a batch; returns ``{enqueued, deduped_store, deduped_queue}``.
 
-        Dedup reads the directory listing, not the entries.  Every job not
-        already queued, leased or done takes one sequence number, in job
-        order, all reserved under one lock: the same numbers as one
-        ``submit()`` per job.  A job a racing submitter enqueued meanwhile
-        is returned as-is, and its reserved number is left unused.
+        Dedup against the queue reads the directory listing, not the
+        entries; a job whose result reads back from ``store`` counts under
+        ``deduped_store`` and writes nothing.  Every other job takes one
+        sequence number, in job order, all reserved under one lock: the same
+        numbers as one ``submit()`` per job.  A job a racing submitter
+        enqueued meanwhile is returned as-is, and its reserved number is
+        left unused.
         """
         accounting = {"enqueued": 0, "deduped_store": 0, "deduped_queue": 0}
         seen_before = {
@@ -633,6 +627,9 @@ class JobQueue:
                 accounting["deduped_queue"] += 1
                 continue
             seen_before.add(job_hash)
+            if _answered(store, job_hash):
+                accounting["deduped_store"] += 1
+                continue
             fresh.append(job)
         if not fresh:
             return accounting
@@ -640,11 +637,9 @@ class JobQueue:
         where = self._list().where
         for seq, job in enumerate(fresh, start=first_seq):
             held = where.get(job.content_hash)
-            entry = self._live(held) or self._enqueue(job, priority, store, seq, held)
-            if entry.note == "store-hit":
-                accounting["deduped_store"] += 1
-            else:
-                accounting["enqueued"] += 1
+            if self._live(held) is None:
+                self._enqueue(job, priority, seq, held)
+            accounting["enqueued"] += 1
         return accounting
 
     def _live(self, held: Optional[Tuple[str, str]]) -> Optional[QueueEntry]:
@@ -659,21 +654,17 @@ class JobQueue:
         self,
         job: Job,
         priority: int,
-        store: Optional[Any],
         seq: int,
         held: Optional[Tuple[str, str]] = None,
     ) -> QueueEntry:
-        """Write ``job`` at ``seq``: straight to ``done`` when ``store``
-        already holds its result, else ``queued``.  ``held`` is the job's
+        """Write ``job`` as ``queued`` at ``seq``.  ``held`` is the job's
         listed file (failed, unreadable or flat), replaced by the new one."""
-        stored = store is not None and store.has_job(job.content_hash)
         entry = QueueEntry(
             job_hash=job.content_hash,
             job=job.to_dict(),
             priority=priority,
             seq=seq,
-            state=STATE_DONE if stored else STATE_QUEUED,
-            note="store-hit" if stored else None,
+            state=STATE_QUEUED,
         )
         self._write(entry, [] if held is None else [self._dir(held[0]) / held[1]])
         return entry
@@ -734,33 +725,17 @@ class JobQueue:
             leased.append(claimed)
         return leased
 
-    def complete(
-        self, job_hash: str, fallback: Optional[QueueEntry] = None
-    ) -> QueueEntry:
-        """Mark a leased entry done (idempotent for already-done entries).
+    def complete(self, entry: QueueEntry) -> None:
+        """Remove a done job's entry: its file in every state directory.
 
-        An intact on-disk file moves into ``done/`` by one rename.
-        ``fallback`` is the caller's in-memory copy of the entry (the service
-        holds the leased entry it dispatched): its file is found with no
-        listing, and if that file has gone corrupt or missing in the
-        meantime -- a torn write, an injected fault -- the completion is
-        written from the copy instead of being lost.
+        The caller holds the entry (the service, the one it dispatched), so
+        its files are found with no listing; nothing is read, renamed or
+        written, and a torn or missing file is simply gone too.  Call it
+        only once the job's result reads back from the store: the queue
+        keeps no record of a done job.  Idempotent.
         """
-        entry, path = self._on_disk(job_hash, fallback)
-        if entry is None:
-            if fallback is None:
-                raise KeyError(f"no queue entry for {job_hash}")
-            finished = _finished(fallback)
-            self._write(finished, self._everywhere(finished))
-            return finished
-        if entry.state == STATE_DONE:
-            return entry
-        finished = _finished(entry)
-        try:
-            os.replace(path, self._path(finished))
-        except FileNotFoundError:  # moved by another process since the read
-            self._write(finished, self._everywhere(finished))
-        return finished
+        for path in self._everywhere(entry):
+            path.unlink(missing_ok=True)
 
     def fail(
         self,
@@ -772,7 +747,11 @@ class JobQueue:
         """Record a failed attempt: back to ``queued`` behind a deterministic
         backoff window, or ``failed`` when ``max_attempts`` is exhausted.
 
-        ``fallback`` plays the same role as in :meth:`complete`.
+        ``fallback`` is the caller's in-memory copy of the entry (the
+        service holds the leased entry it dispatched): its file is found
+        with no listing, and if that file has gone corrupt or missing in the
+        meantime -- a torn write, an injected fault -- the transition is
+        written from the copy instead of being lost.
         """
         # Deferred import: resilience imports this module at top level.
         from repro.fleet.resilience import backoff_seconds
@@ -802,10 +781,12 @@ class JobQueue:
     ) -> QueueEntry:
         """Return a leased entry to ``queued`` *refunding* its attempt.
 
-        For entries that did not get a fair attempt -- e.g. co-leased
-        bystanders of a pool collapse whose culprit is unknown.  No backoff
-        is applied: the entry is immediately leasable (typically solo, so a
-        repeat collapse identifies it exactly)."""
+        For entries that did not get a fair attempt -- co-leased bystanders
+        of a pool collapse whose culprit is unknown, or a job whose result
+        did not read back from the store.  No backoff is applied: the entry
+        is immediately leasable (a pool suspect runs solo, so a repeat
+        collapse identifies it exactly).  ``fallback`` plays the same role
+        as in :meth:`fail`."""
         entry, replaces = self._current(job_hash, fallback)
         released = replace(
             entry,
@@ -833,26 +814,9 @@ class JobQueue:
 
     def _everywhere(self, entry: QueueEntry) -> List[Path]:
         """``entry``'s file in every state: what a write from the caller's
-        copy replaces, since a lost or torn write may have left the entry in
-        any of them."""
+        copy replaces, and what ``complete`` removes, since a lost or torn
+        write may have left the entry in any of them."""
         return [self._entries_dir / state / entry.name for state in STATES]
-
-    def record_done(
-        self, job_hash: str, job: Dict[str, Any], note: Optional[str] = None
-    ) -> QueueEntry:
-        """(Re)write a ``done`` entry from its serialized job -- the healing
-        path for corrupt entries whose results already landed in the store.
-        The hash's other files, the corrupt one included, go once it lands."""
-        entry = QueueEntry(
-            job_hash=job_hash,
-            job=job,
-            priority=0,
-            seq=self._next_seq(),
-            state=STATE_DONE,
-            note=note,
-        )
-        self._write(entry, self._files(job_hash))
-        return entry
 
     def record_queued(
         self, entry: QueueEntry, note: Optional[str] = None
@@ -935,20 +899,19 @@ class JobQueue:
         now: Optional[float] = None,
         dry_run: bool = False,
     ) -> Dict[str, int]:
-        """Compact terminal entries older than ``ttl`` seconds.
+        """Compact failed entries older than ``ttl`` seconds.
 
-        Lists the entry directories and stats each ``done``/``failed`` file;
-        it reads no entry.  Removes those whose last write (file mtime; a
-        completion renames the lease file, keeping its mtime) is older than
+        Lists the entry directories and stats each ``failed`` file; it reads
+        no entry.  Removes those whose last write (file mtime) is older than
         the TTL, plus stray ``*.tmp`` files of the same age -- queued/leased
-        entries are never touched.  ``dry_run`` counts without deleting.
-        Returns ``{scanned, removed_done, removed_failed, removed_tmp, kept}``.
+        entries are never touched, and a done job has no entry left to
+        compact.  ``dry_run`` counts without deleting.  Returns
+        ``{scanned, removed_failed, removed_tmp, kept}``.
         """
         now = time.time() if now is None else now
         listing = self._list()
         summary = {
             "scanned": len(listing.losers),
-            "removed_done": 0,
             "removed_failed": 0,
             "removed_tmp": 0,
             "kept": len(listing.losers),
@@ -956,7 +919,7 @@ class JobQueue:
         for state, names in listing.names.items():
             for name in names:
                 summary["scanned"] += 1
-                if state not in (STATE_DONE, STATE_FAILED):
+                if state != STATE_FAILED:
                     summary["kept"] += 1
                     continue
                 path = self._dir(state) / name
@@ -974,7 +937,7 @@ class JobQueue:
                     except OSError:
                         summary["kept"] += 1
                         continue
-                summary[f"removed_{state}"] += 1
+                summary["removed_failed"] += 1
         for tmp in sorted(self._entries_dir.rglob("*.tmp")):
             try:
                 if now - tmp.stat().st_mtime < ttl:

@@ -24,9 +24,11 @@ half of the failure state machine:
   [--fix]``.  It cross-checks queue, store, campaign manifests, heartbeat,
   and quarantine, reporting findings by severity; ``fix=True`` applies the
   safe repairs (remove an entry file shadowed by another of the same job,
-  restore or quarantine corrupt entries, requeue done-but-lost
-  results, complete already-stored leases, recover expired leases, sweep
-  stray temp files, quarantine unreadable campaign manifests).  The exit
+  drop a corrupt entry whose result reads back and quarantine any other,
+  complete queued or leased entries whose result reads back, recover
+  expired leases, sweep stray temp files, quarantine unreadable campaign
+  manifests).  The store is the done state, so a finished job has no entry
+  to audit: a result that reads back is the whole record.  The exit
   contract: a directory is healthy iff no *unfixed* error-severity finding
   remains.
 """
@@ -40,13 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.fleet.queue import (
-    STATE_DONE,
-    STATE_LEASED,
-    STATE_QUEUED,
-    JobQueue,
-    entry_hash,
-)
+from repro.fleet.queue import STATE_LEASED, STATE_QUEUED, JobQueue, entry_hash
 from repro.fleet.store import FleetPaths, ShardedResultStore, read_manifests
 from repro.hashing import content_hash
 from repro.runtime.cache import atomic_write_json
@@ -339,25 +335,6 @@ def _read_heartbeat(
     return beat
 
 
-def _restore_from_store(
-    queue: JobQueue, store: ShardedResultStore, job_hash: str
-) -> bool:
-    """Rebuild a ``done`` queue entry from the store's result entry.
-
-    Store entries carry the full serialized job next to the payload, so a
-    corrupt queue file whose result already landed is fully recoverable.
-    """
-    try:
-        with store.job_path(job_hash).open("r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-    except (OSError, ValueError):
-        return False
-    if not isinstance(entry, dict) or not isinstance(entry.get("job"), dict):
-        return False
-    queue.record_done(job_hash, entry["job"], note="doctor-restored")
-    return True
-
-
 def run_doctor(
     root: Path,
     fix: bool = False,
@@ -406,17 +383,14 @@ def run_doctor(
     entries, corrupt_paths = queue.scan_settled()
     for path in corrupt_paths:
         job_hash = entry_hash(path.name)
-        repaired = False
+        repaired = fix
         if fix:
-            if store.has_job(job_hash) and _restore_from_store(
-                queue, store, job_hash
-            ):
-                message = "corrupt queue entry restored from stored result"
-                repaired = True
+            if store.job_payload(job_hash) is not None:
+                path.unlink(missing_ok=True)
+                message = "corrupt queue entry dropped: its result is stored"
             else:
                 quarantine.absorb_corrupt(path)
                 message = "corrupt queue entry moved to quarantine"
-                repaired = True
         elif path.parent == queue.entries_dir:
             message = "queue entry in the schema-1 flat layout"
         else:
@@ -427,27 +401,15 @@ def run_doctor(
     if fix and corrupt_paths:
         entries, _ = queue.scan_settled()
 
-    # -- 2/3/4. queue-vs-store state skew ------------------------------
+    # -- 2/3. queue-vs-store state skew ---------------------------------
     for entry in entries:
-        stored = store.has_job(entry.job_hash)
-        if entry.state == STATE_DONE and not stored:
+        if (
+            entry.state in (STATE_QUEUED, STATE_LEASED)
+            and store.job_payload(entry.job_hash) is not None
+        ):
             repaired = False
             if fix:
-                queue.record_queued(entry, note="doctor-requeued")
-                repaired = True
-            findings.append(
-                Finding(
-                    SEVERITY_ERROR,
-                    "done-missing-result",
-                    entry.job_hash,
-                    "entry is done but its result is not in the store",
-                    repaired,
-                )
-            )
-        elif entry.state in (STATE_QUEUED, STATE_LEASED) and stored:
-            repaired = False
-            if fix:
-                queue.complete(entry.job_hash)
+                queue.complete(entry)
                 repaired = True
             findings.append(
                 Finding(
@@ -477,7 +439,7 @@ def run_doctor(
                 )
             )
 
-    # -- 5. heartbeat liveness ------------------------------------------
+    # -- 4. heartbeat liveness ------------------------------------------
     undrained = any(
         entry.state in (STATE_QUEUED, STATE_LEASED) for entry in entries
     )
@@ -511,7 +473,7 @@ def run_doctor(
             )
         )
 
-    # -- 6. stray temp files --------------------------------------------
+    # -- 5. stray temp files --------------------------------------------
     for base in (queue.entries_dir, store.root, paths.campaigns_dir):
         if not base.is_dir():
             continue
@@ -539,7 +501,7 @@ def run_doctor(
                 )
             )
 
-    # -- 7. manifest accounting ------------------------------------------
+    # -- 6. manifest accounting ------------------------------------------
     known = {entry.job_hash for entry in entries}
     manifests, unreadable = read_manifests(paths)
     for manifest_path in unreadable:
@@ -560,7 +522,7 @@ def run_doctor(
         )
     for manifest in manifests:
         for job_hash in manifest["jobs"]:
-            if store.has_job(job_hash) or job_hash in known:
+            if job_hash in known or store.job_payload(job_hash) is not None:
                 continue
             if quarantine.has(job_hash):
                 findings.append(
@@ -578,7 +540,7 @@ def run_doctor(
                         SEVERITY_ERROR,
                         "lost-job",
                         job_hash,
-                        "manifest job has no queue entry, stored result, "
+                        "manifest job has no queue entry, readable result, "
                         "or quarantine record",
                     )
                 )

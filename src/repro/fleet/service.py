@@ -17,31 +17,34 @@ start: nothing is enqueued at all.
 ``repro serve`` runs :class:`FleetService`: each poll it recovers expired
 leases, leases a slice of the queue, runs it through a batched
 :class:`~repro.runtime.executor.ParallelExecutor` of ``--workers`` processes
-writing straight into the store's job namespace, marks entries done,
-finalizes any manifest whose jobs have all landed into a ``spec_hash``-keyed
-sweep report, and writes a ``running`` heartbeat.  When the loop exits it
-rewrites that heartbeat as ``stopped`` with the exit reason, so status and
-doctor can tell a clean exit from a crash.
+writing straight into the store's job namespace, completes each job whose
+result reads back, finalizes any manifest whose jobs have all landed into a
+``spec_hash``-keyed sweep report, and writes a ``running`` heartbeat.  When
+the loop exits it rewrites that heartbeat as ``stopped`` with the exit
+reason, so status and doctor can tell a clean exit from a crash.
+
+The store is the done state.  After a dispatch the service reads each
+job's result once; one that reads back completes the entry (its file is
+unlinked), and one that does not -- a torn or lost result write -- releases
+the entry with its attempt refunded, so the job runs again and is never
+counted done or served.  The queue therefore holds only unfinished work,
+and a drained directory holds no entry file.
 
 A poll reads the queue once: one :meth:`~repro.fleet.queue.JobQueue.scan` at
 its top feeds corrupt-entry healing, lease expiry, quarantine and the lease,
 and is dropped before dispatch.  That scan lists every state directory but
 reads only what the poll can act on: the queued entries in dispatch order
-until ``lease_limit`` of them are leasable, every leased and failed entry,
-and the done entries this service has not yet read -- all of them at its
-first poll, then the ones it completed or rewrote since.  A done entry that
-read back intact is never read again.  The drain check between polls lists
-the queue and reads only those unread done entries, so a done entry hidden
-by a transient read error is retried on its own, and the service does not
-exit while a done entry it wrote is unread or corrupt: a torn completion is
-healed before a draining service leaves.
+until ``lease_limit`` of them are leasable, and every leased and failed
+entry.  The drain check between polls is a listing that reads no entry
+file, so no transient read error can hold it up.
 
 The heartbeat's ``queue`` block is always the tally of a real scan, never
 in-memory bookkeeping (files listed but not read count in their directory's
 state): a ``running`` beat carries the tally of that poll's scan, taken at
 its ``updated_unix``; the ``stopped`` beat carries the loop's latest scan,
-which for a ``drained`` or ``blocked`` exit is the drain check's scan after
-the last poll.
+which for a ``drained`` or ``blocked`` exit is the drain check's listing
+after the last poll.  Done jobs are counted where they are recorded: in
+``fleet status``, per campaign (``landed``) and in the store (``jobs``).
 
 Determinism contract: the service orchestrates *which* jobs run where and
 when, but every job still executes ``execute_job_with_stats`` and every
@@ -64,12 +67,10 @@ from repro.fleet.faults import directive_hook
 from repro.fleet.queue import (
     COUNT_CORRUPT,
     PRIORITIES,
-    STATE_DONE,
     STATE_FAILED,
     STATE_QUEUED,
     JobQueue,
     QueueEntry,
-    QueueScan,
     entry_hash,
     is_drained,
     tally,
@@ -81,7 +82,6 @@ from repro.fleet.resilience import (
     FailureRecord,
     Quarantine,
     _read_heartbeat,
-    _restore_from_store,
 )
 from repro.fleet.store import (
     FLEET_SCHEMA_VERSION,
@@ -156,9 +156,11 @@ def submit_campaign(
 ) -> Dict[str, Any]:
     """Submit a campaign's jobs to the fleet directory at ``root``.
 
-    Writes the manifest, then enqueues jobs with store/queue dedup.  If the
-    sweep's report is already stored, this is a pure warm start: no jobs are
-    enqueued and ``warm_start`` is true in the returned summary.  A priority
+    Writes the manifest, then enqueues jobs with store/queue dedup: a job
+    whose result reads back from the store is done, counts under
+    ``deduped_store``, and gets no queue entry.  If the sweep's report is
+    already stored, this is a pure warm start: no jobs are enqueued and
+    ``warm_start`` is true in the returned summary.  A priority
     outside :data:`~repro.fleet.queue.PRIORITIES` raises ``ValueError``
     before anything is written.
     """
@@ -225,7 +227,9 @@ class FleetConfig:
     autoscale: bool = False
     #: Drain mode: exit once the queue is empty and every manifest is
     #: finalized (after waiting up to ``drain_grace`` seconds for the first
-    #: work to appear).  This is what CI and tests run.
+    #: work to appear), or ``blocked`` once a pending manifest's missing jobs
+    #: are failed, quarantined, or lost for ``drain_grace`` seconds with the
+    #: queue empty.  This is what CI and tests run.
     drain: bool = False
     drain_grace: float = 10.0
     #: Non-drain services exit after this many seconds with nothing to do
@@ -286,12 +290,9 @@ class FleetService:
         #: Tally of the loop's latest queue scan: the poll's own, or the
         #: serve loop's drain check.  The heartbeat writes it.
         self._last_counts: Optional[Dict[str, int]] = None
-        #: Last in-memory copy of every entry this service has leased --
-        #: the healing source when an entry's on-disk file gets torn.
+        #: Last in-memory copy of every entry this service has leased and not
+        #: completed -- the healing source when its on-disk file gets torn.
         self._known: Dict[str, QueueEntry] = {}
-        #: Done entries read back intact; no scan of this service reads them
-        #: again until it completes or rewrites them.
-        self._done_read: Set[str] = set()
         #: Spec hashes whose stored report read back valid.
         self._reported: Set[str] = set()
         #: Per-job failure history observed by this process (feeds the
@@ -303,12 +304,12 @@ class FleetService:
         """Heal, recover, lease, execute, quarantine, finalize -- once.
 
         Returns the number of jobs *completed* (0 means the poll found
-        nothing, or everything it found failed).  Per-job failures never
-        propagate out of here: culprits are ``fail()``ed behind a backoff
-        window (and eventually quarantined), healthy co-leased jobs complete.
-        ``now`` is injectable for tests; the default is the wall clock, which
-        only ever gates *scheduling* (leases, cooldowns, backoff), never
-        results.
+        nothing, or nothing it ran has a result that reads back).  Per-job
+        failures never propagate out of here: culprits are ``fail()``ed
+        behind a backoff window (and eventually quarantined), healthy
+        co-leased jobs complete.  ``now`` is injectable for tests; the
+        default is the wall clock, which only ever gates *scheduling*
+        (leases, cooldowns, backoff), never results.
         """
         now = time.time() if now is None else now
         self.rounds += 1
@@ -338,13 +339,8 @@ class FleetService:
         becomes the heartbeat's counts.  Only the leased entries outlive
         this call: dispatch does not hold the snapshot.
         """
-        scan = self._observe(
-            self.queue.scan(
-                known_done=self._done_read,
-                lease_limit=self.config.lease_limit,
-                now=now,
-            )
-        )
+        scan = self.queue.scan(lease_limit=self.config.lease_limit, now=now)
+        self._last_counts = tally(*scan)
         snapshot = {entry.job_hash: entry for entry in scan.entries}
         for entry in self._heal_corrupt(scan.corrupt, now):
             snapshot[entry.job_hash] = entry
@@ -358,20 +354,20 @@ class FleetService:
             entries=snapshot.values(),
         )
 
-    def _observe(self, scan: QueueScan) -> QueueScan:
-        """Record a scan: its tally for the heartbeat, and the done entries
-        it read back intact."""
-        self._last_counts = tally(*scan)
-        self._done_read.update(
-            entry.job_hash for entry in scan.entries if entry.state == STATE_DONE
-        )
-        return scan
+    def _complete(self, entry: QueueEntry) -> bool:
+        """Complete a dispatched entry if its result reads back.
 
-    def _complete(self, entry: QueueEntry) -> None:
-        """Complete a dispatched entry; the next scan reads its done file."""
-        # fallback= heals a torn/corrupt on-disk lease record.
-        self.queue.complete(entry.job_hash, fallback=entry)
-        self._done_read.discard(entry.job_hash)
+        The store is the done state, so one read of the result decides.  A
+        result that does not read back (a torn or lost write) releases the
+        entry with its attempt refunded: the job runs again, and is never
+        counted done or served.  Returns whether the entry completed.
+        """
+        if self.store.job_payload(entry.job_hash) is None:
+            self.queue.release(entry.job_hash, fallback=entry)
+            return False
+        self.queue.complete(entry)
+        self._known.pop(entry.job_hash, None)
+        return True
 
     # -- dispatch and failure isolation ---------------------------------
     def _dispatch(self, entries: List[QueueEntry], now: float) -> int:
@@ -415,11 +411,10 @@ class FleetService:
         completed = 0
         for entry in entries:
             failure = failures.get(entry.job_hash)
-            if failure is None:
-                self._complete(entry)
-                completed += 1
-            else:
+            if failure is not None:
                 self._fail_entry(entry, failure, now)
+            elif self._complete(entry):
+                completed += 1
         if completed:
             self.jobs_run += completed
             obs_state.counter("fleet.jobs_completed").inc(completed)
@@ -438,7 +433,7 @@ class FleetService:
         """
         obs_state.counter("fleet.failures.pool_breaks").inc()
         for entry in entries:
-            if self.store.has_job(entry.job_hash):
+            if self.store.has_job(entry.job_hash):  # landed before the break
                 self._complete(entry)
                 continue
             if len(entries) == 1:
@@ -495,23 +490,21 @@ class FleetService:
 
     # -- healing and quarantine -----------------------------------------
     def _heal_corrupt(self, corrupt: List[Path], now: float) -> List[QueueEntry]:
-        """Restore or quarantine the poll scan's unreadable entry files.
+        """Drop, requeue or quarantine the poll scan's unreadable entry files.
 
-        Restoration sources, in order: the store (result already landed ->
-        rewrite as ``done``), this service's in-memory copy (we leased it ->
-        requeue it).  A corrupt file with neither source is left alone until
-        it is older than the lease timeout -- an in-flight torn write gets
-        healed by ``complete(fallback=...)`` within one poll -- then moved,
+        A file whose job's result reads back is dropped: the job is done.
+        Otherwise this service's in-memory copy (it leased the entry) is
+        requeued.  A corrupt file with neither is left alone until it is
+        older than the lease timeout -- the service holding an in-flight
+        torn write rewrites or removes it within one poll -- then moved,
         bytes intact, into quarantine with a ``FailureRecord``.  Returns the
         requeued entries, which this poll may lease.
         """
         requeued: List[QueueEntry] = []
         for path in corrupt:
             job_hash = entry_hash(path.name)
-            if self.store.has_job(job_hash) and _restore_from_store(
-                self.queue, self.store, job_hash
-            ):
-                self._done_read.discard(job_hash)
+            if self.store.job_payload(job_hash) is not None:
+                path.unlink(missing_ok=True)
                 obs_state.counter("fleet.failures.corrupt_healed").inc()
                 continue
             known = self._known.get(job_hash)
@@ -654,17 +647,19 @@ class FleetService:
         Drain mode waits up to ``drain_grace`` for work to first appear, then
         exits as soon as the directory is fully drained -- the shape CI's
         background-service smoke test relies on.  Otherwise the loop runs
-        until ``idle_timeout`` (if set) elapses with nothing to do.  A poll
+        until ``idle_timeout`` (if set) elapses with nothing to do.  Idle time
+        runs from the first poll since the last one that did work.  A poll
         that raises counts as a poll with no work; once every poll has failed
         for ``drain_grace`` seconds in drain mode, or for ``idle_timeout``
         seconds, the loop gives up (a plain ``serve`` keeps retrying).  On the
         way out one summary is built, with the exit reason as ``exit``:
-        ``drained``, ``idle-timeout``, ``blocked`` (pending manifests wait on
-        failed or quarantined jobs), ``poll-errors`` or ``interrupted``.  It
-        is both the return value and the body of the ``stopped`` heartbeat.
+        ``drained``, ``idle-timeout``, ``blocked`` (nothing is queued or
+        leased, and pending manifests wait on failed or quarantined jobs, or
+        on lost ones -- no entry, no result -- for ``drain_grace`` idle
+        seconds), ``poll-errors`` or ``interrupted``.  It is both the return
+        value and the body of the ``stopped`` heartbeat.
         """
         config = self.config
-        started = time.time()
         saw_work = False
         exit_reason = "interrupted"
         idle_since: Optional[float] = None
@@ -704,29 +699,23 @@ class FleetService:
                     saw_work = True
                     idle_since = None
                     continue
-                # Lists the queue and reads only the done entries this
-                # service has not yet read back intact: one hidden by a
-                # transient read keeps is_drained() false, and one that reads
-                # back torn waits for the next poll to heal it.
-                scan = self._observe(
-                    self.queue.scan(states=(STATE_DONE,), known_done=self._done_read)
-                )
-                counts = self._last_counts
+                if idle_since is None:
+                    idle_since = now
+                idle = now - idle_since
+                # A listing that reads no entry file: nothing it sees can be
+                # hidden by a transient read.  Only flat schema-1 files count
+                # as corrupt here, and the next poll heals them.
+                counts = self._last_counts = tally(*self.queue.scan(states=()))
                 manifests = read_manifests(self.paths)[0]
-                if not scan.corrupt and _drained(
+                if not counts[COUNT_CORRUPT] and _drained(
                     counts, manifests, self._report_stored
                 ):
                     # The observation is trustworthy at this instant; the
                     # summary's ``drained`` reports it.
-                    if config.drain and (saw_work or now - started >= config.drain_grace):
+                    if config.drain and (saw_work or idle >= config.drain_grace):
                         exit_reason = "drained"
                         break
-                    if idle_since is None:
-                        idle_since = now
-                    if (
-                        config.idle_timeout is not None
-                        and now - idle_since >= config.idle_timeout
-                    ):
+                    if config.idle_timeout is not None and idle >= config.idle_timeout:
                         exit_reason = "idle-timeout"
                         break
                 elif (
@@ -736,12 +725,16 @@ class FleetService:
                     and (
                         counts[STATE_FAILED] > 0
                         or self.quarantine.counts()["jobs"] > 0
+                        or idle >= config.drain_grace
                     )
                 ):
-                    # Manifests are pending but their missing jobs are
-                    # terminally failed or quarantined: draining further
-                    # cannot make progress.  Exit and let status/doctor/
-                    # verify report the damage.
+                    # Manifests are pending with nothing queued or leased:
+                    # their missing jobs are terminally failed or
+                    # quarantined, or, once no poll has done work for
+                    # drain_grace seconds, lost (no entry and no result, as
+                    # a submitter killed between its manifest and its entries
+                    # leaves them).  Draining further cannot make progress.
+                    # Exit and let status/doctor/verify report the damage.
                     exit_reason = "blocked"
                     break
                 time.sleep(config.poll_interval)

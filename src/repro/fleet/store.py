@@ -10,7 +10,11 @@ per entry, atomic temp-file-then-``os.replace`` writes):
     existing runtime cache reads and writes it unchanged
     (:meth:`ShardedResultStore.job_cache` hands back a ``ResultCache`` rooted
     there).  Multiple services or CLI runs pointed at the same store share
-    results with no translation layer.
+    results with no translation layer.  This namespace is the fleet's one
+    record of finished work: a job is done when its entry here reads back
+    (:meth:`ShardedResultStore.job_payload`), and the queue keeps no entry
+    for it.  Under a chaos plan its writes are intercepted as the
+    ``store.write`` op, like the reports'.
 
 ``reports/``
     Whole sweep reports keyed by **spec hash** -- the content hash of what a
@@ -121,16 +125,17 @@ class ShardedResultStore:
     """Job results plus spec-hash-keyed sweep reports under one root."""
 
     root: Path
-    #: Optional chaos plan (:class:`repro.fleet.faults.FaultPlan`) applied to
-    #: the report namespace's reads/writes; ``None`` in production.  The job
-    #: namespace goes through ``ResultCache`` (runtime layer) and is not
-    #: intercepted -- runtime never sees fleet.
+    #: Optional chaos plan (:class:`repro.fleet.faults.FaultPlan`); ``None``
+    #: in production.  It intercepts the report namespace's reads and writes
+    #: and the job namespace's writes: the store hands it to its
+    #: ``ResultCache``, whose ``put`` passes it on as the same ``store.write``
+    #: op, so a result write can be torn or lost like a report's.
     faults: Optional[Any] = None
     _job_cache: ResultCache = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        self._job_cache = ResultCache(self.root / _JOBS_SUBDIR)
+        self._job_cache = ResultCache(self.root / _JOBS_SUBDIR, faults=self.faults)
 
     # ------------------------------------------------------------------
     # Job namespace (ResultCache-compatible)
@@ -161,9 +166,10 @@ class ShardedResultStore:
     def job_payload(self, job_hash: str) -> Optional[Dict[str, Any]]:
         """The stored result payload for a hash, without a ``Job`` object.
 
-        Status and verification read results by hash (the queue and campaign
-        manifests only carry hashes); schema-mismatched or unreadable entries
-        read as absent, the same way the cache treats them.
+        The service, status and verification read results by hash (the
+        queue and campaign manifests only carry hashes); schema-mismatched
+        or unreadable entries read as absent, the same way the cache treats
+        them.  A job is done exactly when this reads back.
         """
         try:
             with self.job_path(job_hash).open("r", encoding="utf-8") as handle:

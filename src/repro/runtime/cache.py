@@ -96,6 +96,10 @@ class ResultCache:
     """Content-addressed job-result store rooted at ``root``."""
 
     root: Path
+    #: Optional chaos plan every ``put`` hands to :func:`atomic_write_json`
+    #: as the ``store.write`` op; only the fleet's result store sets one.
+    #: Declared ``Any``: the runtime never imports the fleet.
+    faults: Optional[Any] = None
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -145,6 +149,8 @@ class ResultCache:
                 "job": job.to_dict(),
                 "result": payload,
             },
+            faults=self.faults,
+            fault_op="store.write",
         )
         obs_state.counter("cache.writes").inc()
         return path

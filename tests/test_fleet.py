@@ -21,7 +21,6 @@ from repro.fleet import (
 )
 from repro.fleet.queue import (
     PRIORITIES,
-    STATE_DONE,
     STATE_FAILED,
     STATE_LEASED,
     STATE_QUEUED,
@@ -60,7 +59,7 @@ def _tally(scan):
     """Per-state counts of one ``JobQueue.scan()`` result: the entries it
     read, plus the files it listed without reading."""
     entries, corrupt, transient, unread = scan
-    totals = dict.fromkeys((STATE_QUEUED, STATE_LEASED, STATE_DONE, STATE_FAILED), 0)
+    totals = dict.fromkeys((STATE_QUEUED, STATE_LEASED, STATE_FAILED), 0)
     totals.update(unread)
     for entry in entries:
         totals[entry.state] += 1
@@ -134,13 +133,16 @@ class TestJobQueue:
         assert queue.drained()  # failed entries neither wait nor run
 
     def test_complete_is_idempotent(self, tmp_path):
+        """Completing removes the entry's file, and the queue keeps no record
+        of the done job; completing again changes nothing."""
         queue = JobQueue(tmp_path / "q")
-        entry = queue.submit(_tiny_job())
-        queue.lease(limit=1, now=100.0)
-        first = queue.complete(entry.job_hash)
-        again = queue.complete(entry.job_hash)
-        assert first.state == again.state == STATE_DONE
-        assert again.lease_deadline is None
+        queue.submit(_tiny_job())
+        [leased] = queue.lease(limit=1, now=100.0)
+        queue.complete(leased)
+        queue.complete(leased)
+        assert queue.get(leased.job_hash) is None
+        assert list(queue.entries_dir.rglob("*.json")) == []
+        assert queue.drained()
 
     def test_fail_requeues_until_attempts_run_out(self, tmp_path):
         queue = JobQueue(tmp_path / "q", max_attempts=2)
@@ -197,14 +199,18 @@ class TestJobQueue:
 
 class TestSubmitDedup:
     def test_store_hit_lands_straight_in_done(self, tmp_path):
+        """The store is the done state: a job whose result reads back is
+        done already, so submit writes no entry for it."""
         store = ShardedResultStore(tmp_path / "store")
         job = _tiny_job()
         store.put_job(job, {"answer": 42})
         queue = JobQueue(tmp_path / "q")
-        entry = queue.submit(job, store=store)
-        assert entry.state == STATE_DONE
-        assert entry.note == "store-hit"
+        assert queue.submit(job, store=store) is None
+        assert list(queue.entries_dir.rglob("*.json")) == []
         assert queue.drained()
+        # A torn result does not read back, so the job is enqueued again.
+        store.job_path(job.content_hash).write_text("{torn", encoding="utf-8")
+        assert queue.submit(job, store=store).state == STATE_QUEUED
 
     def test_submit_many_accounts_each_dedup_kind(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store")
@@ -259,15 +265,14 @@ class TestSubmitDedup:
         accounting = batched.submit_many(jobs, store=store)
         assert len(entered) == 1
         assert accounting == {"enqueued": 3, "deduped_store": 1, "deduped_queue": 2}
-        # Same entries, store hit included, with contiguous seqs in job order.
+        # Same entries, with contiguous seqs in job order; the store hit is
+        # done already, so it has no entry and takes no number.
         hashes = [job.content_hash for job in jobs]
-        assert [batched.get(h).to_dict() for h in hashes] == [
-            one_by_one.get(h).to_dict() for h in hashes
-        ]
-        assert [batched.get(h).seq for h in hashes] == [1, 2, 1, 0, 3, 4]
-        assert batched.get(answered.content_hash).note == "store-hit"
+        assert [batched.get(h) for h in hashes] == [one_by_one.get(h) for h in hashes]
+        seqs = [getattr(batched.get(h), "seq", None) for h in hashes]
+        assert seqs == [1, None, 1, 0, 2, 3]
         # A later submit continues from the counter.
-        assert batched.submit(_tiny_job(tdp=5.5)).seq == 5
+        assert batched.submit(_tiny_job(tdp=5.5)).seq == 4
 
     def test_resubmit_returns_existing_entry_unchanged(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
@@ -354,7 +359,10 @@ class TestFleetBitIdentity:
 
         status = fleet_status(root)
         assert status["drained"] is True
-        assert status["queue"]["done"] == len(campaign.jobs)
+        # Done jobs leave the queue: their stored results are the record.
+        assert set(status["queue"].values()) == {0}
+        assert list(FleetPaths(root).queue_dir.rglob("*.json")) == []
+        assert status["store"]["jobs"] == len(campaign.jobs)
         [manifest] = status["campaigns"]
         assert manifest["reported"] is True
         assert manifest["landed"] == len(campaign.jobs)
@@ -530,12 +538,12 @@ class TestDrainReads:
         summary = FleetService(config).serve_forever()
         assert (summary["exit"], summary["drained"]) == ("drained", True)
 
-    def test_a_drain_reads_at_most_three_entry_files_per_job(
+    def test_a_drain_reads_at_most_one_entry_file_per_job(
         self, tmp_path, monkeypatch
     ):
         """Submit reads no entry, each poll reads only the queued entries it
-        may lease, ``complete`` reads the lease it renames, and each done
-        entry is read back once."""
+        may lease, and neither ``complete`` (an unlink) nor the drain check
+        (a listing) reads one."""
         reads = []
         read = JobQueue._read_classified
 
@@ -550,23 +558,24 @@ class TestDrainReads:
         self._drain(root, lease_limit=4)
         unique = {job.content_hash for campaign in campaigns for job in campaign.jobs}
         assert len(unique) == 74
-        assert len(reads) <= 3 * len(unique)
-        done_reads = Counter(path for path in reads if path.parent.name == STATE_DONE)
-        assert len(done_reads) == len(unique)
-        assert set(done_reads.values()) == {1}
+        assert len(reads) <= len(unique)
+        assert {path.parent.name for path in reads} == {STATE_QUEUED}
+        assert list((root / "queue").rglob("*.json")) == []
 
     def test_finalize_reads_each_payload_once_per_manifest(
         self, tmp_path, monkeypatch
     ):
-        """A manifest's payloads are read only once all its jobs have landed,
-        and a stored report is parsed at most twice (the first poll that
-        finds it, plus one rewrite if a faulted write tore it)."""
+        """Each payload is read once when its job completes, and a
+        manifest's payloads once more, only once all its jobs have landed;
+        a stored report is parsed at most twice (the first poll that finds
+        it, plus one rewrite if a faulted write tore it)."""
         payload_reads, report_parses = Counter(), Counter()
         store_class = ShardedResultStore
         job_payload, get_report = store_class.job_payload, store_class.get_report
 
         def counted_payload(store, job_hash):
-            payload_reads[job_hash] += 1
+            if store.job_path(job_hash).is_file():
+                payload_reads[job_hash] += 1
             return job_payload(store, job_hash)
 
         def counted_report(store, spec_hash):
@@ -583,6 +592,6 @@ class TestDrainReads:
             job.content_hash for campaign in campaigns for job in campaign.jobs
         )
         assert max(listed_by.values()) == 2  # the campaigns share jobs
-        assert payload_reads == listed_by
+        assert payload_reads == listed_by + Counter(set(listed_by))
         assert set(report_parses) == {sweep_spec_hash(c) for c in campaigns}
         assert max(report_parses.values()) <= 2

@@ -25,12 +25,7 @@ from repro.fleet import (
     verify_campaign,
 )
 from repro.fleet.faults import InjectedFault, InjectedOSError
-from repro.fleet.queue import (
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_LEASED,
-    STATE_QUEUED,
-)
+from repro.fleet.queue import STATE_FAILED, STATE_LEASED, STATE_QUEUED
 from repro.fleet.resilience import FailureRecord
 from repro.fleet.service import FleetPaths
 from repro.fleet.store import read_manifests
@@ -74,6 +69,12 @@ def _dead_pid():
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
     return child.pid
+
+
+#: The tally of a queue with no entry file at all.
+EMPTY = {
+    STATE_QUEUED: 0, STATE_LEASED: 0, STATE_FAILED: 0, "corrupt": 0, "transient": 0
+}
 
 
 def _drain_config(root, faults=None, **overrides):
@@ -279,20 +280,24 @@ class TestQueueCrashConsistency:
         assert queue.counts()["corrupt"] == 1
 
     def test_torn_write_faults_are_healed_by_fallback(self, tmp_path):
-        # Every queue write is torn, yet complete() still lands durably,
-        # because the caller's in-memory entry is the recovery source and
-        # the healing write itself is retried at the atomic-write layer...
-        # here we tear only the *lease* write and heal on complete.
+        # A torn lease write leaves an unreadable file, yet the entry's next
+        # transition lands durably, because the caller's in-memory entry is
+        # the recovery source; completing removes the torn file outright.
         queue = JobQueue(tmp_path / "q")
-        entry = queue.submit(_tiny_job())
+        queue.submit(_tiny_job())
         queue.faults = FaultPlan.parse("seed=0;torn@queue.write=1.0")
         [leased] = queue.lease(limit=1, now=100.0)
         assert queue.counts()["corrupt"] == 1  # the lease write was torn
         queue.faults = None
-        finished = queue.complete(leased.job_hash, fallback=leased)
-        assert finished.state == STATE_DONE
+        released = queue.release(leased.job_hash, fallback=leased)
+        assert released.state == STATE_QUEUED and released.attempts == 0
         counts = queue.counts()
-        assert counts["corrupt"] == 0 and counts[STATE_DONE] == 1
+        assert counts["corrupt"] == 0 and counts[STATE_QUEUED] == 1
+        queue.faults = FaultPlan.parse("seed=0;torn@queue.write=1.0")
+        [leased] = queue.lease(limit=1, now=100.0)
+        queue.faults = None
+        queue.complete(leased)
+        assert queue.counts() == EMPTY
 
     def test_lost_write_keeps_old_state_and_strays_a_tmp(self, tmp_path):
         # The kill-between-tmp-write-and-rename shape: the destination keeps
@@ -305,15 +310,17 @@ class TestQueueCrashConsistency:
         on_disk = queue.get(entry.job_hash)
         assert on_disk.state == STATE_QUEUED  # the lease write never landed
         assert list(queue.entries_dir.rglob("*.tmp"))
-        # Completing from the caller's copy replaces the queued file too.
-        queue.complete(entry.job_hash, fallback=leased)
+        # Completing from the caller's copy removes the queued file too.
+        queue.complete(leased)
         assert queue.duplicates() == []
-        assert queue.counts()[STATE_DONE] == 1
+        assert queue.counts() == EMPTY
 
     def test_requeue_expired_racing_lease_loses_nothing(self, tmp_path):
         # Worker w1's lease expires; the entry is requeued and re-leased by
-        # w2; w1 finally finishes and completes with its stale entry.  The
-        # result is one done entry -- no loss, no duplicate.
+        # w2; w1 finally finishes and completes with its stale entry, which
+        # carries the same file name.  The job is done (a caller completes
+        # only once its result reads back), so no entry is left -- and none
+        # is duplicated.
         queue = JobQueue(tmp_path / "q", lease_timeout=30.0)
         entry = queue.submit(_tiny_job())
         [stale] = queue.lease(limit=1, worker="w1", now=100.0)
@@ -323,10 +330,11 @@ class TestQueueCrashConsistency:
         [fresh] = queue.lease(limit=1, worker="w2", now=300.0)
         assert fresh.attempts == 2
         # w1 lands late with its stale lease record.
-        done = queue.complete(stale.job_hash, fallback=stale)
-        assert done.state == STATE_DONE
-        counts = queue.counts()
-        assert counts[STATE_DONE] == 1 and counts[STATE_LEASED] == 0
+        queue.complete(stale)
+        assert queue.counts() == EMPTY
+        assert queue.duplicates() == []
+        queue.complete(fresh)  # w2 finishing too changes nothing
+        assert queue.counts() == EMPTY
 
     def test_release_refunds_the_attempt(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
@@ -403,31 +411,31 @@ class TestQueueGC:
 
     def test_gc_removes_old_terminal_entries_only(self, tmp_path):
         queue = JobQueue(tmp_path / "q", max_attempts=1)
-        done = queue.submit(_tiny_job(policy="baseline"))
         failed = queue.submit(_tiny_job(policy="sysscale"))
+        leased = queue.submit(_tiny_job(policy="baseline"))
         live = queue.submit(_tiny_job(name="433.milc"))
         queue.lease(limit=2, now=100.0)
-        queue.complete(done.job_hash)
         queue.fail(failed.job_hash, error="boom", now=100.0)
-        for entry in (done, failed, live):
+        for entry in (failed, leased, live):
             self._aged(queue.locate(entry.job_hash), 7200.0)
         summary = queue.gc(ttl=3600.0)
-        assert summary["removed_done"] == 1
-        assert summary["removed_failed"] == 1
-        assert summary["kept"] == 1  # queued entries are never collected
+        assert summary == {
+            "scanned": 3, "removed_failed": 1, "removed_tmp": 0, "kept": 2
+        }  # queued and leased entries are never collected
         assert queue.get(live.job_hash) is not None
-        assert queue.get(done.job_hash) is None
+        assert queue.get(leased.job_hash).state == STATE_LEASED
+        assert queue.get(failed.job_hash) is None
 
     def test_gc_respects_ttl_and_dry_run(self, tmp_path):
-        queue = JobQueue(tmp_path / "q")
+        queue = JobQueue(tmp_path / "q", max_attempts=1)
         entry = queue.submit(_tiny_job())
         queue.lease(limit=1, now=100.0)
-        queue.complete(entry.job_hash)
+        queue.fail(entry.job_hash, error="boom", now=100.0)
         summary = queue.gc(ttl=3600.0)  # entry is fresh: kept
-        assert summary["removed_done"] == 0 and summary["kept"] == 1
+        assert summary["removed_failed"] == 0 and summary["kept"] == 1
         self._aged(queue.locate(entry.job_hash), 7200.0)
         dry = queue.gc(ttl=3600.0, dry_run=True)
-        assert dry["removed_done"] == 1
+        assert dry["removed_failed"] == 1
         assert queue.get(entry.job_hash) is not None  # dry run deleted nothing
         queue.gc(ttl=3600.0)
         assert queue.get(entry.job_hash) is None
@@ -468,9 +476,39 @@ class TestServiceChaos:
         assert sum(plan.summary().values()) > 0  # chaos actually fired
         verdict = verify_campaign(root, campaign)
         assert verdict["ok"] is True, verdict
-        counts = JobQueue(FleetPaths(root).queue_dir).counts()
-        assert counts[STATE_DONE] == len(campaign.jobs)
-        assert counts["corrupt"] == 0
+        assert JobQueue(FleetPaths(root).queue_dir).counts() == EMPTY
+
+    @pytest.mark.parametrize("kind", ["torn", "skip"])
+    def test_a_result_that_does_not_read_back_runs_again(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """The store is the done state: a torn or lost result write releases
+        the entry with its attempt refunded, and the job runs again until
+        its result reads back.  No job is completed or counted before that,
+        and the drained queue holds no entry."""
+        plan = FaultPlan.parse(f"seed=3;{kind}@store.write=0.5")
+        root = tmp_path / "fleet"
+        campaign = _tiny_campaign()
+        submit_campaign(root, campaign)
+        service = FleetService(_drain_config(root, faults=plan))
+        completed = []
+        complete = JobQueue.complete
+
+        def checked_complete(queue, entry):
+            assert service.store.job_payload(entry.job_hash) is not None
+            completed.append(entry.job_hash)
+            complete(queue, entry)
+
+        monkeypatch.setattr(JobQueue, "complete", checked_complete)
+        summary = service.serve_forever()
+        assert (summary["exit"], summary["jobs_failed"]) == ("drained", 0)
+        hashes = sorted(job.content_hash for job in campaign.jobs)
+        faulted = {event["path"][: -len(".json")] for event in plan.events}
+        assert faulted & set(hashes)  # result writes were hit, not only reports
+        assert sorted(completed) == hashes
+        assert summary["jobs_run"] == len(hashes)
+        assert verify_campaign(root, campaign)["ok"] is True
+        assert JobQueue(FleetPaths(root).queue_dir).counts() == EMPTY
 
     def test_fault_sequence_replays_bit_identically_from_seed(self, tmp_path):
         """Two fresh directories, same seed, same driven poll sequence: the
@@ -497,8 +535,7 @@ class TestServiceChaos:
         events_b, counts_b = drive("b")
         assert events_a == events_b
         assert events_a  # chaos actually fired
-        assert counts_a == counts_b
-        assert counts_a[STATE_DONE] == len(_tiny_campaign().jobs)
+        assert counts_a == counts_b == EMPTY  # every job done
 
     def test_in_process_crash_is_isolated_and_quarantined(self, tmp_path):
         """workers=1 runs jobs in-process: the crash directive degrades to an
@@ -546,10 +583,9 @@ class TestServiceChaos:
         store = ShardedResultStore(FleetPaths(root).store_dir)
         for job in campaign.jobs[1:]:
             assert store.has_job(job.content_hash)
-        # The queue holds only the completed jobs; the poison entry moved out.
-        counts = JobQueue(FleetPaths(root).queue_dir).counts()
-        assert counts[STATE_DONE] == len(campaign.jobs) - 1
-        assert counts[STATE_FAILED] == 0
+        # The queue holds nothing: the completed jobs left it, and the
+        # poison entry moved out.
+        assert JobQueue(FleetPaths(root).queue_dir).counts() == EMPTY
         # Doctor: the quarantined job is accounted for, the dir is healthy.
         report = run_doctor(root)
         assert report.ok, [f.to_dict() for f in report.findings]
@@ -578,25 +614,23 @@ class TestServiceChaos:
         assert service.jobs_quarantined == 1
 
     def test_corrupt_entry_restored_from_store(self, tmp_path):
+        """A corrupt entry whose result reads back from the store is healed
+        by dropping it: the store says the job is done, and it never runs
+        again."""
         root = tmp_path / "fleet"
         campaign = _tiny_campaign()
         submit_campaign(root, campaign)
-        service = FleetService(_drain_config(root))
-        service.serve_forever()
-        # Corrupt a done entry whose result is safely in the store.
+        FleetService(_drain_config(root)).serve_forever()
         queue = JobQueue(FleetPaths(root).queue_dir)
-        victim = queue.entries()[0]
+        victim = queue.submit(campaign.jobs[0])
         path = queue.locate(victim.job_hash)
         path.write_text("{torn", encoding="utf-8")
         assert queue.counts()["corrupt"] == 1
         healer = FleetService(_drain_config(root))
-        healer.run_once(now=time.time())
+        assert healer.run_once(now=time.time()) == 0
         healer.executor.close()
-        counts = queue.counts()
-        assert counts["corrupt"] == 0
-        restored = queue.get(victim.job_hash)
-        assert restored.state == STATE_DONE
-        assert restored.note == "doctor-restored"
+        assert queue.counts() == EMPTY
+        assert not path.exists()
 
     def test_interrupted_loop_leaves_a_stopped_beat(self, tmp_path):
         root = tmp_path / "fleet"
@@ -658,52 +692,79 @@ class TestServiceChaos:
         # The stopped beat carries the summary whole.
         assert {key: beat[key] for key in summary} == summary
 
-    def test_read_faults_on_done_entries_never_hold_a_drain(self, tmp_path):
-        """A draining service reads each done entry back once; one hidden by a
-        transient read is retried on its own.  (A subprocess with a timeout:
-        when the drain check had to read all 200 done entries cleanly in one
-        scan, a 10% read-fault rate made that a 0.9**200 chance, and the
-        loop never exited.)"""
+    def test_the_drain_check_reads_no_entry_file(self, tmp_path):
+        """A drained directory exits ``drained`` even when every entry read
+        fails: the drain check between polls is a listing.  Here the polls'
+        scans fail to read a failed entry, yet the listing counts it as
+        failed, not as hidden.  (A subprocess with a timeout: when the drain
+        check read done entries back, a read fault could hold it forever.)"""
         root = tmp_path / "fleet"
-        queue = JobQueue(FleetPaths(root).queue_dir)
-        for index in range(200):
-            queue.record_done(f"{index:064x}", {"kind": "simulation"})
+        campaign = _tiny_campaign()
+        submit_campaign(root, campaign)
+        FleetService(_drain_config(root)).serve_forever()
+        queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
+        stray = queue.submit(_tiny_job(tdp=3.5))  # in no manifest
+        queue.lease(limit=1, now=100.0)
+        queue.fail(stray.job_hash, error="boom", now=100.0)
         script = (
             "import json, sys\n"
             "from repro.fleet import FaultPlan\n"
             "from repro.fleet.service import FleetConfig, FleetService\n"
             "config = FleetConfig(root=sys.argv[1], workers=1, drain=True,\n"
-            "                     drain_grace=0.2,\n"
+            "                     drain_grace=0.2, poll_interval=0.01,\n"
             "                     faults=FaultPlan.parse(sys.argv[2]))\n"
             "print(json.dumps(FleetService(config).serve_forever()))\n"
         )
         completed = subprocess.run(
-            [sys.executable, "-c", script, str(root), "seed=7;oserror@queue.read=0.1"],
+            [sys.executable, "-c", script, str(root), "seed=7;oserror@queue.read=1.0"],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert completed.returncode == 0, completed.stderr
         summary = json.loads(completed.stdout)
         assert (summary["exit"], summary["drained"]) == ("drained", True)
-        assert summary["faults"]["oserror@queue.read"] > 10
-        assert summary["rounds"] <= 10
-        assert queue.counts() == {
-            STATE_QUEUED: 0, STATE_LEASED: 0, STATE_DONE: 200, STATE_FAILED: 0,
-            "corrupt": 0, "transient": 0,
-        }
+        assert summary["faults"]["oserror@queue.read"] == summary["rounds"]
+        beat = json.loads(FleetPaths(root).heartbeat.read_text(encoding="utf-8"))
+        assert beat["queue"] == {**EMPTY, STATE_FAILED: 1}
+
+    def test_a_lost_manifest_job_ends_a_drain_blocked(self, tmp_path):
+        """A manifest job with no queue entry, no result and no quarantine
+        record (a submitter killed between writing its manifest and
+        enqueuing) can never land: once the queue has been empty with no
+        work for ``drain_grace`` seconds, ``serve --drain`` exits
+        ``blocked`` with status 1.  (A subprocess with a timeout, because
+        the loop once polled forever here.)"""
+        root = tmp_path / "fleet"
+        campaign = _tiny_campaign()
+        submit_campaign(root, campaign)
+        for path in FleetPaths(root).queue_dir.rglob("*.json"):
+            path.unlink()
+        assert {f.code for f in run_doctor(root).findings} >= {"lost-job"}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--fleet-dir", str(root),
+             "--drain", "--drain-grace", "0.5", "--workers", "1",
+             "--poll-interval", "0.01", "--json"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.returncode == 1, completed.stderr
+        summary = json.loads(completed.stdout)
+        assert (summary["exit"], summary["jobs_run"]) == ("blocked", 0)
 
     def test_flat_layout_entries_are_restored_or_quarantined(self, tmp_path):
         """Entries in the schema-1 flat layout (``entries/<hash>.json``) read
-        as corrupt: the doctor names them, and a draining service restores
-        each one whose result is stored and quarantines the rest, then exits
-        (a subprocess with a timeout, since flat files no scan reads would
-        leave their manifest pending forever)."""
+        as corrupt: the doctor names them, and a draining service drops each
+        one whose result reads back (the job is done) and quarantines the
+        rest, then exits (a subprocess with a timeout, since flat files no
+        scan reads would leave their manifest pending forever)."""
         root = tmp_path / "fleet"
         campaign = _tiny_campaign()
         submit_campaign(root, campaign)
         FleetService(_drain_config(root)).serve_forever()
         queue = JobQueue(FleetPaths(root).queue_dir)
         store = ShardedResultStore(FleetPaths(root).store_dir)
+        for job in campaign.jobs:
+            queue.submit(job)
         stamp = time.time() - 3600.0
         for path in sorted(queue.entries_dir.rglob("*.json")):
             entry = json.loads(path.read_text(encoding="utf-8"))
@@ -731,11 +792,8 @@ class TestServiceChaos:
         assert completed.returncode == 1, completed.stderr
         summary = json.loads(completed.stdout)
         assert (summary["exit"], summary["jobs_quarantined"]) == ("blocked", 1)
-        assert list(queue.entries_dir.glob("*.json")) == []
+        assert list(queue.entries_dir.rglob("*.json")) == []
         assert Quarantine(root / "quarantine").has(lost)
-        for job in campaign.jobs[1:]:
-            restored = queue.get(job.content_hash)
-            assert (restored.state, restored.note) == (STATE_DONE, "doctor-restored")
 
     def test_unreadable_manifest_never_blocks_a_drain(self, tmp_path):
         """No service can finalize a manifest that does not parse, so it is
@@ -832,9 +890,11 @@ class TestDoctor:
         assert all(f.severity != "error" for f in report.findings)
 
     def test_corrupt_entry_is_an_error_until_fixed(self, tmp_path):
-        root, _ = self._drained_fleet(tmp_path)
+        """``--fix`` drops a corrupt entry whose result reads back: the job
+        is done, so nothing is lost."""
+        root, campaign = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
-        victim = queue.entries()[0]
+        victim = queue.submit(campaign.jobs[0])
         path = queue.locate(victim.job_hash)
         path.write_text("{torn", encoding="utf-8")
         audit = run_doctor(root)
@@ -842,7 +902,10 @@ class TestDoctor:
         assert any(f.code == "corrupt-entry" for f in audit.findings)
         fixed = run_doctor(root, fix=True)
         assert fixed.ok
-        assert queue.get(victim.job_hash).state == STATE_DONE
+        [finding] = [f for f in fixed.findings if f.code == "corrupt-entry"]
+        assert "dropped" in finding.message and finding.fixed
+        assert not path.exists()
+        assert not Quarantine(root / "quarantine").has(victim.job_hash)
         assert run_doctor(root).ok
 
     def test_corrupt_entry_without_result_is_quarantined_on_fix(self, tmp_path):
@@ -856,30 +919,36 @@ class TestDoctor:
         assert not path.exists()
         assert Quarantine(root / "quarantine").has(entry.job_hash)
 
-    def test_done_without_stored_result_is_requeued_on_fix(self, tmp_path):
-        root, _ = self._drained_fleet(tmp_path)
-        store = ShardedResultStore(FleetPaths(root).store_dir)
+    def test_corrupt_entry_with_a_torn_result_is_quarantined_on_fix(self, tmp_path):
+        """A torn result does not read back, so the job is not done: the
+        corrupt entry is quarantined, bytes intact, never dropped."""
+        root, campaign = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
-        victim = queue.entries()[0]
-        store.job_path(victim.job_hash).unlink()
-        audit = run_doctor(root)
-        assert any(f.code == "done-missing-result" for f in audit.findings)
-        assert not audit.ok
+        store = ShardedResultStore(FleetPaths(root).store_dir)
+        victim = queue.submit(campaign.jobs[0])
+        path = queue.locate(victim.job_hash)
+        path.write_text("{torn", encoding="utf-8")
+        store.job_path(victim.job_hash).write_text("{torn", encoding="utf-8")
         fixed = run_doctor(root, fix=True)
         assert fixed.ok
-        assert queue.get(victim.job_hash).state == STATE_QUEUED
+        [finding] = [f for f in fixed.findings if f.code == "corrupt-entry"]
+        assert "quarantine" in finding.message and finding.fixed
+        assert not path.exists()
+        moved = root / "quarantine" / "corrupt" / f"{victim.job_hash}.json"
+        assert moved.read_text(encoding="utf-8") == "{torn"
+        assert any(f.code == "quarantined-job" for f in run_doctor(root).findings)
 
     def test_already_stored_lease_is_completed_on_fix(self, tmp_path):
-        root, _ = self._drained_fleet(tmp_path)
+        root, campaign = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
-        victim = queue.entries()[0]
-        queue.record_queued(victim)
+        victim = queue.submit(campaign.jobs[0])
         queue.lease(limit=1, now=time.time())
         report = run_doctor(root, fix=True)
         assert any(
             f.code == "already-stored" and f.fixed for f in report.findings
         )
-        assert queue.get(victim.job_hash).state == STATE_DONE
+        assert queue.get(victim.job_hash) is None
+        assert queue.counts() == EMPTY
 
     def test_expired_lease_is_recovered_on_fix(self, tmp_path):
         root = tmp_path / "fleet"
@@ -906,9 +975,7 @@ class TestDoctor:
     def test_lost_manifest_job_is_an_error(self, tmp_path):
         root, campaign = self._drained_fleet(tmp_path)
         victim = campaign.jobs[0].content_hash
-        queue = JobQueue(FleetPaths(root).queue_dir)
         store = ShardedResultStore(FleetPaths(root).store_dir)
-        queue.remove(victim)
         store.job_path(victim).unlink()
         report = run_doctor(root)
         assert not report.ok
@@ -917,7 +984,7 @@ class TestDoctor:
             for f in report.findings
         )
 
-    @pytest.mark.parametrize("later", [STATE_LEASED, STATE_DONE, STATE_FAILED])
+    @pytest.mark.parametrize("later", [STATE_LEASED, STATE_FAILED])
     def test_entry_in_two_state_directories_resolves_to_the_later(
         self, tmp_path, later
     ):
@@ -932,10 +999,7 @@ class TestDoctor:
         queued_bytes = queued_file.read_bytes()
         now = time.time()
         queue.lease(limit=1, now=now)  # a live lease: nothing else to repair
-        if later == STATE_DONE:
-            ShardedResultStore(FleetPaths(root).store_dir).put_job(job, {"x": 1})
-            queue.complete(entry.job_hash)
-        elif later == STATE_FAILED:
+        if later == STATE_FAILED:
             queue.fail(entry.job_hash, error="boom", now=now)
         queued_file.write_bytes(queued_bytes)
         assert queue.get(entry.job_hash).state == later
@@ -1025,7 +1089,7 @@ class TestResilienceCli:
 
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
-        victim = queue.entries()[0]
+        victim = queue.submit(_tiny_job())
         queue.locate(victim.job_hash).write_text(
             "{torn", encoding="utf-8"
         )
@@ -1049,16 +1113,22 @@ class TestResilienceCli:
         from repro.cli import main
 
         root = self._drained_fleet(tmp_path)
-        queue = JobQueue(FleetPaths(root).queue_dir)
+        queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
+        assert list(queue.entries_dir.rglob("*.json")) == []  # done: no entry
+        jobs = [_tiny_job(tdp=tdp) for tdp in (3.5, 5.5, 6.5)]
+        for job in jobs:
+            queue.submit(job)
+        for leased in queue.lease(limit=3, now=100.0):
+            queue.fail(leased.job_hash, error="boom", now=100.0)
         stamp = time.time() - 7200.0
         for path in queue.entries_dir.rglob("*.json"):
             os.utime(path, (stamp, stamp))
         args = ["fleet", "gc", "--fleet-dir", str(root), "--ttl", "3600"]
         assert main(args + ["--dry-run"]) == 0
-        assert "would remove 3 done" in capsys.readouterr().out
+        assert "would remove 3 failed" in capsys.readouterr().out
         assert len(queue.entries()) == 3  # dry run deleted nothing
         assert main(args) == 0
-        assert "removed 3 done" in capsys.readouterr().out
+        assert "removed 3 failed" in capsys.readouterr().out
         assert queue.entries() == []
 
     def test_gc_rejects_negative_ttl(self, tmp_path, capsys):
@@ -1073,7 +1143,7 @@ class TestResilienceCli:
 
         root = self._drained_fleet(tmp_path)
         queue = JobQueue(FleetPaths(root).queue_dir)
-        victim = queue.entries()[0]
+        victim = queue.submit(_tiny_job(tdp=3.5))
         queue.locate(victim.job_hash).write_text(
             "{torn", encoding="utf-8"
         )
