@@ -2,9 +2,9 @@
 
 ``submit CAMPAIGN`` enqueues a campaign's jobs into a durable fleet
 directory, ``serve`` runs the batched worker loop over it on a fixed pool of
-``--workers`` processes, and ``fleet status|verify|doctor|gc`` inspect the
-directory, check fleet results bit-identical against a serial re-run, audit
-and repair it, and compact failed queue entries.
+``--workers`` processes, and ``fleet status|verify|doctor`` inspect the
+directory, check fleet results bit-identical against a serial re-run, and
+audit and repair it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ SERVE_SETTINGS = {
     )),
     "lease_limit": (int, "N", "jobs leased per poll (default %(default)g)"),
     "max_attempts": (int, "N", (
-        "attempts before a job is marked failed (default %(default)g)"
+        "attempts before a job is quarantined (default %(default)g)"
     )),
     "drain": (bool, None, "exit once the queue is empty and all sweep reports are stored"),
     "drain_grace": (float, "S", (
@@ -145,8 +145,8 @@ def _cmd_fleet_status(args: argparse.Namespace, ui: Console) -> int:
     ui.out(f"fleet: {status['root']}")
     corrupt_suffix = f", {queue['corrupt']} CORRUPT" if queue.get("corrupt") else ""
     ui.out(
-        f"  queue: {queue['queued']} queued, {queue['leased']} leased, "
-        f"{queue['failed']} failed{corrupt_suffix}"
+        f"  queue: {queue['queued']} queued, {queue['leased']} leased"
+        f"{corrupt_suffix}"
     )
     store = status["store"]
     ui.out(
@@ -228,24 +228,6 @@ def _cmd_fleet_doctor(args: argparse.Namespace, ui: Console) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_fleet_gc(args: argparse.Namespace, ui: Console) -> int:
-    if args.ttl < 0:
-        raise common.CliError(f"--ttl must be non-negative, got {args.ttl}")
-    queue = fleet.JobQueue(fleet.service.FleetPaths(args.fleet_dir).queue_dir)
-    summary = queue.gc(ttl=args.ttl, dry_run=args.dry_run)
-    if args.json:
-        common.print_json(ui, summary)
-    else:
-        verb = "would remove" if args.dry_run else "removed"
-        ui.out(
-            f"gc: {verb} {summary['removed_failed']} failed, "
-            f"{summary['removed_tmp']} stray tmp "
-            f"({summary['kept']} kept of {summary['scanned']} scanned, "
-            f"ttl {args.ttl:g}s)"
-        )
-    return 0
-
-
 def _add_fleet_dir(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fleet-dir",
@@ -274,7 +256,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
 
 
 def register(subparsers: Any) -> None:
-    """Add ``serve``, ``submit`` and ``fleet status|verify|doctor|gc``."""
+    """Add ``serve``, ``submit`` and ``fleet status|verify|doctor``."""
     serve = common.add_command(
         subparsers, "serve", _cmd_serve,
         help="run the sweep service over a fleet directory",
@@ -352,8 +334,8 @@ def register(subparsers: Any) -> None:
             "applies every repair that cannot lose information (remove "
             "shadowed duplicates, drop corrupt entries whose result reads "
             "back and quarantine the rest, quarantine unreadable manifests, "
-            "complete already-stored entries, recover expired leases, sweep "
-            "temp files)."
+            "complete already-stored entries, requeue expired leases and "
+            "quarantine those out of attempts, sweep stray temp files)."
         ),
     )
     _add_fleet_dir(doctor)
@@ -361,23 +343,3 @@ def register(subparsers: Any) -> None:
         "--fix", action="store_true", help="apply safe repairs while auditing"
     )
     common.add_json_flag(doctor, "emit the findings as JSON")
-    gc = common.add_command(
-        fleet_sub, "gc", _cmd_fleet_gc,
-        help="compact failed queue entries older than a TTL",
-        description=(
-            "Remove failed queue-entry files whose last state change is "
-            "older than --ttl, plus stray temp files of the same age.  Queued "
-            "and leased entries are never touched, and a done job leaves no "
-            "entry: its stored result is its record."
-        ),
-    )
-    _add_fleet_dir(gc)
-    gc.add_argument(
-        "--ttl", type=float, default=3600.0, metavar="S",
-        help="age in seconds before a failed entry is collected (default 3600)",
-    )
-    gc.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would be removed without deleting anything",
-    )
-    common.add_json_flag(gc, "emit the summary as JSON")

@@ -3,8 +3,9 @@
 A long-lived service over the existing runtime: a durable content-addressed
 job queue (:mod:`repro.fleet.queue`), a sharded result store with
 ``spec_hash``-level sweep-report warm starts (:mod:`repro.fleet.store`),
-explicit failure semantics -- deterministic retry backoff, a quarantine for
-poison jobs and corrupt entries, and the ``fleet doctor`` consistency audit
+explicit failure semantics -- deterministic retry backoff, a quarantine that
+is the one record of a job out of attempts (as the store is of a done one)
+and of corrupt entries, and the ``fleet doctor`` consistency audit
 (:mod:`repro.fleet.resilience`) -- with a seeded chaos harness to prove them
 (:mod:`repro.fleet.faults`), and the service loop plus submit/status/verify
 entry points (:mod:`repro.fleet.service`) behind ``repro serve`` /

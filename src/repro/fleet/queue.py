@@ -11,7 +11,6 @@ Layout: the directory an entry file sits in *is* its state::
 
     <root>/entries/queued/<key>-<job_hash>.json
                   leased/<key>-<job_hash>.json
-                  failed/<key>-<job_hash>.json
 
 ``<key>`` is fixed-width hex that sorts as ``(-priority, seq)``, so a state
 directory lists in dispatch order -- priority first (higher sooner), then
@@ -22,28 +21,33 @@ directory wins.  A lookup by hash alone (:meth:`JobQueue.get`,
 :meth:`JobQueue.locate`) lists the directories, and :func:`entry_hash` is the
 one parser of a hash out of a file name.
 
-An entry moves through three states, and leaves the queue once its job is
-done::
+An entry moves between two states, and leaves the queue once its job is
+done or has used up its attempts::
 
-    queued --lease()--> leased --complete()--> (no entry)
+    queued --lease()--> leased --complete()--> (done: the store holds it)
        ^                  |
-       |                  +--fail() / lease timeout--+
-       +--(attempts left)--------------------------- +--> failed (exhausted)
+       |                  +--fail() / lease timeout--+--(spent)--> (quarantine)
+       +--(attempts left)----------------------------+
 
 A job is done when the shared result store holds a result that reads back;
 the store is the one record of it.  ``complete`` unlinks the entry's file in
 every state directory and reads nothing; the service calls it only once the
-job's result has read back (see :mod:`repro.fleet.service`).  A ``done/``
-directory left by an older service is no part of the layout: nothing lists
-or reads it, and it may be deleted.
+job's result has read back (see :mod:`repro.fleet.service`).  A job that
+used up its attempts is recorded in the fleet's quarantine and nowhere else:
+on the last attempt ``fail`` writes nothing and returns the entry in
+:data:`STATE_EXHAUSTED`, its file still on disk, and
+:meth:`repro.fleet.resilience.Quarantine.absorb_exhausted` writes the record
+and only then removes the entry.  ``done/`` and ``failed/`` directories left
+by an older service are no part of the layout: nothing lists or reads them,
+and they may be deleted.
 
 Any other transition writes the new state's file and removes the old
 state's file only once the new one is on disk, so a lost write keeps the old
 state.  A crash between a write and a removal (or another process moving
 the entry mid-transition) can leave one hash in two directories: the later
-lifecycle state wins (failed, then leased, then queued; within one
-directory, the first name), the other file is ignored -- never leased twice
--- and ``fleet doctor`` reports it as ``duplicate-entry``.
+lifecycle state wins (leased, then queued; within one directory, the first
+name), the other file is ignored -- never leased twice -- and ``fleet
+doctor`` reports it as ``duplicate-entry``.
 
 Reads: :meth:`JobQueue.scan` lists every state directory and reads only the
 files its caller asks for -- ``states`` to read in full and, given a lease
@@ -58,8 +62,8 @@ for one-shot callers like ``fleet status``, the doctor and tests.
 :func:`is_drained` is the one rule for reading "drained" off a tally.
 
 Leases carry a deadline: a worker that dies mid-job simply stops renewing,
-:meth:`JobQueue.requeue_expired` flips the entry back to ``queued`` (or to
-``failed`` once ``max_attempts`` is spent), and another turn of the service
+:meth:`JobQueue.expire_leases` flips the entry back to ``queued`` (or returns
+it exhausted once ``max_attempts`` is spent), and another turn of the service
 loop picks it up.  A failed attempt also stamps ``not_before`` with a
 deterministic exponential backoff (:func:`repro.fleet.resilience.backoff_seconds`,
 jitter derived from ``(job_hash, attempt)``), which ``lease`` honors -- a
@@ -116,7 +120,7 @@ __all__ = [
     "JobQueue",
     "QueueEntry",
     "QueueScan",
-    "STATE_FAILED",
+    "STATE_EXHAUSTED",
     "STATE_LEASED",
     "STATE_QUEUED",
     "entry_hash",
@@ -130,12 +134,16 @@ FLEET_QUEUE_SCHEMA_VERSION = 2
 
 STATE_QUEUED = "queued"
 STATE_LEASED = "leased"
-STATE_FAILED = "failed"
 
-#: All states, in lifecycle order (used by ``counts()`` and the status CLI).
-#: Also least to most authoritative: when one hash has files in several
-#: directories, the last one here wins.
-STATES = (STATE_QUEUED, STATE_LEASED, STATE_FAILED)
+#: Both states, in lifecycle order (used by ``counts()`` and the status CLI).
+#: Also least to most authoritative: when one hash has files in both
+#: directories, the leased one wins.
+STATES = (STATE_QUEUED, STATE_LEASED)
+
+#: The state of the entry :meth:`JobQueue.fail` returns once ``max_attempts``
+#: is spent.  It names no directory: nothing is written in it, and the caller
+#: quarantines the entry.
+STATE_EXHAUSTED = "exhausted"
 
 #: Pseudo-state of schema-1 flat files (``entries/<job_hash>.json``); they
 #: lose to any state directory and always count as corrupt.
@@ -193,19 +201,18 @@ def tally(
 
 
 def is_drained(totals: Dict[str, int]) -> bool:
-    """True when a tally shows no entry waiting or running.
+    """True when a tally counts no entry file at all.
 
-    Conservative under degraded scans: a file hidden by a transient read
-    error *might* be queued or leased, so it counts as not drained -- a
-    draining service must never exit on a scan it could not trust.  Only
-    the files a scan reads can be hidden, so the service's drain check, a
-    listing that reads no entry, is never held up by a read.
+    A done job's record is its stored result and an exhausted job's is its
+    quarantine record, so every entry file is unfinished work: queued,
+    leased, corrupt (a torn write the service heals or quarantines) or
+    hidden by a transient read error -- a draining service must never exit
+    on a scan it could not trust.  Only the files a scan reads can be hidden
+    or torn, so the service's drain check, a listing that reads no entry, is
+    never held up by a read; a schema-1 flat file counts as corrupt unread,
+    until a poll heals it.
     """
-    return (
-        totals[STATE_QUEUED] == 0
-        and totals[STATE_LEASED] == 0
-        and totals[COUNT_TRANSIENT] == 0
-    )
+    return not any(totals.values())
 
 
 def _dispatch_order(entry: "QueueEntry") -> Tuple[int, int]:
@@ -553,18 +560,18 @@ class JobQueue:
         order: priority desc, then submission sequence)."""
         return self.scan().entries
 
-    def scan_settled(self, attempts: int = 3) -> Tuple[List[QueueEntry], List[Path]]:
-        """Rescan until no entry is transient-hidden (or ``attempts`` runs
-        out), then return ``(entries, corrupt_paths)``.
+    def scan_settled(self, attempts: int = 3) -> QueueScan:
+        """A full :meth:`scan`, repeated until no entry is transient-hidden
+        (or ``attempts`` runs out).
 
         Doctor-grade readers use this so a one-scan read blip cannot turn
         into a false "lost-job" or premature-drain verdict; a path that
-        stays unreadable across every attempt is treated as corrupt."""
+        stays unreadable across every attempt is returned as corrupt."""
         for _ in range(max(1, attempts)):
             scan = self.scan()
             if not scan.transient:
-                return scan.entries, scan.corrupt
-        return scan.entries, scan.corrupt + scan.transient
+                return scan
+        return scan._replace(corrupt=scan.corrupt + scan.transient, transient=[])
 
     def counts(self) -> Dict[str, int]:
         """One full rescan's :func:`tally`: entry counts per state, plus
@@ -618,7 +625,7 @@ class JobQueue:
         seen_before = {
             job_hash
             for job_hash, (state, _) in self._list().where.items()
-            if state not in (STATE_FAILED, _LEGACY)
+            if state != _LEGACY
         }
         fresh: List[Job] = []
         for job in jobs:
@@ -644,8 +651,8 @@ class JobQueue:
 
     def _live(self, held: Optional[Tuple[str, str]]) -> Optional[QueueEntry]:
         """The entry of a listed ``(state, name)`` unless it is absent,
-        failed, unreadable or in the flat layout."""
-        if held is None or held[0] in (STATE_FAILED, _LEGACY):
+        unreadable or in the flat layout."""
+        if held is None or held[0] == _LEGACY:
             return None
         state, name = held
         return self._read_classified(self._dir(state) / name, state)[0]
@@ -658,7 +665,7 @@ class JobQueue:
         held: Optional[Tuple[str, str]] = None,
     ) -> QueueEntry:
         """Write ``job`` as ``queued`` at ``seq``.  ``held`` is the job's
-        listed file (failed, unreadable or flat), replaced by the new one."""
+        listed file (unreadable or flat), replaced by the new one."""
         entry = QueueEntry(
             job_hash=job.content_hash,
             job=job.to_dict(),
@@ -745,7 +752,12 @@ class JobQueue:
         fallback: Optional[QueueEntry] = None,
     ) -> QueueEntry:
         """Record a failed attempt: back to ``queued`` behind a deterministic
-        backoff window, or ``failed`` when ``max_attempts`` is exhausted.
+        backoff window while attempts are left.
+
+        Once ``max_attempts`` is spent nothing is written: the entry comes
+        back in :data:`STATE_EXHAUSTED` with its file still on disk, for the
+        caller to quarantine (see
+        :meth:`repro.fleet.resilience.Quarantine.absorb_exhausted`).
 
         ``fallback`` is the caller's in-memory copy of the entry (the
         service holds the leased entry it dispatched): its file is found
@@ -758,15 +770,13 @@ class JobQueue:
 
         now = time.time() if now is None else now
         entry, replaces = self._current(job_hash, fallback)
-        exhausted = entry.attempts >= self.max_attempts
-        not_before = None
-        if not exhausted:
-            not_before = now + backoff_seconds(job_hash, entry.attempts)
+        if entry.attempts >= self.max_attempts:
+            return replace(entry, state=STATE_EXHAUSTED, error=error)
         failed = replace(
             entry,
-            state=STATE_FAILED if exhausted else STATE_QUEUED,
+            state=STATE_QUEUED,
             lease_deadline=None,
-            not_before=not_before,
+            not_before=now + backoff_seconds(job_hash, entry.attempts),
             worker=None,
             error=error,
         )
@@ -834,15 +844,13 @@ class JobQueue:
         self._write(requeued, self._files(entry.job_hash))
         return requeued
 
-    def remove(self, job_hash: str) -> bool:
-        """Delete every file of an entry outright (quarantine/GC use only)."""
-        files = self._files(job_hash)
-        for path in files:
+    def remove(self, job_hash: str) -> None:
+        """Delete every file of an entry outright (quarantine use only)."""
+        for path in self._files(job_hash):
             try:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
-        return bool(files)
 
     def _files(self, job_hash: str) -> List[Path]:
         """Every entry file of ``job_hash``: the winner and its losers."""
@@ -853,23 +861,16 @@ class JobQueue:
             files.append(self._dir(held[0]) / held[1])
         return files
 
-    def requeue_expired(self, now: Optional[float] = None) -> int:
-        """Return timed-out leases to the queue; exhausted ones fail.
-
-        Scans the leased entries; returns how many leases were recovered.
-        """
-        now = time.time() if now is None else now
-        leased = self.scan(states=(STATE_LEASED,)).entries
-        return len(self.expire_leases(leased, now))
-
     def expire_leases(
         self, entries: Iterable[QueueEntry], now: float
     ) -> List[QueueEntry]:
-        """:meth:`requeue_expired` over the caller's snapshot ``entries``.
+        """:meth:`fail` each lease among ``entries`` (the caller's scan)
+        whose deadline has passed.
 
         The service calls this once per poll, so a worker crash costs at most
-        one lease timeout before the job runs elsewhere.  Returns the entries
-        :meth:`fail` wrote, so the caller sees which ones were exhausted.
+        one lease timeout before the job runs elsewhere.  Returns what
+        :meth:`fail` returned, so the caller sees which entries are
+        exhausted.
         """
         expired: List[QueueEntry] = []
         for entry in entries:
@@ -889,62 +890,3 @@ class JobQueue:
                 )
             )
         return expired
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def gc(
-        self,
-        ttl: float = 3600.0,
-        now: Optional[float] = None,
-        dry_run: bool = False,
-    ) -> Dict[str, int]:
-        """Compact failed entries older than ``ttl`` seconds.
-
-        Lists the entry directories and stats each ``failed`` file; it reads
-        no entry.  Removes those whose last write (file mtime) is older than
-        the TTL, plus stray ``*.tmp`` files of the same age -- queued/leased
-        entries are never touched, and a done job has no entry left to
-        compact.  ``dry_run`` counts without deleting.  Returns
-        ``{scanned, removed_failed, removed_tmp, kept}``.
-        """
-        now = time.time() if now is None else now
-        listing = self._list()
-        summary = {
-            "scanned": len(listing.losers),
-            "removed_failed": 0,
-            "removed_tmp": 0,
-            "kept": len(listing.losers),
-        }
-        for state, names in listing.names.items():
-            for name in names:
-                summary["scanned"] += 1
-                if state != STATE_FAILED:
-                    summary["kept"] += 1
-                    continue
-                path = self._dir(state) / name
-                try:
-                    age = now - path.stat().st_mtime
-                except OSError:
-                    summary["kept"] += 1
-                    continue
-                if age < ttl:
-                    summary["kept"] += 1
-                    continue
-                if not dry_run:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        summary["kept"] += 1
-                        continue
-                summary["removed_failed"] += 1
-        for tmp in sorted(self._entries_dir.rglob("*.tmp")):
-            try:
-                if now - tmp.stat().st_mtime < ttl:
-                    continue
-                if not dry_run:
-                    tmp.unlink()
-            except OSError:
-                continue
-            summary["removed_tmp"] += 1
-        return summary

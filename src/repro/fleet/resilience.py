@@ -15,10 +15,13 @@ half of the failure state machine:
   ``max_attempts`` (or repeatedly breaks the worker pool), its queue entry is
   replaced by a structured record under ``<fleet_root>/quarantine/``: error
   class, message, attempt count, and the per-attempt history the service
-  observed (tracebacks included).  Corrupt queue-entry files get moved --
-  bytes intact -- into the same namespace instead of being silently ignored.
-  Quarantine is terminal: nothing retries out of it without an explicit
-  resubmit.
+  observed (tracebacks included).  The quarantine is the failed state, as
+  the store is the done state: the queue keeps no record of an exhausted
+  job, and :meth:`Quarantine.absorb_exhausted`, shared by the service and
+  the doctor, is the one path out of the queue for one.  Corrupt queue-entry
+  files get moved -- bytes intact -- into the same namespace instead of being
+  silently ignored.  Quarantine is terminal: nothing retries out of it
+  without an explicit resubmit.
 
 * :func:`run_doctor` -- the consistency audit behind ``repro fleet doctor
   [--fix]``.  It cross-checks queue, store, campaign manifests, heartbeat,
@@ -26,11 +29,11 @@ half of the failure state machine:
   safe repairs (remove an entry file shadowed by another of the same job,
   drop a corrupt entry whose result reads back and quarantine any other,
   complete queued or leased entries whose result reads back, recover
-  expired leases, sweep stray temp files, quarantine unreadable campaign
-  manifests).  The store is the done state, so a finished job has no entry
-  to audit: a result that reads back is the whole record.  The exit
-  contract: a directory is healthy iff no *unfixed* error-severity finding
-  remains.
+  expired leases and quarantine those out of attempts, sweep stray temp
+  files, quarantine unreadable campaign manifests).  The store is the done
+  state, so a finished job has no entry to audit: a result that reads back
+  is the whole record.  The exit contract: a directory is healthy iff no
+  *unfixed* error-severity finding remains.
 """
 
 from __future__ import annotations
@@ -42,7 +45,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.fleet.queue import STATE_LEASED, STATE_QUEUED, JobQueue, entry_hash
+from repro.fleet.queue import (
+    STATE_EXHAUSTED,
+    STATE_LEASED,
+    JobQueue,
+    QueueEntry,
+    entry_hash,
+    is_drained,
+    tally,
+)
 from repro.fleet.store import FleetPaths, ShardedResultStore, read_manifests
 from repro.hashing import content_hash
 from repro.runtime.cache import atomic_write_json
@@ -226,6 +237,39 @@ class Quarantine:
             return True
         return (self.corrupt_dir / f"{job_hash}.json").is_file()
 
+    def absorb_exhausted(
+        self,
+        queue: JobQueue,
+        entry: QueueEntry,
+        now: float,
+        history: Tuple[Dict[str, Any], ...] = (),
+        reason: str = "exhausted",
+    ) -> None:
+        """Record an entry :meth:`JobQueue.fail` returned exhausted, then
+        remove its files from ``queue``.
+
+        The record is written first, so a crash before the removal leaves a
+        lease that expires and is quarantined again, never a job with no
+        record.  ``history`` is what the caller observed of the job's
+        attempts; its last entry names the error class.
+        """
+        error_class = (
+            history[-1].get("error_class", "Exception") if history else "Exception"
+        )
+        self.add(
+            FailureRecord(
+                job_hash=entry.job_hash,
+                reason=reason,
+                error_class=error_class,
+                message=entry.error or "",
+                attempts=entry.attempts,
+                job=entry.job,
+                history=history,
+                recorded_unix=now,
+            )
+        )
+        queue.remove(entry.job_hash)
+
     def absorb_corrupt(self, path: Path) -> Path:
         """Move a corrupt file into the quarantine as ``<hash>.json``: the
         hash its name carries (:func:`~repro.fleet.queue.entry_hash`)."""
@@ -380,8 +424,8 @@ def run_doctor(
         )
     # scan_settled retries transient-hidden entries so a one-scan read
     # blip cannot fabricate a lost-job/skew verdict out of thin air.
-    entries, corrupt_paths = queue.scan_settled()
-    for path in corrupt_paths:
+    scan = queue.scan_settled()
+    for path in scan.corrupt:
         job_hash = entry_hash(path.name)
         repaired = fix
         if fix:
@@ -398,15 +442,10 @@ def run_doctor(
         findings.append(
             Finding(SEVERITY_ERROR, "corrupt-entry", job_hash, message, repaired)
         )
-    if fix and corrupt_paths:
-        entries, _ = queue.scan_settled()
 
     # -- 2/3. queue-vs-store state skew ---------------------------------
-    for entry in entries:
-        if (
-            entry.state in (STATE_QUEUED, STATE_LEASED)
-            and store.job_payload(entry.job_hash) is not None
-        ):
+    for entry in scan.entries:
+        if store.job_payload(entry.job_hash) is not None:
             repaired = False
             if fix:
                 queue.complete(entry)
@@ -427,7 +466,9 @@ def run_doctor(
         ):
             repaired = False
             if fix:
-                queue.requeue_expired(now=now)
+                [expired] = queue.expire_leases([entry], now)
+                if expired.state == STATE_EXHAUSTED:
+                    quarantine.absorb_exhausted(queue, expired, now)
                 repaired = True
             findings.append(
                 Finding(
@@ -440,9 +481,10 @@ def run_doctor(
             )
 
     # -- 4. heartbeat liveness ------------------------------------------
-    undrained = any(
-        entry.state in (STATE_QUEUED, STATE_LEASED) for entry in entries
-    )
+    # Pending work is read by the one drained rule, after any repair above.
+    if fix:
+        scan = queue.scan_settled()
+    undrained = not is_drained(tally(*scan))
     beat = _read_heartbeat(paths.heartbeat, now, heartbeat_stale_after)
     if beat is None or beat.get("state") == SERVICE_STOPPED:
         if undrained:
@@ -502,7 +544,7 @@ def run_doctor(
             )
 
     # -- 6. manifest accounting ------------------------------------------
-    known = {entry.job_hash for entry in entries}
+    known = {entry.job_hash for entry in scan.entries}
     manifests, unreadable = read_manifests(paths)
     for manifest_path in unreadable:
         repaired = False

@@ -27,16 +27,18 @@ The store is the done state.  After a dispatch the service reads each
 job's result once; one that reads back completes the entry (its file is
 unlinked), and one that does not -- a torn or lost result write -- releases
 the entry with its attempt refunded, so the job runs again and is never
-counted done or served.  The queue therefore holds only unfinished work,
-and a drained directory holds no entry file.
+counted done or served.  The quarantine is the failed state: a job that
+used up its attempts leaves the queue for a ``FailureRecord`` in the poll
+that exhausts it.  The queue therefore holds only unfinished work, and a
+drained directory holds no entry file.
 
 A poll reads the queue once: one :meth:`~repro.fleet.queue.JobQueue.scan` at
 its top feeds corrupt-entry healing, lease expiry, quarantine and the lease,
-and is dropped before dispatch.  That scan lists every state directory but
+and is dropped before dispatch.  That scan lists both state directories but
 reads only what the poll can act on: the queued entries in dispatch order
-until ``lease_limit`` of them are leasable, and every leased and failed
-entry.  The drain check between polls is a listing that reads no entry
-file, so no transient read error can hold it up.
+until ``lease_limit`` of them are leasable, and every leased entry.  The
+drain check between polls is a listing that reads no entry file, so no
+transient read error can hold it up.
 
 The heartbeat's ``queue`` block is always the tally of a real scan, never
 in-memory bookkeeping (files listed but not read count in their directory's
@@ -59,15 +61,14 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.fleet.faults import directive_hook
 from repro.fleet.queue import (
-    COUNT_CORRUPT,
     PRIORITIES,
-    STATE_FAILED,
+    STATE_EXHAUSTED,
     STATE_QUEUED,
     JobQueue,
     QueueEntry,
@@ -228,8 +229,8 @@ class FleetConfig:
     #: Drain mode: exit once the queue is empty and every manifest is
     #: finalized (after waiting up to ``drain_grace`` seconds for the first
     #: work to appear), or ``blocked`` once a pending manifest's missing jobs
-    #: are failed, quarantined, or lost for ``drain_grace`` seconds with the
-    #: queue empty.  This is what CI and tests run.
+    #: are quarantined, or lost for ``drain_grace`` seconds with the queue
+    #: empty.  This is what CI and tests run.
     drain: bool = False
     drain_grace: float = 10.0
     #: Non-drain services exit after this many seconds with nothing to do
@@ -346,7 +347,7 @@ class FleetService:
             snapshot[entry.job_hash] = entry
         for entry in self.queue.expire_leases(snapshot.values(), now):
             snapshot[entry.job_hash] = entry
-        self._quarantine_exhausted(snapshot.values(), now)
+            self._quarantine(entry, now)
         return self.queue.lease(
             limit=self.config.lease_limit,
             worker=self.worker_name,
@@ -450,7 +451,7 @@ class FleetService:
                 )
                 self.jobs_failed += 1
                 obs_state.counter("fleet.failures.jobs").inc()
-                self._quarantine_exhausted([updated], now)
+                self._quarantine(updated, now)
             else:
                 self.queue.release(
                     entry.job_hash, note=self.POOL_SUSPECT, fallback=entry
@@ -470,7 +471,7 @@ class FleetService:
         obs_state.counter("fleet.failures.jobs").inc()
         if updated.state == STATE_QUEUED:
             obs_state.counter("fleet.retries.scheduled").inc()
-        self._quarantine_exhausted([updated], now)
+        self._quarantine(updated, now)
 
     def _record_history(
         self,
@@ -533,46 +534,26 @@ class FleetService:
             obs_state.counter("fleet.failures.quarantined").inc()
         return requeued
 
-    def _quarantine_exhausted(
-        self, entries: Iterable[QueueEntry], now: float
-    ) -> None:
-        """Move the terminally-failed ``entries`` out of the queue, with
-        forensics.
+    def _quarantine(self, entry: QueueEntry, now: float) -> None:
+        """Quarantine ``entry`` with this service's history of it, if
+        :meth:`JobQueue.fail` returned it exhausted.
 
-        Callers pass what they just read or wrote -- the poll's scan, or the
-        entry :meth:`JobQueue.fail` returned -- so an entry is quarantined in
-        the poll that exhausts it, before a draining loop can observe it and
-        exit.
+        Callers pass what ``fail`` just returned, so an entry is quarantined
+        in the poll that exhausts it, before a draining loop can observe it
+        and exit.
         """
-        for entry in entries:
-            if entry.state != STATE_FAILED:
-                continue
-            history = tuple(self._failure_history.pop(entry.job_hash, ()))
-            error_class = (
-                history[-1].get("error_class", "Exception")
-                if history
-                else "Exception"
-            )
-            self.quarantine.add(
-                FailureRecord(
-                    job_hash=entry.job_hash,
-                    reason=(
-                        "poison-pool"
-                        if entry.note == self.POOL_SUSPECT
-                        else "exhausted"
-                    ),
-                    error_class=error_class,
-                    message=entry.error or "",
-                    attempts=entry.attempts,
-                    job=entry.job,
-                    history=history,
-                    recorded_unix=now,
-                )
-            )
-            self.queue.remove(entry.job_hash)
-            self._known.pop(entry.job_hash, None)
-            self.jobs_quarantined += 1
-            obs_state.counter("fleet.failures.quarantined").inc()
+        if entry.state != STATE_EXHAUSTED:
+            return
+        self.quarantine.absorb_exhausted(
+            self.queue,
+            entry,
+            now,
+            history=tuple(self._failure_history.pop(entry.job_hash, ())),
+            reason="poison-pool" if entry.note == self.POOL_SUSPECT else "exhausted",
+        )
+        self._known.pop(entry.job_hash, None)
+        self.jobs_quarantined += 1
+        obs_state.counter("fleet.failures.quarantined").inc()
 
     def finalize_reports(self) -> int:
         """Turn fully-landed manifests into stored ``spec_hash`` reports.
@@ -653,10 +634,10 @@ class FleetService:
         for ``drain_grace`` seconds in drain mode, or for ``idle_timeout``
         seconds, the loop gives up (a plain ``serve`` keeps retrying).  On the
         way out one summary is built, with the exit reason as ``exit``:
-        ``drained``, ``idle-timeout``, ``blocked`` (nothing is queued or
-        leased, and pending manifests wait on failed or quarantined jobs, or
-        on lost ones -- no entry, no result -- for ``drain_grace`` idle
-        seconds), ``poll-errors`` or ``interrupted``.  It is both the return
+        ``drained``, ``idle-timeout``, ``blocked`` (the queue holds no entry,
+        and pending manifests wait on quarantined jobs, or on lost ones -- no
+        entry, no result -- for ``drain_grace`` idle seconds),
+        ``poll-errors`` or ``interrupted``.  It is both the return
         value and the body of the ``stopped`` heartbeat.
         """
         config = self.config
@@ -707,9 +688,7 @@ class FleetService:
                 # as corrupt here, and the next poll heals them.
                 counts = self._last_counts = tally(*self.queue.scan(states=()))
                 manifests = read_manifests(self.paths)[0]
-                if not counts[COUNT_CORRUPT] and _drained(
-                    counts, manifests, self._report_stored
-                ):
+                if _drained(counts, manifests, self._report_stored):
                     # The observation is trustworthy at this instant; the
                     # summary's ``drained`` reports it.
                     if config.drain and (saw_work or idle >= config.drain_grace):
@@ -721,20 +700,18 @@ class FleetService:
                 elif (
                     config.drain
                     and is_drained(counts)
-                    and counts[COUNT_CORRUPT] == 0
                     and (
-                        counts[STATE_FAILED] > 0
-                        or self.quarantine.counts()["jobs"] > 0
+                        self.quarantine.counts()["jobs"] > 0
                         or idle >= config.drain_grace
                     )
                 ):
-                    # Manifests are pending with nothing queued or leased:
-                    # their missing jobs are terminally failed or
-                    # quarantined, or, once no poll has done work for
-                    # drain_grace seconds, lost (no entry and no result, as
-                    # a submitter killed between its manifest and its entries
-                    # leaves them).  Draining further cannot make progress.
-                    # Exit and let status/doctor/verify report the damage.
+                    # Manifests are pending with no entry left: their missing
+                    # jobs are quarantined, or, once no poll has done work
+                    # for drain_grace seconds, lost (no entry and no result,
+                    # as a submitter killed between its manifest and its
+                    # entries leaves them).  Draining further cannot make
+                    # progress.  Exit and let status/doctor/verify report the
+                    # damage.
                     exit_reason = "blocked"
                     break
                 time.sleep(config.poll_interval)
@@ -768,9 +745,9 @@ def _drained(
     manifests: List[Dict[str, Any]],
     reported: Callable[[str], bool],
 ) -> bool:
-    """The one drained rule: a queue tally with nothing queued, leased or
-    hidden, and a stored report (``reported(spec_hash)``) for every readable
-    manifest.  An unreadable manifest is never pending: no service can
+    """The one drained rule: a queue tally with no entry file
+    (:func:`~repro.fleet.queue.is_drained`), and a stored report
+    (``reported(spec_hash)``) for every readable manifest.  An unreadable manifest is never pending: no service can
     finalize it (``fleet doctor`` reports it)."""
     return is_drained(counts) and all(
         reported(manifest["spec_hash"]) for manifest in manifests

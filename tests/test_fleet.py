@@ -13,6 +13,7 @@ from repro.fleet import (
     FleetConfig,
     FleetService,
     JobQueue,
+    Quarantine,
     ShardedResultStore,
     fleet_status,
     submit_campaign,
@@ -21,7 +22,7 @@ from repro.fleet import (
 )
 from repro.fleet.queue import (
     PRIORITIES,
-    STATE_FAILED,
+    STATE_EXHAUSTED,
     STATE_LEASED,
     STATE_QUEUED,
     _SeqLock,
@@ -59,7 +60,7 @@ def _tally(scan):
     """Per-state counts of one ``JobQueue.scan()`` result: the entries it
     read, plus the files it listed without reading."""
     entries, corrupt, transient, unread = scan
-    totals = dict.fromkeys((STATE_QUEUED, STATE_LEASED, STATE_FAILED), 0)
+    totals = dict.fromkeys((STATE_QUEUED, STATE_LEASED), 0)
     totals.update(unread)
     for entry in entries:
         totals[entry.state] += 1
@@ -107,30 +108,38 @@ class TestJobQueue:
     def test_expired_lease_requeues_with_attempt_spent(self, tmp_path):
         queue = JobQueue(tmp_path / "q", lease_timeout=30.0, max_attempts=2)
         entry = queue.submit(_tiny_job())
-        queue.lease(limit=1, worker="w1", now=100.0)
+        [leased] = queue.lease(limit=1, worker="w1", now=100.0)
         # Before the deadline nothing is recovered.
-        assert queue.requeue_expired(now=120.0) == 0
+        assert queue.expire_leases([leased], now=120.0) == []
         assert queue.get(entry.job_hash).state == STATE_LEASED
         # Past the deadline the entry goes back to queued, attempt spent.
-        assert queue.requeue_expired(now=131.0) == 1
+        assert len(queue.expire_leases([leased], now=131.0)) == 1
         requeued = queue.get(entry.job_hash)
         assert requeued.state == STATE_QUEUED
         assert requeued.attempts == 1
         assert "lease expired" in requeued.error
 
     def test_exhausted_attempts_fail_terminally(self, tmp_path):
+        """The last attempt's ``fail`` writes nothing: the entry comes back
+        exhausted, for the caller to quarantine, and its lease stays on disk
+        until then."""
         queue = JobQueue(tmp_path / "q", lease_timeout=30.0, max_attempts=2)
         entry = queue.submit(_tiny_job())
-        queue.lease(limit=1, worker="w1", now=100.0)
-        queue.requeue_expired(now=131.0)
-        queue.lease(limit=1, worker="w1", now=200.0)
-        queue.requeue_expired(now=231.0)  # second attempt spent -> exhausted
-        dead = queue.get(entry.job_hash)
-        assert dead.state == STATE_FAILED
+        [first] = queue.lease(limit=1, worker="w1", now=100.0)
+        queue.expire_leases([first], now=131.0)
+        [second] = queue.lease(limit=1, worker="w1", now=200.0)
+        lease_file = queue.locate(entry.job_hash)
+        lease_bytes = lease_file.read_bytes()
+        # Second attempt spent -> exhausted.
+        [dead] = queue.expire_leases([second], now=231.0)
+        assert dead.state == STATE_EXHAUSTED
         assert dead.attempts == 2
-        counts = queue.counts()
-        assert counts[STATE_FAILED] == 1
-        assert queue.drained()  # failed entries neither wait nor run
+        assert "lease expired" in dead.error
+        assert lease_file.read_bytes() == lease_bytes
+        assert sorted(path.name for path in queue.entries_dir.iterdir()) == [
+            STATE_LEASED, STATE_QUEUED
+        ]
+        assert not queue.drained()  # unfinished until it is quarantined
 
     def test_complete_is_idempotent(self, tmp_path):
         """Completing removes the entry's file, and the queue keeps no record
@@ -156,8 +165,26 @@ class TestJobQueue:
         assert len(queue.lease(limit=1, now=failed.not_before + 0.01)) == 1
         assert (
             queue.fail(entry.job_hash, error="boom", now=200.0).state
-            == STATE_FAILED
+            == STATE_EXHAUSTED
         )
+
+    @pytest.mark.parametrize("old", ["done", "failed"])
+    def test_a_state_directory_of_an_older_version_is_never_read(
+        self, tmp_path, old
+    ):
+        """Done jobs live in the store and exhausted ones in quarantine, so
+        an older service's ``done/`` or ``failed/`` entry is no part of the
+        queue: nothing lists it, and the job submits afresh."""
+        queue = JobQueue(tmp_path / "q")
+        entry = queue.submit(_tiny_job())
+        (queue.entries_dir / old).mkdir()
+        leftover = queue.entries_dir / old / entry.name
+        queue.locate(entry.job_hash).rename(leftover)
+        assert set(queue.counts().values()) == {0} and queue.drained()
+        assert queue.get(entry.job_hash) is None and queue.duplicates() == []
+        fresh = queue.submit(_tiny_job())
+        assert (fresh.state, fresh.seq) == (STATE_QUEUED, entry.seq + 1)
+        assert leftover.exists()
 
     def test_priorities_beyond_32_bits_are_refused_before_any_write(
         self, tmp_path, capsys
@@ -282,13 +309,19 @@ class TestSubmitDedup:
         assert again.state == STATE_QUEUED
 
     def test_failed_entry_is_resubmittable(self, tmp_path):
-        queue = JobQueue(tmp_path / "q", max_attempts=1)
+        """A job out of attempts leaves the queue for quarantine; submitting
+        it again writes a fresh queued entry."""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
         entry = queue.submit(_tiny_job())
-        queue.lease(limit=1, now=100.0)
-        queue.fail(entry.job_hash, error="boom")
+        [leased] = queue.lease(limit=1, now=100.0)
+        exhausted = queue.fail(entry.job_hash, error="boom", fallback=leased)
+        Quarantine(root / "quarantine").absorb_exhausted(queue, exhausted, 100.0)
+        assert queue.get(entry.job_hash) is None
         fresh = queue.submit(_tiny_job())
         assert fresh.state == STATE_QUEUED
         assert fresh.attempts == 0
+        assert fresh.seq == entry.seq + 1
 
 
 # ---------------------------------------------------------------------------

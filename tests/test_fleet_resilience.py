@@ -1,4 +1,4 @@
-"""Failure semantics: fault injection, backoff, quarantine, doctor, gc."""
+"""Failure semantics: fault injection, backoff, quarantine, doctor."""
 
 import json
 import os
@@ -25,7 +25,7 @@ from repro.fleet import (
     verify_campaign,
 )
 from repro.fleet.faults import InjectedFault, InjectedOSError
-from repro.fleet.queue import STATE_FAILED, STATE_LEASED, STATE_QUEUED
+from repro.fleet.queue import STATE_EXHAUSTED, STATE_LEASED, STATE_QUEUED, tally
 from repro.fleet.resilience import FailureRecord
 from repro.fleet.service import FleetPaths
 from repro.fleet.store import read_manifests
@@ -72,9 +72,7 @@ def _dead_pid():
 
 
 #: The tally of a queue with no entry file at all.
-EMPTY = {
-    STATE_QUEUED: 0, STATE_LEASED: 0, STATE_FAILED: 0, "corrupt": 0, "transient": 0
-}
+EMPTY = {STATE_QUEUED: 0, STATE_LEASED: 0, "corrupt": 0, "transient": 0}
 
 
 def _drain_config(root, faults=None, **overrides):
@@ -172,7 +170,7 @@ class TestFaultPlan:
         assert plan.intercept_write("queue.write", path, {"new": True}) == "skip"
         # The destination is untouched (the "crash" hit before os.replace)...
         assert json.loads(path.read_text(encoding="utf-8")) == {"old": True}
-        # ...and the orphaned temp file is left behind for gc/doctor to sweep.
+        # ...and the orphaned temp file is left behind for doctor --fix to sweep.
         assert list(tmp_path.glob("*.tmp"))
 
     def test_oserror_rules_raise(self, tmp_path):
@@ -324,7 +322,7 @@ class TestQueueCrashConsistency:
         queue = JobQueue(tmp_path / "q", lease_timeout=30.0)
         entry = queue.submit(_tiny_job())
         [stale] = queue.lease(limit=1, worker="w1", now=100.0)
-        assert queue.requeue_expired(now=200.0) == 1
+        assert len(queue.expire_leases([stale], now=200.0)) == 1
         requeued = queue.get(entry.job_hash)
         assert requeued.state == STATE_QUEUED and requeued.attempts == 1
         [fresh] = queue.lease(limit=1, worker="w2", now=300.0)
@@ -355,7 +353,7 @@ class TestQueueCrashConsistency:
         queue.submit(_tiny_job())
         [leased] = queue.lease(limit=1, now=100.0)
         assert leased.lease_deadline < 100.0  # handed out already expired
-        assert queue.requeue_expired(now=100.0) == 1
+        assert len(queue.expire_leases([leased], now=100.0)) == 1
 
     def test_transient_read_errors_hide_entries_without_corrupting(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
@@ -387,67 +385,16 @@ class TestQueueCrashConsistency:
         queue = JobQueue(tmp_path / "q")
         queue.submit(_tiny_job())
         queue.faults = FaultPlan.parse("seed=2;oserror@queue.read=0.5")
-        entries, corrupt = queue.scan_settled(attempts=20)
-        assert len(entries) == 1 and corrupt == []
+        entries, corrupt, transient, _ = queue.scan_settled(attempts=20)
+        assert len(entries) == 1 and corrupt == transient == []
 
     def test_scan_settled_gives_up_on_persistent_failures(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
         entry = queue.submit(_tiny_job())
         queue.faults = FaultPlan.parse("seed=0;oserror@queue.read=1.0")
-        entries, corrupt = queue.scan_settled(attempts=3)
-        assert entries == []
+        entries, corrupt, transient, _ = queue.scan_settled(attempts=3)
+        assert entries == [] and transient == []
         assert corrupt == [queue.locate(entry.job_hash)]
-
-
-# ---------------------------------------------------------------------------
-# Queue GC
-# ---------------------------------------------------------------------------
-
-
-class TestQueueGC:
-    def _aged(self, path: Path, age: float) -> None:
-        stamp = time.time() - age
-        os.utime(path, (stamp, stamp))
-
-    def test_gc_removes_old_terminal_entries_only(self, tmp_path):
-        queue = JobQueue(tmp_path / "q", max_attempts=1)
-        failed = queue.submit(_tiny_job(policy="sysscale"))
-        leased = queue.submit(_tiny_job(policy="baseline"))
-        live = queue.submit(_tiny_job(name="433.milc"))
-        queue.lease(limit=2, now=100.0)
-        queue.fail(failed.job_hash, error="boom", now=100.0)
-        for entry in (failed, leased, live):
-            self._aged(queue.locate(entry.job_hash), 7200.0)
-        summary = queue.gc(ttl=3600.0)
-        assert summary == {
-            "scanned": 3, "removed_failed": 1, "removed_tmp": 0, "kept": 2
-        }  # queued and leased entries are never collected
-        assert queue.get(live.job_hash) is not None
-        assert queue.get(leased.job_hash).state == STATE_LEASED
-        assert queue.get(failed.job_hash) is None
-
-    def test_gc_respects_ttl_and_dry_run(self, tmp_path):
-        queue = JobQueue(tmp_path / "q", max_attempts=1)
-        entry = queue.submit(_tiny_job())
-        queue.lease(limit=1, now=100.0)
-        queue.fail(entry.job_hash, error="boom", now=100.0)
-        summary = queue.gc(ttl=3600.0)  # entry is fresh: kept
-        assert summary["removed_failed"] == 0 and summary["kept"] == 1
-        self._aged(queue.locate(entry.job_hash), 7200.0)
-        dry = queue.gc(ttl=3600.0, dry_run=True)
-        assert dry["removed_failed"] == 1
-        assert queue.get(entry.job_hash) is not None  # dry run deleted nothing
-        queue.gc(ttl=3600.0)
-        assert queue.get(entry.job_hash) is None
-
-    def test_gc_sweeps_stray_tmp_files(self, tmp_path):
-        queue = JobQueue(tmp_path / "q")
-        stray = queue.entries_dir / ".deadbeef-xyz.tmp"
-        stray.write_text("{}", encoding="utf-8")
-        self._aged(stray, 7200.0)
-        summary = queue.gc(ttl=3600.0)
-        assert summary["removed_tmp"] == 1
-        assert not stray.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +560,56 @@ class TestServiceChaos:
         assert queue.get(entry.job_hash) is None
         assert service.jobs_quarantined == 1
 
+    def test_a_crash_before_the_quarantine_record_costs_one_lease(self, tmp_path):
+        """The last attempt's ``fail`` writes nothing, so a service that dies
+        before writing the quarantine record leaves only its lease: once the
+        lease deadline passes, a fresh service's poll quarantines the job,
+        and no entry is left."""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir, lease_timeout=5.0, max_attempts=1)
+        entry = queue.submit(_tiny_job())
+        [leased] = queue.lease(limit=1, worker="gone", now=100.0)
+        exhausted = queue.fail(entry.job_hash, error="boom", now=101.0, fallback=leased)
+        assert exhausted.state == STATE_EXHAUSTED
+        quarantine = Quarantine(root / "quarantine")
+        assert quarantine.get(entry.job_hash) is None
+        assert queue.get(entry.job_hash) == leased
+        service = FleetService(_drain_config(root, max_attempts=1, lease_timeout=5.0))
+        assert service.run_once(now=104.0) == 0  # the lease is still live
+        assert queue.get(entry.job_hash) == leased
+        assert service.run_once(now=106.0) == 0
+        service.executor.close()
+        record = quarantine.get(entry.job_hash)
+        assert (record.reason, record.attempts) == ("exhausted", 1)
+        assert "lease expired" in record.message
+        assert list(queue.entries_dir.rglob("*.json")) == []
+        assert not (queue.entries_dir / "failed").exists()
+
+    def test_a_torn_entry_is_unfinished_work_to_status_doctor_and_serve(
+        self, tmp_path
+    ):
+        """A torn queued entry no service holds reads as unfinished work by
+        the one drained rule: ``fleet status`` is not drained, the doctor
+        sees work pending with no service, and ``serve --drain`` polls on
+        until the lease timeout passes and it quarantines the file."""
+        root = tmp_path / "fleet"
+        submit_campaign(root, _tiny_campaign())
+        FleetService(_drain_config(root)).serve_forever()
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        stray = queue.submit(_tiny_job(tdp=3.5))  # in no manifest
+        queue.locate(stray.job_hash).write_text("{torn", encoding="utf-8")
+        status = fleet_status(root)
+        assert (status["drained"], status["queue"]["corrupt"]) == (False, 1)
+        codes = {f.code for f in run_doctor(root).findings}
+        assert {"corrupt-entry", "no-service"} <= codes
+        summary = FleetService(
+            _drain_config(root, drain_grace=0.1, lease_timeout=0.5)
+        ).serve_forever()
+        assert (summary["exit"], summary["jobs_quarantined"]) == ("drained", 1)
+        assert summary["rounds"] > 1
+        assert Quarantine(root / "quarantine").has(stray.job_hash)
+        assert fleet_status(root)["drained"] is True
+
     def test_corrupt_entry_restored_from_store(self, tmp_path):
         """A corrupt entry whose result reads back from the store is healed
         by dropping it: the store says the job is done, and it never runs
@@ -692,40 +689,31 @@ class TestServiceChaos:
         # The stopped beat carries the summary whole.
         assert {key: beat[key] for key in summary} == summary
 
-    def test_the_drain_check_reads_no_entry_file(self, tmp_path):
-        """A drained directory exits ``drained`` even when every entry read
-        fails: the drain check between polls is a listing.  Here the polls'
-        scans fail to read a failed entry, yet the listing counts it as
-        failed, not as hidden.  (A subprocess with a timeout: when the drain
-        check read done entries back, a read fault could hold it forever.)"""
+    def test_the_drain_check_reads_no_entry_file(self, tmp_path, monkeypatch):
+        """The drain check between polls is a listing, ``scan(states=())``:
+        under a plan where every entry read fails, it still counts each
+        entry file in its directory's state and attempts no read, so no
+        read fault can hide work from it."""
         root = tmp_path / "fleet"
-        campaign = _tiny_campaign()
-        submit_campaign(root, campaign)
-        FleetService(_drain_config(root)).serve_forever()
-        queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
-        stray = queue.submit(_tiny_job(tdp=3.5))  # in no manifest
-        queue.lease(limit=1, now=100.0)
-        queue.fail(stray.job_hash, error="boom", now=100.0)
-        script = (
-            "import json, sys\n"
-            "from repro.fleet import FaultPlan\n"
-            "from repro.fleet.service import FleetConfig, FleetService\n"
-            "config = FleetConfig(root=sys.argv[1], workers=1, drain=True,\n"
-            "                     drain_grace=0.2, poll_interval=0.01,\n"
-            "                     faults=FaultPlan.parse(sys.argv[2]))\n"
-            "print(json.dumps(FleetService(config).serve_forever()))\n"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script, str(root), "seed=7;oserror@queue.read=1.0"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-        )
-        assert completed.returncode == 0, completed.stderr
-        summary = json.loads(completed.stdout)
-        assert (summary["exit"], summary["drained"]) == ("drained", True)
-        assert summary["faults"]["oserror@queue.read"] == summary["rounds"]
+        JobQueue(FleetPaths(root).queue_dir).submit(_tiny_job())
+        plan = FaultPlan.parse("seed=7;oserror@queue.read=1.0")
+        service = FleetService(_drain_config(root, faults=plan))
+        # Polls that read nothing, and a loop stopped at its first sleep, so
+        # the stopped beat carries the drain check's tally.
+        service.run_once = lambda now=None: 0
+
+        def stop(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", stop)
+        with pytest.raises(KeyboardInterrupt):
+            service.serve_forever()
         beat = json.loads(FleetPaths(root).heartbeat.read_text(encoding="utf-8"))
-        assert beat["queue"] == {**EMPTY, STATE_FAILED: 1}
+        assert beat["exit"] == "interrupted"
+        assert beat["queue"] == {**EMPTY, STATE_QUEUED: 1}
+        assert plan.events == []
+        # A scan that reads the entry cannot see it at all.
+        assert tally(*service.queue.scan()) == {**EMPTY, "transient": 1}
 
     def test_a_lost_manifest_job_ends_a_drain_blocked(self, tmp_path):
         """A manifest job with no queue entry, no result and no quarantine
@@ -961,6 +949,31 @@ class TestDoctor:
         )
         assert queue.get(entry.job_hash).state == STATE_QUEUED
 
+    def test_expired_last_attempt_is_quarantined_on_fix(self, tmp_path):
+        """The doctor repairs an expired lease through the service's own
+        quarantine: on its last attempt the job leaves a ``FailureRecord``
+        and no entry file, with no service poll needed."""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir, lease_timeout=30.0)
+        entry = queue.submit(_tiny_job())
+        now = 100.0
+        for _ in range(queue.max_attempts - 1):
+            queue.lease(limit=1, now=now)
+            queue.fail(entry.job_hash, error="boom", now=now)
+            now += 100.0
+        [last] = queue.lease(limit=1, worker="gone", now=now)
+        assert last.attempts == queue.max_attempts
+        report = run_doctor(root, fix=True, now=now + 100.0)
+        assert report.ok
+        assert any(f.code == "expired-lease" and f.fixed for f in report.findings)
+        record = Quarantine(root / "quarantine").get(entry.job_hash)
+        assert (record.reason, record.attempts, record.history) == (
+            "exhausted", queue.max_attempts, ()
+        )
+        assert "lease expired" in record.message and record.job == entry.job
+        assert list(queue.entries_dir.rglob("*.json")) == []
+        assert not (queue.entries_dir / "failed").exists()
+
     def test_stray_tmp_is_swept_on_fix(self, tmp_path):
         root = tmp_path / "fleet"
         queue = JobQueue(FleetPaths(root).queue_dir)
@@ -984,7 +997,7 @@ class TestDoctor:
             for f in report.findings
         )
 
-    @pytest.mark.parametrize("later", [STATE_LEASED, STATE_FAILED])
+    @pytest.mark.parametrize("later", [STATE_LEASED])
     def test_entry_in_two_state_directories_resolves_to_the_later(
         self, tmp_path, later
     ):
@@ -992,15 +1005,13 @@ class TestDoctor:
         the later state wins, the entry is never leased again, and the doctor
         reports the leftover and removes it on ``--fix``."""
         root = tmp_path / "fleet"
-        queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
+        queue = JobQueue(FleetPaths(root).queue_dir)
         job = _tiny_job()
         entry = queue.submit(job)
         queued_file = queue.locate(entry.job_hash)
         queued_bytes = queued_file.read_bytes()
         now = time.time()
         queue.lease(limit=1, now=now)  # a live lease: nothing else to repair
-        if later == STATE_FAILED:
-            queue.fail(entry.job_hash, error="boom", now=now)
         queued_file.write_bytes(queued_bytes)
         assert queue.get(entry.job_hash).state == later
         assert queue.lease(limit=1, now=now) == []
@@ -1064,7 +1075,7 @@ class TestDoctor:
 
 
 # ---------------------------------------------------------------------------
-# CLI: fleet doctor / fleet gc / serve --faults / status surfaces
+# CLI: fleet doctor / serve --faults / status surfaces
 # ---------------------------------------------------------------------------
 
 
@@ -1108,35 +1119,6 @@ class TestResilienceCli:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         assert isinstance(report["findings"], list)
-
-    def test_gc_dry_run_then_real(self, tmp_path, capsys):
-        from repro.cli import main
-
-        root = self._drained_fleet(tmp_path)
-        queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
-        assert list(queue.entries_dir.rglob("*.json")) == []  # done: no entry
-        jobs = [_tiny_job(tdp=tdp) for tdp in (3.5, 5.5, 6.5)]
-        for job in jobs:
-            queue.submit(job)
-        for leased in queue.lease(limit=3, now=100.0):
-            queue.fail(leased.job_hash, error="boom", now=100.0)
-        stamp = time.time() - 7200.0
-        for path in queue.entries_dir.rglob("*.json"):
-            os.utime(path, (stamp, stamp))
-        args = ["fleet", "gc", "--fleet-dir", str(root), "--ttl", "3600"]
-        assert main(args + ["--dry-run"]) == 0
-        assert "would remove 3 failed" in capsys.readouterr().out
-        assert len(queue.entries()) == 3  # dry run deleted nothing
-        assert main(args) == 0
-        assert "removed 3 failed" in capsys.readouterr().out
-        assert queue.entries() == []
-
-    def test_gc_rejects_negative_ttl(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["fleet", "gc", "--fleet-dir", str(tmp_path), "--ttl", "-5"])
-        assert code == 2
-        assert "--ttl" in capsys.readouterr().err
 
     def test_status_surfaces_corruption_and_quarantine(self, tmp_path, capsys):
         from repro.cli import main
