@@ -334,8 +334,9 @@ def register(subparsers: Any) -> None:
             "applies every repair that cannot lose information (remove "
             "shadowed duplicates, drop corrupt entries whose result reads "
             "back and quarantine the rest, quarantine unreadable manifests, "
-            "complete already-stored entries, requeue expired leases and "
-            "quarantine those out of attempts, sweep stray temp files)."
+            "complete already-stored entries, sweep stray temp files).  "
+            "Expired leases are left to serve, which knows --max-attempts "
+            "and recovers them in its next poll."
         ),
     )
     _add_fleet_dir(doctor)

@@ -41,9 +41,14 @@ and only then removes the entry.  ``done/`` and ``failed/`` directories left
 by an older service are no part of the layout: nothing lists or reads them,
 and they may be deleted.
 
-Any other transition writes the new state's file and removes the old
-state's file only once the new one is on disk, so a lost write keeps the old
-state.  A crash between a write and a removal (or another process moving
+Every other transition -- ``lease``, ``fail``, ``release`` and
+``restore`` -- writes the entry its caller holds, changed, into the new
+state's directory, and removes the entry's file in the other state's
+directory only once the new one is on disk, so a lost write keeps the old
+state.  No transition reads the entry's file first: one service moves a
+leased entry (the doctor and submitters never do), so that file is the
+caller's copy, torn, or gone, and a re-read could change nothing that gets
+written.  A crash between a write and a removal (or another process moving
 the entry mid-transition) can leave one hash in two directories: the later
 lifecycle state wins (leased, then queued; within one directory, the first
 name), the other file is ignored -- never leased twice -- and ``fleet
@@ -72,7 +77,8 @@ flapping job cannot hot-loop through its attempt budget.
 Corrupt entry files (truncated JSON, wrong schema, missing fields) are
 **counted, not swallowed**: :meth:`JobQueue.scan` classifies them,
 :meth:`JobQueue.counts` surfaces them under ``"corrupt"``, and the service's
-healing sweep drops (the job is done), requeues or quarantines them.  A
+healing sweep drops them (the job is done), writes the entry back as the
+service last wrote it (:meth:`JobQueue.restore`), or quarantines them.  A
 file in the schema-1 flat layout (``entries/<job_hash>.json``) is corrupt by
 its place, unread.  Transient read errors (``OSError``, including injected
 ones) just hide an entry for one scan -- the bytes on disk are fine and the
@@ -343,7 +349,9 @@ class _SeqLock:
 
 @dataclass
 class JobQueue:
-    """Durable priority/FIFO queue rooted at ``root``."""
+    """Durable priority/FIFO queue rooted at ``root``.  Constructing one
+    creates nothing (``fleet status`` and the doctor leave a missing
+    directory missing); each write creates the directories it needs."""
 
     root: Path
     lease_timeout: float = 60.0
@@ -360,8 +368,6 @@ class JobQueue:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         self._entries_dir = self.root / "entries"
-        for state in STATES:
-            (self._entries_dir / state).mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     # Durable primitives
@@ -372,9 +378,6 @@ class JobQueue:
 
     def _dir(self, state: str) -> Path:
         return self._entries_dir / state if state else self._entries_dir
-
-    def _path(self, entry: QueueEntry) -> Path:
-        return self._entries_dir / entry.state / entry.name
 
     def _list(self) -> _Listing:
         """List every entry directory; each hash keeps one winning file."""
@@ -408,11 +411,11 @@ class JobQueue:
 
     def _write(self, entry: QueueEntry, replaces: Iterable[Path] = ()) -> None:
         """Write ``entry`` into its state's directory, then remove the files
-        it ``replaces``.
+        it ``replaces`` (its own path excepted).
 
         A lost write (an injected ``skip``: the crash before the rename)
         removes nothing, so the entry keeps its old state."""
-        path = self._path(entry)
+        path = self._entries_dir / entry.state / entry.name
         injected = atomic_write_json(
             path, entry.to_dict(), faults=self.faults, fault_op="queue.write"
         )
@@ -458,28 +461,25 @@ class JobQueue:
             entry = replace(entry, state=state)
         return entry, None
 
-    def _on_disk(
-        self, job_hash: str, fallback: Optional[QueueEntry]
-    ) -> Tuple[Optional[QueueEntry], Optional[Path]]:
-        """The on-disk entry for ``job_hash`` and its file.
+    def _transition(self, entry: QueueEntry, **changes: Any) -> QueueEntry:
+        """Write ``entry``, the copy the caller holds, with ``changes``, in
+        place of its file in either state's directory; return what was
+        written.  Every transition writes through here."""
+        moved = replace(entry, **changes)
+        self._write(moved, self._everywhere(moved))
+        return moved
 
-        With ``fallback`` (the caller's copy) the file is the one at the
-        copy's own state and name, read with no listing; without it, the
-        hash's winning file.  The entry is ``None`` when that file is
-        missing, unreadable or in the schema-1 flat layout."""
-        if fallback is not None:
-            path = self._path(fallback)
-            return self._read_classified(path, fallback.state)[0], path
-        held = self._list().where.get(job_hash)
-        if held is None or held[0] == _LEGACY:
-            return None, None
-        path = self._dir(held[0]) / held[1]
-        return self._read_classified(path, held[0])[0], path
+    def _everywhere(self, entry: QueueEntry) -> List[Path]:
+        """``entry``'s file in every state: what a transition replaces, and
+        what ``complete`` removes, since a lost or torn write may have left
+        the entry in either."""
+        return [self._entries_dir / state / entry.name for state in STATES]
 
     def _next_seq(self, count: int = 1) -> int:
         """Reserve ``count`` consecutive sequence numbers under one lock and
-        return the first."""
+        return the first.  Creates the queue root the lock lives in."""
         counter = self.root / "seq"
+        self.root.mkdir(parents=True, exist_ok=True)
         with _SeqLock(self.root / "seq.lock"):
             try:
                 value = int(counter.read_text(encoding="utf-8"))
@@ -494,7 +494,7 @@ class JobQueue:
     def get(self, job_hash: str) -> Optional[QueueEntry]:
         """The entry for ``job_hash`` (lists the directories), or ``None``
         when it is absent or unreadable."""
-        return self._on_disk(job_hash, None)[0]
+        return self._live(self._list().where.get(job_hash))
 
     def locate(self, job_hash: str) -> Optional[Path]:
         """The winning entry file for ``job_hash`` (lists the directories)."""
@@ -720,16 +720,16 @@ class JobQueue:
                 # Forced-expiry fault: hand out a lease that is already past
                 # its deadline, exercising the takeover/requeue path.
                 deadline = now - 1.0
-            claimed = replace(
-                entry,
-                state=STATE_LEASED,
-                attempts=attempts,
-                lease_deadline=deadline,
-                not_before=None,
-                worker=worker,
+            leased.append(
+                self._transition(
+                    entry,
+                    state=STATE_LEASED,
+                    attempts=attempts,
+                    lease_deadline=deadline,
+                    not_before=None,
+                    worker=worker,
+                )
             )
-            self._write(claimed, [self._path(entry)])
-            leased.append(claimed)
         return leased
 
     def complete(self, entry: QueueEntry) -> None:
@@ -745,60 +745,42 @@ class JobQueue:
             path.unlink(missing_ok=True)
 
     def fail(
-        self,
-        job_hash: str,
-        error: str,
-        now: Optional[float] = None,
-        fallback: Optional[QueueEntry] = None,
+        self, entry: QueueEntry, error: str, now: Optional[float] = None
     ) -> QueueEntry:
-        """Record a failed attempt: back to ``queued`` behind a deterministic
-        backoff window while attempts are left.
+        """Record a failed attempt of ``entry``, the lease the caller holds:
+        back to ``queued`` behind a deterministic backoff window while
+        attempts are left.
 
         Once ``max_attempts`` is spent nothing is written: the entry comes
         back in :data:`STATE_EXHAUSTED` with its file still on disk, for the
         caller to quarantine (see
         :meth:`repro.fleet.resilience.Quarantine.absorb_exhausted`).
-
-        ``fallback`` is the caller's in-memory copy of the entry (the
-        service holds the leased entry it dispatched): its file is found
-        with no listing, and if that file has gone corrupt or missing in the
-        meantime -- a torn write, an injected fault -- the transition is
-        written from the copy instead of being lost.
         """
         # Deferred import: resilience imports this module at top level.
         from repro.fleet.resilience import backoff_seconds
 
         now = time.time() if now is None else now
-        entry, replaces = self._current(job_hash, fallback)
         if entry.attempts >= self.max_attempts:
             return replace(entry, state=STATE_EXHAUSTED, error=error)
-        failed = replace(
+        return self._transition(
             entry,
             state=STATE_QUEUED,
             lease_deadline=None,
-            not_before=now + backoff_seconds(job_hash, entry.attempts),
+            not_before=now + backoff_seconds(entry.job_hash, entry.attempts),
             worker=None,
             error=error,
         )
-        self._write(failed, replaces)
-        return failed
 
-    def release(
-        self,
-        job_hash: str,
-        note: Optional[str] = None,
-        fallback: Optional[QueueEntry] = None,
-    ) -> QueueEntry:
-        """Return a leased entry to ``queued`` *refunding* its attempt.
+    def release(self, entry: QueueEntry, note: Optional[str] = None) -> QueueEntry:
+        """Return ``entry``, the lease the caller holds, to ``queued``
+        *refunding* its attempt.
 
         For entries that did not get a fair attempt -- co-leased bystanders
         of a pool collapse whose culprit is unknown, or a job whose result
         did not read back from the store.  No backoff is applied: the entry
         is immediately leasable (a pool suspect runs solo, so a repeat
-        collapse identifies it exactly).  ``fallback`` plays the same role
-        as in :meth:`fail`."""
-        entry, replaces = self._current(job_hash, fallback)
-        released = replace(
+        collapse identifies it exactly)."""
+        return self._transition(
             entry,
             state=STATE_QUEUED,
             attempts=max(0, entry.attempts - 1),
@@ -807,59 +789,26 @@ class JobQueue:
             worker=None,
             note=note if note is not None else entry.note,
         )
-        self._write(released, replaces)
-        return released
 
-    def _current(
-        self, job_hash: str, fallback: Optional[QueueEntry]
-    ) -> Tuple[QueueEntry, List[Path]]:
-        """The on-disk entry, else ``fallback``, and the files its transition
-        replaces; ``KeyError`` with neither."""
-        entry, path = self._on_disk(job_hash, fallback)
-        if entry is not None:
-            return entry, [path]
-        if fallback is None:
-            raise KeyError(f"no queue entry for {job_hash}")
-        return fallback, self._everywhere(fallback)
-
-    def _everywhere(self, entry: QueueEntry) -> List[Path]:
-        """``entry``'s file in every state: what a write from the caller's
-        copy replaces, and what ``complete`` removes, since a lost or torn
-        write may have left the entry in any of them."""
-        return [self._entries_dir / state / entry.name for state in STATES]
-
-    def record_queued(
-        self, entry: QueueEntry, note: Optional[str] = None
-    ) -> QueueEntry:
-        """Rewrite ``entry`` as immediately-leasable ``queued`` state -- a
-        healing path too, so the hash's other files go once it lands."""
-        requeued = replace(
-            entry,
-            state=STATE_QUEUED,
-            lease_deadline=None,
-            not_before=None,
-            worker=None,
-            note=note if note is not None else entry.note,
-        )
-        self._write(requeued, self._files(entry.job_hash))
-        return requeued
+    def restore(self, entry: QueueEntry) -> QueueEntry:
+        """Write ``entry`` back unchanged: the healing path for an entry
+        whose file tore, given the copy that the torn write wrote (see
+        :mod:`repro.fleet.service`)."""
+        return self._transition(entry)
 
     def remove(self, job_hash: str) -> None:
-        """Delete every file of an entry outright (quarantine use only)."""
-        for path in self._files(job_hash):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def _files(self, job_hash: str) -> List[Path]:
-        """Every entry file of ``job_hash``: the winner and its losers."""
+        """Delete every file of an entry outright, the winner and its losers
+        (quarantine use only)."""
         listing = self._list()
         files = [path for path in listing.losers if entry_hash(path.name) == job_hash]
         held = listing.where.get(job_hash)
         if held is not None:
             files.append(self._dir(held[0]) / held[1])
-        return files
+        for path in files:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
 
     def expire_leases(
         self, entries: Iterable[QueueEntry], now: float
@@ -880,13 +829,12 @@ class JobQueue:
                 continue
             expired.append(
                 self.fail(
-                    entry.job_hash,
+                    entry,
                     error=(
                         f"lease expired after attempt {entry.attempts} "
                         f"(worker {entry.worker or 'unknown'})"
                     ),
                     now=now,
-                    fallback=entry,
                 )
             )
         return expired

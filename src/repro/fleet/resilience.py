@@ -17,23 +17,25 @@ half of the failure state machine:
   class, message, attempt count, and the per-attempt history the service
   observed (tracebacks included).  The quarantine is the failed state, as
   the store is the done state: the queue keeps no record of an exhausted
-  job, and :meth:`Quarantine.absorb_exhausted`, shared by the service and
-  the doctor, is the one path out of the queue for one.  Corrupt queue-entry
-  files get moved -- bytes intact -- into the same namespace instead of being
-  silently ignored.  Quarantine is terminal: nothing retries out of it
-  without an explicit resubmit.
+  job, and :meth:`Quarantine.absorb_exhausted`, which the service calls
+  with what ``JobQueue.fail`` returned, is the one path out of the queue
+  for one.  Corrupt queue-entry files get moved -- bytes intact -- into the
+  same namespace instead of being silently ignored.  Quarantine is
+  terminal: nothing retries out of it without an explicit resubmit.
 
 * :func:`run_doctor` -- the consistency audit behind ``repro fleet doctor
   [--fix]``.  It cross-checks queue, store, campaign manifests, heartbeat,
   and quarantine, reporting findings by severity; ``fix=True`` applies the
   safe repairs (remove an entry file shadowed by another of the same job,
   drop a corrupt entry whose result reads back and quarantine any other,
-  complete queued or leased entries whose result reads back, recover
-  expired leases and quarantine those out of attempts, sweep stray temp
-  files, quarantine unreadable campaign manifests).  The store is the done
-  state, so a finished job has no entry to audit: a result that reads back
-  is the whole record.  The exit contract: a directory is healthy iff no
-  *unfixed* error-severity finding remains.
+  complete queued or leased entries whose result reads back, sweep stray
+  temp files, quarantine unreadable campaign manifests).  An expired lease
+  is reported, never repaired: only ``repro serve`` knows the attempt
+  budget (``--max-attempts``) to judge it by, and its first poll recovers
+  every expired lease.  The store is the done state, so a finished job has
+  no entry to audit: a result that reads back is the whole record.  The
+  exit contract: a directory is healthy iff no *unfixed* error-severity
+  finding remains.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fleet.queue import (
-    STATE_EXHAUSTED,
     STATE_LEASED,
     JobQueue,
     QueueEntry,
@@ -219,16 +220,6 @@ class Quarantine:
             return FailureRecord.from_dict(data)
         except (KeyError, TypeError, ValueError):
             return None
-
-    def records(self) -> List[FailureRecord]:
-        if not self.jobs_dir.is_dir():
-            return []
-        found = []
-        for path in sorted(self.jobs_dir.glob("*.json")):
-            record = self.get(path.stem)
-            if record is not None:
-                found.append(record)
-        return found
 
     def has(self, job_hash: str) -> bool:
         """True when ``job_hash`` is accounted for in quarantine -- either a
@@ -464,19 +455,13 @@ def run_doctor(
             and entry.lease_deadline is not None
             and entry.lease_deadline <= now
         ):
-            repaired = False
-            if fix:
-                [expired] = queue.expire_leases([entry], now)
-                if expired.state == STATE_EXHAUSTED:
-                    quarantine.absorb_exhausted(queue, expired, now)
-                repaired = True
             findings.append(
                 Finding(
                     SEVERITY_WARNING,
                     "expired-lease",
                     entry.job_hash,
-                    f"lease expired (worker {entry.worker or 'unknown'})",
-                    repaired,
+                    f"lease expired (worker {entry.worker or 'unknown'}); "
+                    "the next serve poll recovers it",
                 )
             )
 

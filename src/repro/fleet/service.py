@@ -32,6 +32,13 @@ used up its attempts leaves the queue for a ``FailureRecord`` in the poll
 that exhausts it.  The queue therefore holds only unfinished work, and a
 drained directory holds no entry file.
 
+Every queue transition writes the entry the service holds, and the service
+keeps each entry it dispatched as it last wrote it: the lease, or what
+``fail`` or ``release`` returned.  When a poll's scan finds that entry's
+file torn, healing writes the kept copy back unchanged
+(:meth:`~repro.fleet.queue.JobQueue.restore`): a requeue keeps its refund,
+backoff, error and note, and a lease stays leased until it expires.
+
 A poll reads the queue once: one :meth:`~repro.fleet.queue.JobQueue.scan` at
 its top feeds corrupt-entry healing, lease expiry, quarantine and the lease,
 and is dropped before dispatch.  That scan lists both state directories but
@@ -291,8 +298,10 @@ class FleetService:
         #: Tally of the loop's latest queue scan: the poll's own, or the
         #: serve loop's drain check.  The heartbeat writes it.
         self._last_counts: Optional[Dict[str, int]] = None
-        #: Last in-memory copy of every entry this service has leased and not
-        #: completed -- the healing source when its on-disk file gets torn.
+        #: Every entry this service has leased and not completed or
+        #: quarantined, as its dispatch last wrote it: the lease, or what
+        #: ``fail`` or ``release`` returned.  Healing writes it back when
+        #: its file is torn.
         self._known: Dict[str, QueueEntry] = {}
         #: Spec hashes whose stored report read back valid.
         self._reported: Set[str] = set()
@@ -364,7 +373,7 @@ class FleetService:
         counted done or served.  Returns whether the entry completed.
         """
         if self.store.job_payload(entry.job_hash) is None:
-            self.queue.release(entry.job_hash, fallback=entry)
+            self._known[entry.job_hash] = self.queue.release(entry)
             return False
         self.queue.complete(entry)
         self._known.pop(entry.job_hash, None)
@@ -444,17 +453,18 @@ class FleetService:
                     "worker process died during solo dispatch",
                 )
                 updated = self.queue.fail(
-                    entry.job_hash,
+                    entry,
                     error="BrokenProcessPool: worker died during solo dispatch",
                     now=now,
-                    fallback=entry,
                 )
                 self.jobs_failed += 1
                 obs_state.counter("fleet.failures.jobs").inc()
+                if updated.state == STATE_QUEUED:
+                    self._known[entry.job_hash] = updated
                 self._quarantine(updated, now)
             else:
-                self.queue.release(
-                    entry.job_hash, note=self.POOL_SUSPECT, fallback=entry
+                self._known[entry.job_hash] = self.queue.release(
+                    entry, note=self.POOL_SUSPECT
                 )
                 obs_state.counter("fleet.retries.pool_suspects").inc()
 
@@ -464,13 +474,12 @@ class FleetService:
         self._record_history(
             entry, failure.kind, failure.message, failure.traceback
         )
-        updated = self.queue.fail(
-            entry.job_hash, error=failure.describe(), now=now, fallback=entry
-        )
+        updated = self.queue.fail(entry, error=failure.describe(), now=now)
         self.jobs_failed += 1
         obs_state.counter("fleet.failures.jobs").inc()
         if updated.state == STATE_QUEUED:
             obs_state.counter("fleet.retries.scheduled").inc()
+            self._known[entry.job_hash] = updated
         self._quarantine(updated, now)
 
     def _record_history(
@@ -491,17 +500,19 @@ class FleetService:
 
     # -- healing and quarantine -----------------------------------------
     def _heal_corrupt(self, corrupt: List[Path], now: float) -> List[QueueEntry]:
-        """Drop, requeue or quarantine the poll scan's unreadable entry files.
+        """Drop, restore or quarantine the poll scan's unreadable entry files.
 
         A file whose job's result reads back is dropped: the job is done.
-        Otherwise this service's in-memory copy (it leased the entry) is
-        requeued.  A corrupt file with neither is left alone until it is
-        older than the lease timeout -- the service holding an in-flight
+        Otherwise an entry this service last wrote is written back as it
+        was (:meth:`JobQueue.restore`): a torn requeue keeps its refund,
+        backoff, error and note, and a torn lease stays leased and expires
+        like any lease.  A corrupt file with neither is left alone until it
+        is older than the lease timeout -- the service holding an in-flight
         torn write rewrites or removes it within one poll -- then moved,
         bytes intact, into quarantine with a ``FailureRecord``.  Returns the
-        requeued entries, which this poll may lease.
+        restored entries, which this poll may expire or lease.
         """
-        requeued: List[QueueEntry] = []
+        restored: List[QueueEntry] = []
         for path in corrupt:
             job_hash = entry_hash(path.name)
             if self.store.job_payload(job_hash) is not None:
@@ -510,7 +521,7 @@ class FleetService:
                 continue
             known = self._known.get(job_hash)
             if known is not None:
-                requeued.append(self.queue.record_queued(known, note="healed"))
+                restored.append(self.queue.restore(known))
                 obs_state.counter("fleet.failures.corrupt_healed").inc()
                 continue
             try:
@@ -532,7 +543,7 @@ class FleetService:
             self.quarantine.absorb_corrupt(path)
             self.jobs_quarantined += 1
             obs_state.counter("fleet.failures.quarantined").inc()
-        return requeued
+        return restored
 
     def _quarantine(self, entry: QueueEntry, now: float) -> None:
         """Quarantine ``entry`` with this service's history of it, if
@@ -770,7 +781,9 @@ def fleet_status(
     liveness, and a ``stale`` flag (age beyond ``stale_after`` or a dead
     pid) -- a wedged or killed service reads as exactly that, not healthy.
     A service that exited its loop left a ``stopped`` beat, which is never
-    stale.
+    stale.  A campaign's ``landed`` counts its jobs whose result reads back,
+    the store's done rule; ``store.jobs`` counts result files.  Nothing is
+    created: a missing directory reads as an empty one.
     """
     now = time.time() if now is None else now
     paths = FleetPaths(Path(root))
@@ -785,7 +798,9 @@ def fleet_status(
                 "campaign": manifest["campaign"],
                 "spec_hash": manifest["spec_hash"],
                 "jobs": len(job_hashes),
-                "landed": sum(1 for h in job_hashes if store.has_job(h)),
+                "landed": sum(
+                    1 for h in job_hashes if store.job_payload(h) is not None
+                ),
                 "reported": store.get_report(manifest["spec_hash"]) is not None,
             }
         )

@@ -38,7 +38,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import state as obs_state
 from repro.runtime.cache import ResultCache, atomic_write_json
-from repro.runtime.jobs import SCHEMA_VERSION, Job
+from repro.runtime.jobs import SCHEMA_VERSION
 
 __all__ = [
     "FLEET_SCHEMA_VERSION",
@@ -159,9 +159,6 @@ class ShardedResultStore:
     def has_job(self, job_hash: str) -> bool:
         """True when a result entry for ``job_hash`` is on disk."""
         return self.job_path(job_hash).is_file()
-
-    def put_job(self, job: Job, payload: Dict[str, Any]) -> Path:
-        return self._job_cache.put(job, payload)
 
     def job_payload(self, job_hash: str) -> Optional[Dict[str, Any]]:
         """The stored result payload for a hash, without a ``Job`` object.

@@ -155,10 +155,6 @@ class ResultCache:
         obs_state.counter("cache.writes").inc()
         return path
 
-    def contains(self, job: Job) -> bool:
-        """True when an entry for ``job`` exists (does not touch the counters)."""
-        return self.path_for(job.content_hash).is_file()
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------

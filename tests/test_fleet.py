@@ -156,17 +156,15 @@ class TestJobQueue:
     def test_fail_requeues_until_attempts_run_out(self, tmp_path):
         queue = JobQueue(tmp_path / "q", max_attempts=2)
         entry = queue.submit(_tiny_job())
-        queue.lease(limit=1, now=100.0)
-        failed = queue.fail(entry.job_hash, error="boom", now=100.0)
+        [leased] = queue.lease(limit=1, now=100.0)
+        failed = queue.fail(leased, error="boom", now=100.0)
         assert failed.state == STATE_QUEUED
         # A failed attempt schedules a backoff window before the retry.
         assert failed.not_before is not None and failed.not_before > 100.0
+        assert queue.get(entry.job_hash) == failed
         assert queue.lease(limit=1, now=100.0) == []  # still backing off
-        assert len(queue.lease(limit=1, now=failed.not_before + 0.01)) == 1
-        assert (
-            queue.fail(entry.job_hash, error="boom", now=200.0).state
-            == STATE_EXHAUSTED
-        )
+        [again] = queue.lease(limit=1, now=failed.not_before + 0.01)
+        assert queue.fail(again, error="boom", now=200.0).state == STATE_EXHAUSTED
 
     @pytest.mark.parametrize("old", ["done", "failed"])
     def test_a_state_directory_of_an_older_version_is_never_read(
@@ -230,7 +228,7 @@ class TestSubmitDedup:
         done already, so submit writes no entry for it."""
         store = ShardedResultStore(tmp_path / "store")
         job = _tiny_job()
-        store.put_job(job, {"answer": 42})
+        store.job_cache().put(job, {"answer": 42})
         queue = JobQueue(tmp_path / "q")
         assert queue.submit(job, store=store) is None
         assert list(queue.entries_dir.rglob("*.json")) == []
@@ -242,7 +240,7 @@ class TestSubmitDedup:
     def test_submit_many_accounts_each_dedup_kind(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store")
         answered = _tiny_job(policy="sysscale")
-        store.put_job(answered, {"answer": 42})
+        store.job_cache().put(answered, {"answer": 42})
         queue = JobQueue(tmp_path / "q")
         fresh = _tiny_job()
         queue.submit(fresh)  # already live in the queue
@@ -272,7 +270,7 @@ class TestSubmitDedup:
 
         def queue_with_history(name):
             store = ShardedResultStore(tmp_path / name / "store")
-            store.put_job(answered, {"answer": 42})
+            store.job_cache().put(answered, {"answer": 42})
             queue = JobQueue(tmp_path / name / "q")
             queue.submit(live)
             return queue, store
@@ -315,7 +313,7 @@ class TestSubmitDedup:
         queue = JobQueue(FleetPaths(root).queue_dir, max_attempts=1)
         entry = queue.submit(_tiny_job())
         [leased] = queue.lease(limit=1, now=100.0)
-        exhausted = queue.fail(entry.job_hash, error="boom", fallback=leased)
+        exhausted = queue.fail(leased, error="boom")
         Quarantine(root / "quarantine").absorb_exhausted(queue, exhausted, 100.0)
         assert queue.get(entry.job_hash) is None
         fresh = queue.submit(_tiny_job())

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from repro.runtime import (
     SimulationJob,
     TraceSpec,
 )
+from repro.runtime.executor import JobFailure
 
 FIXTURES = Path(__file__).parent / "fixtures" / "fleet"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -73,6 +75,21 @@ def _dead_pid():
 
 #: The tally of a queue with no entry file at all.
 EMPTY = {STATE_QUEUED: 0, STATE_LEASED: 0, "corrupt": 0, "transient": 0}
+
+
+def _torn(method, returned):
+    """``method``, a ``JobQueue`` method, with every queue write it makes
+    torn; what each call returns is appended to ``returned``."""
+
+    def torn(queue, *args, **kwargs):
+        queue.faults = FaultPlan.parse("seed=0;torn@queue.write=1.0")
+        try:
+            returned.append(method(queue, *args, **kwargs))
+        finally:
+            queue.faults = None
+        return returned[-1]
+
+    return torn
 
 
 def _drain_config(root, faults=None, **overrides):
@@ -279,15 +296,15 @@ class TestQueueCrashConsistency:
 
     def test_torn_write_faults_are_healed_by_fallback(self, tmp_path):
         # A torn lease write leaves an unreadable file, yet the entry's next
-        # transition lands durably, because the caller's in-memory entry is
-        # the recovery source; completing removes the torn file outright.
+        # transition lands durably, because every transition writes the
+        # caller's in-memory entry; completing removes the torn file outright.
         queue = JobQueue(tmp_path / "q")
         queue.submit(_tiny_job())
         queue.faults = FaultPlan.parse("seed=0;torn@queue.write=1.0")
         [leased] = queue.lease(limit=1, now=100.0)
         assert queue.counts()["corrupt"] == 1  # the lease write was torn
         queue.faults = None
-        released = queue.release(leased.job_hash, fallback=leased)
+        released = queue.release(leased)
         assert released.state == STATE_QUEUED and released.attempts == 0
         counts = queue.counts()
         assert counts["corrupt"] == 0 and counts[STATE_QUEUED] == 1
@@ -339,7 +356,8 @@ class TestQueueCrashConsistency:
         entry = queue.submit(_tiny_job())
         [leased] = queue.lease(limit=1, now=100.0)
         assert leased.attempts == 1
-        released = queue.release(entry.job_hash, note="pool-suspect")
+        released = queue.release(leased, note="pool-suspect")
+        assert queue.get(entry.job_hash) == released
         assert released.state == STATE_QUEUED
         assert released.attempts == 0
         assert released.not_before is None  # immediately leasable
@@ -457,6 +475,119 @@ class TestServiceChaos:
         assert verify_campaign(root, campaign)["ok"] is True
         assert JobQueue(FleetPaths(root).queue_dir).counts() == EMPTY
 
+    def test_a_torn_result_is_not_landed(self, tmp_path):
+        """``fleet status`` counts a job landed by the store's done rule,
+        a result that reads back; ``store.jobs`` counts result files."""
+        root = tmp_path / "fleet"
+        campaign = _tiny_campaign()
+        submit_campaign(root, campaign)
+        store = ShardedResultStore(FleetPaths(root).store_dir)
+        for job in campaign.jobs:
+            store.job_cache().put(job, {"answer": 42})
+        torn = campaign.jobs[0].content_hash
+        store.job_path(torn).write_text("{torn", encoding="utf-8")
+        status = fleet_status(root)
+        [manifest] = status["campaigns"]
+        assert manifest["landed"] == len(campaign.jobs) - 1
+        assert status["store"]["jobs"] == len(campaign.jobs)
+
+    @pytest.mark.parametrize("cause", ["result-lost", "pool-break"])
+    def test_a_torn_release_heals_with_its_attempt_refunded(
+        self, tmp_path, monkeypatch, cause
+    ):
+        """A release whose write tears is healed as ``release`` returned it:
+        the attempt stays refunded and, after a pool break, the
+        ``pool-suspect`` note stays, so the retry runs solo."""
+        root = tmp_path / "fleet"
+        jobs = _tiny_campaign().jobs[: 1 if cause == "result-lost" else 2]
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        for job in jobs:
+            queue.submit(job)
+        service = FleetService(_drain_config(root))
+        leases, released = [], []
+        lease, release = JobQueue.lease, JobQueue.release
+
+        def recorded_lease(queue, *args, **kwargs):
+            leases.append(lease(queue, *args, **kwargs))
+            return leases[-1]
+
+        def no_result(jobs, **kwargs):
+            if cause == "pool-break":
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(JobQueue, "lease", recorded_lease)
+        monkeypatch.setattr(JobQueue, "release", _torn(release, released))
+        service.executor.run = no_result
+        assert service.run_once(now=100.0) == 0
+        assert queue.counts()["corrupt"] == len(jobs)
+        monkeypatch.setattr(JobQueue, "release", release)
+        del service.executor.run
+        assert service.run_once(now=101.0) == len(jobs)
+        service.executor.close()
+        note = "pool-suspect" if cause == "pool-break" else None
+        assert [(e.attempts, e.note) for e in released] == [(0, note)] * len(jobs)
+        # The healing poll leased each entry as released: one attempt.
+        assert [(e.attempts, e.note) for e in leases[1]] == [(1, note)] * len(jobs)
+        assert queue.counts() == EMPTY
+
+    def test_a_torn_fail_heals_with_its_backoff_and_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A failed attempt whose requeue write tears is healed as ``fail``
+        returned it, backoff window and error included: the retry waits."""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        entry = queue.submit(_tiny_job())
+        service = FleetService(_drain_config(root))
+        failed = []
+        fail = JobQueue.fail
+
+        def failing(jobs, on_error=None, **kwargs):
+            for job in jobs:
+                on_error(job, JobFailure(job.content_hash, "RuntimeError", "boom", ""))
+
+        monkeypatch.setattr(JobQueue, "fail", _torn(fail, failed))
+        service.executor.run = failing
+        assert service.run_once(now=100.0) == 0
+        assert queue.counts()["corrupt"] == 1
+        monkeypatch.setattr(JobQueue, "fail", fail)
+        assert service.run_once(now=100.1) == 0
+        service.executor.close()
+        [returned] = failed
+        assert returned.error == "RuntimeError: boom" and returned.not_before > 100.1
+        assert queue.get(entry.job_hash) == returned
+
+    def test_a_torn_lease_heals_leased_and_expires(self, tmp_path):
+        """A lease whose write tore, held by a poll that raised before the
+        job settled, is healed as the lease: it is not leased again before
+        its deadline, and then expires like any lease."""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        entry = queue.submit(_tiny_job())
+        service = FleetService(_drain_config(root, lease_timeout=5.0))
+        service.queue.faults = FaultPlan.parse("seed=0;torn@queue.write=1.0")
+
+        def broken(jobs, **kwargs):
+            service.queue.faults = FaultPlan.parse("seed=0;oserror@queue.write=1.0")
+            raise RuntimeError("worker lost")
+
+        service.executor.run = broken
+        with pytest.raises(OSError):  # the requeue write raised out of the poll
+            service.run_once(now=100.0)
+        assert queue.counts()["corrupt"] == 1
+        service.queue.faults = None
+        del service.executor.run
+        assert service.run_once(now=101.0) == 0
+        healed = queue.get(entry.job_hash)
+        assert (healed.state, healed.attempts, healed.lease_deadline) == (
+            STATE_LEASED, 1, 105.0
+        )
+        assert service.run_once(now=106.0) == 0  # requeued behind its backoff
+        service.executor.close()
+        requeued = queue.get(entry.job_hash)
+        assert (requeued.state, requeued.attempts) == (STATE_QUEUED, 1)
+        assert "lease expired" in requeued.error
+
     def test_fault_sequence_replays_bit_identically_from_seed(self, tmp_path):
         """Two fresh directories, same seed, same driven poll sequence: the
         injected fault event logs and final queue states are identical."""
@@ -569,7 +700,7 @@ class TestServiceChaos:
         queue = JobQueue(FleetPaths(root).queue_dir, lease_timeout=5.0, max_attempts=1)
         entry = queue.submit(_tiny_job())
         [leased] = queue.lease(limit=1, worker="gone", now=100.0)
-        exhausted = queue.fail(entry.job_hash, error="boom", now=101.0, fallback=leased)
+        exhausted = queue.fail(leased, error="boom", now=101.0)
         assert exhausted.state == STATE_EXHAUSTED
         quarantine = Quarantine(root / "quarantine")
         assert quarantine.get(entry.job_hash) is None
@@ -938,45 +1069,79 @@ class TestDoctor:
         assert queue.get(victim.job_hash) is None
         assert queue.counts() == EMPTY
 
+    def _fix_leaves_the_expired_lease(self, root, queue, job_hash, now):
+        """Run ``doctor --fix`` on an expired lease: it is reported, unfixed,
+        and its file and the quarantine are untouched."""
+        lease_file = queue.locate(job_hash)
+        lease_bytes = lease_file.read_bytes()
+        report = run_doctor(root, fix=True, now=now)
+        assert report.ok
+        [finding] = [f for f in report.findings if f.code == "expired-lease"]
+        assert (finding.severity, finding.fixed) == ("warning", False)
+        assert "next serve poll" in finding.message
+        assert lease_file.read_bytes() == lease_bytes
+        assert Quarantine(root / "quarantine").counts() == {"jobs": 0, "corrupt": 0}
+
     def test_expired_lease_is_recovered_on_fix(self, tmp_path):
+        """Only ``serve`` knows the attempt budget, so ``--fix`` reports an
+        expired lease and leaves it to the service's next poll: a lease on
+        attempt 3 of a queue drained with ``--max-attempts 6`` is not
+        quarantined, and that poll requeues it."""
         root = tmp_path / "fleet"
-        queue = JobQueue(FleetPaths(root).queue_dir, lease_timeout=30.0)
+        queue = JobQueue(FleetPaths(root).queue_dir, lease_timeout=30.0, max_attempts=6)
         entry = queue.submit(_tiny_job())
-        queue.lease(limit=1, now=100.0)
-        report = run_doctor(root, fix=True, now=200.0)
-        assert any(
-            f.code == "expired-lease" and f.fixed for f in report.findings
-        )
-        assert queue.get(entry.job_hash).state == STATE_QUEUED
+        now = 100.0
+        for _ in range(2):
+            [leased] = queue.lease(limit=1, worker="gone", now=now)
+            queue.expire_leases([leased], now=now + 100.0)
+            now += 200.0
+        [last] = queue.lease(limit=1, worker="gone", now=now)
+        assert last.attempts == 3
+        now += 100.0
+        self._fix_leaves_the_expired_lease(root, queue, entry.job_hash, now)
+        service = FleetService(_drain_config(root, lease_timeout=30.0, max_attempts=6))
+        assert service.run_once(now=now) == 0  # requeued behind its backoff
+        service.executor.close()
+        requeued = queue.get(entry.job_hash)
+        assert (requeued.state, requeued.attempts) == (STATE_QUEUED, 3)
+        assert "lease expired" in requeued.error
 
     def test_expired_last_attempt_is_quarantined_on_fix(self, tmp_path):
-        """The doctor repairs an expired lease through the service's own
-        quarantine: on its last attempt the job leaves a ``FailureRecord``
-        and no entry file, with no service poll needed."""
+        """An expired lease on the last attempt of the budget ``serve``
+        drains with is left by ``--fix`` too, and the service's next poll
+        quarantines it through ``FailureRecord``, leaving no entry file."""
         root = tmp_path / "fleet"
         queue = JobQueue(FleetPaths(root).queue_dir, lease_timeout=30.0)
         entry = queue.submit(_tiny_job())
         now = 100.0
         for _ in range(queue.max_attempts - 1):
-            queue.lease(limit=1, now=now)
-            queue.fail(entry.job_hash, error="boom", now=now)
+            [leased] = queue.lease(limit=1, now=now)
+            queue.fail(leased, error="boom", now=now)
             now += 100.0
         [last] = queue.lease(limit=1, worker="gone", now=now)
         assert last.attempts == queue.max_attempts
-        report = run_doctor(root, fix=True, now=now + 100.0)
-        assert report.ok
-        assert any(f.code == "expired-lease" and f.fixed for f in report.findings)
-        record = Quarantine(root / "quarantine").get(entry.job_hash)
-        assert (record.reason, record.attempts, record.history) == (
-            "exhausted", queue.max_attempts, ()
+        now += 100.0
+        self._fix_leaves_the_expired_lease(root, queue, entry.job_hash, now)
+        service = FleetService(
+            _drain_config(root, lease_timeout=30.0, max_attempts=queue.max_attempts)
         )
+        assert service.run_once(now=now) == 0
+        service.executor.close()
+        record = Quarantine(root / "quarantine").get(entry.job_hash)
+        assert (record.reason, record.attempts) == ("exhausted", queue.max_attempts)
         assert "lease expired" in record.message and record.job == entry.job
         assert list(queue.entries_dir.rglob("*.json")) == []
-        assert not (queue.entries_dir / "failed").exists()
+
+    def test_status_and_doctor_leave_a_missing_directory_missing(self, tmp_path):
+        root = tmp_path / "fleet"
+        assert fleet_status(root)["drained"] is True
+        assert run_doctor(root).ok and run_doctor(root, fix=True).ok
+        assert not root.exists()
 
     def test_stray_tmp_is_swept_on_fix(self, tmp_path):
         root = tmp_path / "fleet"
         queue = JobQueue(FleetPaths(root).queue_dir)
+        queue.entries_dir.mkdir(parents=True)
         stray = queue.entries_dir / ".cafef00d-abc.tmp"
         stray.write_text("{}", encoding="utf-8")
         stamp = time.time() - 3600.0
@@ -1048,6 +1213,7 @@ class TestDoctor:
     @pytest.mark.parametrize("pending", [False, True])
     def test_stopped_heartbeat_is_never_stale(self, tmp_path, pending):
         root = tmp_path / "fleet"
+        root.mkdir()
         queue = JobQueue(FleetPaths(root).queue_dir)
         if pending:
             queue.submit(_tiny_job())
