@@ -35,7 +35,6 @@ service's dispatch path) own the recovery behavior the injections force.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -234,14 +233,12 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Filesystem seams
     # ------------------------------------------------------------------
-    def intercept_write(
-        self, op: str, path: Path, document: Dict[str, Any]
-    ) -> Optional[str]:
-        """Consult the plan before an atomic JSON write.
+    def intercept_write(self, op: str, path: Path, text: str) -> Optional[str]:
+        """Consult the plan before an atomic write of ``text``.
 
         Returns ``None`` to let the real write proceed, or the injected kind
-        after performing it: ``"torn"`` leaves invalid JSON at the
-        destination (a non-atomic filesystem corrupting the entry),
+        after performing it: ``"torn"`` leaves the first half of ``text`` at
+        the destination (a non-atomic filesystem corrupting the entry),
         ``"skip"`` leaves the destination untouched but a stray temp file
         behind (a crash between the temp write and the rename).  An
         ``"oserror"`` rule raises :class:`InjectedOSError` instead.
@@ -254,7 +251,6 @@ class FaultPlan:
         if rule.kind == "oserror":
             raise InjectedOSError(f"injected OSError at {op} ({path.name})")
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(document)
         if rule.kind == "torn":
             path.write_text(text[: max(1, len(text) // 2)], encoding="utf-8")
         else:  # skip: the temp file was written, the rename never happened

@@ -782,14 +782,17 @@ def fleet_status(
     pid) -- a wedged or killed service reads as exactly that, not healthy.
     A service that exited its loop left a ``stopped`` beat, which is never
     stale.  A campaign's ``landed`` counts its jobs whose result reads back,
-    the store's done rule; ``store.jobs`` counts result files.  Nothing is
-    created: a missing directory reads as an empty one.
+    the store's done rule; each result is read once, however many campaigns
+    list it.  ``store.jobs`` counts result files.  Nothing is created: a
+    missing directory reads as an empty one.
     """
     now = time.time() if now is None else now
     paths = FleetPaths(Path(root))
     store = ShardedResultStore(paths.store_dir)
     queue = JobQueue(paths.queue_dir)
     manifests, unreadable = read_manifests(paths)
+    listed = {h for manifest in manifests for h in manifest["jobs"]}
+    landed = {h for h in listed if store.job_payload(h) is not None}
     campaigns = []
     for manifest in manifests:
         job_hashes = manifest["jobs"]
@@ -798,9 +801,7 @@ def fleet_status(
                 "campaign": manifest["campaign"],
                 "spec_hash": manifest["spec_hash"],
                 "jobs": len(job_hashes),
-                "landed": sum(
-                    1 for h in job_hashes if store.job_payload(h) is not None
-                ),
+                "landed": sum(1 for h in job_hashes if h in landed),
                 "reported": store.get_report(manifest["spec_hash"]) is not None,
             }
         )

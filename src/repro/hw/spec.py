@@ -23,11 +23,19 @@ The default field values mirror ``repro.config`` exactly, so the default spec
 reproduces the seed Skylake M-6Y75 platform bit-identically (a regression test
 pins this).  Materialization lives in :mod:`repro.hw.build`; the named catalog
 lives in :mod:`repro.hw.registry`.
+
+A spec is encoded once per instance: :attr:`HardwareSpec.canonical_text` and
+:attr:`HardwareSpec.json_text` are its ``to_dict()`` in the canonical form
+job hashes use and in the ``json.dumps`` form cache entries use, each encoded
+the first time it is asked for.  The runtime splices them into every job of
+the platform instead of encoding the platform again per job.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Any, ClassVar, Dict, Tuple, Union
 
 from repro import config, hashing
@@ -379,6 +387,21 @@ class HardwareSpec:
         itself with the defaults; the hardware (and every hash) is unchanged.
         """
         return cls(**data)
+
+    # A spec is frozen, so its encodings never go stale: each is encoded on
+    # first use and kept in the instance ``__dict__`` (not a field, so
+    # equality, hashing and ``to_dict`` never see it).  ``replace`` and
+    # ``derive`` build a new instance, which encodes its own.
+    @cached_property
+    def canonical_text(self) -> str:
+        """:func:`repro.hashing.canonical_json` of :meth:`to_dict`; job
+        hashes splice it in."""
+        return hashing.canonical_json(self.to_dict())
+
+    @cached_property
+    def json_text(self) -> str:
+        """``json.dumps`` of :meth:`to_dict`; cache entries splice it in."""
+        return json.dumps(self.to_dict())
 
     @property
     def content_hash(self) -> str:

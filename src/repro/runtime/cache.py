@@ -9,12 +9,21 @@ audited, replayed, or garbage-collected without any external index.
 Writes are atomic (write to a temp file in the same directory, then
 ``os.replace``) so a killed run never leaves a truncated entry behind, and
 concurrent runs sharing a cache directory at worst do redundant work -- they
-can never corrupt each other's entries.  Each write encodes its document once
-with the C JSON encoder and writes the text in one call; a shard directory is
-made on first use only, not checked on every write.
+can never corrupt each other's entries.  Each write encodes its text once with
+the C JSON encoder and writes it in one call; a shard directory is made on
+first use only, not checked on every write.
 
-The disk is the only copy: every lookup reads and parses the entry file, so
-each ``get`` returns a fresh dict and always sees what is on disk.
+An entry is ``json.dumps({"schema": ..., "hash": ..., "job": ..., "result":
+...})``.  Everything before the result is fixed by the job, so the cache
+builds that *head* once per call, with the job's platform spliced in from
+its spec's cached ``json_text``: ``put`` writes the head, the payload's
+encoding and the closing brace, the same bytes as encoding the whole
+document.
+
+The disk is the only copy: every lookup reads the entry file, checks its
+head byte for byte and parses only the payload after it, so each ``get``
+returns a fresh dict and always sees what is on disk.  A file whose head
+differs (another job's entry, another schema, a torn write) is a miss.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
+from repro import hashing
 from repro.obs import state as obs_state
-from repro.runtime.jobs import SCHEMA_VERSION, Job
+from repro.runtime.jobs import SCHEMA_VERSION, Job, job_members
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -47,31 +57,42 @@ def atomic_write_json(
     faults: Optional[Any] = None,
     fault_op: Optional[str] = None,
 ) -> Optional[str]:
-    """Write ``document`` to ``path`` via a same-directory temp file.
+    """Write ``json.dumps(document)`` to ``path`` with :func:`atomic_write_text`.
 
-    The one atomic JSON writer: cache entries, fleet queue entries, reports,
+    The document is encoded once by the C encoder before the filesystem is
+    touched, so a non-serializable document raises ``TypeError`` without
+    creating anything.  The bytes are the ones ``json.dump`` writes.
+    """
+    return atomic_write_text(path, json.dumps(document), faults, fault_op)
+
+
+def atomic_write_text(
+    path: Path,
+    text: str,
+    faults: Optional[Any] = None,
+    fault_op: Optional[str] = None,
+) -> Optional[str]:
+    """Write ``text`` to ``path`` via a same-directory temp file.
+
+    The one atomic writer: cache entries, fleet queue entries, reports,
     manifests, heartbeats and quarantine records all go through it.
     ``faults``/``fault_op`` are the chaos seam: a fault plan's
-    ``intercept_write`` may replace the write with a torn one, drop it
-    (leaving a stray temp file), or raise an injected ``OSError`` --
-    deterministically from its seed.  Production callers pass neither and
-    get the plain atomic write.
+    ``intercept_write`` receives the text and may replace the write with a
+    torn one, drop it (leaving a stray temp file), or raise an injected
+    ``OSError`` -- deterministically from its seed.  Production callers pass
+    neither and get the plain atomic write.
 
-    The document is encoded once by the C encoder (``json.dumps``) before the
-    filesystem is touched, so a non-serializable document raises
-    ``TypeError`` without creating anything, and the text goes out in one
-    write.  The bytes are the ones ``json.dump`` writes.  The parent
-    directory is created only when the temp-file create finds it missing, so
-    a write into an existing shard makes no ``mkdir`` call.
+    The text goes out in one write.  The parent directory is created only
+    when the temp-file create finds it missing, so a write into an existing
+    shard makes no ``mkdir`` call.
 
     Returns ``None`` after a real write, or the kind of write a fault plan
     injected instead (``"torn"``, ``"skip"``).
     """
     if faults is not None and fault_op is not None:
-        injected = faults.intercept_write(fault_op, path, document)
+        injected = faults.intercept_write(fault_op, path, text)
         if injected is not None:
             return injected
-    text = json.dumps(document)
     prefix = f".{path.stem[:8]}-"
     try:
         descriptor, temp_name = tempfile.mkstemp(prefix=prefix, suffix=".tmp", dir=path.parent)
@@ -89,6 +110,19 @@ def atomic_write_json(
             pass
         raise
     return None
+
+
+def _entry_head(job: Job) -> str:
+    """The text of ``job``'s entry up to its result payload.
+
+    It is ``json.dumps`` of the entry document cut before the payload, with
+    the platform spliced in from its spec's cached ``json_text``.
+    """
+    job_text = hashing.dumps(job_members(job, hashing.Encoded(job.platform.json_text)))
+    return (
+        f'{{"schema": {SCHEMA_VERSION}, "hash": "{job.content_hash}", '
+        f'"job": {job_text}, "result": '
+    )
 
 
 @dataclass
@@ -119,36 +153,38 @@ class ResultCache:
     def get(self, job: Job) -> Optional[Dict[str, Any]]:
         """The cached result payload for ``job``, or ``None`` on a miss.
 
-        Entries written under a different schema version, or unreadable files,
-        count as misses (the entry will simply be recomputed and rewritten).
+        The entry must start with ``job``'s head (see the module docstring),
+        byte for byte; then only the payload after it is parsed.  A missing
+        or unreadable file, a different head (another job's entry, another
+        schema) and a payload that does not parse all count as misses: the
+        job is simply recomputed and its entry rewritten.
         """
-        path = self.path_for(job.content_hash)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            # OSError covers missing/unreadable files; ValueError covers both
-            # json.JSONDecodeError and UnicodeDecodeError from corrupt bytes.
+            data = self.path_for(job.content_hash).read_bytes()
+        except OSError:
             obs_state.counter("cache.misses").inc()
             return None
-        if not isinstance(entry, dict) or entry.get("schema") != SCHEMA_VERSION or "result" not in entry:
+        payload = None
+        # ``json.dumps`` escapes every non-ASCII character, so the head is ASCII.
+        head = _entry_head(job).encode("ascii")
+        if data.startswith(head) and data.endswith(b"}"):
+            try:
+                payload = json.loads(data[len(head):-1])
+            except ValueError:
+                # json.JSONDecodeError, or UnicodeDecodeError from corrupt bytes.
+                pass
+        if not isinstance(payload, dict):
             obs_state.counter("cache.misses").inc()
             return None
         obs_state.counter("cache.hits").inc()
-        return entry["result"]
+        return payload
 
     def put(self, job: Job, payload: Dict[str, Any]) -> Path:
         """Store ``payload`` for ``job`` atomically; returns the entry path."""
-        job_hash = job.content_hash
-        path = self.path_for(job_hash)
-        atomic_write_json(
+        path = self.path_for(job.content_hash)
+        atomic_write_text(
             path,
-            {
-                "schema": SCHEMA_VERSION,
-                "hash": job_hash,
-                "job": job.to_dict(),
-                "result": payload,
-            },
+            _entry_head(job) + json.dumps(payload) + "}",
             faults=self.faults,
             fault_op="store.write",
         )

@@ -36,14 +36,14 @@ job hashing already assumes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from repro import config
 from repro.obs import state as obs_state
 from repro.obs.spans import span as _span
-from repro.hashing import content_hash
+from repro.hashing import Encoded, content_hash
 from repro.params import (
     Params,
     normalize_params as _normalize_params,
@@ -83,12 +83,40 @@ def _cached_job_hash(job) -> str:
     Executors, caches, and campaign dedup all key on the hash, so one job's
     hash is consulted many times per run; the spec is frozen, so the digest can
     never change after construction.
+
+    The digest is ``content_hash({"schema": SCHEMA_VERSION, **job.to_dict()})``.
+    The platform, most of those bytes, goes in as its spec's cached
+    :attr:`~repro.hw.spec.HardwareSpec.canonical_text`, which
+    :mod:`repro.hashing` splices in, so a job hash encodes only the job's
+    small members and jobs sharing a spec encode it once.
     """
     cached = job.__dict__.get("_content_hash")
     if cached is None:
-        cached = content_hash({"schema": SCHEMA_VERSION, **job.to_dict()})
+        members = job_members(job, Encoded(job.platform.canonical_text))
+        cached = content_hash({"schema": SCHEMA_VERSION, **members})
         object.__setattr__(job, "_content_hash", cached)
     return cached
+
+
+def job_members(job, platform: Any) -> Dict[str, Any]:
+    """``job.to_dict()`` with ``platform`` as its platform member.
+
+    Both job kinds serialize ``kind``, then each field in declaration order,
+    a spec field through its own ``to_dict``.  This builds those members
+    without running ``HardwareSpec.to_dict``, so an encoder can take the
+    platform as its spec's cached text (:class:`repro.hashing.Encoded`).
+    Each kind's explicit ``to_dict`` stays the definition the ``hash-surface``
+    lint rule checks; tests hold this function to it.
+    """
+    members: Dict[str, Any] = {"kind": job.kind}
+    for spec_field in fields(job):
+        value = getattr(job, spec_field.name)
+        if spec_field.name == "platform":
+            value = platform
+        elif hasattr(value, "to_dict"):
+            value = value.to_dict()
+        members[spec_field.name] = value
+    return members
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ class TestFaultPlan:
     def test_torn_write_leaves_invalid_json(self, tmp_path):
         plan = FaultPlan.parse("seed=0;torn@queue.write=1.0")
         path = tmp_path / "entry.json"
-        assert plan.intercept_write("queue.write", path, {"k": "v" * 50}) == "torn"
+        assert plan.intercept_write("queue.write", path, json.dumps({"k": "v" * 50})) == "torn"
         with pytest.raises(ValueError):
             json.loads(path.read_text(encoding="utf-8"))
 
@@ -184,7 +184,7 @@ class TestFaultPlan:
         plan = FaultPlan.parse("seed=0;skip@queue.write=1.0")
         path = tmp_path / "entry.json"
         path.write_text('{"old": true}', encoding="utf-8")
-        assert plan.intercept_write("queue.write", path, {"new": True}) == "skip"
+        assert plan.intercept_write("queue.write", path, json.dumps({"new": True})) == "skip"
         # The destination is untouched (the "crash" hit before os.replace)...
         assert json.loads(path.read_text(encoding="utf-8")) == {"old": True}
         # ...and the orphaned temp file is left behind for doctor --fix to sweep.
@@ -193,7 +193,7 @@ class TestFaultPlan:
     def test_oserror_rules_raise(self, tmp_path):
         writer = FaultPlan.parse("seed=0;oserror@queue.write=1.0")
         with pytest.raises(InjectedOSError):
-            writer.intercept_write("queue.write", tmp_path / "e.json", {})
+            writer.intercept_write("queue.write", tmp_path / "e.json", "{}")
         reader = FaultPlan.parse("seed=0;oserror@queue.read=1.0")
         with pytest.raises(InjectedOSError):
             reader.intercept_read("queue.read", tmp_path / "e.json")
@@ -222,11 +222,11 @@ class TestFaultPlan:
         )
         for i in range(8):
             plan.intercept_write(
-                "queue.write", root / f"e{i}.json", {"i": i, "pad": "x" * 40}
+                "queue.write", root / f"e{i}.json", json.dumps({"i": i, "pad": "x" * 40})
             )
         for i in range(6):
             plan.intercept_write(
-                "store.write", root / f"r{i}.json", {"i": i, "pad": "y" * 40}
+                "store.write", root / f"r{i}.json", json.dumps({"i": i, "pad": "y" * 40})
             )
         for i in range(8):
             try:
@@ -490,6 +490,26 @@ class TestServiceChaos:
         [manifest] = status["campaigns"]
         assert manifest["landed"] == len(campaign.jobs) - 1
         assert status["store"]["jobs"] == len(campaign.jobs)
+
+    def test_status_reads_a_result_shared_by_campaigns_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "fleet"
+        jobs = _tiny_campaign().jobs
+        for campaign in (Campaign("first", jobs[:2]), Campaign("second", jobs[1:])):
+            submit_campaign(root, campaign)
+        store = ShardedResultStore(FleetPaths(root).store_dir)
+        for job in jobs:
+            store.job_cache().put(job, {"answer": 42})
+        reads = []
+        real = ShardedResultStore.job_payload
+
+        def counting(self, job_hash):
+            reads.append(job_hash)
+            return real(self, job_hash)
+
+        monkeypatch.setattr(ShardedResultStore, "job_payload", counting)
+        status = fleet_status(root)
+        assert sorted(reads) == sorted(job.content_hash for job in jobs)
+        assert [campaign["landed"] for campaign in status["campaigns"]] == [2, 2]
 
     @pytest.mark.parametrize("cause", ["result-lost", "pool-break"])
     def test_a_torn_release_heals_with_its_attempt_refunded(

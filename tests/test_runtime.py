@@ -139,14 +139,17 @@ class TestResultCache:
     def test_corrupt_entries_count_as_misses(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         job = _tiny_job()
-        cache.put(job, {"x": 1})
-        path = cache.path_for(job.content_hash)
+        path = cache.put(job, {"x": 1})
         stale = {"schema": SCHEMA_VERSION - 1, "result": {"x": 1}}
+        # The real entry under another schema stamp: only its head differs.
+        restamped = path.read_text(encoding="utf-8").replace(
+            f'"schema": {SCHEMA_VERSION}', f'"schema": {SCHEMA_VERSION - 1}', 1
+        )
         with obs_state.scoped(enabled=True):
-            for text in ("not json", json.dumps(stale)):
+            for text in ("not json", json.dumps(stale), restamped):
                 path.write_text(text)
                 assert cache.get(job) is None
-            assert _counter("cache.misses") == 2
+            assert _counter("cache.misses") == 3
             assert _counter("cache.hits") == 0
 
     def test_writer_instance_reads_what_is_on_disk(self, tmp_path):
