@@ -261,8 +261,15 @@ class QueueEntry:
         return f"{key}-{self.job_hash}.json"
 
     def build_job(self) -> Job:
-        """Rehydrate the executable job from its serialized payload."""
-        return job_from_dict(self.job)
+        """Rehydrate the executable job from its serialized payload.
+
+        Raises ``ValueError`` when the job does not hash to ``job_hash``, and
+        what :func:`job_from_dict` raises when it does not build.
+        """
+        job = job_from_dict(self.job)
+        if job.content_hash != self.job_hash:
+            raise ValueError(f"the entry's job hashes to {job.content_hash}")
+        return job
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -12,7 +12,8 @@ half of the failure state machine:
   into ``QueueEntry.not_before``; ``lease`` honors it.
 
 * :class:`FailureRecord` / :class:`Quarantine` -- when a job exhausts
-  ``max_attempts`` (or repeatedly breaks the worker pool), its queue entry is
+  ``max_attempts`` (or repeatedly breaks the worker pool, or its entry
+  cannot run under its hash), its queue entry is
   replaced by a structured record under ``<fleet_root>/quarantine/``: error
   class, message, attempt count, and the per-attempt history the service
   observed (tracebacks included).  The quarantine is the failed state, as
@@ -134,7 +135,9 @@ class FailureRecord:
 
     job_hash: str
     #: ``exhausted`` (max_attempts spent), ``poison-pool`` (repeatedly broke
-    #: the worker pool), or ``corrupt-entry`` (unreadable queue file).
+    #: the worker pool), ``corrupt-entry`` (unreadable queue file), or
+    #: ``invalid-entry`` (a readable entry whose job does not build, or
+    #: builds into a job of another hash).
     reason: str
     error_class: str
     message: str
@@ -236,8 +239,9 @@ class Quarantine:
         history: Tuple[Dict[str, Any], ...] = (),
         reason: str = "exhausted",
     ) -> None:
-        """Record an entry :meth:`JobQueue.fail` returned exhausted, then
-        remove its files from ``queue``.
+        """Record an entry :meth:`JobQueue.fail` returned exhausted (or one
+        that can never run, under ``reason``), then remove its files from
+        ``queue``.
 
         The record is written first, so a crash before the removal leaves a
         lease that expires and is quarantined again, never a job with no

@@ -29,8 +29,10 @@ unlinked), and one that does not -- a torn or lost result write -- releases
 the entry with its attempt refunded, so the job runs again and is never
 counted done or served.  The quarantine is the failed state: a job that
 used up its attempts leaves the queue for a ``FailureRecord`` in the poll
-that exhausts it.  The queue therefore holds only unfinished work, and a
-drained directory holds no entry file.
+that exhausts it, and an entry whose job cannot run under its hash (it does
+not build, or builds into another job) in the poll that leases it.  The
+queue therefore holds only unfinished work, and a drained directory holds no
+entry file.
 
 Every queue transition writes the entry the service holds, and the service
 keeps each entry it dispatched as it last wrote it: the lease, or what
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -380,9 +382,28 @@ class FleetService:
         return True
 
     # -- dispatch and failure isolation ---------------------------------
-    def _dispatch(self, entries: List[QueueEntry], now: float) -> int:
-        """Run one leased slice; complete survivors, fail culprits."""
-        jobs = [entry.build_job() for entry in entries]
+    def _dispatch(self, leased: List[QueueEntry], now: float) -> int:
+        """Run one leased slice; complete survivors, fail culprits.
+
+        An entry whose job does not build, or does not hash to the entry's
+        hash (:meth:`QueueEntry.build_job`), would never complete: it is
+        quarantined as ``invalid-entry`` here, and the rest of the slice
+        runs.  The job memoizes the hash that check computes, so the
+        executor does not hash it again.
+        """
+        entries: List[QueueEntry] = []
+        jobs = []
+        for entry in leased:
+            try:
+                jobs.append(entry.build_job())
+            except (KeyError, TypeError, ValueError) as error:
+                self._record_history(entry, type(error).__name__, str(error))
+                invalid = replace(entry, error=f"{type(error).__name__}: {error}")
+                self._absorb(invalid, now, "invalid-entry")
+            else:
+                entries.append(entry)
+        if not entries:
+            return 0
         pre_hook = None
         if self.config.faults is not None:
             directives = self.config.faults.job_directives(
@@ -546,21 +567,25 @@ class FleetService:
         return restored
 
     def _quarantine(self, entry: QueueEntry, now: float) -> None:
-        """Quarantine ``entry`` with this service's history of it, if
-        :meth:`JobQueue.fail` returned it exhausted.
+        """Quarantine ``entry`` if :meth:`JobQueue.fail` returned it exhausted.
 
         Callers pass what ``fail`` just returned, so an entry is quarantined
         in the poll that exhausts it, before a draining loop can observe it
         and exit.
         """
-        if entry.state != STATE_EXHAUSTED:
-            return
+        if entry.state == STATE_EXHAUSTED:
+            reason = "poison-pool" if entry.note == self.POOL_SUSPECT else "exhausted"
+            self._absorb(entry, now, reason)
+
+    def _absorb(self, entry: QueueEntry, now: float, reason: str) -> None:
+        """Move ``entry`` into quarantine under ``reason``, with this
+        service's history of it."""
         self.quarantine.absorb_exhausted(
             self.queue,
             entry,
             now,
             history=tuple(self._failure_history.pop(entry.job_hash, ())),
-            reason="poison-pool" if entry.note == self.POOL_SUSPECT else "exhausted",
+            reason=reason,
         )
         self._known.pop(entry.job_hash, None)
         self.jobs_quarantined += 1

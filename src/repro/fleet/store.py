@@ -12,9 +12,9 @@ per entry, atomic temp-file-then-``os.replace`` writes):
     there).  Multiple services or CLI runs pointed at the same store share
     results with no translation layer.  This namespace is the fleet's one
     record of finished work: a job is done when its entry here reads back
-    (:meth:`ShardedResultStore.job_payload`), and the queue keeps no entry
-    for it.  Under a chaos plan its writes are intercepted as the
-    ``store.write`` op, like the reports'.
+    through the cache's one reader (:meth:`ShardedResultStore.job_payload`),
+    and the queue keeps no entry for it.  Under a chaos plan its writes are
+    intercepted as the ``store.write`` op, like the reports'.
 
 ``reports/``
     Whole sweep reports keyed by **spec hash** -- the content hash of what a
@@ -38,7 +38,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import state as obs_state
 from repro.runtime.cache import ResultCache, atomic_write_json
-from repro.runtime.jobs import SCHEMA_VERSION
 
 __all__ = [
     "FLEET_SCHEMA_VERSION",
@@ -164,18 +163,10 @@ class ShardedResultStore:
         """The stored result payload for a hash, without a ``Job`` object.
 
         The service, status and verification read results by hash (the
-        queue and campaign manifests only carry hashes); schema-mismatched
-        or unreadable entries read as absent, the same way the cache treats
-        them.  A job is done exactly when this reads back.
+        queue and campaign manifests only carry hashes) with
+        :meth:`ResultCache.read`.  A job is done exactly when this reads back.
         """
-        try:
-            with self.job_path(job_hash).open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("schema") != SCHEMA_VERSION:
-            return None
-        return entry.get("result")
+        return self._job_cache.read(job_hash)
 
     # ------------------------------------------------------------------
     # Report namespace (spec_hash-level warm starts)

@@ -24,16 +24,14 @@ reproduces the seed Skylake M-6Y75 platform bit-identically (a regression test
 pins this).  Materialization lives in :mod:`repro.hw.build`; the named catalog
 lives in :mod:`repro.hw.registry`.
 
-A spec is encoded once per instance: :attr:`HardwareSpec.canonical_text` and
-:attr:`HardwareSpec.json_text` are its ``to_dict()`` in the canonical form
-job hashes use and in the ``json.dumps`` form cache entries use, each encoded
-the first time it is asked for.  The runtime splices them into every job of
+A spec is encoded once per instance: :attr:`HardwareSpec.canonical_text` is
+its ``to_dict()`` in the canonical form job hashes use, encoded the first
+time it is asked for.  The runtime splices it into the hash of every job of
 the platform instead of encoding the platform again per job.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Any, ClassVar, Dict, Tuple, Union
@@ -388,7 +386,7 @@ class HardwareSpec:
         """
         return cls(**data)
 
-    # A spec is frozen, so its encodings never go stale: each is encoded on
+    # A spec is frozen, so its encoding never goes stale: it is encoded on
     # first use and kept in the instance ``__dict__`` (not a field, so
     # equality, hashing and ``to_dict`` never see it).  ``replace`` and
     # ``derive`` build a new instance, which encodes its own.
@@ -397,11 +395,6 @@ class HardwareSpec:
         """:func:`repro.hashing.canonical_json` of :meth:`to_dict`; job
         hashes splice it in."""
         return hashing.canonical_json(self.to_dict())
-
-    @cached_property
-    def json_text(self) -> str:
-        """``json.dumps`` of :meth:`to_dict`; cache entries splice it in."""
-        return json.dumps(self.to_dict())
 
     @property
     def content_hash(self) -> str:

@@ -2,9 +2,11 @@
 
 Every entry is one JSON file named by the job's content hash (sharded into
 two-character prefix directories so large campaigns do not pile tens of
-thousands of files into one directory).  The file records the full job spec
-next to the result payload, so a cache entry is self-describing: it can be
-audited, replayed, or garbage-collected without any external index.
+thousands of files into one directory).  An entry is ``json.dumps({"schema":
+..., "hash": ..., "result": ...})``: the hash identifies the job, so the entry
+carries no copy of it.  Entries written by earlier versions also carry the
+whole job as a ``job`` member; readers ignore it, so those caches are served
+as they are.
 
 Writes are atomic (write to a temp file in the same directory, then
 ``os.replace``) so a killed run never leaves a truncated entry behind, and
@@ -13,17 +15,10 @@ can never corrupt each other's entries.  Each write encodes its text once with
 the C JSON encoder and writes it in one call; a shard directory is made on
 first use only, not checked on every write.
 
-An entry is ``json.dumps({"schema": ..., "hash": ..., "job": ..., "result":
-...})``.  Everything before the result is fixed by the job, so the cache
-builds that *head* once per call, with the job's platform spliced in from
-its spec's cached ``json_text``: ``put`` writes the head, the payload's
-encoding and the closing brace, the same bytes as encoding the whole
-document.
-
-The disk is the only copy: every lookup reads the entry file, checks its
-head byte for byte and parses only the payload after it, so each ``get``
-returns a fresh dict and always sees what is on disk.  A file whose head
-differs (another job's entry, another schema, a torn write) is a miss.
+The disk is the only copy: every lookup (:meth:`ResultCache.read`) parses the
+entry file and checks its schema and hash, so each read returns a fresh dict
+and always sees what is on disk.  A file that does not check out (another
+job's entry, another schema, a torn write) reads as absent.
 """
 
 from __future__ import annotations
@@ -35,9 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
-from repro import hashing
 from repro.obs import state as obs_state
-from repro.runtime.jobs import SCHEMA_VERSION, Job, job_members
+from repro.runtime.jobs import SCHEMA_VERSION, Job
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -57,38 +51,27 @@ def atomic_write_json(
     faults: Optional[Any] = None,
     fault_op: Optional[str] = None,
 ) -> Optional[str]:
-    """Write ``json.dumps(document)`` to ``path`` with :func:`atomic_write_text`.
-
-    The document is encoded once by the C encoder before the filesystem is
-    touched, so a non-serializable document raises ``TypeError`` without
-    creating anything.  The bytes are the ones ``json.dump`` writes.
-    """
-    return atomic_write_text(path, json.dumps(document), faults, fault_op)
-
-
-def atomic_write_text(
-    path: Path,
-    text: str,
-    faults: Optional[Any] = None,
-    fault_op: Optional[str] = None,
-) -> Optional[str]:
-    """Write ``text`` to ``path`` via a same-directory temp file.
+    """Write ``json.dumps(document)`` to ``path`` via a same-directory temp file.
 
     The one atomic writer: cache entries, fleet queue entries, reports,
-    manifests, heartbeats and quarantine records all go through it.
-    ``faults``/``fault_op`` are the chaos seam: a fault plan's
-    ``intercept_write`` receives the text and may replace the write with a
-    torn one, drop it (leaving a stray temp file), or raise an injected
-    ``OSError`` -- deterministically from its seed.  Production callers pass
-    neither and get the plain atomic write.
+    manifests, heartbeats and quarantine records all go through it.  The
+    document is encoded once by the C encoder before the filesystem is
+    touched, so a non-serializable document raises ``TypeError`` without
+    creating anything.  The bytes are the ones ``json.dump`` writes, and they
+    go out in one write.  The parent directory is created only when the
+    temp-file create finds it missing, so a write into an existing shard
+    makes no ``mkdir`` call.
 
-    The text goes out in one write.  The parent directory is created only
-    when the temp-file create finds it missing, so a write into an existing
-    shard makes no ``mkdir`` call.
+    ``faults``/``fault_op`` are the chaos seam: a fault plan's
+    ``intercept_write`` receives the encoded text and may replace the write
+    with a torn one, drop it (leaving a stray temp file), or raise an
+    injected ``OSError`` -- deterministically from its seed.  Production
+    callers pass neither and get the plain atomic write.
 
     Returns ``None`` after a real write, or the kind of write a fault plan
     injected instead (``"torn"``, ``"skip"``).
     """
+    text = json.dumps(document)
     if faults is not None and fault_op is not None:
         injected = faults.intercept_write(fault_op, path, text)
         if injected is not None:
@@ -110,19 +93,6 @@ def atomic_write_text(
             pass
         raise
     return None
-
-
-def _entry_head(job: Job) -> str:
-    """The text of ``job``'s entry up to its result payload.
-
-    It is ``json.dumps`` of the entry document cut before the payload, with
-    the platform spliced in from its spec's cached ``json_text``.
-    """
-    job_text = hashing.dumps(job_members(job, hashing.Encoded(job.platform.json_text)))
-    return (
-        f'{{"schema": {SCHEMA_VERSION}, "hash": "{job.content_hash}", '
-        f'"job": {job_text}, "result": '
-    )
 
 
 @dataclass
@@ -150,41 +120,46 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
+    def read(self, job_hash: str) -> Optional[Dict[str, Any]]:
+        """The result stored under ``job_hash``, or ``None``: the one reader
+        of entries, for lookups by job and by hash alike.
+
+        An entry is served only when it parses as a dict with this schema,
+        the hash asked for and a dict ``result``; other members (an earlier
+        version's ``job``) are ignored.  Anything else -- a missing or torn
+        file, another schema, another job's entry filed here -- is absent.
+        """
+        try:
+            entry = json.loads(self.path_for(job_hash).read_bytes())
+        except (OSError, ValueError):
+            # ValueError: a short hash, json.JSONDecodeError, or a
+            # UnicodeDecodeError from corrupt bytes.
+            return None
+        if (
+            isinstance(entry, dict)
+            and entry.get("schema") == SCHEMA_VERSION
+            and entry.get("hash") == job_hash
+            and isinstance(entry.get("result"), dict)
+        ):
+            return entry["result"]
+        return None
+
     def get(self, job: Job) -> Optional[Dict[str, Any]]:
         """The cached result payload for ``job``, or ``None`` on a miss.
 
-        The entry must start with ``job``'s head (see the module docstring),
-        byte for byte; then only the payload after it is parsed.  A missing
-        or unreadable file, a different head (another job's entry, another
-        schema) and a payload that does not parse all count as misses: the
-        job is simply recomputed and its entry rewritten.
+        :meth:`read` by the job's hash, counted as a hit or a miss.  A miss
+        is simply recomputed and its entry rewritten.
         """
-        try:
-            data = self.path_for(job.content_hash).read_bytes()
-        except OSError:
-            obs_state.counter("cache.misses").inc()
-            return None
-        payload = None
-        # ``json.dumps`` escapes every non-ASCII character, so the head is ASCII.
-        head = _entry_head(job).encode("ascii")
-        if data.startswith(head) and data.endswith(b"}"):
-            try:
-                payload = json.loads(data[len(head):-1])
-            except ValueError:
-                # json.JSONDecodeError, or UnicodeDecodeError from corrupt bytes.
-                pass
-        if not isinstance(payload, dict):
-            obs_state.counter("cache.misses").inc()
-            return None
-        obs_state.counter("cache.hits").inc()
+        payload = self.read(job.content_hash)
+        obs_state.counter("cache.misses" if payload is None else "cache.hits").inc()
         return payload
 
     def put(self, job: Job, payload: Dict[str, Any]) -> Path:
         """Store ``payload`` for ``job`` atomically; returns the entry path."""
         path = self.path_for(job.content_hash)
-        atomic_write_text(
+        atomic_write_json(
             path,
-            _entry_head(job) + json.dumps(payload) + "}",
+            {"schema": SCHEMA_VERSION, "hash": job.content_hash, "result": payload},
             faults=self.faults,
             fault_op="store.write",
         )

@@ -11,8 +11,10 @@ use -- expressed entirely in JSON-scalar parameters.  That buys three things:
 * **process isolation**: every worker rebuilds its own :class:`Platform` from
   the spec, so live MRC register state is never shared across concurrent runs
   (the engine mutates the register file while simulating);
-* **replayability**: a job file read back from the cache fully describes the
-  run that produced the result next to it.
+* **replayability**: ``to_dict`` fully describes the run, and
+  :func:`job_from_dict` rebuilds it, so a fleet queue entry or quarantine
+  record that carries it can run or resubmit the job anywhere.  A cache
+  entry needs only the hash: it stores the result under it.
 
 Two job kinds exist:
 
@@ -103,8 +105,9 @@ def job_members(job, platform: Any) -> Dict[str, Any]:
 
     Both job kinds serialize ``kind``, then each field in declaration order,
     a spec field through its own ``to_dict``.  This builds those members
-    without running ``HardwareSpec.to_dict``, so an encoder can take the
-    platform as its spec's cached text (:class:`repro.hashing.Encoded`).
+    without running ``HardwareSpec.to_dict``, so a job hash can take the
+    platform as its spec's cached ``canonical_text``
+    (:class:`repro.hashing.Encoded`).
     Each kind's explicit ``to_dict`` stays the definition the ``hash-surface``
     lint rule checks; tests hold this function to it.
     """
@@ -561,6 +564,8 @@ JOB_KINDS: Dict[str, type] = {
 
 def job_from_dict(data: Dict[str, Any]) -> Job:
     """Rebuild a job serialized with ``to_dict`` (dispatches on ``kind``)."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a job is a dict, not {type(data).__name__}")
     kind = data.get("kind")
     if kind == SimulationJob.kind:
         return SimulationJob(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -735,6 +736,46 @@ class TestServiceChaos:
         assert "lease expired" in record.message
         assert list(queue.entries_dir.rglob("*.json")) == []
         assert not (queue.entries_dir / "failed").exists()
+
+    @pytest.mark.parametrize("case", ["hashes-elsewhere", "does-not-build", "not-a-dict"])
+    def test_an_entry_that_cannot_run_under_its_hash_is_quarantined(
+        self, tmp_path, case
+    ):
+        """An entry whose job rebuilds into another job (one queued before a
+        job-hash change) would store its result under the other hash and be
+        released forever; one whose job does not build would fail each poll
+        that leases it.  The poll that leases either quarantines it as
+        ``invalid-entry``, keeping its job for a resubmit, and the rest of
+        the slice runs."""
+        root = tmp_path / "fleet"
+        queue = JobQueue(FleetPaths(root).queue_dir)
+        good, named = _tiny_job(), _tiny_job(policy="sysscale")
+        if case == "hashes-elsewhere":
+            other = _tiny_job(tdp=7.0)
+            carried, error_class = other.to_dict(), "ValueError"
+            named_in_message = other.content_hash
+        elif case == "does-not-build":
+            carried = {**named.to_dict(), "policy": {"builder": "no-such-policy", "params": {}}}
+            error_class, named_in_message = "KeyError", "no-such-policy"
+        else:
+            carried, error_class, named_in_message = ["not", "a", "job"], "TypeError", "list"
+        queue.submit(good)
+        queue.restore(replace(queue.submit(named), job=carried))
+        service = FleetService(_drain_config(root))
+        assert service.run_once(now=100.0) == 1
+        service.executor.close()
+        record = Quarantine(root / "quarantine").get(named.content_hash)
+        assert record is not None
+        assert (record.reason, record.error_class, record.attempts) == (
+            "invalid-entry", error_class, 1
+        )
+        assert named_in_message in record.message
+        assert record.job == carried
+        assert queue.counts() == EMPTY
+        assert service.jobs_quarantined == 1
+        store = ShardedResultStore(FleetPaths(root).store_dir)
+        assert [store.has_job(job.content_hash) for job in (good, named)] == [True, False]
+        assert len(store.job_cache()) == 1
 
     def test_a_torn_entry_is_unfinished_work_to_status_doctor_and_serve(
         self, tmp_path

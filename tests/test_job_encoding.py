@@ -1,11 +1,14 @@
-"""Job hashes and cache entries splice each platform's cached JSON text.
+"""Job hashes splice each platform's cached canonical text, and a cache
+entry is its hash and its result.
 
 A ``HardwareSpec`` encodes its ``to_dict()`` once per instance, in the
-canonical form job hashes use and the ``json.dumps`` form cache entries use.
-No hash and no byte may move for it: every check here compares with the
-encodings of the whole job document, the formulas the runtime used before
-the splice.  A cache read checks the entry's head byte for byte and parses
-only the payload, so a mis-filed or truncated entry is a miss.
+canonical form job hashes use.  No job hash may move for it: every check
+here compares with the hash of the whole job document, the formula the
+runtime used before the splice.  A cache entry is ``json.dumps`` of its
+schema, hash and result, and one reader (``ResultCache.read``) serves both
+the cache and the fleet store: an entry is served only under the hash it
+names, so a mis-filed or truncated entry is a miss, and an entry an earlier
+version wrote with the whole job in it is still served.
 """
 
 import json
@@ -21,7 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import config, obs
-from repro.hashing import Encoded, canonical_json, content_hash, dumps
+from repro.fleet import ShardedResultStore
+from repro.hashing import Encoded, canonical_json, content_hash
 from repro.hw import HardwareSpec, get_hardware
 from repro.obs import state as obs_state
 from repro.runtime import (
@@ -56,15 +60,8 @@ def reference_hash(job):
 
 
 def reference_entry(job, payload):
-    """The cache entry text: ``json.dumps`` of the whole entry document."""
-    return json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "hash": reference_hash(job),
-            "job": job.to_dict(),
-            "result": payload,
-        }
-    )
+    """The cache entry text: ``json.dumps`` of the entry document."""
+    return json.dumps({"schema": SCHEMA_VERSION, "hash": reference_hash(job), "result": payload})
 
 
 def _scaled_voltages(points, scale):
@@ -157,29 +154,23 @@ def _counter(name):
 
 
 class TestSplice:
-    """``repro.hashing`` splices a member's text at the member's position."""
+    """``repro.hashing`` splices a member's text at the member's sorted position."""
 
     DOCUMENT = {"b": [1, 2.5], "platform": {"x": 1, "a": None}, "a": "é", "z": {"k": True}}
+    CANONICAL = json.dumps(DOCUMENT, sort_keys=True, separators=(",", ":"))
 
     @pytest.mark.parametrize("member", ["b", "platform", "a", "z"])
     def test_one_spliced_member_encodes_as_the_whole_document(self, member):
         value = self.DOCUMENT[member]
         spliced = {**self.DOCUMENT, member: Encoded(canonical_json(value))}
-        assert canonical_json(spliced) == json.dumps(
-            self.DOCUMENT, sort_keys=True, separators=(",", ":")
-        )
-        spliced = {**self.DOCUMENT, member: Encoded(json.dumps(value))}
-        assert dumps(spliced) == json.dumps(self.DOCUMENT)
+        assert canonical_json(spliced) == self.CANONICAL
 
     def test_every_member_spliced(self):
-        spliced = {key: Encoded(json.dumps(value)) for key, value in self.DOCUMENT.items()}
-        assert dumps(spliced) == json.dumps(self.DOCUMENT)
+        spliced = {key: Encoded(canonical_json(value)) for key, value in self.DOCUMENT.items()}
+        assert canonical_json(spliced) == self.CANONICAL
 
     def test_plain_documents_encode_as_before(self):
-        assert canonical_json(self.DOCUMENT) == json.dumps(
-            self.DOCUMENT, sort_keys=True, separators=(",", ":")
-        )
-        assert dumps(self.DOCUMENT) == json.dumps(self.DOCUMENT)
+        assert canonical_json(self.DOCUMENT) == self.CANONICAL
         assert canonical_json([1, "x"]) == "[1,\"x\"]"
 
     def test_a_nested_encoded_member_is_refused(self):
@@ -188,6 +179,9 @@ class TestSplice:
 
 
 class TestNoHashOrByteMoves:
+    """No job hash moves, and ``put`` writes exactly ``json.dumps`` of the
+    entry document."""
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(job=jobs(), payload=payloads)
     def test_generated_jobs(self, job, payload):
@@ -210,7 +204,7 @@ class TestNoHashOrByteMoves:
                 checked += 1
         assert checked
 
-    def test_a_spec_is_encoded_once_per_form(self, monkeypatch, tmp_path):
+    def test_a_spec_is_encoded_once(self, monkeypatch, tmp_path):
         spec = PlatformSpec(tdp=5.5)
         encodes = []
         real = HardwareSpec.to_dict
@@ -226,18 +220,17 @@ class TestNoHashOrByteMoves:
             job.content_hash
             cache.put(job, {"x": 1})
             assert cache.get(job) == {"x": 1}
-        assert len(encodes) == 2  # one canonical text, one json.dumps text
+        assert len(encodes) == 1  # its canonical text; entries carry no job
 
 
 class TestSpecTexts:
-    def test_texts_are_the_two_encodings_of_to_dict(self):
+    def test_text_is_the_canonical_encoding_of_to_dict(self):
         spec = get_hardware("broadwell")
         assert spec.canonical_text == canonical_json(spec.to_dict())
-        assert spec.json_text == json.dumps(spec.to_dict())
 
     def test_cached_texts_leave_equality_and_hashing_alone(self):
         encoded = PlatformSpec(tdp=6.25)
-        encoded.canonical_text, encoded.json_text
+        encoded.canonical_text
         fresh = PlatformSpec(tdp=6.25)
         assert "canonical_text" in vars(encoded) and "canonical_text" not in vars(fresh)
         assert encoded == fresh
@@ -247,13 +240,11 @@ class TestSpecTexts:
 
     def test_derived_specs_encode_their_own_text(self):
         parent = PlatformSpec(tdp=6.5)
-        parent.canonical_text, parent.json_text
+        parent.canonical_text
         for child in (parent.derive(tdp=7.0), replace(parent, tdp=7.0), replace(parent)):
             assert "canonical_text" not in vars(child)
-            assert "json_text" not in vars(child)
             assert child.canonical_text == canonical_json(child.to_dict())
-            assert child.json_text == json.dumps(child.to_dict())
-        assert parent.derive(tdp=7.0).json_text != parent.json_text
+        assert parent.derive(tdp=7.0).canonical_text != parent.canonical_text
 
     def test_nothing_is_encoded_at_import(self):
         """No spec of the registry or the job defaults holds a text until a
@@ -265,7 +256,7 @@ class TestSpecTexts:
             "specs = list(HARDWARE.values()) + [\n"
             "    cls.__dataclass_fields__['platform'].default\n"
             "    for cls in (SimulationJob, DegradationJob)]\n"
-            "texts = [n for s in specs for n in ('canonical_text', 'json_text') if n in vars(s)]\n"
+            "texts = [s.name for s in specs if 'canonical_text' in vars(s)]\n"
             "print(len(specs), texts)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -277,7 +268,11 @@ class TestSpecTexts:
 
 class TestReadPath:
     def test_a_misfiled_entry_is_a_miss_and_the_next_put_rewrites_it(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        """Another job's entry filed under this hash is no result, to the
+        cache and to the fleet store, which reads by hash through the same
+        reader."""
+        store = ShardedResultStore(tmp_path)
+        cache = store.job_cache()
         a, b = _tiny_job("470.lbm"), _tiny_job("416.gamess")
         cache.put(a, {"x": 1})
         misfiled = cache.path_for(b.content_hash)
@@ -287,6 +282,8 @@ class TestReadPath:
             assert cache.get(b) is None
             assert _counter("cache.misses") == 1
             assert _counter("cache.hits") == 0
+        assert store.job_payload(b.content_hash) is None
+        assert store.job_payload(a.content_hash) == {"x": 1}
         cache.put(b, {"x": 2})
         assert misfiled.read_text(encoding="utf-8") == reference_entry(b, {"x": 2})
         assert cache.get(b) == {"x": 2}
@@ -303,3 +300,37 @@ class TestReadPath:
             assert cache.get(job) is None, end
         path.write_bytes(entry)
         assert cache.get(job) == payload
+
+    def test_a_result_that_is_not_a_dict_is_absent(self, tmp_path):
+        store = ShardedResultStore(tmp_path)
+        job = _tiny_job()
+        path = store.job_cache().put(job, {"x": 1})
+        for result in ([1, 2], "x", None, 3):
+            entry = {"schema": SCHEMA_VERSION, "hash": job.content_hash, "result": result}
+            path.write_text(json.dumps(entry), encoding="utf-8")
+            assert store.job_payload(job.content_hash) is None, result
+            assert store.job_cache().get(job) is None, result
+
+    def test_an_entry_in_the_earlier_format_is_served(self, tmp_path):
+        """Entries written before this format also carry the whole job; the
+        reader ignores it, so old caches and fleet stores serve as they are."""
+        store = ShardedResultStore(tmp_path)
+        job = _tiny_job(policy="sysscale")
+        payload = {"x": 1, "nested": {"y": [1.5, None]}}
+        path = store.job_path(job.content_hash)
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "hash": job.content_hash,
+                    "job": job.to_dict(),
+                    "result": payload,
+                }
+            ),
+            encoding="utf-8",
+        )
+        with obs_state.scoped(enabled=True):
+            assert store.job_cache().get(job) == payload
+            assert _counter("cache.hits") == 1
+        assert store.job_payload(job.content_hash) == payload

@@ -141,7 +141,7 @@ class TestResultCache:
         job = _tiny_job()
         path = cache.put(job, {"x": 1})
         stale = {"schema": SCHEMA_VERSION - 1, "result": {"x": 1}}
-        # The real entry under another schema stamp: only its head differs.
+        # The real entry under another schema stamp.
         restamped = path.read_text(encoding="utf-8").replace(
             f'"schema": {SCHEMA_VERSION}', f'"schema": {SCHEMA_VERSION - 1}', 1
         )
@@ -201,12 +201,7 @@ def _degradation_job():
 
 def _cache_entry(job):
     """A cache entry document, built the way ``ResultCache.put`` builds it."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "hash": job.content_hash,
-        "job": job.to_dict(),
-        "result": execute_job(job),
-    }
+    return {"schema": SCHEMA_VERSION, "hash": job.content_hash, "result": execute_job(job)}
 
 
 def _writer_documents():
