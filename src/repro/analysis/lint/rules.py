@@ -69,7 +69,7 @@ def _deterministic_scope(module: SourceModule) -> bool:
     """Modules whose outputs are hashed, cached, or compared bit-for-bit.
 
     Timing and environment access belong in ``repro.obs`` and the
-    executors -- never where results come from.
+    executor -- never where results come from.
     """
     name = module.module
     if name is None:
@@ -599,9 +599,10 @@ _FORK_SAFE_ATTRS = {
 def _executor_safety_scope(module: SourceModule) -> bool:
     """Everything a forked worker inherits: the full stack below the CLI.
 
-    ``ParallelExecutor`` forks, so workers inherit every module the parent
-    imported; the app layer (CLI, analysis tooling) is excluded because it
-    runs only in the parent and is where pools legitimately live.
+    A multi-worker ``Executor`` forks its pool, so workers inherit every
+    module the parent imported; the app layer (CLI, analysis tooling) is
+    excluded because it runs only in the parent and is where pools
+    legitimately live.
     """
     name = module.module
     if name is None:
@@ -764,7 +765,7 @@ RULES: Dict[str, LintRule] = {
                 "hashing, scenario, or job-payload module reads from a wall "
                 "clock, a global RNG, or the process environment leaks "
                 "irreproducible state into cached artifacts. Timing belongs in "
-                "repro.obs and the executors; randomness must flow through an "
+                "repro.obs and the executor; randomness must flow through an "
                 "explicitly seeded np.random.default_rng."
             ),
             applies=_deterministic_scope,
@@ -823,7 +824,7 @@ RULES: Dict[str, LintRule] = {
             severity="error",
             summary="no fork-unsafe module-level state (handles, threads, pools) in worker-imported modules",
             rationale=(
-                "ParallelExecutor forks its workers, and a forked child "
+                "A multi-worker Executor forks its pool, and a forked child "
                 "inherits every module the parent imported -- including any "
                 "file handle, socket, thread, or pool created at module "
                 "level. Handles end up shared (two processes interleaving "

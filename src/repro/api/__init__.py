@@ -43,7 +43,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import ExperimentContext, ExperimentRuntime, build_context
 from repro.runtime.cache import ResultCache, default_cache_dir
-from repro.runtime.executor import make_executor
+from repro.runtime.executor import Executor
 from repro.runtime.jobs import PolicySpec, TraceSpec
 from repro.sim.engine import SimulationConfig
 from repro.sim.result import SimulationResult
@@ -111,7 +111,7 @@ class Session:
         if jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         self.runtime = ExperimentRuntime(
-            executor=make_executor(jobs),
+            executor=Executor(workers=jobs),
             cache=ResultCache(cache_dir or default_cache_dir()) if cache else None,
             progress=progress,
         )

@@ -24,10 +24,6 @@ from repro.runtime.campaign import CAMPAIGNS, Campaign, resolve_campaign
 #: go back into the config by field name.
 SERVE_SETTINGS = {
     "workers": (int, "N", "worker processes (default %(default)g)"),
-    "batch_size": (int, "N", (
-        "jobs packed per pool submission (default: auto-sized from the "
-        "batch and worker count)"
-    )),
     "poll_interval": (float, "S", (
         "seconds between queue polls when idle (default %(default)g)"
     )),

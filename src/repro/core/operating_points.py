@@ -201,3 +201,15 @@ def build_ddr4_operating_points(mrc_optimized: bool = True) -> OperatingPointTab
             ),
         ]
     )
+
+
+def operating_points_for(platform: Platform) -> OperatingPointTable:
+    """The point table matched to ``platform``'s DRAM family.
+
+    A DDR4 device gets the Sec. 7.4 DDR4 table, everything else the LPDDR3
+    table of Table 1: scaling a DDR4 interface through LPDDR3 frequency
+    points would simulate operating points the device does not have.
+    """
+    if platform.dram.technology.value == "ddr4":
+        return build_ddr4_operating_points()
+    return build_default_operating_points(platform)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
-from repro import config
 from repro.core.algorithm import HolisticPowerAlgorithm
 from repro.core.demand import DemandPredictor
 from repro.core.flow import TransitionFlow
@@ -68,16 +67,13 @@ class SysScaleController(Policy):
         Table of IO/memory operating points (two by default, as on the real chip).
     thresholds:
         Calibrated counter thresholds; calibrated on the fly when omitted.
-    use_flow_latency:
-        When True, each transition's latency is taken from the executed Fig. 5
-        flow; when False, the nominal 10 us budget is charged (useful for
-        ablations of the flow-latency model).
+
+    Each transition's latency is taken from the executed Fig. 5 flow.
     """
 
     platform: Platform
     operating_points: Optional[OperatingPointTable] = None
     thresholds: Optional[CounterThresholds] = None
-    use_flow_latency: bool = True
     name: str = "SysScale"
     decides_from_counters: ClassVar[bool] = True
 
@@ -130,7 +126,7 @@ class SysScaleController(Policy):
         target = decision.operating_point
         budget = decision.io_memory_budget
         if target is not self._current_point:
-            latency = self._execute_transition(self._current_point, target)
+            latency = self.flow.execute(self._current_point, target).total_latency
             self._current_point = target
             self._steady_action = None
             return self._action_for(
@@ -146,14 +142,6 @@ class SysScaleController(Policy):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _execute_transition(
-        self, source: OperatingPoint, target: OperatingPoint
-    ) -> float:
-        """Run the Fig. 5 flow (or charge the nominal budget) and return the latency."""
-        if not self.use_flow_latency:
-            return config.TRANSITION_TOTAL_LATENCY_BUDGET
-        return self.flow.execute(source, target).total_latency
-
     def _action_for(
         self,
         point: OperatingPoint,

@@ -20,7 +20,11 @@ from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
 from repro.experiments.runner import ExperimentContext, mean
 from repro.hw import HardwareSpec, resolve_hardware
-from repro.runtime.campaign import DEFAULT_HW_VARIANTS, QUICK_SPEC_SUBSET
+from repro.runtime.campaign import (
+    DEFAULT_HW_VARIANTS,
+    QUICK_SPEC_SUBSET,
+    sysscale_policy_for,
+)
 from repro.runtime.jobs import PolicySpec, SimulationJob, TraceSpec
 
 TITLE = "Hardware sweep: SysScale sensitivity across platform variants"
@@ -28,13 +32,6 @@ TITLE = "Hardware sweep: SysScale sensitivity across platform variants"
 #: ``--quick``: the first three variants over half the SPEC subset.
 QUICK_VARIANT_COUNT = 3
 QUICK_WORKLOAD_COUNT = 6
-
-
-def _sysscale_for(spec: HardwareSpec) -> PolicySpec:
-    """SysScale with the operating-point table matched to the DRAM family."""
-    if spec.dram.technology == "lpddr3":
-        return PolicySpec.make("sysscale")
-    return PolicySpec.make("sysscale", operating_points="ddr4")
 
 
 def _variant_labels(specs: Sequence[HardwareSpec]) -> List[str]:
@@ -106,7 +103,7 @@ def _hwsweep(
     ]
     jobs: List[SimulationJob] = []
     for spec in specs:
-        policies = (PolicySpec.make("baseline"), _sysscale_for(spec))
+        policies = (PolicySpec.make("baseline"), sysscale_policy_for(spec))
         for trace in traces:
             for policy in policies:
                 jobs.append(

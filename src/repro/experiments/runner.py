@@ -16,18 +16,13 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span as obs_span
-from repro.core.operating_points import OperatingPointTable, build_default_operating_points
+from repro.core.operating_points import OperatingPointTable, operating_points_for
 from repro.core.sysscale import SysScaleController, default_thresholds
 from repro.core.thresholds import CounterThresholds
 from repro.hw import HardwareSpec, resolve_hardware
 from repro.numeric import ordered_sum
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import (
-    ExecutionReport,
-    Executor,
-    ProgressCallback,
-    SerialExecutor,
-)
+from repro.runtime.executor import ExecutionReport, Executor, ProgressCallback
 from repro.experiments.report import RunInfo
 from repro.runtime.jobs import (
     DegradationJob,
@@ -64,7 +59,7 @@ class ExperimentRuntime:
         progress: Optional[ProgressCallback] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = executor if executor is not None else Executor()
         self.cache = cache
         self.progress = progress
         self.metrics = metrics if metrics is not None else MetricsRegistry("runtime")
@@ -120,10 +115,10 @@ class ExperimentRuntime:
     def close(self) -> None:
         """Release the executor's resources (the parallel worker pool).
 
-        One runtime serves every experiment of a session, so its
-        :class:`~repro.runtime.executor.ParallelExecutor` keeps a single warm
-        process pool alive across submissions; call this when the session is
-        done (the CLI does, after its last target).
+        One runtime serves every experiment of a session, so a multi-worker
+        :class:`~repro.runtime.executor.Executor` keeps a single warm process
+        pool alive across submissions; call this when the session is done
+        (the CLI does, after its last target).
         """
         self.executor.close()
 
@@ -236,14 +231,7 @@ def build_context(
     if tdp is not None and tdp != spec.tdp:
         spec = spec.derive(tdp=tdp)
     platform = spec.build()
-    if spec.dram.technology == "ddr4":
-        # Match the operating-point table to the DRAM family, exactly as the
-        # runtime's sysscale builder does for DDR4 platforms.
-        from repro.core.operating_points import build_ddr4_operating_points
-
-        operating_points = build_ddr4_operating_points()
-    else:
-        operating_points = build_default_operating_points(platform)
+    operating_points = operating_points_for(platform)
     thresholds = default_thresholds(platform, operating_points)
     return ExperimentContext(
         platform=platform,

@@ -346,14 +346,17 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _read_heartbeat(
-    path: Path, now: float, stale_after: float
-) -> Optional[Dict[str, Any]]:
+#: Seconds after which a running service's heartbeat reads as stale, in
+#: ``fleet status`` and the doctor alike.
+HEARTBEAT_STALE_AFTER = 30.0
+
+
+def _read_heartbeat(path: Path, now: float) -> Optional[Dict[str, Any]]:
     """The service heartbeat at ``path`` plus a ``health`` verdict, or None.
 
     ``health`` carries the beat's age, ``alive`` (a running beat with a live
-    pid) and ``stale`` (age beyond ``stale_after`` or a dead pid).  A
-    ``stopped`` beat, written when the loop exits, is never stale.
+    pid) and ``stale`` (age beyond :data:`HEARTBEAT_STALE_AFTER` or a dead
+    pid).  A ``stopped`` beat, written when the loop exits, is never stale.
     """
     try:
         with path.open("r", encoding="utf-8") as handle:
@@ -369,7 +372,7 @@ def _read_heartbeat(
     beat["health"] = {
         "age_seconds": age,
         "alive": alive,
-        "stale": not stopped and (age > stale_after or not alive),
+        "stale": not stopped and (age > HEARTBEAT_STALE_AFTER or not alive),
     }
     return beat
 
@@ -378,7 +381,6 @@ def run_doctor(
     root: Path,
     fix: bool = False,
     now: Optional[float] = None,
-    heartbeat_stale_after: float = 30.0,
 ) -> DoctorReport:
     """Audit one fleet directory's queue/store/manifest/heartbeat consistency.
 
@@ -474,7 +476,7 @@ def run_doctor(
     if fix:
         scan = queue.scan_settled()
     undrained = not is_drained(tally(*scan))
-    beat = _read_heartbeat(paths.heartbeat, now, heartbeat_stale_after)
+    beat = _read_heartbeat(paths.heartbeat, now)
     if beat is None or beat.get("state") == SERVICE_STOPPED:
         if undrained:
             why = (
@@ -492,7 +494,7 @@ def run_doctor(
             )
     elif beat["health"]["stale"]:
         age, alive = beat["health"]["age_seconds"], beat["health"]["alive"]
-        state = "stale" if age > heartbeat_stale_after else "dead-pid"
+        state = "stale" if age > HEARTBEAT_STALE_AFTER else "dead-pid"
         findings.append(
             Finding(
                 SEVERITY_WARNING if undrained else SEVERITY_INFO,

@@ -16,7 +16,7 @@ start: nothing is enqueued at all.
 
 ``repro serve`` runs :class:`FleetService`: each poll it recovers expired
 leases, leases a slice of the queue, runs it through a batched
-:class:`~repro.runtime.executor.ParallelExecutor` of ``--workers`` processes
+:class:`~repro.runtime.executor.Executor` of ``--workers`` processes
 writing straight into the store's job namespace, completes each job whose
 result reads back, finalizes any manifest whose jobs have all landed into a
 ``spec_hash``-keyed sweep report, and writes a ``running`` heartbeat.  When
@@ -68,11 +68,10 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
-
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.fleet.faults import directive_hook
 from repro.fleet.queue import (
@@ -103,7 +102,7 @@ from repro.hashing import content_hash
 from repro.obs import state as obs_state
 from repro.runtime.campaign import Campaign, resolve_campaign
 from repro.runtime.cache import atomic_write_json
-from repro.runtime.executor import JobFailure, ParallelExecutor, SerialExecutor
+from repro.runtime.executor import Executor, JobFailure
 
 __all__ = [
     "FleetConfig",
@@ -226,7 +225,6 @@ class FleetConfig:
 
     root: Path
     workers: int = 2
-    batch_size: Optional[int] = None
     poll_interval: float = 0.2
     lease_timeout: float = 60.0
     #: Jobs leased (and handed to the executor) per poll.
@@ -258,9 +256,9 @@ class FleetConfig:
             )
         # A bad value here would only fail later, inside the loop: a lease
         # limit of 0 makes every poll raise, so ``drain`` never exits.
-        for name in ("workers", "lease_limit", "max_attempts", "batch_size"):
+        for name in ("workers", "lease_limit", "max_attempts"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if self.lease_timeout <= 0:
             raise ValueError(f"lease_timeout must be positive, got {self.lease_timeout}")
@@ -287,9 +285,7 @@ class FleetService:
             faults=config.faults,
         )
         self.quarantine = Quarantine(self.paths.root / QUARANTINE_SUBDIR)
-        self.executor = ParallelExecutor(
-            max_workers=config.workers, batch_size=config.batch_size
-        )
+        self.executor = Executor(workers=config.workers)
         self.worker_name = f"service-{os.getpid()}"
         self.rounds = 0
         self.jobs_run = 0
@@ -423,7 +419,7 @@ class FleetService:
                 on_error=on_error,
                 pre_hook=pre_hook,
             )
-        except BrokenProcessPool:
+        except BrokenExecutor:
             self._recover_pool_break(entries, now)
             return 0
         except Exception as error:  # noqa: BLE001 - infrastructure failure
@@ -648,7 +644,7 @@ class FleetService:
             "pid": os.getpid(),
             "worker": self.worker_name,
             "updated_unix": now,
-            "workers": self.executor.max_workers,
+            "workers": self.executor.workers,
             "rounds": self.rounds,
             "jobs_run": self.jobs_run,
             "queue": self._last_counts,
@@ -761,7 +757,7 @@ class FleetService:
                 "poll_errors": self.poll_errors,
                 "reports_finalized": self.reports_finalized,
                 "drained": exit_reason in ("drained", "idle-timeout"),
-                "workers": self.executor.max_workers,
+                "workers": self.executor.workers,
                 "faults": (
                     self.config.faults.summary()
                     if self.config.faults is not None
@@ -795,16 +791,13 @@ def _drained(
 # ---------------------------------------------------------------------------
 
 
-def fleet_status(
-    root: Path,
-    now: Optional[float] = None,
-    stale_after: float = 30.0,
-) -> Dict[str, Any]:
+def fleet_status(root: Path, now: Optional[float] = None) -> Dict[str, Any]:
     """A JSON-friendly snapshot of one fleet directory's state.
 
     The ``service`` block carries a ``health`` verdict: heartbeat age, pid
-    liveness, and a ``stale`` flag (age beyond ``stale_after`` or a dead
-    pid) -- a wedged or killed service reads as exactly that, not healthy.
+    liveness, and a ``stale`` flag (age beyond
+    :data:`~repro.fleet.resilience.HEARTBEAT_STALE_AFTER` or a dead pid) --
+    a wedged or killed service reads as exactly that, not healthy.
     A service that exited its loop left a ``stopped`` beat, which is never
     stale.  A campaign's ``landed`` counts its jobs whose result reads back,
     the store's done rule; each result is read once, however many campaigns
@@ -841,7 +834,7 @@ def fleet_status(
         "quarantine": quarantine.counts(),
         "campaigns": campaigns,
         "unreadable_manifests": [path.name for path in unreadable],
-        "service": _read_heartbeat(paths.heartbeat, now, stale_after),
+        "service": _read_heartbeat(paths.heartbeat, now),
     }
 
 
@@ -855,7 +848,7 @@ def verify_campaign(root: Path, campaign: Campaign) -> Dict[str, Any]:
     """
     store = ShardedResultStore(FleetPaths(Path(root)).store_dir)
     spec_hash = sweep_spec_hash(campaign)
-    serial_report = SerialExecutor().run(campaign.jobs)
+    serial_report = Executor().run(campaign.jobs)
     mismatched: List[str] = []
     missing: List[str] = []
     serial_results: Dict[str, Dict[str, Any]] = {}

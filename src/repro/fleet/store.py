@@ -146,7 +146,7 @@ class ShardedResultStore:
     def job_cache(self) -> ResultCache:
         """The runtime cache view of the job namespace.
 
-        Executors take this exactly where they take any other
+        The executor takes this exactly where it takes any other
         ``ResultCache`` -- the store adds namespacing and reports *around*
         the cache format, never a new entry format.
         """

@@ -1,15 +1,16 @@
-"""Parallel experiment executor with content-addressed result caching.
+"""Job executor with content-addressed result caching.
 
 The runtime turns the reproduction's simulation sweeps into declarative jobs:
 
 * :mod:`repro.runtime.jobs` -- frozen job specs (trace x policy x platform x
   engine config) with deterministic content hashes;
 * :mod:`repro.runtime.cache` -- an on-disk JSON result store keyed by job hash;
-* :mod:`repro.runtime.executor` -- a serial executor and a process-pool
-  executor that rebuild platforms per worker and report per-job progress;
+* :mod:`repro.runtime.executor` -- one executor that runs the misses in
+  process or on a pool of ``workers`` processes (each rebuilding its own
+  platforms) and reports per-job progress;
 * :mod:`repro.runtime.campaign` -- declarative sweep grids (workload x policy
-  x TDP x DRAM device, or x explicit hardware variants), deduplicated before
-  submission, and the named campaigns behind ``resolve_campaign``.
+  x TDP, or x explicit hardware variants), deduplicated before submission,
+  and the named campaigns behind ``resolve_campaign``.
 
 The ``python -m repro`` command line that drives all of this is the app-layer
 :mod:`repro.cli` package, not part of the runtime.
@@ -28,10 +29,7 @@ from repro.runtime.executor import (
     ExecutionReport,
     Executor,
     JobOutcome,
-    ParallelExecutor,
     ProgressUpdate,
-    SerialExecutor,
-    make_executor,
 )
 from repro.runtime.jobs import (
     DegradationJob,
@@ -60,13 +58,11 @@ __all__ = [
     "Executor",
     "Job",
     "JobOutcome",
-    "ParallelExecutor",
     "PlatformSpec",
     "PointSpec",
     "PolicySpec",
     "ProgressUpdate",
     "ResultCache",
-    "SerialExecutor",
     "SimSpec",
     "SimulationJob",
     "TraceSpec",
@@ -78,5 +74,4 @@ __all__ = [
     "default_cache_dir",
     "execute_job",
     "job_from_dict",
-    "make_executor",
 ]

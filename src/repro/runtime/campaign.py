@@ -1,8 +1,8 @@
 """Declarative sweep campaigns: grids of simulation jobs, deduplicated.
 
 A campaign is a named, ordered, duplicate-free collection of jobs.  The grid
-builders cross workloads x policies x platforms -- either the classic
-TDP x DRAM knobs over one base hardware description, or an explicit list of
+builders cross workloads x policies x platforms -- either a TDP axis over one
+base hardware description, or an explicit list of
 :class:`~repro.hw.spec.HardwareSpec` variants (the hardware grid) -- and drop
 jobs whose content hash has already been seen, so overlapping campaigns (or a
 figure re-listing a workload under a second axis) never submit redundant work.
@@ -69,15 +69,14 @@ def build_grid_campaign(
     traces: Sequence[TraceSpec],
     policies: Sequence[PolicySpec],
     tdps: Optional[Sequence[float]] = None,
-    drams: Optional[Sequence[str]] = None,
     sim: SimSpec = SimSpec(),
     peripherals: Optional[str] = None,
     description: str = "",
     hardware: Optional[Union[str, HardwareSpec]] = None,
 ) -> Campaign:
-    """Cross workloads x policies x TDPs x DRAM devices into one campaign.
+    """Cross workloads x policies x TDPs into one campaign.
 
-    The TDP/DRAM axes are deltas over ``hardware`` (default: the registered
+    The TDP axis is a delta over ``hardware`` (default: the registered
     ``skylake`` description), so the same grid can be rebased onto any
     platform variant.  An omitted axis *inherits* the base description's value
     rather than resetting it -- ``run scenarios --set tdp=7.0`` must sweep at
@@ -85,25 +84,32 @@ def build_grid_campaign(
     """
     base = resolve_hardware(hardware)
     tdp_axis: Sequence[float] = tuple(tdps) if tdps is not None else (base.tdp,)
-    dram_axis: Sequence[object] = (
-        tuple(drams) if drams is not None else (base.dram,)
-    )
     jobs: List[Job] = []
-    for dram in dram_axis:
-        for tdp in tdp_axis:
-            platform = base.derive(tdp=tdp, dram=dram)
-            for trace in traces:
-                for policy in policies:
-                    jobs.append(
-                        SimulationJob(
-                            trace=trace,
-                            policy=policy,
-                            platform=platform,
-                            sim=sim,
-                            peripherals=peripherals,
-                        )
+    for tdp in tdp_axis:
+        platform = base.derive(tdp=tdp)
+        for trace in traces:
+            for policy in policies:
+                jobs.append(
+                    SimulationJob(
+                        trace=trace,
+                        policy=policy,
+                        platform=platform,
+                        sim=sim,
+                        peripherals=peripherals,
                     )
+                )
     return Campaign(name=name, jobs=dedupe_jobs(jobs), description=description)
+
+
+def sysscale_policy_for(spec: HardwareSpec) -> PolicySpec:
+    """SysScale with the operating-point table matched to ``spec``'s DRAM family.
+
+    The parameter-free form on LPDDR3 matches the headline campaigns, so
+    those jobs dedupe against theirs; DDR4 variants name the DDR4 table.
+    """
+    if spec.dram.technology == "lpddr3":
+        return PolicySpec.make("sysscale")
+    return PolicySpec.make("sysscale", operating_points="ddr4")
 
 
 def build_hardware_grid_campaign(
@@ -126,14 +132,7 @@ def build_hardware_grid_campaign(
         spec = resolve_hardware(entry)
         variant_policies = policies
         if variant_policies is None:
-            sysscale = (
-                # The parameter-free form matches the headline campaigns, so
-                # lpddr3 jobs here dedupe against theirs.
-                PolicySpec.make("sysscale")
-                if spec.dram.technology == "lpddr3"
-                else PolicySpec.make("sysscale", operating_points="ddr4")
-            )
-            variant_policies = (PolicySpec.make("baseline"), sysscale)
+            variant_policies = (PolicySpec.make("baseline"), sysscale_policy_for(spec))
         for trace in traces:
             for policy in variant_policies:
                 jobs.append(

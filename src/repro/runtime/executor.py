@@ -1,52 +1,50 @@
-"""Serial and process-parallel job executors.
+"""The job executor: deduplicate, consult the cache, run the misses.
 
-Both executors share one contract: take a sequence of jobs (duplicates
-allowed), consult the cache, execute only the unique misses, and return an
-:class:`ExecutionReport` whose outcomes line up with the submitted order.
-Deduplication happens *before* execution, so a campaign that names the same
-(platform, policy, trace) combination dozens of times simulates it once.
+:class:`Executor` takes a sequence of jobs (duplicates allowed), consults the
+cache, executes only the unique misses, and returns an :class:`ExecutionReport`
+whose outcomes line up with the submitted order.  Deduplication happens
+*before* execution, so a campaign that names the same (platform, policy,
+trace) combination dozens of times simulates it once.
 
-:class:`ParallelExecutor` fans the misses out over a ``ProcessPoolExecutor``.
+``Executor(workers=1)``, the default, runs the misses in the calling process.
+With more workers they fan out over a fork pool of that many processes.
 Worker processes rebuild their own platforms from the job specs (see
 ``repro.runtime.jobs.platform_for``): the simulation engine mutates live MRC
 register state while running, so a platform object must never be shared by two
-concurrent runs.  Serial and parallel execution funnel through the same
-``execute_job_with_stats`` function, which is what makes their results
-bit-identical; engine loop statistics ride back alongside each payload (and
-per-worker metric snapshots are merged into the parent's ``repro.obs``
-registry when telemetry is enabled), never inside it.
+concurrent runs.  Both paths funnel through the same ``execute_job_with_stats``
+function, which is what makes their results bit-identical; engine loop
+statistics ride back alongside each payload (and per-worker metric snapshots
+are merged into the parent's ``repro.obs`` registry when telemetry is
+enabled), never inside it.
 
-Submission is **batched**: a campaign of tiny jobs (the scenario catalog at a
-capped ``max_simulated_time`` runs a job in single-digit milliseconds) loses
-its parallel speedup to per-job pickling round-trips if every job is its own
-pool submission (unbatched, cold parallel barely beat serial).
-``batch_size`` packs that many jobs per submission (``None`` derives
-a size from the batch and worker count via :func:`auto_batch_size`), so the
-pickle/IPC overhead amortizes across the batch while results still stream
-back batch by batch.  Batching never touches what executes: each worker runs
-the same ``execute_job_with_stats`` per job, in submission order, so payloads
-stay bit-identical to serial whatever the batch size.
+Pool submission is **batched**: a campaign of tiny jobs (the scenario catalog
+at a capped ``max_simulated_time`` runs a job in single-digit milliseconds)
+loses its parallel speedup to per-job pickling round-trips if every job is its
+own pool submission (unbatched, cold parallel barely beat serial).
+:func:`auto_batch_size` packs jobs per submission from the batch and worker
+count, so the pickle/IPC overhead amortizes across the batch while results
+still stream back batch by batch.  Batching never touches what executes: each
+worker runs the same ``execute_job_with_stats`` per job, in submission order,
+so payloads stay bit-identical to in-process runs whatever the batch size.
 
-The pool is created lazily on the first batch that needs it and then **kept
-alive across** ``run()`` **calls**: a session that submits one experiment after
-another (the CLI running several targets, ``repro.api.Session``) reuses one
-warm pool -- with its worker-local platform/calibration memos -- instead of
-forking and tearing down a fresh pool per experiment.  Call :meth:`close` (or
-use the executor as a context manager) for a deterministic shutdown; a GC
+The pool, and the ``multiprocessing`` machinery behind it, is imported and
+created on the first call that needs it, and then **kept alive across**
+``run()`` **calls**: a session that submits one experiment after another (the
+CLI running several targets, ``repro.api.Session``) reuses one warm pool --
+with its worker-local platform/calibration memos -- instead of forking and
+tearing down a fresh pool per experiment.  Call :meth:`Executor.close` (or use
+the executor as a context manager) for a deterministic shutdown; a GC
 finalizer shuts the pool down as a fallback.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import time
 import traceback as traceback_module
 import weakref
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -96,7 +94,7 @@ class JobFailure:
 FailureCallback = Callable[[Job, JobFailure], None]
 
 #: Pre-execution seam: invoked with each job right before it runs, *in the
-#: process that runs it* (a pool worker under ``ParallelExecutor``).  This is
+#: process that runs it* (a pool worker when ``workers > 1``).  This is
 #: the fleet chaos harness's injection point; it must be picklable (a
 #: module-level function or ``functools.partial`` over one).
 PreExecuteHook = Callable[[Job], None]
@@ -190,14 +188,6 @@ class ExecutionReport:
         """Raw payloads, aligned with the submitted job order."""
         return [outcome.payload for outcome in self.outcomes]
 
-    def summary(self) -> str:
-        """One-line accounting string for logs and the CLI."""
-        return (
-            f"{self.submitted} job(s) submitted, {self.unique_jobs} unique, "
-            f"{self.executed} simulated, {self.cache_hits} cache hit(s) "
-            f"in {self.elapsed:.2f}s"
-        )
-
     def engine_stats(self) -> Dict[str, int]:
         """Aggregate engine loop statistics over the jobs executed this call.
 
@@ -228,8 +218,24 @@ class ExecutionReport:
         return totals
 
 
+@dataclass
 class Executor:
-    """Common dedup-then-execute plumbing; subclasses provide ``_execute_many``."""
+    """Run deduplicated cache misses on ``workers`` processes.
+
+    ``workers=1`` runs every miss in the calling process.  With more, the
+    misses of a call run on a fork pool of ``workers`` processes, in batches
+    :func:`auto_batch_size` sizes.  The pool is created by the first call
+    with more than one pending job and reused by every later ``run()``, even
+    for a single job, until :meth:`close`.
+    """
+
+    workers: int = 1
+    _pool: Any = field(init=False, repr=False, default=None)
+    _finalizer: Any = field(init=False, repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def run(
         self,
@@ -330,15 +336,16 @@ class Executor:
             on_error(job, failure)
 
         if pending:
-            with _span(
-                "executor.run", executor=type(self).__name__, jobs=len(pending)
-            ):
-                self._execute_many(
-                    pending,
-                    on_executed,
-                    on_error=on_failed if isolate else None,
-                    pre_hook=pre_hook,
-                )
+            report_failure = on_failed if isolate else None
+            with _span("executor.run", workers=self.workers, jobs=len(pending)):
+                if self.workers == 1 or (len(pending) == 1 and self._pool is None):
+                    # A pool would only add fork/teardown overhead; once a
+                    # warm pool exists, even a single job goes through it.
+                    for job in pending:
+                        item = _run_job(job, isolate, pre_hook)
+                        _deliver(job, item, on_executed, report_failure)
+                else:
+                    self._run_on_pool(pending, on_executed, report_failure, pre_hook)
 
         outcomes = [
             JobOutcome(
@@ -359,43 +366,93 @@ class Executor:
             failed=len(failed_hashes),
         )
 
-    def _execute_many(
-        self,
-        jobs: List[Job],
-        on_executed: Callable[..., None],
-        on_error: Optional[FailureCallback] = None,
-        pre_hook: Optional[PreExecuteHook] = None,
-    ) -> None:
-        raise NotImplementedError
+    # ------------------------------------------------------------------
+    # Pool lifecycle
+    # ------------------------------------------------------------------
+    def _ensure_pool(self) -> Any:
+        if self._pool is None:
+            # Imported here, not at module load: only a run that needs a pool
+            # pays for the multiprocessing machinery.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Fork keeps worker start cheap and inherits the warm platform
+            # memo; fall back to the platform default (e.g. spawn) where fork
+            # is absent.
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - non-POSIX platforms
+                context = multiprocessing.get_context()
+            obs_state.counter("executor.pool_starts").inc()
+            self._pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
+            # GC fallback: shut the workers down if the owner forgets close().
+            self._finalizer = weakref.finalize(
+                self, ProcessPoolExecutor.shutdown, self._pool, wait=False
+            )
+        return self._pool
 
     def close(self) -> None:
-        """Release executor resources (a no-op for in-process executors)."""
+        """Shut the worker pool down; the next ``run()`` starts a fresh one."""
+        if self._pool is not None:
+            if self._finalizer is not None:
+                self._finalizer.detach()
+                self._finalizer = None
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
+    def __enter__(self) -> "Executor":
+        return self
 
-def _execute_inline(
-    jobs: List[Job],
-    on_executed: Callable[..., None],
-    on_error: Optional[FailureCallback] = None,
-    pre_hook: Optional[PreExecuteHook] = None,
-) -> None:
-    """Run jobs in the calling process, with optional isolation."""
-    isolate = on_error is not None
-    for job in jobs:
-        _deliver(job, _run_job(job, isolate, pre_hook), on_executed, on_error)
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
-
-@dataclass
-class SerialExecutor(Executor):
-    """Execute jobs one after another in the calling process."""
-
-    def _execute_many(
+    def _run_on_pool(
         self,
         jobs: List[Job],
         on_executed: Callable[..., None],
-        on_error: Optional[FailureCallback] = None,
-        pre_hook: Optional[PreExecuteHook] = None,
+        on_error: Optional[FailureCallback],
+        pre_hook: Optional[PreExecuteHook],
     ) -> None:
-        _execute_inline(jobs, on_executed, on_error=on_error, pre_hook=pre_hook)
+        collect_metrics = obs_state.enabled()
+        if self._pool is not None and collect_metrics:
+            obs_state.counter("executor.pool_reuse").inc()
+        pool = self._ensure_pool()
+        size = auto_batch_size(len(jobs), self.workers)
+        queue = deque(
+            jobs[start : start + size] for start in range(0, len(jobs), size)
+        )
+        in_flight: Dict[Any, List[Job]] = {}
+        try:
+            while queue or in_flight:
+                while queue and len(in_flight) < MAX_IN_FLIGHT_BATCHES:
+                    batch = queue.popleft()
+                    in_flight[
+                        pool.submit(
+                            _pool_execute_batch,
+                            batch,
+                            collect_metrics,
+                            on_error is not None,
+                            pre_hook,
+                        )
+                    ] = batch
+                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+                for future in done:
+                    batch = in_flight.pop(future)
+                    executed, worker_snapshot = future.result()
+                    if worker_snapshot is not None:
+                        obs_state.merge_snapshot(worker_snapshot)
+                    for job, item in zip(batch, executed):
+                        _deliver(job, item, on_executed, on_error)
+        except BrokenExecutor:
+            # A dead worker poisons the whole pool; drop it so the next
+            # run() starts fresh instead of failing instantly forever.
+            self.close()
+            raise
+        except BaseException:
+            # Don't leave abandoned work running in the reused pool.
+            for future in in_flight:
+                future.cancel()
+            raise
 
 
 def _pool_execute_batch(
@@ -409,8 +466,8 @@ def _pool_execute_batch(
     One submission carries ``len(jobs)`` jobs, so the pickle/IPC round trip is
     paid once per batch instead of once per job.  Jobs run strictly in the
     order submitted, each through the same ``execute_job_with_stats`` the
-    serial path uses -- batching is a transport optimization and cannot change
-    payloads.
+    in-process path uses -- batching is a transport optimization and cannot
+    change payloads.
 
     When the parent has telemetry enabled, the batch runs inside
     ``obs.scoped()`` -- a fresh registry (so counters do not double count
@@ -460,131 +517,6 @@ def auto_batch_size(jobs: int, workers: int) -> int:
 MAX_IN_FLIGHT_BATCHES = 1024
 
 
-def _worker_count(requested: Optional[int]) -> int:
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("worker count must be at least 1")
-        return requested
-    return max(1, os.cpu_count() or 1)
-
-
-@dataclass
-class ParallelExecutor(Executor):
-    """Fan jobs out over a persistent process pool, one platform per worker.
-
-    ``max_workers=None`` uses every available core.  ``batch_size`` packs that
-    many jobs per pool submission (``None`` auto-sizes per batch via
-    :func:`auto_batch_size`) so tiny jobs amortize their pickling round trips.
-    The pool is created on first use and reused by every subsequent ``run()``
-    until :meth:`close`; its worker count is fixed for the executor's
-    lifetime.
-    """
-
-    max_workers: Optional[int] = None
-    batch_size: Optional[int] = None
-    _mp_context: Any = field(init=False, repr=False, default=None)
-    _pool: Any = field(init=False, repr=False, default=None)
-    _finalizer: Any = field(init=False, repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        self.max_workers = _worker_count(self.max_workers)
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1 (or None for auto)")
-        # Fork keeps worker start cheap and inherits the warm platform memo;
-        # fall back to the platform default (e.g. spawn) where fork is absent.
-        try:
-            self._mp_context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            self._mp_context = multiprocessing.get_context()
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            obs_state.counter("executor.pool_starts").inc()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=self._mp_context
-            )
-            # GC fallback: shut the workers down if the owner forgets close().
-            self._finalizer = weakref.finalize(
-                self, ProcessPoolExecutor.shutdown, self._pool, wait=False
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down; the next ``run()`` starts a fresh one."""
-        if self._pool is not None:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def _execute_many(
-        self,
-        jobs: List[Job],
-        on_executed: Callable[..., None],
-        on_error: Optional[FailureCallback] = None,
-        pre_hook: Optional[PreExecuteHook] = None,
-    ) -> None:
-        if self.max_workers == 1 or (len(jobs) == 1 and self._pool is None):
-            # A pool would only add fork/teardown overhead; once a warm pool
-            # exists, even single-job batches go through it.
-            _execute_inline(jobs, on_executed, on_error=on_error, pre_hook=pre_hook)
-            return
-        collect_metrics = obs_state.enabled()
-        if self._pool is not None and collect_metrics:
-            obs_state.counter("executor.pool_reuse").inc()
-        pool = self._ensure_pool()
-        size = self.batch_size or auto_batch_size(len(jobs), self.max_workers)
-        queue = deque(
-            jobs[start : start + size] for start in range(0, len(jobs), size)
-        )
-        in_flight: Dict[Any, List[Job]] = {}
-        try:
-            while queue or in_flight:
-                while queue and len(in_flight) < MAX_IN_FLIGHT_BATCHES:
-                    batch = queue.popleft()
-                    in_flight[
-                        pool.submit(
-                            _pool_execute_batch,
-                            batch,
-                            collect_metrics,
-                            on_error is not None,
-                            pre_hook,
-                        )
-                    ] = batch
-                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    batch = in_flight.pop(future)
-                    executed, worker_snapshot = future.result()
-                    if worker_snapshot is not None:
-                        obs_state.merge_snapshot(worker_snapshot)
-                    for job, item in zip(batch, executed):
-                        _deliver(job, item, on_executed, on_error)
-        except BrokenProcessPool:
-            # A dead worker poisons the whole pool; drop it so the next
-            # run() starts fresh instead of failing instantly forever.
-            self.close()
-            raise
-        except BaseException:
-            # Don't leave abandoned work running in the reused pool.
-            for future in in_flight:
-                future.cancel()
-            raise
-
-
-def make_executor(jobs: int = 1) -> Executor:
-    """The natural executor for a ``--jobs N`` request."""
-    if jobs < 1:
-        raise ValueError("job count must be at least 1")
-    if jobs == 1:
-        return SerialExecutor()
-    return ParallelExecutor(max_workers=jobs)
+#: ``Executor``'s earlier in-process name, kept only because
+#: ``perfbench/workloads.py`` imports it.
+SerialExecutor = Executor

@@ -26,9 +26,10 @@ Two job kinds exist:
   unit of work of the Fig. 6 predictor evaluation and the Sec. 7.4 sensitivity
   sweep.
 
-``execute_job`` is the single entry point both executors use; worker-local
-memoization (platforms, synthetic corpora, built traces) lives here so serial
-and parallel execution share one code path and produce bit-identical results.
+``execute_job`` is the executor's single entry point; worker-local
+memoization (platforms, synthetic corpora, built traces) lives here so
+in-process and pool execution share one code path and produce bit-identical
+results.
 Jobs that share a :class:`TraceSpec` in one process share the trace it built:
 a :class:`~repro.workloads.trace.WorkloadTrace` is frozen (its phases a tuple
 of frozen phases), and every builder is a pure function of its parameters, as
@@ -56,7 +57,7 @@ from repro.core.operating_points import (
     OperatingPoint,
     OperatingPointTable,
     build_ddr4_operating_points,
-    build_default_operating_points,
+    operating_points_for,
 )
 from repro.core.sysscale import SysScaleController, default_thresholds
 from repro.core.thresholds import ThresholdCalibrator
@@ -261,19 +262,14 @@ MEMO_MAX_ENTRIES = 8
 def _build_sysscale(platform: Platform, operating_points: str = "default") -> Policy:
     """SysScale with thresholds calibrated (once per platform) for it.
 
-    ``"default"`` means *matched to the platform*: a DDR4 device gets the
-    Sec. 7.4 DDR4 table, everything else the LPDDR3 table of Table 1 --
-    scaling a DDR4 interface through LPDDR3 frequency points would simulate
-    operating points the device does not have.
+    ``"default"`` means *matched to the platform*
+    (:func:`~repro.core.operating_points.operating_points_for`).
     """
     key = (id(platform), operating_points)
     memoized = _SYSSCALE_MEMO.get(key)
     if memoized is None or memoized[0] is not platform:
         if operating_points == "default":
-            if platform.dram.technology.value == "ddr4":
-                points = build_ddr4_operating_points()
-            else:
-                points = build_default_operating_points(platform)
+            points = operating_points_for(platform)
         elif operating_points == "ddr4":
             points = build_ddr4_operating_points()
         else:
@@ -608,9 +604,8 @@ def execute_job_with_stats(
 ) -> Tuple[Dict[str, Any], Optional[EngineRunStats]]:
     """Run one job and return ``(payload, engine_stats)``.
 
-    This is the single execution path shared by :class:`SerialExecutor` and the
-    worker processes of :class:`ParallelExecutor`, which is what makes their
-    results bit-identical.
+    This is the single execution path of the executor, in process and in its
+    pool workers alike, which is what makes their results bit-identical.
 
     The engine's per-run loop statistics (``last_run_stats``) travel *next to*
     the payload, never inside it: cached payloads stay byte-identical whether

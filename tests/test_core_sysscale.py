@@ -284,10 +284,3 @@ class TestSysScaleController:
         engine.run(spec_workload("473.astar", duration=0.3), controller)
         assert controller.algorithm.transition_count >= 1
         assert any(a is b for a, b in zip(steady, steady[1:]))
-
-    def test_nominal_latency_mode(self, platform, thresholds, engine):
-        controller = SysScaleController(
-            platform=platform, thresholds=thresholds, use_flow_latency=False
-        )
-        result = engine.run(compute_only_microbenchmark(duration=0.2), controller)
-        assert result.transition_time <= result.transitions * config.TRANSITION_TOTAL_LATENCY_BUDGET + 1e-9

@@ -16,10 +16,9 @@ from repro.experiments import build_context, get_spec, registry
 from repro.experiments.runner import ExperimentRuntime
 from repro.numeric import ordered_sum
 from repro.runtime import (
-    ParallelExecutor,
+    Executor,
     PolicySpec,
     ResultCache,
-    SerialExecutor,
     SimSpec,
     SimulationJob,
     TraceSpec,
@@ -78,7 +77,7 @@ class TestFloatTotals:
 class TestRuntimeDeterminism:
     def _context(self, cache=None, executor=None):
         runtime = ExperimentRuntime(
-            executor=executor or SerialExecutor(), cache=cache
+            executor=executor or Executor(), cache=cache
         )
         return build_context(
             workload_duration=0.1,
@@ -135,8 +134,8 @@ class TestRuntimeDeterminism:
         }
 
     def test_parallel_equals_serial_for_campaign(self):
-        """ParallelExecutor results are bit-identical to SerialExecutor results
-        for the same job batch."""
+        """Pool results are bit-identical to in-process results for the same
+        job batch."""
         jobs = [
             SimulationJob(
                 trace=TraceSpec.make("spec", name=name, duration=0.05),
@@ -146,8 +145,8 @@ class TestRuntimeDeterminism:
             for name in SUBSET
             for policy in ("baseline", "sysscale")
         ]
-        serial = SerialExecutor().run(jobs)
-        parallel = ParallelExecutor(max_workers=2).run(jobs)
+        serial = Executor().run(jobs)
+        parallel = Executor(workers=2).run(jobs)
         assert parallel.payloads() == serial.payloads()
 
     def test_runtime_path_matches_direct_engine(self):

@@ -31,14 +31,14 @@ from repro.fleet.service import FleetPaths, resolve_campaign
 from repro.hashing import content_hash
 from repro.runtime import (
     Campaign,
-    ParallelExecutor,
+    Executor,
     PlatformSpec,
     PolicySpec,
-    SerialExecutor,
     SimSpec,
     SimulationJob,
     TraceSpec,
 )
+from repro.runtime.executor import auto_batch_size
 
 #: A fast simulation spec: 50 ticks, one or two evaluation intervals.
 TINY_SIM = SimSpec(max_simulated_time=0.05)
@@ -360,7 +360,6 @@ class TestFleetBitIdentity:
         settings = {
             "root": root,
             "workers": 2,
-            "batch_size": 2,
             "poll_interval": 0.01,
             "drain": True,
             "drain_grace": 5.0,
@@ -415,7 +414,6 @@ class TestFleetBitIdentity:
             {"lease_limit": 0},
             {"workers": 0},
             {"max_attempts": 0},
-            {"batch_size": 0},
             {"lease_timeout": 0.0},
             {"poll_interval": -1.0},
             {"drain_grace": -0.5},
@@ -512,10 +510,18 @@ class TestFleetBitIdentity:
         assert stopped["queue"] == JobQueue(FleetPaths(root).queue_dir).counts()
 
     def test_batching_executor_matches_serial(self, tmp_path):
-        jobs = list(_tiny_campaign().jobs)
-        serial = SerialExecutor().run(jobs)
-        with ParallelExecutor(max_workers=2, batch_size=2) as pool:
+        jobs = [
+            _tiny_job(name=name, policy=policy)
+            for name in ("470.lbm", "433.milc", "416.gamess")
+            for policy in ("baseline", "sysscale", "md_dvfs")
+        ]
+        # Nine jobs on two workers: auto-sizing packs two jobs per submission.
+        assert auto_batch_size(len(jobs), 2) >= 2
+        serial = Executor().run(jobs)
+        with Executor(workers=2) as pool:
             batched = pool.run(jobs)
+            assert pool._pool is not None
+        assert batched.executed == len(serial.outcomes) == len(jobs)
         for ours, theirs in zip(batched.outcomes, serial.outcomes):
             assert ours.job.content_hash == theirs.job.content_hash
             assert content_hash(ours.payload) == content_hash(theirs.payload)

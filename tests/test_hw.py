@@ -19,7 +19,7 @@ from repro.hw import (
 )
 from repro.memory.dram import ddr4_device, lpddr3_device
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import SerialExecutor
+from repro.runtime.executor import Executor
 from repro.runtime.jobs import (
     PlatformSpec,
     PolicySpec,
@@ -202,8 +202,8 @@ class TestSeedParity:
             )
             for policy in ("baseline", "sysscale")
         ]
-        cold = SerialExecutor().run(jobs, cache=cache)
-        warm = SerialExecutor().run(jobs, cache=cache)
+        cold = Executor().run(jobs, cache=cache)
+        warm = Executor().run(jobs, cache=cache)
         assert cold.executed == 2 and warm.executed == 0
         assert warm.cache_hits == 2
         assert warm.payloads() == cold.payloads()
@@ -244,8 +244,6 @@ class TestRuntimeIntegration:
     def test_parallel_workers_rebuild_variant_platforms(self):
         """A derived spec crosses the process boundary and reproduces the
         serial results bit-identically in pool workers."""
-        from repro.runtime.executor import ParallelExecutor
-
         variant = BROADWELL.derive(tdp=5.0)
         jobs = [
             SimulationJob(
@@ -257,8 +255,8 @@ class TestRuntimeIntegration:
             for name in ("470.lbm", "416.gamess")
             for policy in ("baseline", "sysscale")
         ]
-        serial = SerialExecutor().run(jobs)
-        parallel = ParallelExecutor(max_workers=2).run(jobs)
+        serial = Executor().run(jobs)
+        parallel = Executor(workers=2).run(jobs)
         assert parallel.payloads() == serial.payloads()
 
     def test_dram_spec_builds_equivalent_devices(self):

@@ -20,7 +20,7 @@ from repro.obs.analysis import TraceModel
 from repro.obs.metrics import NULL_INSTRUMENT
 from repro.runtime.cache import ResultCache
 from repro.cli import main
-from repro.runtime.executor import ParallelExecutor, SerialExecutor
+from repro.runtime.executor import Executor
 from repro.runtime.jobs import (
     PlatformSpec,
     PolicySpec,
@@ -299,19 +299,19 @@ class TestStatsSurfacing:
     def test_outcomes_carry_engine_stats(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         jobs = [_tiny_job(), _tiny_job(policy="sysscale")]
-        cold = SerialExecutor().run(jobs, cache=cache)
+        cold = Executor().run(jobs, cache=cache)
         assert all(o.stats is not None for o in cold.outcomes)
         totals = cold.engine_stats()
         assert totals["runs"] == 2
         assert totals["ticks"] == sum(o.stats.ticks for o in cold.outcomes)
         # Warm run: everything from cache, no engine ran, stats stay None.
-        warm = SerialExecutor().run(jobs, cache=cache)
+        warm = Executor().run(jobs, cache=cache)
         assert all(o.stats is None for o in warm.outcomes)
         assert warm.engine_stats()["runs"] == 0
 
     def test_duplicate_submissions_count_one_run(self):
         job = _tiny_job()
-        report = SerialExecutor().run([job, job, job])
+        report = Executor().run([job, job, job])
         assert report.engine_stats()["runs"] == 1
         assert all(o.stats is not None for o in report.outcomes)
 
@@ -346,7 +346,7 @@ class TestExecutorInstrumentation:
         obs.enable()
         cache = ResultCache(tmp_path / "cache")
         jobs = [_tiny_job(), _tiny_job(), _tiny_job(policy="sysscale")]
-        SerialExecutor().run(jobs, cache=cache)
+        Executor().run(jobs, cache=cache)
         snap = obs.snapshot()
         assert snap["counters"]["executor.submitted"] == 3
         assert snap["counters"]["executor.unique"] == 2
@@ -355,7 +355,7 @@ class TestExecutorInstrumentation:
         assert snap["counters"]["cache.misses"] == 2
         assert snap["counters"]["cache.writes"] == 2
         assert snap["histograms"]["executor.dedup_ratio"]["count"] == 1
-        SerialExecutor().run(jobs, cache=cache)
+        Executor().run(jobs, cache=cache)
         snap = obs.snapshot()
         assert snap["counters"]["executor.cache_hits"] == 2
         assert snap["counters"]["cache.hits"] == 2
@@ -363,8 +363,8 @@ class TestExecutorInstrumentation:
         assert snap["counters"]["engine.runs"] == 2
 
 
-class TestParallelExecutorTelemetry:
-    """Warm-pool ParallelExecutor: ordering, cache stats, metric aggregation."""
+class TestPoolTelemetry:
+    """A warm two-worker pool: ordering, cache stats, metric aggregation."""
 
     def test_progress_ordering_and_cache_stats_warm_pool(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -375,7 +375,7 @@ class TestParallelExecutorTelemetry:
             _tiny_job(),  # duplicate
         ]
         updates = []
-        with obs_state.scoped(enabled=True), ParallelExecutor(max_workers=2) as pool:
+        with obs_state.scoped(enabled=True), Executor(workers=2) as pool:
             cold = pool.run(jobs, cache=cache, progress=updates.append)
             assert [u.completed for u in updates] == [1, 2, 3]
             assert all(not u.from_cache for u in updates)
@@ -395,7 +395,7 @@ class TestParallelExecutorTelemetry:
         obs.enable()
         jobs_a = [_tiny_job(), _tiny_job(policy="sysscale")]
         jobs_b = [_tiny_job(name="433.milc"), _tiny_job(name="433.milc", policy="sysscale")]
-        with ParallelExecutor(max_workers=2) as pool:
+        with Executor(workers=2) as pool:
             report_a = pool.run(jobs_a)
             snap = obs.snapshot()
             # Worker-side engine counters merged back through the pool.
@@ -412,10 +412,10 @@ class TestParallelExecutorTelemetry:
 
     def test_parallel_payloads_identical_with_telemetry(self):
         jobs = [_tiny_job(), _tiny_job(policy="sysscale")]
-        with ParallelExecutor(max_workers=2) as pool:
+        with Executor(workers=2) as pool:
             plain = pool.run(jobs)
         obs.enable()
-        with ParallelExecutor(max_workers=2) as pool:
+        with Executor(workers=2) as pool:
             instrumented = pool.run(jobs)
         assert plain.payloads() == instrumented.payloads()
 

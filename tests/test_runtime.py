@@ -3,6 +3,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,12 +16,11 @@ from repro.obs import state as obs_state
 from repro.runtime import (
     Campaign,
     DegradationJob,
-    ParallelExecutor,
+    Executor,
     PlatformSpec,
     PointSpec,
     PolicySpec,
     ResultCache,
-    SerialExecutor,
     SimSpec,
     SimulationJob,
     TraceSpec,
@@ -30,8 +31,11 @@ from repro.runtime import (
 )
 from repro.runtime.cache import atomic_write_json
 from repro.runtime.campaign import CAMPAIGNS
+from repro.runtime.executor import MAX_AUTO_BATCH_SIZE, auto_batch_size
 from repro.runtime.jobs import SCHEMA_VERSION
 from repro.workloads.trace import WorkloadClass
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: A fast simulation spec: 50 ticks, one or two evaluation intervals.
 TINY_SIM = SimSpec(max_simulated_time=0.05)
@@ -346,7 +350,7 @@ class TestAtomicWriteJson:
 class TestExecutors:
     def test_serial_deduplicates(self):
         jobs = [_tiny_job(), _tiny_job(), _tiny_job(name="416.gamess")]
-        report = SerialExecutor().run(jobs)
+        report = Executor().run(jobs)
         assert report.submitted == 3
         assert report.unique_jobs == 2
         assert report.executed == 2
@@ -356,8 +360,8 @@ class TestExecutors:
     def test_cache_round_trip_is_exact(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         jobs = [_tiny_job(), _tiny_job(name="416.gamess", policy="sysscale")]
-        cold = SerialExecutor().run(jobs, cache=cache)
-        warm = SerialExecutor().run(jobs, cache=cache)
+        cold = Executor().run(jobs, cache=cache)
+        warm = Executor().run(jobs, cache=cache)
         assert cold.executed == 2 and cold.cache_hits == 0
         assert warm.executed == 0 and warm.cache_hits == 2
         assert warm.payloads() == cold.payloads()
@@ -368,8 +372,8 @@ class TestExecutors:
             for name in ("470.lbm", "416.gamess", "429.mcf")
             for policy in ("baseline", "sysscale")
         ]
-        serial = SerialExecutor().run(jobs)
-        with ParallelExecutor(max_workers=2) as parallel_executor:
+        serial = Executor().run(jobs)
+        with Executor(workers=2) as parallel_executor:
             parallel = parallel_executor.run(jobs)
         assert parallel.payloads() == serial.payloads()
 
@@ -377,8 +381,8 @@ class TestExecutors:
         """The worker pool is created once and reused by later batches (and
         the reused pool still produces bit-identical results)."""
         jobs = [_tiny_job(), _tiny_job(name="416.gamess")]
-        serial = SerialExecutor().run(jobs)
-        with ParallelExecutor(max_workers=2) as executor:
+        serial = Executor().run(jobs)
+        with Executor(workers=2) as executor:
             first = executor.run(jobs)
             pool = executor._pool
             assert pool is not None
@@ -392,7 +396,7 @@ class TestExecutors:
         assert second.payloads()[1:] == serial.payloads()
 
     def test_closed_pool_restarts_on_demand(self):
-        executor = ParallelExecutor(max_workers=2)
+        executor = Executor(workers=2)
         jobs = [_tiny_job(), _tiny_job(name="416.gamess")]
         executor.run(jobs)
         executor.close()
@@ -403,15 +407,51 @@ class TestExecutors:
 
     def test_single_job_without_pool_stays_in_process(self):
         """No pool is forked for a one-job batch on a cold executor."""
-        executor = ParallelExecutor(max_workers=2)
+        executor = Executor(workers=2)
         executor.run([_tiny_job()])
         assert executor._pool is None
 
+    def test_worker_count_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            Executor(workers=0)
+
+    @pytest.mark.parametrize(
+        "jobs, workers, size",
+        [
+            (0, 2, 1),
+            (3, 2, 1),
+            (8, 2, 1),
+            (9, 2, 2),
+            (64, 2, 8),
+            (100_000, 2, MAX_AUTO_BATCH_SIZE),
+            (100_000, 64, MAX_AUTO_BATCH_SIZE),
+        ],
+    )
+    def test_auto_batch_size(self, jobs, workers, size):
+        """About four submissions per worker, one job per submission for a
+        handful of jobs, and never more than the cap."""
+        assert auto_batch_size(jobs, workers) == size
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        """The pool machinery is imported by the first run that needs a pool,
+        not by ``import repro``."""
+        code = (
+            "import sys, repro, repro.fleet, repro.experiments; "
+            "print(' '.join(name for name in ('multiprocessing', "
+            "'concurrent.futures.process') if name in sys.modules))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert completed.stdout.strip() == ""
+
     def test_progress_reports_every_unique_job(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        SerialExecutor().run([_tiny_job()], cache=cache)
+        Executor().run([_tiny_job()], cache=cache)
         updates = []
-        SerialExecutor().run(
+        Executor().run(
             [_tiny_job(), _tiny_job(name="416.gamess")],
             cache=cache,
             progress=updates.append,
@@ -421,7 +461,7 @@ class TestExecutors:
         assert all(u.total == 2 for u in updates)
 
     def test_degradation_job_executes(self):
-        outcome = SerialExecutor().run([_degradation_job()]).outcomes[0]
+        outcome = Executor().run([_degradation_job()]).outcomes[0]
         measurement = outcome.result
         assert measurement.degradation > 0.0
         assert all(value >= 0 for value in measurement.counters.values.values())
@@ -442,7 +482,7 @@ class TestExecutorIsolation:
         job = _tiny_job()
         hook = partial(_explode_on_prefix, job.content_hash[:8])
         with pytest.raises(RuntimeError):
-            SerialExecutor().run([job], pre_hook=hook)
+            Executor().run([job], pre_hook=hook)
 
     def test_serial_isolation_completes_healthy_jobs(self):
         from functools import partial
@@ -451,7 +491,7 @@ class TestExecutorIsolation:
         healthy = _tiny_job(name="416.gamess")
         hook = partial(_explode_on_prefix, poison.content_hash[:8])
         failures = []
-        report = SerialExecutor().run(
+        report = Executor().run(
             [poison, healthy],
             on_error=lambda job, failure: failures.append((job, failure)),
             pre_hook=hook,
@@ -467,7 +507,7 @@ class TestExecutorIsolation:
         # The healthy job's outcome is present and bit-identical to a solo run.
         [outcome] = report.outcomes
         assert outcome.job.content_hash == healthy.content_hash
-        solo = SerialExecutor().run([healthy])
+        solo = Executor().run([healthy])
         assert outcome.payload == solo.outcomes[0].payload
 
     def test_parallel_isolation_across_the_pool_boundary(self):
@@ -480,7 +520,7 @@ class TestExecutorIsolation:
         ]
         hook = partial(_explode_on_prefix, poison.content_hash[:8])
         failures = []
-        with ParallelExecutor(max_workers=2) as executor:
+        with Executor(workers=2) as executor:
             report = executor.run(
                 [poison, *healthy],
                 on_error=lambda job, failure: failures.append(failure),
@@ -491,7 +531,7 @@ class TestExecutorIsolation:
         [failure] = failures
         assert failure.job_hash == poison.content_hash
         assert failure.kind == "RuntimeError"
-        serial = SerialExecutor().run(healthy)
+        serial = Executor().run(healthy)
         assert report.payloads() == serial.payloads()
 
     def test_failed_job_is_not_cached(self, tmp_path):
@@ -500,7 +540,7 @@ class TestExecutorIsolation:
         cache = ResultCache(tmp_path / "cache")
         poison = _tiny_job()
         hook = partial(_explode_on_prefix, poison.content_hash[:8])
-        report = SerialExecutor().run(
+        report = Executor().run(
             [poison], cache=cache, on_error=lambda job, failure: None, pre_hook=hook
         )
         assert report.failed == 1

@@ -3,7 +3,7 @@
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import QUICK_SCENARIO_SUBSET, scenario_campaign
 from repro.cli import main
-from repro.runtime.executor import ParallelExecutor, SerialExecutor
+from repro.runtime.executor import Executor
 from repro.runtime.jobs import (
     PolicySpec,
     SimSpec,
@@ -59,20 +59,20 @@ class TestScenarioDeterminism:
         warm-cache execution."""
         jobs = [scenario_job("bursty-heavy"), scenario_job("idle-mostly")]
 
-        serial = SerialExecutor().run(jobs).payloads()
-        parallel = ParallelExecutor(max_workers=2).run(jobs).payloads()
+        serial = Executor().run(jobs).payloads()
+        parallel = Executor(workers=2).run(jobs).payloads()
         assert serial == parallel
 
         cache = ResultCache(tmp_path / "cache")
-        cold = SerialExecutor().run(jobs, cache=cache)
+        cold = Executor().run(jobs, cache=cache)
         assert cold.executed == 2
-        warm = SerialExecutor().run(jobs, cache=cache)
+        warm = Executor().run(jobs, cache=cache)
         assert warm.executed == 0 and warm.cache_hits == 2
         assert warm.payloads() == serial
 
     def test_duplicate_scenario_jobs_dedupe(self):
         job = scenario_job("periodic-fast")
-        report = SerialExecutor().run([job, job, job])
+        report = Executor().run([job, job, job])
         assert report.unique_jobs == 1
         assert report.executed == 1
         assert report.payloads()[0] == report.payloads()[2]
