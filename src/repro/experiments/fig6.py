@@ -24,7 +24,7 @@ import numpy as np
 from repro import config
 from repro.core.demand import DemandPredictor, evaluate_prediction_quality
 from repro.core.operating_points import OperatingPoint, OperatingPointTable
-from repro.core.thresholds import ThresholdCalibrator
+from repro.core.thresholds import CounterThresholds, ThresholdCalibrator
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Metric, Table
 from repro.experiments.runner import ExperimentContext
@@ -101,16 +101,12 @@ def _pair_point_specs(high: float, low: float) -> Tuple[PointSpec, PointSpec]:
 
 
 def _evaluate_panel(
-    context: ExperimentContext,
     measurements: Sequence[DegradationMeasurement],
+    thresholds: CounterThresholds,
     high: float,
     low: float,
 ) -> Dict[str, object]:
     """Evaluate one of the nine panels (one class, one frequency pair)."""
-    platform = context.platform
-    points = _operating_points_for_pair(high, low)
-    calibrator = ThresholdCalibrator(platform=platform, operating_points=points)
-    thresholds = calibrator.calibrate_boundary()
     predictor = DemandPredictor(thresholds=thresholds)
     bound = thresholds.degradation_bound
 
@@ -160,7 +156,8 @@ def _fig6(
     The per-workload measurements (slowdown at the low point plus high-point
     counters) are submitted as one batch of degradation jobs through the
     context's runtime, so the ~1600-point evaluation parallelizes and caches;
-    the per-panel threshold calibration and prediction scoring stay local.
+    the threshold calibration (once per frequency pair) and the per-panel
+    prediction scoring stay local.
 
     The corpus a job references is addressed by the *sequence* of
     ``generate_class`` calls made on one generator (the generator's RNG
@@ -191,6 +188,15 @@ def _fig6(
                 jobs.append(context.degradation_job(trace_spec, high_spec, low_spec))
     measurements = context.runtime.measure(jobs)
 
+    # Thresholds depend on the platform and the pair, not the class: one
+    # calibration per pair serves its three panels.
+    pair_thresholds = {
+        (high, low): ThresholdCalibrator(
+            platform=context.platform,
+            operating_points=_operating_points_for_pair(high, low),
+        ).calibrate_boundary()
+        for high, low in FREQUENCY_PAIRS
+    }
     panels: List[Dict[str, object]] = []
     total_workloads = 0
     cursor = 0
@@ -199,7 +205,9 @@ def _fig6(
         for high, low in FREQUENCY_PAIRS:
             panel_measurements = measurements[cursor : cursor + count]
             cursor += count
-            panel = _evaluate_panel(context, panel_measurements, high, low)
+            panel = _evaluate_panel(
+                panel_measurements, pair_thresholds[high, low], high, low
+            )
             panel["workload_class"] = workload_class.value
             panels.append(panel)
             total_workloads += count

@@ -27,13 +27,14 @@ Two job kinds exist:
   sweep.
 
 ``execute_job`` is the executor's single entry point; worker-local
-memoization (platforms, synthetic corpora, built traces) lives here so
-in-process and pool execution share one code path and produce bit-identical
-results.
+memoization (platforms, synthetic corpora, built traces, the segment table)
+lives here so in-process and pool execution share one code path and produce
+bit-identical results.
 Jobs that share a :class:`TraceSpec` in one process share the trace it built:
 a :class:`~repro.workloads.trace.WorkloadTrace` is frozen (its phases a tuple
 of frozen phases), and every builder is a pure function of its parameters, as
-job hashing already assumes.
+job hashing already assumes.  Consecutive jobs of one trace on one platform
+also share the segment models their runs build (:func:`segment_table_for`).
 """
 
 from __future__ import annotations
@@ -354,6 +355,34 @@ _PLATFORM_MEMO: "OrderedDict[PlatformSpec, Platform]" = OrderedDict()
 #: that run one trace under several policies or platforms build it once.
 _TRACE_MEMO: "OrderedDict[tuple, WorkloadTrace]" = OrderedDict()
 
+#: The process-local segment table (see :func:`segment_table_for`): at most
+#: one ``(platform, trace, tick, models)`` entry, for the last trace that ran.
+#: A table per memoized platform or trace would hold about 1 MB for each
+#: Markov walk.
+_SEGMENT_TABLE: List[Tuple[Platform, WorkloadTrace, float, Dict[tuple, Any]]] = []
+
+
+def segment_table_for(
+    platform: Platform, trace: WorkloadTrace, tick: float
+) -> Dict[tuple, Any]:
+    """The segment table that runs of ``trace`` on ``platform`` at ``tick`` share.
+
+    A segment model is a pure function of the platform, the trace, the tick
+    and the engine's segment key, so consecutive runs of one trace under
+    several policies build each shared segment once.  Another platform,
+    trace or tick replaces the table.  A run still counts its own memo hits,
+    so its :class:`~repro.sim.result.EngineRunStats` do not depend on the
+    jobs that ran before it.  The entry holds the platform and the trace, so
+    the ids in the engine's keys cannot be reused while it lives.
+    """
+    if _SEGMENT_TABLE:
+        owner_platform, owner_trace, owner_tick, models = _SEGMENT_TABLE[0]
+        if owner_platform is platform and owner_trace is trace and owner_tick == tick:
+            return models
+    models = {}
+    _SEGMENT_TABLE[:] = [(platform, trace, tick, models)]
+    return models
+
 
 def platform_for(spec: PlatformSpec) -> Platform:
     """The memoized platform for ``spec`` in this process (LRU-bounded)."""
@@ -374,10 +403,12 @@ def platform_for(spec: PlatformSpec) -> Platform:
 
 
 def clear_memos() -> None:
-    """Explicitly empty the worker-local platform/calibration/trace memos."""
+    """Explicitly empty the worker-local platform/calibration/trace memos and
+    the segment table."""
     _PLATFORM_MEMO.clear()
     _SYSSCALE_MEMO.clear()
     _TRACE_MEMO.clear()
+    _SEGMENT_TABLE.clear()
 
 
 @dataclass(frozen=True)
@@ -628,8 +659,12 @@ def execute_job_with_stats(
             STANDARD_CONFIGURATIONS[job.peripherals] if job.peripherals else None
         )
         with _span("execute_job", kind=job.kind, job=job.label):
+            trace = job.trace.build()
             result = engine.run(
-                job.trace.build(), job.policy.build(platform), peripherals
+                trace,
+                job.policy.build(platform),
+                peripherals,
+                segment_table=segment_table_for(platform, trace, sim_config.tick),
             )
         stats = engine.last_run_stats
         if obs_state.enabled():
@@ -642,9 +677,9 @@ def execute_job_with_stats(
                 )
                 obs_state.counter("engine.memo_hits").inc(stats.memo_hits)
                 obs_state.counter("engine.transitions").inc(stats.transitions)
-            trace = engine.last_run_trace
-            if trace is not None:
-                for event in trace.events(job_hash=job.content_hash):
+            recorder = engine.last_run_trace
+            if recorder is not None:
+                for event in recorder.events(job_hash=job.content_hash):
                     obs_state.emit(event)
         return result.to_dict(), stats
     if isinstance(job, DegradationJob):

@@ -26,6 +26,15 @@ characteristics, operating point, MRC register set)``, so recurring segments --
 Markov scenarios revisit phases constantly -- skip even that), then replays the
 seed engine's per-tick additions in a tight arithmetic-only inner loop.
 
+Each run's memo starts empty, so its hits and misses depend on the run alone.
+On a miss the run reads the ``segment_table`` its caller passed: the models
+earlier runs of the same trace on the same platform at the same tick built.
+The runtime keeps one such table per process, for the last trace it ran, so
+a trace simulated under several policies builds each shared model once.  A
+model from the table is not rebuilt but still counts as one of the run's
+``model_evaluations``: that count is the number of distinct segment models
+the run used.
+
 That one loop keeps no counter sums.  A segment ends at a phase boundary, at
 ``max_simulated_time`` or at the first evaluation the loop cannot count in
 place; an evaluation is counted in place, without building an observation,
@@ -254,8 +263,17 @@ class SimulationEngine:
         trace: WorkloadTrace,
         policy: Policy,
         peripherals: Optional[PeripheralConfiguration] = None,
+        *,
+        segment_table: Optional[Dict[tuple, _SegmentModel]] = None,
     ) -> SimulationResult:
-        """Simulate ``trace`` under ``policy`` and return the result."""
+        """Simulate ``trace`` under ``policy`` and return the result.
+
+        ``segment_table`` holds the segment models earlier runs of this trace
+        on this platform at this tick built (the caller owns that match, as
+        :func:`repro.runtime.jobs.segment_table_for` does): the run reads it
+        when its own memo misses and adds the models it builds.  The reference
+        loop ignores it.
+        """
         if peripherals is None:
             peripherals = PeripheralConfiguration()
         static_demand = StaticDemandInfo(peripherals=peripherals)
@@ -279,7 +297,15 @@ class SimulationEngine:
         if self.config.reference_loop:
             self._run_reference(trace, policy, static_demand, run, action)
         else:
-            self._run_segments(trace, policy, static_demand, run, action, recorder)
+            self._run_segments(
+                trace,
+                policy,
+                static_demand,
+                run,
+                action,
+                {} if segment_table is None else segment_table,
+                recorder,
+            )
         return self._build_result(trace, policy, run)
 
     # ------------------------------------------------------------------
@@ -292,6 +318,7 @@ class SimulationEngine:
         static_demand: StaticDemandInfo,
         run: _RunState,
         action: PolicyAction,
+        table: Dict[tuple, _SegmentModel],
         recorder: Optional[EngineTraceRecorder] = None,
     ) -> None:
         sim = self.config
@@ -349,7 +376,10 @@ class SimulationEngine:
             if memo_hit:
                 memo_hits += 1
             else:
-                segment = self._evaluate_segment(trace, phase, action)
+                segment = table.get(key)
+                if segment is None:
+                    segment = self._evaluate_segment(trace, phase, action)
+                    table[key] = segment
                 memo[key] = segment
                 model_evaluations += 1
             segments += 1

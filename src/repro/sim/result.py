@@ -27,9 +27,11 @@ class EngineRunStats:
     produced them.
 
     ``segments`` counts how many stretches of ticks shared one model
-    evaluation; ``model_evaluations`` counts the evaluations actually
-    performed (``segments - memo_hits`` for the segment loop, one per tick
-    for the reference loop).
+    evaluation; ``model_evaluations`` counts the distinct segment models the
+    run used (``segments - memo_hits`` for the segment loop, one per tick
+    for the reference loop).  A model that an earlier run of the same trace
+    built, and the run read from its segment table, counts too, so every
+    count is a function of the run alone.
     """
 
     ticks: int

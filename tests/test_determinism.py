@@ -4,9 +4,12 @@ The runtime's correctness rests on one property: a simulation's result depends
 only on its job spec, never on what ran before it, which process ran it, or
 whether it came from the cache.  These tests pin that property at every layer:
 back-to-back engine runs on one platform, cold versus warm cache, serial
-versus process-parallel execution, and float totals that do not depend on the
-Python interpreter.
+versus process-parallel execution, runs that read segment models an earlier
+run of their trace built, and float totals that do not depend on the Python
+interpreter.
 """
+
+from itertools import permutations
 
 import pytest
 
@@ -15,6 +18,8 @@ from repro.core.sysscale import SysScaleController
 from repro.experiments import build_context, get_spec, registry
 from repro.experiments.runner import ExperimentRuntime
 from repro.numeric import ordered_sum
+from repro.obs import MemorySink
+from repro.obs import state as obs_state
 from repro.runtime import (
     Executor,
     PolicySpec,
@@ -23,6 +28,8 @@ from repro.runtime import (
     SimulationJob,
     TraceSpec,
 )
+from repro.runtime.jobs import clear_memos, execute_job_with_stats
+from repro.scenarios.registry import SCENARIOS
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.platform import build_platform
 from repro.workloads.spec2006 import spec_workload
@@ -163,3 +170,83 @@ class TestRuntimeDeterminism:
         expected = sysscale.performance_improvement_over(baseline)
         row = figure.block("rows").records()[0]
         assert row["sysscale"] == pytest.approx(expected, abs=0.0)
+
+
+POLICIES = ("baseline", "sysscale", "md_dvfs")
+
+#: A Markov walk and a battery-life trace, with the peripherals they run with.
+TABLE_TRACES = {
+    "markov-walk": (SCENARIOS["markov-mobile-day"].trace_spec(), None),
+    "battery-life": (
+        TraceSpec.make("battery_life", name="video_playback", cycles=2),
+        "single_hd",
+    ),
+}
+
+
+def _table_jobs(name):
+    trace, peripherals = TABLE_TRACES[name]
+    return {
+        policy: SimulationJob(
+            trace=trace, policy=PolicySpec.make(policy), peripherals=peripherals
+        )
+        for policy in POLICIES
+    }
+
+
+def _traced_run(job):
+    """A job's payload, engine stats and recorded segments."""
+    sink = MemorySink()
+    with obs_state.scoped(sinks=[sink], trace_segments=True):
+        payload, stats = execute_job_with_stats(job)
+    return payload, stats, sink.of_type("engine.segment")
+
+
+class TestSharedSegmentModels:
+    """Runs of one trace on one platform share segment models (the runtime's
+    segment table), and no job may report differently because of it: the
+    payload, the engine stats and each recorded segment's ``memo_hit`` flag
+    are a function of the job alone."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE_TRACES))
+    def test_job_reports_the_same_after_the_other_policies(self, name, monkeypatch):
+        jobs = _table_jobs(name)
+        fresh = {}
+        for policy, job in jobs.items():
+            clear_memos()  # a fresh platform and an empty table
+            fresh[policy] = _traced_run(job)
+
+        built = []
+        evaluate = SimulationEngine._evaluate_segment
+
+        def counted(engine, *args):
+            built.append(args)
+            return evaluate(engine, *args)
+
+        monkeypatch.setattr(SimulationEngine, "_evaluate_segment", counted)
+        try:
+            for order in permutations(POLICIES):
+                clear_memos()
+                built.clear()
+                for policy in order:
+                    assert _traced_run(jobs[policy]) == fresh[policy], (order, policy)
+                # Later runs read models an earlier run built.
+                used = sum(fresh[policy][1].model_evaluations for policy in order)
+                assert len(built) < used, order
+        finally:
+            clear_memos()
+
+    def test_pool_matches_in_process_on_a_policy_matrix(self):
+        jobs = [
+            job
+            for name in sorted(TABLE_TRACES)
+            for job in _table_jobs(name).values()
+        ]
+        serial = Executor().run(jobs)
+        with Executor(workers=2) as pool:
+            parallel = pool.run(jobs)
+        assert parallel.payloads() == serial.payloads()
+        assert [outcome.stats for outcome in parallel.outcomes] == [
+            outcome.stats for outcome in serial.outcomes
+        ]
+        assert parallel.engine_stats() == serial.engine_stats()

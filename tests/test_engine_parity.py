@@ -81,8 +81,12 @@ def _engines(platform, max_time=PARITY_MAX_TIME, **overrides):
     return fast, reference
 
 
-def _assert_parity(fast_engine, reference_engine, trace, platform, policy_name):
-    fast = fast_engine.run(trace, _policy(policy_name, platform))
+def _assert_parity(
+    fast_engine, reference_engine, trace, platform, policy_name, segment_table=None
+):
+    fast = fast_engine.run(
+        trace, _policy(policy_name, platform), segment_table=segment_table
+    )
     fast_stats = fast_engine.last_run_stats
     reference = reference_engine.run(trace, _policy(policy_name, platform))
     reference_stats = reference_engine.last_run_stats
@@ -149,6 +153,33 @@ class TestWorkloadFamilyParity:
         trace = battery_life_workload("video_playback", cycles=1)
         fast_engine, reference_engine = _engines(platform)
         _assert_parity(fast_engine, reference_engine, trace, platform, policy_name)
+
+
+#: Traces whose runs share one segment table across every policy.
+TABLE_TRACES = {
+    "markov-mobile-day": lambda: SCENARIOS["markov-mobile-day"].build(),
+    "bursty-heavy": lambda: SCENARIOS["bursty-heavy"].build(),
+    "gfx-interference-heavy": lambda: SCENARIOS["gfx-interference-heavy"].build(),
+    "video_playback": lambda: battery_life_workload("video_playback", cycles=1),
+}
+
+
+class TestSharedSegmentTableParity:
+    """Runs that read segment models an earlier run of their trace built (the
+    runtime's segment table) still match the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("trace_name", sorted(TABLE_TRACES))
+    def test_runs_that_read_the_table_are_bit_identical(self, platform, trace_name):
+        trace = TABLE_TRACES[trace_name]()
+        fast_engine, reference_engine = _engines(platform)
+        table = {}
+        used = 0
+        for policy_name in POLICIES + POLICIES[::-1]:
+            stats = _assert_parity(
+                fast_engine, reference_engine, trace, platform, policy_name, table
+            )
+            used += stats.model_evaluations
+        assert len(table) < used, "no run read a model an earlier run built"
 
 
 class TestGeneratedScenarioParity:

@@ -1,4 +1,4 @@
-"""Differential purity tests for the model stack's per-platform memos.
+"""Differential purity tests for the model stack's memos.
 
 Three pure queries memoize on the objects that own them:
 ``DramDevice.timings``, ``Platform.worst_case_io_memory_power`` and
@@ -7,6 +7,12 @@ memoized answer (read back as a memo hit) must equal a fresh computation on a
 freshly built platform.  No two platforms may share an entry, the live-state
 MRC power path stays unmemoized, and invalid arguments raise even when the
 memo is already filled.
+
+The engine's segment models are memoized too: within a run, and across the
+runs of one trace on one platform at one tick through the runtime's segment
+table (``repro.runtime.jobs.segment_table_for``).  Every model a later run
+reads from the table must equal a fresh ``_evaluate_segment`` on a freshly
+built platform, and another trace, tick or platform never reads the table.
 """
 
 from __future__ import annotations
@@ -21,6 +27,20 @@ from repro.core.operating_points import (
 from repro.hw.registry import HARDWARE
 from repro.memory.timings import timings_for_frequency
 from repro.power.models import ActivityVector
+from repro.runtime.jobs import (
+    _SEGMENT_TABLE,
+    PolicySpec,
+    SimulationJob,
+    TraceSpec,
+    clear_memos,
+    execute_job_with_stats,
+    segment_table_for,
+)
+from repro.scenarios.registry import SCENARIOS
+from repro.sim.engine import SimulationEngine, _phase_model_key, _SegmentModel
+from repro.sim.policy import PolicyAction
+from repro.workloads.batterylife import battery_life_workload
+from repro.workloads.io_devices import STANDARD_CONFIGURATIONS
 
 VARIANTS = sorted(HARDWARE)
 
@@ -213,3 +233,125 @@ class TestErrorsAreNeverMemoized:
                 platform.worst_case_io_memory_power(v_sa_scale=0.0)
         assert all(frequency > 0 for frequency in platform.dram._timings_memo)
         assert all(key[0] > 0 and key[2] > 0 for key in platform._worst_case_memo)
+
+
+#: The runs a segment table serves: every policy, with and without a display
+#: (peripherals reach the policy, never the model, so they share the table).
+TABLE_RUNS = tuple(
+    (policy, peripherals)
+    for peripherals in (None, "single_hd")
+    for policy in ("baseline", "sysscale", "md_dvfs")
+)
+
+
+class _RecordingTable(dict):
+    """A segment table that records the key of every model it serves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.served = []
+
+    def get(self, key, default=None):
+        model = super().get(key, default)
+        if model is not None:
+            self.served.append(key)
+        return model
+
+
+def _model_fields(model: _SegmentModel) -> dict:
+    return {name: getattr(model, name) for name in _SegmentModel.__slots__}
+
+
+def _action_from_key(action_key) -> PolicyAction:
+    dram, interconnect, v_sa, v_io, mrc_optimized, budget = action_key
+    return PolicyAction(
+        name="fresh",
+        dram_frequency=dram,
+        interconnect_frequency=interconnect,
+        v_sa_scale=v_sa,
+        v_io_scale=v_io,
+        mrc_optimized=mrc_optimized,
+        io_memory_budget=budget,
+    )
+
+
+class TestSegmentTable:
+    @pytest.mark.parametrize("name", ("skylake", "skylake-ddr4"))
+    @pytest.mark.parametrize(
+        "build_trace",
+        (
+            lambda: SCENARIOS["markov-mobile-day"].build(),
+            lambda: battery_life_workload("video_playback", cycles=2),
+        ),
+        ids=("markov-walk", "battery-life"),
+    )
+    def test_every_table_hit_equals_a_fresh_evaluation(self, name, build_trace):
+        platform = HARDWARE[name].build()
+        trace = build_trace()
+        engine = SimulationEngine(platform)
+        table = _RecordingTable()
+        for policy, peripherals in TABLE_RUNS:
+            engine.run(
+                trace,
+                PolicySpec.make(policy).build(platform),
+                STANDARD_CONFIGURATIONS[peripherals] if peripherals else None,
+                segment_table=table,
+            )
+        assert table.served, "no run read a model an earlier run built"
+
+        fresh = HARDWARE[name].build()
+        fresh_engine = SimulationEngine(fresh)
+        phases = {_phase_model_key(phase): phase for phase in trace.phases}
+        mrc_frequencies = {
+            id(platform.mrc_sram.load(frequency)): frequency
+            for frequency in platform.mrc_sram.stored_frequencies
+        }
+        for key in set(table.served):
+            phase_key, action_key, mrc_id = key
+            fresh.mrc_registers.load(fresh.mrc_sram.load(mrc_frequencies[mrc_id]))
+            expected = fresh_engine._evaluate_segment(
+                trace, phases[phase_key], _action_from_key(action_key)
+            )
+            assert _model_fields(table[key]) == _model_fields(expected)
+
+    def test_another_platform_trace_or_tick_gets_its_own_table(self):
+        platform = HARDWARE["skylake"].build()
+        trace = SCENARIOS["markov-office"].build()
+        tick = config.COUNTER_SAMPLING_INTERVAL
+        others = (
+            (HARDWARE["skylake"].build(), trace, tick),  # equal, not the same
+            (platform, SCENARIOS["markov-office"].build(), tick),
+            (platform, trace, 2 * tick),
+        )
+        clear_memos()
+        try:
+            for other in others:
+                table = segment_table_for(platform, trace, tick)
+                table["built"] = None
+                assert segment_table_for(platform, trace, tick) is table
+                assert segment_table_for(*other) == {}
+                # One table per process: the first trace's table is gone.
+                assert len(_SEGMENT_TABLE) == 1
+                assert segment_table_for(platform, trace, tick) == {}
+            segment_table_for(platform, trace, tick)["built"] = None
+        finally:
+            clear_memos()
+        assert not _SEGMENT_TABLE
+
+    def test_a_job_of_another_trace_reads_none_of_the_table(self):
+        def job(name):
+            return SimulationJob(
+                trace=TraceSpec.make("spec", name=name, duration=0.1),
+                policy=PolicySpec.make("baseline"),
+            )
+
+        clear_memos()
+        try:
+            execute_job_with_stats(job("470.lbm"))
+            _, stats = execute_job_with_stats(job("416.gamess"))
+            _, owner, _, models = _SEGMENT_TABLE[0]
+            assert owner is job("416.gamess").trace.build()
+            # The table holds the models this run built, and nothing else.
+            assert len(models) == stats.model_evaluations
+        finally:
+            clear_memos()
