@@ -20,9 +20,8 @@ and process pool) via :meth:`Session.simulate`::
 
     result = session.simulate("spec", "sysscale", name="470.lbm", duration=1.0)
 
-The context -- platform build plus threshold calibration, the expensive part --
-is constructed lazily on first use and shared across every ``run``/``simulate``
-call of the session.
+Every ``run``/``simulate`` call shares the session's context, whose platform
+and threshold calibration (the expensive part) are built once per process.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.experiments.report import (
     render_json,
     render_text,
 )
-from repro.experiments.runner import ExperimentContext, ExperimentRuntime, build_context
+from repro.experiments.runner import ExperimentRuntime, build_context
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.executor import Executor
 from repro.runtime.jobs import PolicySpec, TraceSpec
@@ -119,10 +118,15 @@ class Session:
         if overrides:
             hardware = hardware.derive(**overrides)
         self._hardware = hardware
-        self._tdp = tdp
-        self._duration = duration
-        self._max_time = max_time
-        self._context: Optional[ExperimentContext] = None
+        self.context = build_context(
+            tdp=tdp,
+            workload_duration=duration,
+            sim_config=(
+                SimulationConfig(max_simulated_time=max_time) if max_time else None
+            ),
+            runtime=self.runtime,
+            hardware=hardware,
+        )
 
     @property
     def hardware(self) -> HardwareSpec:
@@ -130,23 +134,6 @@ class Session:
         return self._hardware
 
     # ------------------------------------------------------------------
-    @property
-    def context(self) -> ExperimentContext:
-        """The lazily built experiment context (platform + calibration)."""
-        if self._context is None:
-            self._context = build_context(
-                tdp=self._tdp,
-                workload_duration=self._duration,
-                sim_config=(
-                    SimulationConfig(max_simulated_time=self._max_time)
-                    if self._max_time
-                    else None
-                ),
-                runtime=self.runtime,
-                hardware=self._hardware,
-            )
-        return self._context
-
     def run(self, target: str, *, quick: bool = False, **params) -> ExperimentReport:
         """Run one registered experiment and return its structured report.
 

@@ -18,12 +18,15 @@ decision that keeps the point returns the one steady action built since the
 last transition.  So the engine counts, without calling ``decide``, the
 evaluations of each steady window; the algorithm's decision history holds
 only the decisions that were actually evaluated.
+
+The thresholds come from the offline calibration of Sec. 4.2, which
+:func:`calibration_for` runs once per platform and point table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Tuple
 
 from repro.core.algorithm import HolisticPowerAlgorithm
 from repro.core.demand import DemandPredictor
@@ -31,7 +34,8 @@ from repro.core.flow import TransitionFlow
 from repro.core.operating_points import (
     OperatingPoint,
     OperatingPointTable,
-    build_default_operating_points,
+    build_ddr4_operating_points,
+    operating_points_for,
 )
 from repro.core.thresholds import CounterThresholds, ThresholdCalibrator
 from repro.sim.platform import Platform
@@ -47,12 +51,32 @@ def default_thresholds(
 
     Each counter's threshold comes from probing its degradation boundary
     against the platform model (:meth:`ThresholdCalibrator.calibrate_boundary`),
-    the outcome of the paper's empirical tuning loop.
+    the outcome of the paper's empirical tuning loop.  The table defaults to
+    the one matched to the platform's DRAM.
     """
     if operating_points is None:
-        operating_points = build_default_operating_points(platform)
+        operating_points = operating_points_for(platform)
     calibrator = ThresholdCalibrator(platform=platform, operating_points=operating_points)
     return calibrator.calibrate_boundary()
+
+
+def calibration_for(
+    platform: Platform, table: str = "default"
+) -> Tuple[OperatingPointTable, CounterThresholds]:
+    """The point table named ``table`` (``"default"``, matched to the
+    platform's DRAM, or ``"ddr4"``) and its calibrated thresholds, memoized
+    on the platform: the calibration reads no live platform state."""
+    calibration = platform._calibration_memo.get(table)
+    if calibration is None:
+        if table == "default":
+            points = operating_points_for(platform)
+        elif table == "ddr4":
+            points = build_ddr4_operating_points()
+        else:
+            raise KeyError(f"unknown operating-point table {table!r}")
+        calibration = (points, default_thresholds(platform, points))
+        platform._calibration_memo[table] = calibration
+    return calibration
 
 
 @dataclass
@@ -64,7 +88,8 @@ class SysScaleController(Policy):
     platform:
         The evaluation platform.
     operating_points:
-        Table of IO/memory operating points (two by default, as on the real chip).
+        Table of IO/memory operating points (by default the two matched to
+        the platform's DRAM, as on the real chip).
     thresholds:
         Calibrated counter thresholds; calibrated on the fly when omitted.
 
@@ -87,8 +112,10 @@ class SysScaleController(Policy):
     _steady_action: Optional[PolicyAction] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
+        if self.operating_points is None and self.thresholds is None:
+            self.operating_points, self.thresholds = calibration_for(self.platform)
         if self.operating_points is None:
-            self.operating_points = build_default_operating_points(self.platform)
+            self.operating_points = operating_points_for(self.platform)
         if self.thresholds is None:
             self.thresholds = default_thresholds(self.platform, self.operating_points)
         predictor = DemandPredictor(thresholds=self.thresholds)

@@ -16,8 +16,8 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span as obs_span
-from repro.core.operating_points import OperatingPointTable, operating_points_for
-from repro.core.sysscale import SysScaleController, default_thresholds
+from repro.core.operating_points import OperatingPointTable
+from repro.core.sysscale import SysScaleController, calibration_for
 from repro.core.thresholds import CounterThresholds
 from repro.hw import HardwareSpec, resolve_hardware
 from repro.numeric import ordered_sum
@@ -33,6 +33,7 @@ from repro.runtime.jobs import (
     SimSpec,
     SimulationJob,
     TraceSpec,
+    platform_for,
 )
 from repro.sim.engine import SimulationConfig
 from repro.sim.platform import Platform
@@ -134,32 +135,39 @@ class ExperimentRuntime:
 
 @dataclass
 class ExperimentContext:
-    """Everything an experiment needs: platform, hardware description,
-    thresholds, operating points, engine limits, and the runtime its jobs are
-    submitted through.
+    """Everything an experiment needs: the hardware description, engine
+    limits, and the runtime its jobs are submitted through.
 
-    Building the context once and sharing it across experiments avoids repeating
-    the threshold calibration (the paper's offline procedure) for every figure.
-    :func:`build_context` is the one constructor: ``platform`` is always built
-    from ``hardware``, so jobs built from the spec simulate exactly this
-    platform.
+    ``platform``, ``operating_points`` and ``thresholds`` read the process's
+    memoized platform for ``hardware`` (:func:`~repro.runtime.jobs.platform_for`,
+    the one in-process jobs run on) and its SysScale calibration
+    (:func:`~repro.core.sysscale.calibration_for`), so the paper's offline
+    calibration runs once per platform; an evicted platform is rebuilt.
     """
 
-    platform: Platform
     hardware: HardwareSpec
-    thresholds: CounterThresholds
-    operating_points: OperatingPointTable
     workload_duration: float = 1.0
     sim: SimSpec = SimSpec()
     runtime: ExperimentRuntime = field(default_factory=ExperimentRuntime)
 
+    @property
+    def platform(self) -> Platform:
+        """The platform ``hardware`` describes."""
+        return platform_for(self.hardware)
+
+    @property
+    def operating_points(self) -> OperatingPointTable:
+        """SysScale's operating points, matched to the platform's DRAM."""
+        return calibration_for(self.platform)[0]
+
+    @property
+    def thresholds(self) -> CounterThresholds:
+        """SysScale's counter thresholds, calibrated for the platform."""
+        return calibration_for(self.platform)[1]
+
     def sysscale(self) -> SysScaleController:
         """A fresh SysScale controller bound to this context's platform."""
-        return SysScaleController(
-            platform=self.platform,
-            operating_points=self.operating_points,
-            thresholds=self.thresholds,
-        )
+        return SysScaleController(platform=self.platform)
 
     # ------------------------------------------------------------------
     # Job construction
@@ -226,18 +234,13 @@ def build_context(
     :class:`~repro.hw.spec.HardwareSpec`, or ``None`` for the default Skylake
     M-6Y75 of Table 2.  ``tdp``, when given, is applied as a derivation over
     that description (the historical ``build_context(tdp=...)`` call shape).
+    Nothing is built or calibrated here: the context does that on first use.
     """
     spec = resolve_hardware(hardware)
     if tdp is not None and tdp != spec.tdp:
         spec = spec.derive(tdp=tdp)
-    platform = spec.build()
-    operating_points = operating_points_for(platform)
-    thresholds = default_thresholds(platform, operating_points)
     return ExperimentContext(
-        platform=platform,
         hardware=spec,
-        thresholds=thresholds,
-        operating_points=operating_points,
         workload_duration=workload_duration,
         sim=SimSpec.from_config(sim_config) if sim_config is not None else SimSpec(),
         runtime=runtime or ExperimentRuntime(),

@@ -27,9 +27,10 @@ Two job kinds exist:
   sweep.
 
 ``execute_job`` is the executor's single entry point; worker-local
-memoization (platforms, synthetic corpora, built traces, the segment table)
-lives here so in-process and pool execution share one code path and produce
-bit-identical results.
+memoization (``functools.lru_cache`` memos of platforms, synthetic corpora and
+built traces, and the segment table) lives here so in-process and pool
+execution share one code path and produce bit-identical results.  A platform
+keeps its own SysScale calibration (:func:`~repro.core.sysscale.calibration_for`).
 Jobs that share a :class:`TraceSpec` in one process share the trace it built:
 a :class:`~repro.workloads.trace.WorkloadTrace` is frozen (its phases a tuple
 of frozen phases), and every builder is a pure function of its parameters, as
@@ -39,7 +40,6 @@ also share the segment models their runs build (:func:`segment_table_for`).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
@@ -54,13 +54,8 @@ from repro.params import (
     params_to_jsonable as _params_to_jsonable,
 )
 from repro.hw import DRAM_SPECS, HardwareSpec
-from repro.core.operating_points import (
-    OperatingPoint,
-    OperatingPointTable,
-    build_ddr4_operating_points,
-    operating_points_for,
-)
-from repro.core.sysscale import SysScaleController, default_thresholds
+from repro.core.operating_points import OperatingPoint, OperatingPointTable
+from repro.core.sysscale import SysScaleController, calibration_for
 from repro.core.thresholds import ThresholdCalibrator
 from repro.baselines.fixed import FixedBaselinePolicy
 from repro.baselines.md_dvfs import StaticMdDvfsPolicy
@@ -80,6 +75,12 @@ from repro.workloads.trace import WorkloadClass, WorkloadTrace
 #: Bump when the job schema changes incompatibly; part of every content hash,
 #: so stale cache entries from older schemas can never be returned.
 SCHEMA_VERSION = 1
+
+#: Entries kept per worker-local memo.  Long platform sweeps (many TDPs x DRAM
+#: devices) would otherwise grow the memos without bound; a platform is a few
+#: MB of model state, so a handful covers every real campaign's working set.
+MEMO_MAX_ENTRIES = 8
+
 
 def _cached_job_hash(job) -> str:
     """Compute a job's content hash once and memoize it on the instance.
@@ -207,20 +208,11 @@ class TraceSpec:
 
     def build(self) -> WorkloadTrace:
         """Materialize the trace, or return the one this process built for
-        an equal spec (LRU-bounded, see :data:`_TRACE_MEMO`)."""
+        an equal spec (LRU-bounded, see :func:`_built_trace`)."""
         # Parameter types are part of the key: ``1 == 1.0 == True`` in Python
         # but not in the JSON a job hashes, so the memo is no coarser than
         # job identity.
-        key = (self, tuple(type(value) for _, value in self.params))
-        trace = _TRACE_MEMO.get(key)
-        if trace is None:
-            trace = TRACE_BUILDERS[self.builder](**dict(self.params))
-            _TRACE_MEMO[key] = trace
-            while len(_TRACE_MEMO) > MEMO_MAX_ENTRIES:
-                _TRACE_MEMO.popitem(last=False)
-        else:
-            _TRACE_MEMO.move_to_end(key)
-        return trace
+        return _built_trace(self, tuple(type(value) for _, value in self.params))
 
     @property
     def label(self) -> str:
@@ -240,24 +232,17 @@ class TraceSpec:
         return cls.make(data["builder"], **data["params"])
 
 
+@lru_cache(maxsize=MEMO_MAX_ENTRIES)
+def _built_trace(spec: TraceSpec, param_types: Tuple[type, ...]) -> WorkloadTrace:
+    """The process-local trace memo behind :meth:`TraceSpec.build`: jobs that
+    run one trace under several policies or platforms build it once."""
+    del param_types  # part of the memo key only
+    return TRACE_BUILDERS[spec.builder](**dict(spec.params))
+
+
 # ---------------------------------------------------------------------------
 # Policy specifications
 # ---------------------------------------------------------------------------
-
-
-#: Process-local memo of (operating points, thresholds) per platform, keyed by
-#: platform identity (platforms themselves are memoized per spec, so identity
-#: is stable).  Threshold calibration is the paper's *offline* procedure: it
-#: depends only on the platform and point table, so recalibrating per job
-#: would dominate short smoke simulations.  The stored platform reference
-#: guards against id() reuse after garbage collection.  Bounded like
-#: :data:`_PLATFORM_MEMO` (it grows with the same sweep axes).
-_SYSSCALE_MEMO: "OrderedDict[Tuple[int, str], Tuple[Platform, Any, Any]]" = OrderedDict()
-
-#: Entries kept per worker-local memo.  Long platform sweeps (many TDPs x DRAM
-#: devices) would otherwise grow the memos without bound; a platform is a few
-#: MB of model state, so a handful covers every real campaign's working set.
-MEMO_MAX_ENTRIES = 8
 
 
 def _build_sysscale(platform: Platform, operating_points: str = "default") -> Policy:
@@ -266,22 +251,7 @@ def _build_sysscale(platform: Platform, operating_points: str = "default") -> Po
     ``"default"`` means *matched to the platform*
     (:func:`~repro.core.operating_points.operating_points_for`).
     """
-    key = (id(platform), operating_points)
-    memoized = _SYSSCALE_MEMO.get(key)
-    if memoized is None or memoized[0] is not platform:
-        if operating_points == "default":
-            points = operating_points_for(platform)
-        elif operating_points == "ddr4":
-            points = build_ddr4_operating_points()
-        else:
-            raise KeyError(f"unknown operating-point table {operating_points!r}")
-        memoized = (platform, points, default_thresholds(platform, points))
-        _SYSSCALE_MEMO[key] = memoized
-        while len(_SYSSCALE_MEMO) > MEMO_MAX_ENTRIES:
-            _SYSSCALE_MEMO.popitem(last=False)
-    else:
-        _SYSSCALE_MEMO.move_to_end(key)
-    _, points, thresholds = memoized
+    points, thresholds = calibration_for(platform, operating_points)
     return SysScaleController(
         platform=platform, operating_points=points, thresholds=thresholds
     )
@@ -342,19 +312,6 @@ class PolicySpec:
 PlatformSpec = HardwareSpec
 
 
-#: Process-local platform memo.  Within one worker, jobs sharing a platform
-#: spec reuse the same platform object -- safe because jobs run serially inside
-#: a worker and ``SimulationEngine.run`` restores boot MRC state on entry.
-#: LRU-bounded to :data:`MEMO_MAX_ENTRIES`: a sweep over arbitrarily many
-#: distinct platform specs (TDP grids, fuzzed campaigns) keeps only the most
-#: recently used platforms alive instead of growing without limit.
-_PLATFORM_MEMO: "OrderedDict[PlatformSpec, Platform]" = OrderedDict()
-
-#: Process-local memo of built traces (see :meth:`TraceSpec.build`), keyed by
-#: spec and parameter types and LRU-bounded like :data:`_PLATFORM_MEMO`: jobs
-#: that run one trace under several policies or platforms build it once.
-_TRACE_MEMO: "OrderedDict[tuple, WorkloadTrace]" = OrderedDict()
-
 #: The process-local segment table (see :func:`segment_table_for`): at most
 #: one ``(platform, trace, tick, models)`` entry, for the last trace that ran.
 #: A table per memoized platform or trace would hold about 1 MB for each
@@ -384,30 +341,23 @@ def segment_table_for(
     return models
 
 
+@lru_cache(maxsize=MEMO_MAX_ENTRIES)
 def platform_for(spec: PlatformSpec) -> Platform:
-    """The memoized platform for ``spec`` in this process (LRU-bounded)."""
-    platform = _PLATFORM_MEMO.get(spec)
-    if platform is None:
-        platform = spec.build()
-        _PLATFORM_MEMO[spec] = platform
-        while len(_PLATFORM_MEMO) > MEMO_MAX_ENTRIES:
-            evicted_spec, evicted = _PLATFORM_MEMO.popitem(last=False)
-            # Drop the evicted platform's calibration entries too: they are
-            # keyed by platform identity and would otherwise pin its memory
-            # (the identity guard makes stale entries harmless, not free).
-            for key in [k for k in _SYSSCALE_MEMO if _SYSSCALE_MEMO[k][0] is evicted]:
-                del _SYSSCALE_MEMO[key]
-    else:
-        _PLATFORM_MEMO.move_to_end(spec)
-    return platform
+    """The memoized platform for ``spec`` in this process (LRU-bounded).
+
+    Jobs sharing a spec reuse one platform -- safe because jobs run serially
+    inside a worker and ``SimulationEngine.run`` restores the boot state.  A
+    sweep over many distinct specs keeps only the most recently used
+    platforms, and with them their calibrations, alive.
+    """
+    return spec.build()
 
 
 def clear_memos() -> None:
-    """Explicitly empty the worker-local platform/calibration/trace memos and
-    the segment table."""
-    _PLATFORM_MEMO.clear()
-    _SYSSCALE_MEMO.clear()
-    _TRACE_MEMO.clear()
+    """Explicitly empty the worker-local platform and trace memos (and with
+    the platforms their calibrations) and the segment table."""
+    platform_for.cache_clear()
+    _built_trace.cache_clear()
     _SEGMENT_TABLE.clear()
 
 
@@ -425,6 +375,9 @@ class SimSpec:
     evaluation_interval: float = config.EVALUATION_INTERVAL
     max_simulated_time: float = 120.0
     record_bandwidth_samples: bool = False
+
+    def __post_init__(self) -> None:
+        self.to_config()  # a job whose engine config is invalid does not build
 
     def to_config(self) -> SimulationConfig:
         return SimulationConfig(

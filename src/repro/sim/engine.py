@@ -122,11 +122,12 @@ class SimulationConfig:
     trace_segments: bool = False
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
+        # Written so that NaN, which fails every comparison, fails each check.
+        if not self.tick > 0:
             raise ValueError("tick must be positive")
-        if self.evaluation_interval < self.tick:
+        if not self.evaluation_interval >= self.tick:
             raise ValueError("evaluation interval must be at least one tick")
-        if self.max_simulated_time <= 0:
+        if not self.max_simulated_time > 0:
             raise ValueError("maximum simulated time must be positive")
 
 
@@ -282,7 +283,9 @@ class SimulationEngine:
         # default (highest) DRAM frequency, DRAM at its top bin, rails at
         # nominal voltage, interconnect running at its high clock.  Without
         # this, state mutated by a previous run's transition flow would leak
-        # into this one and results would depend on run order.
+        # into this one and results would depend on run order.  A run leaves
+        # the boot state behind it too, for code that reads the platform
+        # between runs (the experiments' Fig. 5 flow, MRC-dependent power).
         self.platform.reset_to_boot()
 
         action = policy.reset(self.platform, trace)
@@ -306,7 +309,9 @@ class SimulationEngine:
                 {} if segment_table is None else segment_table,
                 recorder,
             )
-        return self._build_result(trace, policy, run)
+        result = self._build_result(trace, policy, run)
+        self.platform.reset_to_boot()
+        return result
 
     # ------------------------------------------------------------------
     # Segment-stepping loop (default)

@@ -54,6 +54,11 @@ class Platform:
     _worst_case_memo: Dict[Tuple[float, float, float, float], float] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
+    #: SysScale's (operating points, thresholds) by point-table name, kept by
+    #: :func:`repro.core.sysscale.calibration_for`.
+    _calibration_memo: Dict[str, tuple] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Derived quantities

@@ -13,10 +13,13 @@ from repro.core.operating_points import (
     OperatingPointTable,
     build_ddr4_operating_points,
     build_default_operating_points,
+    operating_points_for,
 )
-from repro.core.sysscale import SysScaleController
+from repro.core.sysscale import SysScaleController, default_thresholds
 from repro.core.thresholds import ThresholdCalibrator
 from repro.perf.counters import CounterName, CounterSample
+from repro.runtime.jobs import PlatformSpec, platform_for
+from repro.sim.engine import SimulationEngine
 from repro.sim.policy import StaticDemandInfo
 from repro.workloads.io_devices import STANDARD_CONFIGURATIONS
 from repro.workloads.microbenchmarks import compute_only_microbenchmark
@@ -254,6 +257,20 @@ class TestSysScaleController:
         baseline = engine.run(trace, FixedBaselinePolicy())
         sysscale = engine.run(trace, SysScaleController(platform=platform, thresholds=thresholds))
         assert sysscale.performance_improvement_over(baseline) > 0.05
+
+    def test_default_points_match_a_ddr4_platform(self):
+        """Without a table, the controller and the calibration take the one
+        matched to the platform's DRAM; LPDDR3 points are no bins of DDR4."""
+        platform = platform_for(PlatformSpec(dram="ddr4"))
+        controller = SysScaleController(platform=platform)
+        points = operating_points_for(platform)
+        assert controller.operating_points == points
+        assert controller.thresholds == default_thresholds(platform, points)
+        assert default_thresholds(platform) == controller.thresholds
+        trace = spec_workload("416.gamess", duration=0.3)
+        result = SimulationEngine(platform).run(trace, controller)
+        assert result.transitions >= 1
+        assert result.low_point_residency > 0
 
     def test_transition_reports_accumulate(self, platform, thresholds, engine):
         controller = SysScaleController(platform=platform, thresholds=thresholds)

@@ -737,16 +737,18 @@ class TestServiceChaos:
         assert list(queue.entries_dir.rglob("*.json")) == []
         assert not (queue.entries_dir / "failed").exists()
 
-    @pytest.mark.parametrize("case", ["hashes-elsewhere", "does-not-build", "not-a-dict"])
+    @pytest.mark.parametrize(
+        "case", ["hashes-elsewhere", "does-not-build", "not-a-dict", "nan-tick"]
+    )
     def test_an_entry_that_cannot_run_under_its_hash_is_quarantined(
         self, tmp_path, case
     ):
         """An entry whose job rebuilds into another job (one queued before a
         job-hash change) would store its result under the other hash and be
-        released forever; one whose job does not build would fail each poll
-        that leases it.  The poll that leases either quarantines it as
-        ``invalid-entry``, keeping its job for a resubmit, and the rest of
-        the slice runs."""
+        released forever; one whose job does not build (a NaN tick would
+        spin the engine forever) would fail each poll that leases it.  The
+        poll that leases either quarantines it as ``invalid-entry``, keeping
+        its job for a resubmit, and the rest of the slice runs."""
         root = tmp_path / "fleet"
         queue = JobQueue(FleetPaths(root).queue_dir)
         good, named = _tiny_job(), _tiny_job(policy="sysscale")
@@ -757,6 +759,10 @@ class TestServiceChaos:
         elif case == "does-not-build":
             carried = {**named.to_dict(), "policy": {"builder": "no-such-policy", "params": {}}}
             error_class, named_in_message = "KeyError", "no-such-policy"
+        elif case == "nan-tick":
+            carried = named.to_dict()
+            carried["sim"]["tick"] = float("nan")
+            error_class, named_in_message = "ValueError", "tick"
         else:
             carried, error_class, named_in_message = ["not", "a", "job"], "TypeError", "list"
         queue.submit(good)
@@ -770,7 +776,8 @@ class TestServiceChaos:
             "invalid-entry", error_class, 1
         )
         assert named_in_message in record.message
-        assert record.job == carried
+        # Compared as JSON text: NaN equals nothing, not even itself.
+        assert json.dumps(record.job) == json.dumps(carried)
         assert queue.counts() == EMPTY
         assert service.jobs_quarantined == 1
         store = ShardedResultStore(FleetPaths(root).store_dir)

@@ -1,12 +1,13 @@
 """Differential purity tests for the model stack's memos.
 
-Three pure queries memoize on the objects that own them:
-``DramDevice.timings``, ``Platform.worst_case_io_memory_power`` and
-``PowerBudgetManager.plan``.  For every registered hardware variant, every
-memoized answer (read back as a memo hit) must equal a fresh computation on a
-freshly built platform.  No two platforms may share an entry, the live-state
-MRC power path stays unmemoized, and invalid arguments raise even when the
-memo is already filled.
+Four pure queries memoize on the objects that own them:
+``DramDevice.timings``, ``Platform.worst_case_io_memory_power``,
+``PowerBudgetManager.plan`` and SysScale's calibration
+(``repro.core.sysscale.calibration_for``, kept on its platform).  For every
+registered hardware variant, every memoized answer (read back as a memo hit)
+must equal a fresh computation on a freshly built platform.  No two platforms
+may share an entry, the live-state MRC power path stays unmemoized, and
+invalid arguments raise even when the memo is already filled.
 
 The engine's segment models are memoized too: within a run, and across the
 runs of one trace on one platform at one tick through the runtime's segment
@@ -20,10 +21,13 @@ from __future__ import annotations
 import pytest
 
 from repro import config
+from repro.core.flow import TransitionFlow
 from repro.core.operating_points import (
     build_ddr4_operating_points,
     build_default_operating_points,
+    operating_points_for,
 )
+from repro.core.sysscale import calibration_for, default_thresholds
 from repro.hw.registry import HARDWARE
 from repro.memory.timings import timings_for_frequency
 from repro.power.models import ActivityVector
@@ -148,6 +152,29 @@ class TestMemoizedEqualsFresh:
                         fresh.pbm, budget, activity, graphics_centric, fixed
                     )
 
+    @pytest.mark.parametrize("table", ("default", "ddr4"))
+    def test_sysscale_calibration(self, name, table):
+        memoized = HARDWARE[name].build()
+        fresh = HARDWARE[name].build()
+        first = calibration_for(memoized, table)
+        # The calibration reads no live platform state: after a Fig. 5 flow
+        # moved the platform to its low point, as a SysScale run does, the
+        # served calibration is still the one a fresh platform gives.
+        matched = operating_points_for(memoized)
+        TransitionFlow(
+            rails=memoized.soc.rails,
+            interconnect=memoized.soc.interconnect_fabric,
+            dram=memoized.dram,
+            mrc_sram=memoized.mrc_sram,
+            mrc_registers=memoized.mrc_registers,
+        ).execute(matched.high, matched.low)
+        assert calibration_for(memoized, table) is first
+        points = (
+            operating_points_for(fresh) if table == "default" else build_ddr4_operating_points()
+        )
+        assert first == (points, default_thresholds(fresh, points))
+        assert first[1] == default_thresholds(memoized, points)
+
 
 class TestIsolation:
     def test_platforms_never_share_an_entry(self):
@@ -233,6 +260,15 @@ class TestErrorsAreNeverMemoized:
                 platform.worst_case_io_memory_power(v_sa_scale=0.0)
         assert all(frequency > 0 for frequency in platform.dram._timings_memo)
         assert all(key[0] > 0 and key[2] > 0 for key in platform._worst_case_memo)
+
+    def test_unknown_point_table_raises_with_a_filled_memo(self):
+        platform = HARDWARE["skylake"].build()
+        calibration_for(platform)
+        calibration_for(platform, "ddr4")
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                calibration_for(platform, "lpddr5")
+        assert sorted(platform._calibration_memo) == ["ddr4", "default"]
 
 
 #: The runs a segment table serves: every policy, with and without a display

@@ -96,6 +96,15 @@ class TestContentHash:
         )
         assert job_from_dict(json.loads(json.dumps(deg.to_dict()))) == deg
 
+    def test_a_nan_sim_parameter_does_not_build(self):
+        """JSON reads ``NaN``, so a job dict can carry one; such a job would
+        spin the engine forever, so it must not build (a fleet quarantines
+        the entry instead of leasing it to a worker)."""
+        data = _tiny_job().to_dict()
+        data["sim"]["tick"] = float("nan")
+        with pytest.raises(ValueError, match="tick"):
+            job_from_dict(json.loads(json.dumps(data)))
+
 
 class TestTraceSpecs:
     def test_known_builders(self):
@@ -577,27 +586,27 @@ class TestPlatformMemoBound:
     def test_repeated_distinct_specs_do_not_grow_the_memo(self):
         """Regression: a sweep over many distinct platform specs keeps the
         worker-local platform memo LRU-bounded instead of unbounded."""
-        from repro.runtime.jobs import (
-            MEMO_MAX_ENTRIES,
-            _PLATFORM_MEMO,
-            _SYSSCALE_MEMO,
-            clear_memos,
-            platform_for,
-        )
+        import gc
+        import weakref
+
+        from repro.runtime.jobs import MEMO_MAX_ENTRIES, clear_memos, platform_for
 
         clear_memos()
+        alive = []
         try:
             for index in range(3 * MEMO_MAX_ENTRIES):
                 spec = PlatformSpec(tdp=3.5 + 0.1 * index)
                 platform = platform_for(spec)
-                # Populate the calibration memo too: its entries must be
-                # evicted alongside their platform.
+                # Calibrate it too: the calibration lives on the platform,
+                # so it must go when the memo evicts the platform.
                 PolicySpec.make("sysscale").build(platform)
-                assert len(_PLATFORM_MEMO) <= MEMO_MAX_ENTRIES
-                assert len(_SYSSCALE_MEMO) <= MEMO_MAX_ENTRIES
+                alive.append(weakref.ref(platform._calibration_memo["default"][1]))
+                assert platform_for.cache_info().currsize <= MEMO_MAX_ENTRIES
+            gc.collect()
+            assert sum(ref() is not None for ref in alive) <= MEMO_MAX_ENTRIES
         finally:
             clear_memos()
-        assert not _PLATFORM_MEMO and not _SYSSCALE_MEMO
+        assert platform_for.cache_info().currsize == 0
 
     def test_memo_hits_return_the_same_platform(self):
         from repro.runtime.jobs import clear_memos, platform_for
@@ -624,6 +633,95 @@ class TestPlatformMemoBound:
             assert rebuilt.describe() == described
         finally:
             clear_memos()
+
+
+class TestSharedPlatformAndCalibration:
+    """An experiment context reads the runtime's memoized platform and the
+    SysScale calibration kept on it: one platform and one calibration per
+    spec and process."""
+
+    def test_the_context_reads_the_runtime_platform_and_its_calibration(self):
+        from repro.core.sysscale import calibration_for
+        from repro.experiments import build_context
+        from repro.runtime.jobs import platform_for
+
+        context = build_context()
+        assert context.platform is platform_for(context.hardware)
+        points, thresholds = calibration_for(context.platform)
+        assert context.operating_points is points
+        assert context.thresholds is thresholds
+        policy = PolicySpec.make("sysscale").build(context.platform)
+        assert policy.operating_points is points
+        assert policy.thresholds is thresholds
+
+    def test_a_second_context_or_controller_runs_no_calibration(self, monkeypatch):
+        from repro.core import sysscale
+        from repro.experiments import build_context
+        from repro.hw import HardwareSpec
+        from repro.runtime.jobs import clear_memos
+
+        builds, calibrations = [], []
+        build, calibrate = HardwareSpec.build, sysscale.default_thresholds
+
+        def counted_build(spec, *args, **kwargs):
+            builds.append(spec)
+            return build(spec, *args, **kwargs)
+
+        def counted_calibrate(platform, *args, **kwargs):
+            calibrations.append(platform)
+            return calibrate(platform, *args, **kwargs)
+
+        monkeypatch.setattr(HardwareSpec, "build", counted_build)
+        monkeypatch.setattr(sysscale, "default_thresholds", counted_calibrate)
+        clear_memos()
+        try:
+            first = build_context()
+            assert builds == [] and calibrations == []
+            thresholds = first.thresholds
+            platform = first.platform
+            assert (builds, calibrations) == ([first.hardware], [platform])
+            assert build_context().thresholds is thresholds
+            for _ in range(2):
+                controller = sysscale.SysScaleController(platform=platform)
+                assert controller.thresholds is thresholds
+            assert (builds, calibrations) == ([first.hardware], [platform])
+        finally:
+            clear_memos()
+
+    def test_an_evicted_platform_is_rebuilt_and_recalibrated(self):
+        from repro.experiments import build_context
+        from repro.runtime.jobs import MEMO_MAX_ENTRIES, clear_memos, platform_for
+
+        clear_memos()
+        try:
+            context = build_context()
+            platform, thresholds = context.platform, context.thresholds
+            for index in range(MEMO_MAX_ENTRIES):
+                platform_for(PlatformSpec(tdp=5.0 + 0.1 * index))
+            assert context.platform is not platform
+            assert context.thresholds is not thresholds
+            assert context.thresholds == thresholds
+        finally:
+            clear_memos()
+
+    def test_in_process_jobs_leave_the_shared_platform_at_boot(self):
+        """A SysScale run ends wherever its last decision left the platform,
+        and the context reads that same platform: Fig. 5's flow must still
+        start from the boot state."""
+        from repro.experiments import build_context, get_spec
+
+        context = build_context()
+        fig5 = get_spec("fig5")
+        before = fig5.run(context, quick=True).results_dict()
+        job = context.simulation_job(
+            TraceSpec.make("spec", name="416.gamess", duration=0.3),
+            PolicySpec.make("sysscale"),
+        )
+        result = context.runtime.simulate([job])[0]
+        assert result.transitions % 2 == 1  # the run ended at the low point
+        dram = context.platform.dram
+        assert dram.current_frequency == dram.max_frequency
+        assert fig5.run(context, quick=True).results_dict() == before
 
 
 class TestTraceMemo:
@@ -658,18 +756,18 @@ class TestTraceMemo:
             clear_memos()
 
     def test_clear_memos_empties_the_memo(self):
-        from repro.runtime.jobs import _TRACE_MEMO, clear_memos
+        from repro.runtime.jobs import _built_trace, clear_memos
 
         spec = TraceSpec.make("spec", name="416.gamess", duration=0.05)
         first = spec.build()
-        assert _TRACE_MEMO
+        assert _built_trace.cache_info().currsize
         clear_memos()
-        assert not _TRACE_MEMO
+        assert _built_trace.cache_info().currsize == 0
         assert spec.build() is not first
         clear_memos()
 
     def test_memo_is_lru_bounded(self):
-        from repro.runtime.jobs import MEMO_MAX_ENTRIES, _TRACE_MEMO, clear_memos
+        from repro.runtime.jobs import MEMO_MAX_ENTRIES, _built_trace, clear_memos
 
         clear_memos()
         try:
@@ -677,7 +775,7 @@ class TestTraceMemo:
             first_trace = first.build()
             for index in range(1, 3 * MEMO_MAX_ENTRIES):
                 TraceSpec.make("spec", name="416.gamess", duration=0.01 * (index + 1)).build()
-                assert len(_TRACE_MEMO) <= MEMO_MAX_ENTRIES
+                assert _built_trace.cache_info().currsize <= MEMO_MAX_ENTRIES
             assert first.build() is not first_trace
         finally:
             clear_memos()

@@ -52,10 +52,19 @@ class TestSimulationConfig:
         assert sim_config.evaluation_interval == pytest.approx(config.EVALUATION_INTERVAL)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(tick=0.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(tick=0.01, evaluation_interval=0.001)
+        nan = float("nan")
+        # NaN fails every comparison, so it must fail each check as well: a
+        # NaN tick never advances the engine, and a NaN time limit stops it
+        # after one tick.
+        for invalid in (
+            {"tick": 0.0},
+            {"tick": 0.01, "evaluation_interval": 0.001},
+            {"tick": nan},
+            {"evaluation_interval": nan},
+            {"max_simulated_time": nan},
+        ):
+            with pytest.raises(ValueError):
+                SimulationConfig(**invalid)
 
 
 class TestEngineBasics:
